@@ -6,6 +6,8 @@ import pytest
 
 from gmud.cli import CSV_HEADER, main
 
+GOLDEN_COMPARE = os.path.join(os.path.dirname(__file__), "data", "golden_compare_16qam.csv")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -166,3 +168,17 @@ class TestCompare:
         lines = read_csv(out + ".csv").strip().split("\n")[1:]
         snrs = sorted({float(line.split(",")[3]) for line in lines})
         assert snrs == [0.0, 5.0, 10.0]
+
+
+class TestGoldenCompare:
+    def test_csv_bytes_unchanged(self, capsys, tmp_path):
+        # captured from `gmud compare` with these flags; any refactor must keep every byte
+        out = str(tmp_path / "golden")
+        code, _, _ = run_cli(
+            capsys, "compare", "--mod", "16qam", "--snr", "0:10:30",
+            "--feedback", "perfect", "--feedback", "4",
+            "--realizations", "40", "--seed", "12345", "--out", out,
+        )
+        assert code == 0
+        with open(out + ".csv", "rb") as fh, open(GOLDEN_COMPARE, "rb") as golden:
+            assert fh.read() == golden.read()
