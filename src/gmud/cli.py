@@ -22,21 +22,14 @@ import numpy as np
 from . import __version__
 from .decomposition import PhasePair, gmud, solve_rotations
 from .errors import DomainError, FormatError
-from .feedback import decode, encode
-from .linalg import fro_norm, svd2x2
+from .feedback import SCHEMES, decode, encode
 from .precoding import GridSpec
 from .simulation import SimConfig, run_ber
 from .svgplot import line_chart
 
 CSV_HEADER = "scheme,modulation,feedback_bits,snr_db,ber,bits,errors"
 
-_SCHEME_ALIASES = {
-    "reg-inv": "reg-inv",
-    "reg-inv-sel": "reg-inv-sel",
-    "reg-inv-selection": "reg-inv-sel",
-    "gmud": "gmud",
-}
-_COMPARE_ORDER = ("reg-inv", "reg-inv-sel", "gmud")
+_SCHEME_ALIASES = {**{s: s for s in SCHEMES}, "reg-inv-selection": "reg-inv-sel"}
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -128,7 +121,7 @@ def cmd_decompose(args) -> int:
     fact = gmud(h, args.r, pp)
     svd = fact.source_svd
     rot = solve_rotations(svd.lambda1, svd.lambda2, fact.r)
-    residual = fro_norm(fact.reconstruct() - h)
+    residual = float(np.linalg.norm(fact.reconstruct() - h))
     out = {
         "singular_values": [svd.lambda1, svd.lambda2],
         "r": fact.r,
@@ -148,26 +141,9 @@ def cmd_decompose(args) -> int:
 def cmd_quantize(args) -> int:
     h = _parse_matrix(args)
     scheme = _SCHEME_ALIASES[args.scheme]
-    source = svd2x2(h) if scheme == "gmud" else h
-    bits = encode(source, scheme, args.n)
-    msg = decode(bits, scheme, args.n)
+    bits = encode(h, scheme, args.n)
     out = {"scheme": scheme, "n": args.n, "total_bits": len(bits), "bits": bits}
-    if scheme == "gmud":
-        out["decoded"] = {
-            "v1": [[z.real, z.imag] for z in msg.v1],
-            "lambda1": msg.lambda1,
-            "lambda2": msg.lambda2,
-        }
-    elif scheme == "reg-inv":
-        out["decoded"] = {
-            "row": [[z.real, z.imag] for z in msg.row],
-            "norm": msg.row_norm,
-        }
-    else:
-        out["decoded"] = {
-            "channel": _complex_matrix_json(msg.channel),
-            "norms": list(msg.row_norms),
-        }
+    out["decoded"] = decode(bits, scheme, args.n).to_json()
     print(json.dumps(out, indent=2))
     return 0
 
@@ -236,7 +212,7 @@ def _emit(curves, args, seed, command, started) -> None:
         "tool": "gmud",
         "version": __version__,
         "command": command,
-        "schemes": sorted({c.scheme for c in curves}, key=_COMPARE_ORDER.index),
+        "schemes": sorted({c.scheme for c in curves}, key=SCHEMES.index),
         "modulation": args.mod,
         "feedback": [c.feedback for c in curves],
         "snr": args.snr,
@@ -267,7 +243,7 @@ def cmd_compare(args) -> int:
     seed = _resolve_seed(args)
     args.grid_spec = _parse_grid(args.grid)
     modes = _parse_feedback(args.feedback or ["perfect"])
-    curves = _run_curves(_COMPARE_ORDER, modes, args, seed, args.grid_spec)
+    curves = _run_curves(SCHEMES, modes, args, seed, args.grid_spec)
     _emit(curves, args, seed, "compare", started)
     return 0
 

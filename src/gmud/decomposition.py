@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .linalg import SvdFactorization, as_matrix, orthonormal_complement, svd2x2
+from .linalg import SvdFactorization, orthonormal_complement, svd2x2
 
 __all__ = [
     "GmudRotation",
@@ -32,7 +32,6 @@ __all__ = [
     "build_special_r",
     "phase_matrix",
     "gmud",
-    "complete_orthonormal",
     "beam_from_feedback",
     "steered_beams",
     "beam_alignment",
@@ -149,13 +148,18 @@ def solve_rotations(lambda1: float, lambda2: float, r: float) -> GmudRotation:
     return GmudRotation(float(a), float(b), float(c), float(s))
 
 
-def build_special_r(lambda1: float, lambda2: float, r: float) -> SpecialR:
-    """Triangular factor entries z1 = b*c*lambda1 - a*s*lambda2, z2 = b*s*lambda1 + a*c*lambda2."""
+def _special_r(lambda1: float, lambda2: float, r: float) -> tuple[GmudRotation, SpecialR]:
+    """Rotations for r and the triangular factor they produce (r checked and clamped)."""
     rot = solve_rotations(lambda1, lambda2, r)
     r = _checked_r(lambda1, lambda2, r)
     z1 = rot.b * rot.c * lambda1 - rot.a * rot.s * lambda2
     z2 = rot.b * rot.s * lambda1 + rot.a * rot.c * lambda2
-    return SpecialR(r, float(z1), float(z2))
+    return rot, SpecialR(r, float(z1), float(z2))
+
+
+def build_special_r(lambda1: float, lambda2: float, r: float) -> SpecialR:
+    """Triangular factor entries z1 = b*c*lambda1 - a*s*lambda2, z2 = b*s*lambda1 + a*c*lambda2."""
+    return _special_r(lambda1, lambda2, r)[1]
 
 
 def phase_matrix(pp: PhasePair) -> np.ndarray:
@@ -184,39 +188,18 @@ def gmud(h, r: float, pp: PhasePair | None = None) -> GmudFactorization:
         v0 = [[c,s],[-s,c]] from :func:`solve_rotations` and
         M = :func:`phase_matrix`.
     """
-    if pp is None:
-        pp = PhasePair()
-    svd = svd2x2(h)
+    return _factor(svd2x2(h), r, PhasePair() if pp is None else pp)
+
+
+def _factor(svd: SvdFactorization, r: float, pp: PhasePair) -> GmudFactorization:
+    """The member of the unitary family of ``svd.reconstruct()`` selected by (r, pp)."""
     if svd.lambda1 <= 0.0:
         raise DomainError("zero matrix admits no positive r")
-    rot = solve_rotations(svd.lambda1, svd.lambda2, r)
-    r = _checked_r(svd.lambda1, svd.lambda2, r)
-    z1 = rot.b * rot.c * svd.lambda1 - rot.a * rot.s * svd.lambda2
-    z2 = rot.b * rot.s * svd.lambda1 + rot.a * rot.c * svd.lambda2
-    rmat = SpecialR(r, float(z1), float(z2))
-
+    rot, rmat = _special_r(svd.lambda1, svd.lambda2, r)
     u0 = np.array([[rot.a, rot.b], [-rot.b, rot.a]], dtype=np.complex128)
     v0 = np.array([[rot.c, rot.s], [-rot.s, rot.c]], dtype=np.complex128)
     m = phase_matrix(pp)
-    p = svd.u @ m @ u0
-    q = svd.v @ m @ v0
-    return GmudFactorization(p, rmat, q, r, pp, svd)
-
-
-def complete_orthonormal(v1) -> np.ndarray:
-    """Unit 2-vector orthogonal to the unit vector ``v1``.
-
-    Returns [-conj(v1[1]), conj(v1[0])]; the inner product with v1
-    cancels exactly.  Raises :class:`DomainError` if ``v1`` is not unit
-    norm to 1e-9.
-    """
-    v1 = np.asarray(v1, dtype=np.complex128)
-    if v1.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {v1.shape}")
-    nrm = np.linalg.norm(v1)
-    if abs(nrm - 1.0) > 1e-9:
-        raise DomainError(f"input must be unit norm, got ||v1|| = {nrm:.12g}")
-    return orthonormal_complement(v1)
+    return GmudFactorization(svd.u @ m @ u0, rmat, svd.v @ m @ v0, rmat.r, pp, svd)
 
 
 def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:

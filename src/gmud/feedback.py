@@ -25,18 +25,19 @@ a decoded message reproduces its bits exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError
-from .linalg import SvdFactorization
+from .errors import DomainError, FormatError
+from .linalg import SvdFactorization, svd2x2
 
 __all__ = [
     "SCHEMES",
     "VECTOR_RANGE",
     "MAGNITUDE_RANGE",
-    "FeedbackBudget",
     "RegInvSelectionFeedback",
     "RegInvFixedFeedback",
     "GmudFeedback",
@@ -46,64 +47,8 @@ __all__ = [
     "decode",
 ]
 
-SCHEMES = ("reg-inv", "reg-inv-sel", "gmud")
-
 VECTOR_RANGE = (-1.0, 1.0)
 MAGNITUDE_RANGE = (0.0, 4.0)
-
-
-@dataclass(frozen=True)
-class FeedbackBudget:
-    """Per-user bit budget parameter N; every scheme totals 12*N bits."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("budget parameter N must be >= 1")
-
-    @property
-    def total_bits(self) -> int:
-        return 12 * self.n
-
-
-def scheme_layout(scheme: str, n) -> list[tuple[str, int, float, float]]:
-    """Ordered (name, bits, lo, hi) wire fields for a scheme at budget N.
-
-    ``n`` may be the integer parameter or a :class:`FeedbackBudget`.
-    """
-    if isinstance(n, FeedbackBudget):
-        n = n.n
-    if n < 1:
-        raise ValueError("budget parameter N must be >= 1")
-    vlo, vhi = VECTOR_RANGE
-    mlo, mhi = MAGNITUDE_RANGE
-    if scheme == "reg-inv-sel":
-        fields = [
-            (f"row{i}_{part}{j}", n, vlo, vhi)
-            for i in range(2)
-            for j in range(2)
-            for part in ("re", "im")
-        ]
-        fields += [(f"norm{i}", 2 * n, mlo, mhi) for i in range(2)]
-    elif scheme == "reg-inv":
-        fields = [
-            (f"row_{part}{j}", 2 * n, vlo, vhi)
-            for j in range(2)
-            for part in ("re", "im")
-        ]
-        fields += [("norm", 4 * n, mlo, mhi)]
-    elif scheme == "gmud":
-        fields = [
-            (f"v1_{part}{j}", 2 * n, vlo, vhi)
-            for j in range(2)
-            for part in ("re", "im")
-        ]
-        fields += [("lambda1", 2 * n, mlo, mhi), ("lambda2", 2 * n, mlo, mhi)]
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    assert sum(bits for _, bits, _, _ in fields) == 12 * n
-    return fields
 
 
 def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, float]:
@@ -158,11 +103,21 @@ def _join_complex(scalars) -> np.ndarray:
     return np.array([complex(re, im) for re, im in zip(it, it)], dtype=np.complex128)
 
 
+def _unit(vec: np.ndarray) -> np.ndarray:
+    return vec / np.linalg.norm(vec)
+
+
 def _unit_row(row: np.ndarray) -> tuple[np.ndarray, float]:
-    nrm = float(np.linalg.norm(row))
-    if nrm == 0.0:
-        return np.array([1.0 + 0.0j, 0.0j]), 0.0
-    return row / nrm, nrm
+    # an overflowing or non-finite row leaves a non-finite field, which encode names
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(np.linalg.norm(row))
+        if nrm == 0.0:
+            return np.array([1.0 + 0.0j, 0.0j]), 0.0
+        return row / nrm, nrm
+
+
+def _pairs(values) -> list:
+    return [[z.real, z.imag] for z in values]
 
 
 @dataclass(eq=False)
@@ -173,10 +128,18 @@ class RegInvSelectionFeedback:
     unit_rows: np.ndarray  # 2x2 complex, each row unit norm
     row_norms: np.ndarray  # (2,)
 
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> RegInvSelectionFeedback:
+        rows = (_join_complex(values[0:4]), _join_complex(values[4:8]))
+        return cls(values, np.stack([_unit(r) for r in rows]), values[8:10].copy())
+
     @property
     def channel(self) -> np.ndarray:
         """Channel estimate: rows scaled back by their norms."""
         return self.unit_rows * self.row_norms[:, None]
+
+    def to_json(self) -> dict:
+        return {"channel": [_pairs(row) for row in self.channel], "norms": list(self.row_norms)}
 
 
 @dataclass(eq=False)
@@ -187,9 +150,16 @@ class RegInvFixedFeedback:
     unit_row: np.ndarray  # (2,) complex, unit norm
     row_norm: float
 
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> RegInvFixedFeedback:
+        return cls(values, _unit(_join_complex(values[0:4])), float(values[4]))
+
     @property
     def row(self) -> np.ndarray:
         return self.unit_row * self.row_norm
+
+    def to_json(self) -> dict:
+        return {"row": _pairs(self.row), "norm": self.row_norm}
 
 
 @dataclass(eq=False)
@@ -201,54 +171,114 @@ class GmudFeedback:
     lambda1: float
     lambda2: float
 
+    @classmethod
+    def from_values(cls, values: np.ndarray) -> GmudFeedback:
+        lam = sorted((float(values[4]), float(values[5])), reverse=True)
+        return cls(values, _unit(_join_complex(values[0:4])), lam[0], lam[1])
 
-def _source_scalars(source, scheme: str, row: int) -> list[float]:
-    """Flatten scheme-appropriate source data into wire-order scalars."""
-    if scheme == "reg-inv-sel":
-        if isinstance(source, RegInvSelectionFeedback):
-            return [float(v) for v in source.raw]
-        h = np.asarray(source, dtype=np.complex128)
-        units, norms = zip(*(_unit_row(h[i]) for i in range(2)))
-        return [s for u in units for s in _split_complex(u)] + list(norms)
-    if scheme == "reg-inv":
-        if isinstance(source, RegInvFixedFeedback):
-            return [float(v) for v in source.raw]
-        h = np.asarray(source, dtype=np.complex128)
-        if h.ndim == 2:
-            if row == -1:  # best-norm row instead of the fixed first row
-                row = int(np.argmax((h.real**2 + h.imag**2).sum(axis=1)))
-            h = h[row]
-        unit, nrm = _unit_row(h)
-        return _split_complex(unit) + [nrm]
-    if scheme == "gmud":
-        if isinstance(source, GmudFeedback):
-            return [float(v) for v in source.raw]
-        if isinstance(source, SvdFactorization):
-            lam1, lam2, v1 = source.lambda1, source.lambda2, source.v[:, 0]
-        else:
-            lam1, lam2, v1 = source
-        return _split_complex(np.asarray(v1, dtype=np.complex128)) + [
-            float(lam1),
-            float(lam2),
-        ]
-    raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    @classmethod
+    def from_svd(cls, svd: SvdFactorization) -> GmudFeedback:
+        """The exact (unquantized) report of a channel: perfect CSI."""
+        v1 = svd.v[:, 0].copy()
+        raw = np.array(_split_complex(v1) + [svd.lambda1, svd.lambda2])
+        return cls(raw, v1, svd.lambda1, svd.lambda2)
+
+    def to_json(self) -> dict:
+        return {"v1": _pairs(self.v1), "lambda1": self.lambda1, "lambda2": self.lambda2}
 
 
-def encode(source, scheme: str, n: int, row: int = 0) -> str:
+def _selection_scalars(h) -> list[float]:
+    h = np.asarray(h, dtype=np.complex128)
+    units, norms = zip(*(_unit_row(h[i]) for i in range(2)))
+    return [s for u in units for s in _split_complex(u)] + list(norms)
+
+
+def _fixed_row_scalars(h) -> list[float]:
+    h = np.asarray(h, dtype=np.complex128)
+    unit, nrm = _unit_row(h[0] if h.ndim == 2 else h)
+    return _split_complex(unit) + [nrm]
+
+
+def _spectral_scalars(source) -> list[float]:
+    if isinstance(source, np.ndarray):
+        source = svd2x2(source)
+    if isinstance(source, SvdFactorization):
+        source = (source.lambda1, source.lambda2, source.v[:, 0])
+    lam1, lam2, v1 = source
+    return _split_complex(np.asarray(v1, dtype=np.complex128)) + [float(lam1), float(lam2)]
+
+
+def _complex_fields(prefix: str, bits_per_n: int) -> tuple:
+    return tuple(
+        (f"{prefix}_{part}{j}", bits_per_n, VECTOR_RANGE)
+        for j in range(2)
+        for part in ("re", "im")
+    )
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """A feedback scheme: wire fields as (name, bits per unit N, range), source -> scalars, message type."""
+
+    fields: tuple[tuple[str, int, tuple[float, float]], ...]
+    scalars: Callable[..., list[float]]
+    message: type
+
+
+_SCHEME_TABLE = {
+    "reg-inv": _Scheme(
+        _complex_fields("row", 2) + (("norm", 4, MAGNITUDE_RANGE),),
+        _fixed_row_scalars,
+        RegInvFixedFeedback,
+    ),
+    "reg-inv-sel": _Scheme(
+        _complex_fields("row0", 1)
+        + _complex_fields("row1", 1)
+        + (("norm0", 2, MAGNITUDE_RANGE), ("norm1", 2, MAGNITUDE_RANGE)),
+        _selection_scalars,
+        RegInvSelectionFeedback,
+    ),
+    "gmud": _Scheme(
+        _complex_fields("v1", 2)
+        + (("lambda1", 2, MAGNITUDE_RANGE), ("lambda2", 2, MAGNITUDE_RANGE)),
+        _spectral_scalars,
+        GmudFeedback,
+    ),
+}
+
+SCHEMES = tuple(_SCHEME_TABLE)
+
+
+def scheme_layout(scheme: str, n: int) -> list[tuple[str, int, float, float]]:
+    """Ordered (name, bits, lo, hi) wire fields for a scheme at budget N."""
+    if n < 1:
+        raise ValueError("budget parameter N must be >= 1")
+    if scheme not in _SCHEME_TABLE:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return [(name, k * n, lo, hi) for name, k, (lo, hi) in _SCHEME_TABLE[scheme].fields]
+
+
+def encode(source, scheme: str, n: int) -> str:
     """Encode channel/decomposition data (or a decoded message) to 12*N bits.
 
-    ``source`` is a 2x2 channel matrix for the inverse-precoding schemes
-    (``row`` picks the reported row for ``reg-inv``; -1 means best norm),
-    a ``(lambda1, lambda2, v1)`` triple or :class:`SvdFactorization` for
+    ``source`` is a 2x2 channel matrix for every scheme (``reg-inv``
+    reports its first row, ``gmud`` its :func:`svd2x2` factors), a
+    ``(lambda1, lambda2, v1)`` triple or :class:`SvdFactorization` for
     ``gmud``, or a previously decoded message of the matching type, whose
-    stored reconstruction levels re-encode to identical bits.
+    stored reconstruction levels re-encode to identical bits.  Raises
+    :class:`DomainError` naming the first wire field that is not finite.
     """
     layout = scheme_layout(scheme, n)
-    scalars = _source_scalars(source, scheme, row)
-    indices = [
-        quantize_scalar(v, lo, hi, bits)[0]
-        for v, (_, bits, lo, hi) in zip(scalars, layout)
-    ]
+    spec = _SCHEME_TABLE[scheme]
+    if isinstance(source, spec.message):
+        scalars = [float(v) for v in source.raw]
+    else:
+        scalars = spec.scalars(source)
+    indices = []
+    for v, (name, bits, lo, hi) in zip(scalars, layout):
+        if not math.isfinite(v):
+            raise DomainError(f"{name} is not finite")
+        indices.append(quantize_scalar(v, lo, hi, bits)[0])
     return _pack(indices, layout)
 
 
@@ -259,8 +289,6 @@ def decode(bits: str, scheme: str, n: int):
     renormalized and singular values sorted descending.  Raises
     :class:`FormatError` on wrong length or alphabet.
     """
-    if isinstance(n, FeedbackBudget):
-        n = n.n
     layout = scheme_layout(scheme, n)
     if len(bits) != 12 * n:
         raise FormatError(f"expected {12 * n} bits, got {len(bits)}")
@@ -272,13 +300,4 @@ def decode(bits: str, scheme: str, n: int):
             for idx, (_, width, lo, hi) in zip(_unpack(bits, layout), layout)
         ]
     )
-    if scheme == "reg-inv-sel":
-        rows = np.stack([_join_complex(values[0:4]), _join_complex(values[4:8])])
-        units = np.stack([r / np.linalg.norm(r) for r in rows])
-        return RegInvSelectionFeedback(values, units, values[8:10].copy())
-    if scheme == "reg-inv":
-        vec = _join_complex(values[0:4])
-        return RegInvFixedFeedback(values, vec / np.linalg.norm(vec), float(values[4]))
-    lam = sorted((float(values[4]), float(values[5])), reverse=True)
-    vec = _join_complex(values[0:4])
-    return GmudFeedback(values, vec / np.linalg.norm(vec), lam[0], lam[1])
+    return _SCHEME_TABLE[scheme].message.from_values(values)

@@ -1,4 +1,4 @@
-"""Small complex-matrix kernels and a closed-form 2x2 singular value decomposition.
+"""Closed-form 2x2 matrix inverse and singular value decomposition.
 
 Matrices are plain ``numpy.ndarray`` values with ``complex128`` entries.
 Every function here is pure: inputs are never mutated and results are
@@ -18,15 +18,12 @@ from .errors import SingularMatrixError
 __all__ = [
     "SvdFactorization",
     "as_matrix",
-    "mat_mul",
-    "conj_transpose",
     "mat_inv",
-    "fro_norm",
     "svd2x2",
     "orthonormal_complement",
 ]
 
-# Pivots and determinants below _SINGULAR_TOL * ||a||_F count as singular.
+# Determinants below _SINGULAR_TOL * ||a||_F count as singular.
 _SINGULAR_TOL = 1e-14
 # Below lambda2 <= _RANK_TOL * lambda1 the second left singular vector is
 # completed by orthogonality instead of the (numerically useless) h @ v / s.
@@ -43,72 +40,32 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product a @ b with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def conj_transpose(a) -> np.ndarray:
-    """Conjugate transpose, returned as a fresh array."""
-    return as_matrix(a).conj().T.copy()
-
-
-def fro_norm(a) -> float:
-    """Frobenius norm sqrt(sum |a_ij|^2)."""
-    return float(np.linalg.norm(as_matrix(a)))
-
-
 def mat_inv(a) -> np.ndarray:
-    """Invert a square complex matrix.
+    """Invert a 2x2 complex matrix through its adjugate and determinant.
 
-    2x2 inputs go through the adjugate/determinant formula; larger ones
-    through Gauss-Jordan elimination with partial pivoting.  Raises
-    :class:`SingularMatrixError` when the determinant (2x2) or a pivot
-    falls at or below ``1e-14 * ||a||_F``.
+    Raises :class:`SingularMatrixError` when the determinant falls at or
+    below ``1e-14 * ||a||_F`` and ``ValueError`` for any other shape.
     """
     a = as_matrix(a)
-    n, m = a.shape
-    if n != m:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    scale = float(np.linalg.norm(a))
-    tol = _SINGULAR_TOL * scale
-    if n == 2:
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if abs(det) <= tol:
-            raise SingularMatrixError(
-                f"2x2 determinant {abs(det):.3e} below tolerance {tol:.3e}"
-            )
-        return np.array(
-            [[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=np.complex128
-        ) / det
-
-    aug = np.concatenate([a.astype(np.complex128, copy=True), np.eye(n, dtype=np.complex128)], axis=1)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) <= tol:
-            raise SingularMatrixError(
-                f"pivot {abs(pivot):.3e} in column {col} below tolerance {tol:.3e}"
-            )
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col:
-                aug[row] -= aug[row, col] * aug[col]
-    return aug[:, n:].copy()
+    if a.shape != (2, 2):
+        raise ValueError(f"mat_inv requires a square 2x2 matrix, got {a.shape}")
+    tol = _SINGULAR_TOL * float(np.linalg.norm(a))
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    if abs(det) <= tol:
+        raise SingularMatrixError(
+            f"2x2 determinant {abs(det):.3e} below tolerance {tol:.3e}"
+        )
+    return np.array(
+        [[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=np.complex128
+    ) / det
 
 
 def orthonormal_complement(v: np.ndarray) -> np.ndarray:
     """Unit 2-vector orthogonal to ``v``: [-conj(v1), conj(v0)].
 
     The inner product with ``v`` cancels exactly even in floating point.
-    No unit-norm check is done here; see
-    :func:`gmud.decomposition.complete_orthonormal` for the checked variant.
+    No unit-norm check is done here; :func:`gmud.decomposition.beam_from_feedback`
+    checks its input before completing it.
     """
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=np.complex128)
 
@@ -126,11 +83,6 @@ class SvdFactorization:
     lambda1: float
     lambda2: float
     v: np.ndarray
-
-    @property
-    def principal_vector(self) -> np.ndarray:
-        """First column of v (right singular vector of lambda1)."""
-        return self.v[:, 0].copy()
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * np.array([self.lambda1, self.lambda2])) @ self.v.conj().T

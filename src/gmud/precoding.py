@@ -53,15 +53,12 @@ class GridSpec:
 
     ``n_r`` points per user on [lambda2, lambda1], ``n_theta`` phases on
     [0, 2*pi), ``n_p`` power splits alpha^2 on [0.1, 0.9] (the extremes
-    0 and 1 are always appended as extra candidates).  ``refine`` adds
-    one local pass at half step sizes around the grid optimum; it is off
-    by default so the result matches the plain grid maximum exactly.
+    0 and 1 are always appended as extra candidates).
     """
 
     n_r: int = 8
     n_theta: int = 16
     n_p: int = 9
-    refine: bool = False
 
 
 @dataclass
@@ -81,7 +78,6 @@ class PrecodingMatrix:
     """Precoder G (N_T x K) plus how it was built."""
 
     g: np.ndarray
-    scheme: str
     selection: tuple[int, ...] | None = None
     params: GmudBeamParams | None = None
 
@@ -109,7 +105,7 @@ def reg_inv(h_tilde, noise_var: float) -> PrecodingMatrix:
     k = h.shape[0]
     a = h @ h.conj().T + (k * noise_var) * np.eye(k, dtype=np.complex128)
     g = h.conj().T @ mat_inv(a)
-    return PrecodingMatrix(g, "reg-inv")
+    return PrecodingMatrix(g)
 
 
 def expected_gamma(g: np.ndarray) -> float:
@@ -172,7 +168,6 @@ def antenna_selection(channels, noise_var: float, snr: float | None = None):
         if best is None or score > best[0]:
             best = (score, combo, pre, SinrReport(sinrs, score, gamma_bar))
     _, combo, pre, report = best
-    pre.scheme = "reg-inv-sel"
     pre.selection = combo
     return combo, pre, report
 
@@ -295,48 +290,9 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
         (float(sk[idx]), float(sl[idx])), float(min_sinr[idx]), float(gamma_bar[i_a])
     )
 
-    if grid.refine:
-        params, report = _refine(
-            params, report, fb_k, fb_l, noise_var, rk, rl, thetas, alpha2
-        )
-
     q1k = beam_from_feedback(fb_k.lambda1, fb_k.lambda2, fb_k.v1, params.r_k, params.theta_k)
     q1l = beam_from_feedback(fb_l.lambda1, fb_l.lambda2, fb_l.v1, params.r_l, params.theta_l)
     g = np.column_stack([params.alpha * q1k, params.beta * q1l])
-    pre = PrecodingMatrix(g, "gmud", params=params)
+    pre = PrecodingMatrix(g, params=params)
     return pre, params, report
 
-
-def _refine(params, report, fb_k, fb_l, noise_var, rk, rl, thetas, alpha2):
-    """One local pass at half the grid step around the incumbent (strict improvement only)."""
-
-    def options(center, step, lo, hi, wrap=None):
-        out = [center]
-        for cand in (center - step, center + step):
-            if wrap is not None:
-                cand = cand % wrap
-            if lo <= cand <= hi:
-                out.append(cand)
-        return out
-
-    dr_k = 0.5 * (rk[1] - rk[0]) if len(rk) > 1 else 0.0
-    dr_l = 0.5 * (rl[1] - rl[0]) if len(rl) > 1 else 0.0
-    dth = 0.5 * (thetas[1] - thetas[0]) if len(thetas) > 1 else 0.0
-    da = 0.5 * (alpha2[1] - alpha2[0]) if len(alpha2) > 1 else 0.0
-
-    best_params, best = params, report
-    a2_center = params.alpha**2
-    for r_k in options(params.r_k, dr_k, fb_k.lambda2, fb_k.lambda1):
-        for r_l in options(params.r_l, dr_l, fb_l.lambda2, fb_l.lambda1):
-            for t_k in options(params.theta_k, dth, 0.0, 2.0 * np.pi, wrap=2.0 * np.pi):
-                for t_l in options(params.theta_l, dth, 0.0, 2.0 * np.pi, wrap=2.0 * np.pi):
-                    for a2 in options(a2_center, da, 0.0, 1.0):
-                        cand = GmudBeamParams(
-                            r_k, t_k, r_l, t_l,
-                            alpha=float(np.sqrt(a2)),
-                            beta=float(np.sqrt(1.0 - a2)),
-                        )
-                        rep = gmud_min_sinr(cand, fb_k, fb_l, noise_var)
-                        if rep.min_sinr > best.min_sinr:
-                            best_params, best = cand, rep
-    return best_params, best

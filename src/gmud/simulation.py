@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feedback import GmudFeedback, decode, encode
+from .decomposition import PhasePair, _factor
+from .feedback import SCHEMES, GmudFeedback, decode, encode
+from .linalg import orthonormal_complement
 from .precoding import GridSpec, antenna_selection, optimize_gmud, reg_inv
 
 __all__ = [
@@ -40,8 +42,6 @@ __all__ = [
 ]
 
 MODULATIONS = {"qpsk": 2, "16qam": 4}  # bits per symbol
-
-_SCHEMES = ("reg-inv", "reg-inv-sel", "gmud")
 
 
 def crandn(rng: np.random.Generator, shape) -> np.ndarray:
@@ -135,22 +135,18 @@ def transmit(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ReceiverInfo:
     """Genie side information for coherent detection.
 
-    Steered-beam users rotate their two-antenna observation onto the
-    first row of their own triangular-factor representation:
-    ``projections[k]`` is the unit vector p1 built from the true channel
-    and the transmitter's steering parameters, and ``gains[k]`` the true
-    complex coefficient p1^H H_k G[:, k].  The second row (and the
-    interference it carries) is discarded.  Inverse-precoding users
-    observe the single antenna in ``selection``; ``eff_matrix`` holds
-    the true selected rows times G.
+    User k combines its two antennas with the unit vector
+    ``combiners[k]`` (w_k) and divides by the true complex gain
+    ``gains[k]`` = w_k^H H_k G[:, k].  Steered-beam users take w_k = p1,
+    the first column of P in their own H_k = P R Q^H, which discards the
+    second row of R and the interference it carries; inverse-precoding
+    users take the unit vector selecting the receive row the transmitter
+    inverted.
     """
 
-    scheme: str
     modulation: str
-    projections: tuple[np.ndarray, ...] | None = None
-    gains: tuple[complex, ...] | None = None
-    eff_matrix: np.ndarray | None = None
-    selection: tuple[int, ...] | None = None
+    combiners: tuple[np.ndarray, ...]
+    gains: tuple[complex, ...]
 
 
 def receive_detect(
@@ -161,11 +157,9 @@ def receive_detect(
     noise_var: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Add receiver noise, equalize with the genie gain, and slice.
+    """Add receiver noise, combine, equalize with the genie gain, and slice.
 
-    Steered-beam users project both antennas onto their rotation vector
-    p1 and divide by the genie gain; inverse-precoding users observe the
-    single scheme antenna and divide by the diagonal effective gain.
+    User k forms z = sqrt(gamma) * ((w_k^H H_k) x + w_k^H n_k) / gain_k.
     Interference is never cancelled.  Returns hard symbol decisions,
     one row per user.
     """
@@ -177,14 +171,8 @@ def receive_detect(
     root_gamma = np.sqrt(gamma)
     detected = np.empty((users, n_symbols), dtype=np.complex128)
     for k in range(users):
-        h = channel_set.channels[k]
-        if info.scheme == "gmud":
-            y = h @ x + noise[k]
-            z = root_gamma * (info.projections[k].conj() @ y) / info.gains[k]
-        else:
-            row = info.selection[k]
-            y = h[row] @ x + noise[k, row]
-            z = root_gamma * y / info.eff_matrix[k, k]
+        w = info.combiners[k].conj()
+        z = root_gamma * ((w @ channel_set.channels[k]) @ x + w @ noise[k]) / info.gains[k]
         detected[k] = modulate(demodulate(z, info.modulation), info.modulation)
     return detected
 
@@ -203,8 +191,8 @@ class SimConfig:
     grid: GridSpec = GridSpec()
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.modulation not in MODULATIONS:
             raise ValueError(f"modulation must be one of {tuple(MODULATIONS)}")
         if not self.snr_db:
@@ -242,94 +230,74 @@ class BerCurve:
         raise KeyError(f"no point at {snr_db} dB")
 
 
-def _perfect_gmud_report(svd) -> GmudFeedback:
-    v1 = svd.v[:, 0].copy()
-    raw = np.array(
-        [v1[0].real, v1[0].imag, v1[1].real, v1[1].imag, svd.lambda1, svd.lambda2]
-    )
-    return GmudFeedback(raw, v1, svd.lambda1, svd.lambda2)
-
-
-def _rotation_projection(svd, h: np.ndarray, r: float, theta: float) -> np.ndarray:
-    """Receiver rotation vector p1 for the user's own decomposition.
+def _rotation_projection(svd, r: float, theta: float) -> np.ndarray:
+    """Receiver combiner p1: the first column of P in the user's own H = P R Q^H.
 
     Built from the true channel and the transmitter's steering choice
     (r clamped into the true singular-value interval, which can differ
-    from the quantized one the transmitter searched).  The second left
-    vector is re-derived against the beam's second-vector completion
-    orthonormal_complement(v1), whose phase differs from the
-    convention-fixed svd column, so that p1^H H q1(theta) = r exactly
-    and the discarded row never leaks into the decision statistic.
+    from the quantized one the transmitter searched).  The transmitted
+    beam completes v1 with orthonormal_complement(v1), which differs
+    from the SVD's second column by the phase phi0; the phase pair
+    (theta + phi0, 0) makes the first column of Q that beam times
+    e^{i phi0}.  Then p1^H H = r e^{-i phi0} q1^H: the discarded row never
+    leaks into the decision statistic, and the phase cancels against the
+    gain.
     """
-    from .decomposition import solve_rotations
-    from .linalg import orthonormal_complement
-
     r = min(max(r, svd.lambda2), svd.lambda1)
-    rot = solve_rotations(svd.lambda1, svd.lambda2, r)
-    u1 = svd.u[:, 0]
-    if svd.lambda2 <= 1e-12 * svd.lambda1:
-        u2 = orthonormal_complement(u1)
+    phi0 = np.angle(np.vdot(orthonormal_complement(svd.v[:, 0]), svd.v[:, 1]))
+    return _factor(svd, r, PhasePair(theta + phi0, 0.0)).p[:, 0]
+
+
+def _round_trip(source, scheme: str, n: int):
+    """The report as the transmitter sees it: decoded from its 12N bits."""
+    return decode(encode(source, scheme, n), scheme, n)
+
+
+def _row_selectors(rows) -> list[np.ndarray]:
+    return [np.eye(2, dtype=np.complex128)[row] for row in rows]
+
+
+def _link_reg_inv(cs: ChannelSet, noise_var: float, n, grid: GridSpec):
+    if n is None:
+        rows = [h[0] for h in cs.channels]
     else:
-        u2 = (h @ orthonormal_complement(svd.v[:, 0])) / svd.lambda2
-        u2 = u2 / np.linalg.norm(u2)
-    return rot.a * np.exp(1j * theta) * u1 - rot.b * u2
+        rows = [_round_trip(h, "reg-inv", n).row for h in cs.channels]
+    return reg_inv(np.stack(rows), noise_var), _row_selectors((0,) * len(cs.channels))
+
+
+def _link_selection(cs: ChannelSet, noise_var: float, n, grid: GridSpec):
+    if n is None:
+        estimates = list(cs.channels)
+    else:
+        estimates = [_round_trip(h, "reg-inv-sel", n).channel for h in cs.channels]
+    selection, pre, _ = antenna_selection(estimates, noise_var)
+    return pre, _row_selectors(selection)
+
+
+def _link_gmud(cs: ChannelSet, noise_var: float, n, grid: GridSpec):
+    if n is None:
+        reports = [GmudFeedback.from_svd(svd) for svd in cs.svds]
+    else:
+        reports = [_round_trip(svd, "gmud", n) for svd in cs.svds]
+    pre, params, _ = optimize_gmud(reports[0], reports[1], noise_var, grid)
+    steering = ((params.r_k, params.theta_k), (params.r_l, params.theta_l))
+    return pre, [_rotation_projection(svd, r, t) for svd, (r, t) in zip(cs.svds, steering)]
+
+
+# Per-scheme link builders: (channels, noise_var, N or None for perfect CSI,
+# grid) -> (precoder, per-user unit combiners).
+_LINKS = {"reg-inv": _link_reg_inv, "reg-inv-sel": _link_selection, "gmud": _link_gmud}
 
 
 def _build_link(config: SimConfig, cs: ChannelSet, noise_var: float):
     """Build the precoder from transmitter-visible data plus genie receiver info."""
-    quantized = config.feedback != "perfect"
-    n = config.feedback if quantized else None
-
-    if config.scheme == "reg-inv":
-        if quantized:
-            rows = [
-                decode(encode(h, "reg-inv", n), "reg-inv", n).row for h in cs.channels
-            ]
-        else:
-            rows = [h[0] for h in cs.channels]
-        pre = reg_inv(np.stack(rows), noise_var)
-        selection = (0,) * len(cs.channels)
-    elif config.scheme == "reg-inv-sel":
-        if quantized:
-            estimates = [
-                decode(encode(h, "reg-inv-sel", n), "reg-inv-sel", n).channel
-                for h in cs.channels
-            ]
-        else:
-            estimates = list(cs.channels)
-        selection, pre, _ = antenna_selection(estimates, noise_var)
-    else:  # gmud
-        reports = []
-        for svd in cs.svds:
-            if quantized:
-                reports.append(decode(encode(svd, "gmud", n), "gmud", n))
-            else:
-                reports.append(_perfect_gmud_report(svd))
-        pre, params, _ = optimize_gmud(reports[0], reports[1], noise_var, config.grid)
-        projections = tuple(
-            _rotation_projection(cs.svds[k], cs.channels[k], r, theta)
-            for k, (r, theta) in enumerate(
-                ((params.r_k, params.theta_k), (params.r_l, params.theta_l))
-            )
-        )
-        gains = tuple(
-            complex(projections[k].conj() @ (cs.channels[k] @ pre.g[:, k]))
-            for k in range(len(cs.channels))
-        )
-        return pre, ReceiverInfo(
-            "gmud", config.modulation, projections=projections, gains=gains
-        )
-
-    true_rows = np.stack(
-        [cs.channels[k][selection[k]] for k in range(len(cs.channels))]
+    n = None if config.feedback == "perfect" else config.feedback
+    pre, combiners = _LINKS[config.scheme](cs, noise_var, n, config.grid)
+    gains = tuple(
+        complex((w.conj() @ h) @ pre.g[:, k])
+        for k, (w, h) in enumerate(zip(combiners, cs.channels))
     )
-    info = ReceiverInfo(
-        config.scheme,
-        config.modulation,
-        eff_matrix=true_rows @ pre.g,
-        selection=tuple(selection),
-    )
-    return pre, info
+    return pre, ReceiverInfo(config.modulation, tuple(combiners), gains)
 
 
 def _simulate_point(config: SimConfig, snr_idx: int) -> BerPoint:

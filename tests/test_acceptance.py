@@ -60,12 +60,6 @@ def crand(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
-def perfect_report(svd):
-    v1 = svd.v[:, 0].copy()
-    raw = np.array([v1[0].real, v1[0].imag, v1[1].real, v1[1].imag, svd.lambda1, svd.lambda2])
-    return GmudFeedback(raw, v1, svd.lambda1, svd.lambda2)
-
-
 # ---------------------------------------------------------------- criterion 1
 def test_criterion_1_reconstruction_suite():
     rng = np.random.default_rng(SEED)
@@ -136,7 +130,7 @@ def test_criterion_4_optimizer_oracle():
     small = GridSpec(n_r=3, n_theta=4, n_p=3)
     for trial in range(100):
         cs = gen_channels(rng)
-        fb_k, fb_l = (perfect_report(s) for s in cs.svds)
+        fb_k, fb_l = (GmudFeedback.from_svd(s) for s in cs.svds)
         noise = float(rng.uniform(1e-3, 0.3))
         _, params, rep = optimize_gmud(fb_k, fb_l, noise, small)
 
@@ -161,7 +155,7 @@ def test_criterion_4_optimizer_oracle():
     rng = np.random.default_rng(SEED + 4)
     for _ in range(100):
         cs = gen_channels(rng)
-        fb_k, fb_l = (perfect_report(s) for s in cs.svds)
+        fb_k, fb_l = (GmudFeedback.from_svd(s) for s in cs.svds)
         noise = 0.01
         _, _, rep = optimize_gmud(fb_k, fb_l, noise)
         for a2 in np.concatenate([np.linspace(0.1, 0.9, 9), [0.0, 1.0]]):
@@ -373,7 +367,7 @@ def link_gains(scheme, channel_set, noise_var):
         g = pre.g
         combiners = [np.eye(2)[row] for row in rows]
     else:
-        reports = [perfect_report(svd) for svd in channel_set.svds]
+        reports = [GmudFeedback.from_svd(svd) for svd in channel_set.svds]
         pre, params, _ = optimize_gmud(reports[0], reports[1], noise_var)
         g = pre.g
         steering = ((params.r_k, params.theta_k), (params.r_l, params.theta_l))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gmud.cli import CSV_HEADER, main
+from gmud.feedback import SCHEMES
 
 GOLDEN_COMPARE = os.path.join(os.path.dirname(__file__), "data", "golden_compare_16qam.csv")
 
@@ -67,6 +68,24 @@ class TestQuantize:
         assert len(doc["bits"]) == 48
         assert doc["decoded"]["lambda1"] >= doc["decoded"]["lambda2"]
 
+    def test_selection_alias(self, capsys):
+        matrix = ("--matrix", "2 0 0.5 0 0 1 1 0")
+        code, out, _ = run_cli(capsys, "quantize", *matrix, "--scheme", "reg-inv-selection")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["scheme"] == "reg-inv-sel"
+        _, canonical, _ = run_cli(capsys, "quantize", *matrix, "--scheme", "reg-inv-sel")
+        assert out == canonical
+
+    @pytest.mark.parametrize("scheme, field", [("reg-inv-sel", "row0_re0"), ("reg-inv", "row_re0")])
+    def test_nan_matrix_names_field(self, capsys, scheme, field):
+        code, out, err = run_cli(
+            capsys, "quantize", "--matrix", "nan 0 1 0 0 0 1 0", "--scheme", scheme
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{field} is not finite" in err
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -106,6 +125,16 @@ class TestSweep:
         capsys.readouterr()
         assert read_csv(a + ".csv") == read_csv(b + ".csv")
         assert read_csv(a + ".svg") == read_csv(b + ".svg")
+
+    def test_selection_alias(self, capsys, tmp_path):
+        out = str(tmp_path / "alias")
+        code, _, _ = run_cli(
+            capsys, "sweep", "--scheme", "reg-inv-selection", "--snr", "5:0:5",
+            "--realizations", "2", "--symbols", "4", "--seed", "1", "--out", out,
+        )
+        assert code == 0
+        assert read_csv(out + ".csv").split("\n")[1].startswith("reg-inv-sel,")
+        assert json.loads(read_csv(out + ".manifest.json"))["schemes"] == ["reg-inv-sel"]
 
     def test_dat_output(self, capsys, tmp_path):
         out = str(tmp_path / "run")
@@ -157,6 +186,7 @@ class TestCompare:
         pairs = {tuple(line.split(",")[:3]) for line in lines}
         assert len(pairs) == 6  # 3 schemes x 2 feedback modes
         assert len(lines) == 12  # 2 SNR points each
+        assert json.loads(read_csv(out + ".manifest.json"))["schemes"] == list(SCHEMES)
 
     def test_snr_grid_inclusive(self, capsys, tmp_path):
         out = str(tmp_path / "cmp2")

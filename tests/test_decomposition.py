@@ -8,7 +8,6 @@ from gmud import (
     beam_alignment,
     beam_from_feedback,
     build_special_r,
-    complete_orthonormal,
     gmud,
     phase_matrix,
     solve_rotations,
@@ -150,25 +149,6 @@ class TestGmud:
     def test_out_of_range_names_interval(self):
         with pytest.raises(DomainError, match="interval"):
             gmud(np.diag([2.0, 1.0]), 5.0)
-
-
-class TestCompleteOrthonormal:
-    def test_axis_vectors(self):
-        assert_allclose(complete_orthonormal([1.0, 0.0]), [0.0, 1.0])
-        assert_allclose(complete_orthonormal([0.0, 1.0]), [-1.0, 0.0])
-
-    def test_random_orthogonality(self):
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            v = crand(rng, (2,))
-            v /= np.linalg.norm(v)
-            w = complete_orthonormal(v)
-            assert abs(np.vdot(v, w)) <= 1e-12
-            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(DomainError, match="unit"):
-            complete_orthonormal([1.0, 1.0])
 
 
 class TestBeams:

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from gmud import (
+    DomainError,
     FormatError,
     GmudFeedback,
     RegInvFixedFeedback,
@@ -169,10 +171,32 @@ class TestCodec:
         with pytest.raises(FormatError):
             decode("2" * 48, "gmud", 4)
 
-    def test_best_norm_row_option(self):
-        h = np.array([[0.1, 0.1], [2.0, 1.0]], dtype=complex)
-        msg = decode(encode(h, "reg-inv", 4, row=-1), "reg-inv", 4)
-        assert msg.row_norm > 1.0  # picked the strong second row
+    def test_gmud_channel_source_is_its_svd(self):
+        rng = np.random.default_rng(6)
+        h = crand(rng, (2, 2))
+        assert encode(h, "gmud", 4) == encode(svd2x2(h), "gmud", 4)
+
+    def test_exact_report_from_svd(self):
+        rng = np.random.default_rng(7)
+        svd = svd2x2(crand(rng, (2, 2)))
+        msg = GmudFeedback.from_svd(svd)
+        assert np.array_equal(msg.v1, svd.v[:, 0])
+        assert (msg.lambda1, msg.lambda2) == (svd.lambda1, svd.lambda2)
+        assert encode(msg, "gmud", 4) == encode(svd, "gmud", 4)
+
+    @pytest.mark.parametrize(
+        "scheme, source, field",
+        [
+            ("reg-inv-sel", np.array([[1.0, 0.5], [np.nan, 1.0]], dtype=complex), "row1_re0"),
+            ("reg-inv", np.array([[0.5, np.inf], [1.0, 1.0]], dtype=complex), "row_re1"),
+            ("gmud", (np.nan, 0.5, np.array([1.0, 0.0], dtype=complex)), "lambda1"),
+        ],
+    )
+    def test_non_finite_field_named(self, scheme, source, field):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
+            with pytest.raises(DomainError, match=f"^{field} is not finite$"):
+                encode(source, scheme, 4)
 
     def test_encoding_pure_function(self):
         rng = np.random.default_rng(5)

@@ -17,7 +17,8 @@ from gmud import (
     run_ber,
     transmit,
 )
-from gmud.simulation import ChannelSet, _build_link
+from gmud.feedback import SCHEMES
+from gmud.simulation import _LINKS, ChannelSet, _build_link, _rotation_projection
 
 
 def qfunc(x):
@@ -130,9 +131,9 @@ class TestReceiveDetect:
         bits = rng.integers(0, 2, size=(2, 40), dtype=np.uint8)
         u = np.stack([modulate(bits[k], "qpsk") for k in range(2)])
         x, gamma = transmit(pre.g, u)
-        info = ReceiverInfo(
-            "reg-inv", "qpsk", eff_matrix=np.stack(rows) @ pre.g, selection=(0, 0)
-        )
+        w = np.array([1.0, 0.0], dtype=complex)  # selects receive row 0
+        gains = tuple(complex(rows[k] @ pre.g[:, k]) for k in range(2))
+        info = ReceiverInfo("qpsk", (w, w), gains)
         detected = receive_detect(cs, x, gamma, info, 0.0, rng)
         assert_allclose(detected, u, atol=1e-9)
 
@@ -147,6 +148,33 @@ class TestReceiveDetect:
         x, gamma = transmit(pre.g, u)
         detected = receive_detect(cs, x, gamma, info, 0.0, rng)
         assert_allclose(detected, u, atol=1e-9)
+
+    def test_gmud_combiner_sees_only_its_beam(self):
+        # p1^H H is r times the conjugate of the transmitted beam up to a common
+        # phase, so the row of R the receiver discards never reaches the statistic
+        from gmud import beam_from_feedback
+        from gmud.linalg import orthonormal_complement
+
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            svd = gen_channels(rng).svds[0]
+            h = svd.reconstruct()
+            r = float(rng.uniform(svd.lambda2, svd.lambda1))
+            theta = float(rng.uniform(0.0, 2 * np.pi))
+            p1 = _rotation_projection(svd, r, theta)
+            q1 = beam_from_feedback(svd.lambda1, svd.lambda2, svd.v[:, 0], r, theta)
+            assert np.linalg.norm(p1) == pytest.approx(1.0, abs=1e-12)
+            assert abs(p1.conj() @ h @ q1) == pytest.approx(r, rel=1e-10)
+            assert abs(p1.conj() @ h @ orthonormal_complement(q1)) <= 1e-10 * svd.lambda1
+
+    def test_inverse_combiners_select_rows(self):
+        cs = gen_channels(np.random.default_rng(7))
+        for scheme in ("reg-inv", "reg-inv-sel"):
+            pre, info = _build_link(SimConfig(scheme=scheme, feedback=2), cs, 0.1)
+            rows = (0, 0) if scheme == "reg-inv" else pre.selection
+            for k, h in enumerate(cs.channels):
+                assert np.array_equal(info.combiners[k], np.eye(2)[rows[k]])
+                assert info.gains[k] == h[rows[k]] @ pre.g[:, k]
 
     def test_awgn_qpsk_matches_q_function(self):
         # unit scalar channel: BER = Q(sqrt(2 Eb/N0)) with Eb/N0 = 1/(2 sigma^2)
@@ -205,6 +233,11 @@ class TestRunBer:
         assert curve.ber_at(10.0) == curve.points[1].ber
         with pytest.raises(KeyError):
             curve.ber_at(5.0)
+
+
+class TestSchemeTable:
+    def test_one_link_builder_per_scheme(self):
+        assert tuple(_LINKS) == SCHEMES
 
 
 class TestSimConfig:
