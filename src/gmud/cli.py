@@ -143,7 +143,7 @@ def cmd_quantize(args) -> int:
     scheme = _SCHEME_ALIASES[args.scheme]
     bits = encode(h, scheme, args.n)
     out = {"scheme": scheme, "n": args.n, "total_bits": len(bits), "bits": bits}
-    out["decoded"] = decode(bits, scheme, args.n).to_json()
+    out["decoded"] = decode(bits, scheme, args.n).as_dict()
     print(json.dumps(out, indent=2))
     return 0
 

@@ -138,7 +138,8 @@ class RegInvSelectionFeedback:
         """Channel estimate: rows scaled back by their norms."""
         return self.unit_rows * self.row_norms[:, None]
 
-    def to_json(self) -> dict:
+    def as_dict(self) -> dict:
+        """JSON-ready decoded values, complex entries as [re, im] pairs."""
         return {"channel": [_pairs(row) for row in self.channel], "norms": list(self.row_norms)}
 
 
@@ -158,7 +159,8 @@ class RegInvFixedFeedback:
     def row(self) -> np.ndarray:
         return self.unit_row * self.row_norm
 
-    def to_json(self) -> dict:
+    def as_dict(self) -> dict:
+        """JSON-ready decoded values, complex entries as [re, im] pairs."""
         return {"row": _pairs(self.row), "norm": self.row_norm}
 
 
@@ -179,11 +181,10 @@ class GmudFeedback:
     @classmethod
     def from_svd(cls, svd: SvdFactorization) -> GmudFeedback:
         """The exact (unquantized) report of a channel: perfect CSI."""
-        v1 = svd.v[:, 0].copy()
-        raw = np.array(_split_complex(v1) + [svd.lambda1, svd.lambda2])
-        return cls(raw, v1, svd.lambda1, svd.lambda2)
+        return cls(np.array(_spectral_scalars(svd)), svd.v[:, 0].copy(), svd.lambda1, svd.lambda2)
 
-    def to_json(self) -> dict:
+    def as_dict(self) -> dict:
+        """JSON-ready decoded values, complex entries as [re, im] pairs."""
         return {"v1": _pairs(self.v1), "lambda1": self.lambda1, "lambda2": self.lambda2}
 
 
