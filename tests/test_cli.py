@@ -7,7 +7,7 @@ import pytest
 from gmud.cli import CSV_HEADER, main
 from gmud.feedback import SCHEMES
 
-GOLDEN_COMPARE = os.path.join(os.path.dirname(__file__), "data", "golden_compare_16qam.csv")
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(capsys, *argv):
@@ -201,14 +201,15 @@ class TestCompare:
 
 
 class TestGoldenCompare:
-    def test_csv_bytes_unchanged(self, capsys, tmp_path):
+    @pytest.mark.parametrize("mod", ["16qam", "qpsk"])
+    def test_csv_bytes_unchanged(self, capsys, tmp_path, mod):
         # captured from `gmud compare` with these flags; any refactor must keep every byte
         out = str(tmp_path / "golden")
         code, _, _ = run_cli(
-            capsys, "compare", "--mod", "16qam", "--snr", "0:10:30",
+            capsys, "compare", "--mod", mod, "--snr", "0:10:30",
             "--feedback", "perfect", "--feedback", "4",
             "--realizations", "40", "--seed", "12345", "--out", out,
         )
         assert code == 0
-        with open(out + ".csv", "rb") as fh, open(GOLDEN_COMPARE, "rb") as golden:
+        with open(out + ".csv", "rb") as fh, open(os.path.join(DATA_DIR, f"golden_compare_{mod}.csv"), "rb") as golden:
             assert fh.read() == golden.read()
