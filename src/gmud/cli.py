@@ -151,10 +151,9 @@ def cmd_quantize(args) -> int:
 def _csv_rows(curves) -> str:
     lines = [CSV_HEADER]
     for curve in curves:
-        fb = "perfect" if curve.feedback == "perfect" else 12 * curve.feedback
         for p in curve.points:
             lines.append(
-                f"{curve.scheme},{curve.modulation},{fb},"
+                f"{curve.scheme},{curve.modulation},{curve.feedback_bits},"
                 f"{float(p.snr_db)!r},{float(p.ber)!r},{p.bits},{p.errors}"
             )
     return "\n".join(lines) + "\n"
@@ -163,37 +162,18 @@ def _csv_rows(curves) -> str:
 def _dat_rows(curves) -> str:
     blocks = []
     for curve in curves:
-        fb = "perfect" if curve.feedback == "perfect" else 12 * curve.feedback
-        lines = [f"# {curve.scheme} {curve.modulation} feedback={fb}"]
+        lines = [f"# {curve.scheme} {curve.modulation} feedback={curve.feedback_bits}"]
         lines += [f"{float(p.snr_db)!r} {float(p.ber)!r}" for p in curve.points]
         blocks.append("\n".join(lines))
     return "\n\n\n".join(blocks) + "\n"
 
 
 def _curve_label(curve) -> str:
-    fb = "perfect" if curve.feedback == "perfect" else f"{12 * curve.feedback} bits"
-    return f"{curve.scheme} ({fb})"
+    fb = curve.feedback_bits
+    return f"{curve.scheme} ({fb})" if fb == "perfect" else f"{curve.scheme} ({fb} bits)"
 
 
-def _run_curves(schemes, modes, args, seed, grid):
-    curves = []
-    for scheme in schemes:
-        for mode in modes:
-            config = SimConfig(
-                scheme=scheme,
-                modulation=args.mod,
-                snr_db=_parse_snr(args.snr),
-                feedback=mode,
-                realizations=args.realizations,
-                symbols=args.symbols,
-                seed=seed,
-                grid=grid,
-            )
-            curves.append(run_ber(config, jobs=args.jobs))
-    return curves
-
-
-def _emit(curves, args, seed, command, started) -> None:
+def _emit(curves, args, seed, grid, started) -> None:
     csv_path = args.out + ".csv"
     svg_path = args.out + ".svg"
     outputs = {"csv": csv_path, "svg": svg_path}
@@ -211,7 +191,7 @@ def _emit(curves, args, seed, command, started) -> None:
     manifest = {
         "tool": "gmud",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "schemes": sorted({c.scheme for c in curves}, key=SCHEMES.index),
         "modulation": args.mod,
         "feedback": [c.feedback for c in curves],
@@ -219,7 +199,7 @@ def _emit(curves, args, seed, command, started) -> None:
         "realizations": args.realizations,
         "symbols": args.symbols,
         "seed": seed,
-        "grid": [args.grid_spec.n_r, args.grid_spec.n_theta, args.grid_spec.n_p],
+        "grid": [grid.n_r, grid.n_theta, grid.n_p],
         "jobs": args.jobs,
         "outputs": outputs,
         "duration_s": round(time.monotonic() - started, 3),
@@ -227,24 +207,31 @@ def _emit(curves, args, seed, command, started) -> None:
     _atomic_write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def cmd_sweep(args) -> int:
+def cmd_simulate(args) -> int:
+    """``sweep`` (one scheme) and ``compare`` (every scheme), one curve per feedback mode."""
     started = time.monotonic()
     seed = _resolve_seed(args)
-    args.grid_spec = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid)
     modes = _parse_feedback(args.feedback or ["perfect"])
-    schemes = [_SCHEME_ALIASES[args.scheme]]
-    curves = _run_curves(schemes, modes, args, seed, args.grid_spec)
-    _emit(curves, args, seed, "sweep", started)
-    return 0
-
-
-def cmd_compare(args) -> int:
-    started = time.monotonic()
-    seed = _resolve_seed(args)
-    args.grid_spec = _parse_grid(args.grid)
-    modes = _parse_feedback(args.feedback or ["perfect"])
-    curves = _run_curves(SCHEMES, modes, args, seed, args.grid_spec)
-    _emit(curves, args, seed, "compare", started)
+    schemes = [_SCHEME_ALIASES[args.scheme]] if args.command == "sweep" else SCHEMES
+    curves = [
+        run_ber(
+            SimConfig(
+                scheme=scheme,
+                modulation=args.mod,
+                snr_db=_parse_snr(args.snr),
+                feedback=mode,
+                realizations=args.realizations,
+                symbols=args.symbols,
+                seed=seed,
+                grid=grid,
+            ),
+            jobs=args.jobs,
+        )
+        for scheme in schemes
+        for mode in modes
+    ]
+    _emit(curves, args, seed, grid, started)
     return 0
 
 
@@ -294,11 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="BER sweep for one scheme")
     p.add_argument("--scheme", choices=sorted(_SCHEME_ALIASES), required=True)
     _add_sim_args(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="BER curves for all three schemes at equal budget")
     _add_sim_args(p)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_simulate)
 
     return parser
 

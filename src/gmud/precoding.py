@@ -10,18 +10,19 @@ users:
   the minimum per-user SINR.
 * ``optimize_gmud``: each user's column is a steered beam built from
   that user's reported (lambda1, lambda2, v1); an exhaustive grid search
-  over the beam parameters and a power split maximizes the minimum SINR.
+  over the beam parameters and an interior power split alpha^2 in
+  [0.1, 0.9] maximizes the minimum SINR.
 
-SINR evaluation is shared between the scalar point evaluator
-(:func:`gmud_min_sinr`) and the vectorized grid search so the two
-produce bit-identical numbers; the optimizer's result can therefore be
-checked exactly against a plain re-enumeration of its grid.
+Each returns G as a plain ndarray.  SINR evaluation is shared between
+the scalar point evaluator (:func:`gmud_min_sinr`) and the vectorized
+grid search so the two produce bit-identical numbers; the optimizer's
+result can therefore be checked exactly against a plain re-enumeration
+of its grid.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,6 @@ from .linalg import as_matrix, mat_inv
 __all__ = [
     "SINR_CAP",
     "GridSpec",
-    "PrecodingMatrix",
     "GmudBeamParams",
     "SinrReport",
     "reg_inv",
@@ -52,8 +52,9 @@ class GridSpec:
     """Search-grid sizes for :func:`optimize_gmud`.
 
     ``n_r`` points per user on [lambda2, lambda1], ``n_theta`` phases on
-    [0, 2*pi), ``n_p`` power splits alpha^2 on [0.1, 0.9] (the extremes
-    0 and 1 are always appended as extra candidates).
+    [0, 2*pi), ``n_p`` power splits alpha^2 on [0.1, 0.9].  The extremes
+    0 and 1 are not searched: either one silences a user, so its min-SINR
+    is 0, which every interior split with lambda2 > 0 beats.
     """
 
     n_r: int = 8
@@ -73,15 +74,6 @@ class GmudBeamParams:
     beta: float
 
 
-@dataclass(eq=False)
-class PrecodingMatrix:
-    """Precoder G (N_T x K) plus how it was built."""
-
-    g: np.ndarray
-    selection: tuple[int, ...] | None = None
-    params: GmudBeamParams | None = None
-
-
 @dataclass
 class SinrReport:
     """Per-user SINRs (linear), their minimum, and the power normalizer."""
@@ -91,7 +83,7 @@ class SinrReport:
     gamma_bar: float
 
 
-def reg_inv(h_tilde, noise_var: float) -> PrecodingMatrix:
+def reg_inv(h_tilde, noise_var: float) -> np.ndarray:
     """Regularized channel inverse G = H^H (H H^H + K*sigma^2 I)^{-1}.
 
     ``h_tilde`` stacks one row per user (K x N_T).  At zero noise this
@@ -104,8 +96,7 @@ def reg_inv(h_tilde, noise_var: float) -> PrecodingMatrix:
         raise ValueError("noise_var must be nonnegative")
     k = h.shape[0]
     a = h @ h.conj().T + (k * noise_var) * np.eye(k, dtype=np.complex128)
-    g = h.conj().T @ mat_inv(a)
-    return PrecodingMatrix(g)
+    return h.conj().T @ mat_inv(a)
 
 
 def expected_gamma(g: np.ndarray) -> float:
@@ -130,7 +121,7 @@ def _capped_ratio(num, den):
     return np.minimum(ratio, SINR_CAP)
 
 
-def antenna_selection(channels, noise_var: float, snr: float | None = None):
+def antenna_selection(channels, noise_var: float):
     """Pick one receive row per user maximizing the minimum per-user SINR.
 
     Enumerates all (N_R)^K row combinations in lexicographic order; for
@@ -138,21 +129,21 @@ def antenna_selection(channels, noise_var: float, snr: float | None = None):
 
         min_m |e_mm|^2 / (sum_{n != m} |e_mn|^2 + gamma_bar / snr)
 
-    with e = H_hat @ G and gamma_bar the expected normalization.  Ties
-    keep the earliest combination.  ``snr`` defaults to 1/noise_var.
+    with e = H_hat @ G, gamma_bar the expected normalization and
+    snr = 1/noise_var (the noise term is 0 at zero noise).  Ties keep the
+    earliest combination.
 
-    Returns ``(selection, PrecodingMatrix, SinrReport)``.
+    Returns ``(selection, G, SinrReport)``.
     """
     mats = [as_matrix(h) for h in channels]
-    if snr is None:
-        snr = math.inf if noise_var == 0.0 else 1.0 / noise_var
     best = None
     for combo in itertools.product(*[range(h.shape[0]) for h in mats]):
         h_hat = np.stack([mats[k][row] for k, row in enumerate(combo)])
-        pre = reg_inv(h_hat, noise_var)
-        e = h_hat @ pre.g
-        gamma_bar = expected_gamma(pre.g)
-        noise_term = 0.0 if snr == math.inf else gamma_bar / snr
+        g = reg_inv(h_hat, noise_var)
+        e = h_hat @ g
+        gamma_bar = expected_gamma(g)
+        # gamma_bar / snr, not gamma_bar * noise_var: the two can differ in the last ulp
+        noise_term = 0.0 if noise_var == 0.0 else gamma_bar / (1.0 / noise_var)
         powers = _abs2(e)
         k = len(mats)
         sinrs = tuple(
@@ -166,10 +157,9 @@ def antenna_selection(channels, noise_var: float, snr: float | None = None):
         )
         score = min(sinrs)
         if best is None or score > best[0]:
-            best = (score, combo, pre, SinrReport(sinrs, score, gamma_bar))
-    _, combo, pre, report = best
-    pre.selection = combo
-    return combo, pre, report
+            best = (score, combo, g, SinrReport(sinrs, score, gamma_bar))
+    _, combo, g, report = best
+    return combo, g, report
 
 
 def _pair_sinr(rk2, rl2, x, a2, b2, gamma_bar, noise_var):
@@ -222,20 +212,20 @@ def _theta_grid(n_theta: int) -> np.ndarray:
 
 
 def _alpha2_grid(n_p: int) -> np.ndarray:
-    return np.concatenate([np.linspace(0.1, 0.9, n_p), [0.0, 1.0]])
+    return np.linspace(0.1, 0.9, n_p)
 
 
 def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
     """Exhaustive max-min SINR search over beams and power loading.
 
     The grid is r per user on [lambda2, lambda1] (``linspace``), theta
-    on [0, 2*pi) (endpoint excluded), and alpha^2 on [0.1, 0.9] plus the
-    extreme candidates {0, 1}; beta = sqrt(1 - alpha^2).  The argmax tie
-    is broken lexicographically on (i_rk, i_rl, i_theta_k, i_theta_l,
-    i_alpha), so the result is bit-reproducible and equals the maximum
-    of :func:`gmud_min_sinr` over the same grid exactly.
+    on [0, 2*pi) (endpoint excluded), and alpha^2 on [0.1, 0.9];
+    beta = sqrt(1 - alpha^2).  The argmax tie is broken lexicographically
+    on (i_rk, i_rl, i_theta_k, i_theta_l, i_alpha), so the result is
+    bit-reproducible and equals the maximum of :func:`gmud_min_sinr`
+    over the same grid exactly.
 
-    Returns ``(PrecodingMatrix, GmudBeamParams, SinrReport)`` with
+    Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].
     """
     if grid is None:
@@ -293,6 +283,5 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
     q1k = beam_from_feedback(fb_k.lambda1, fb_k.lambda2, fb_k.v1, params.r_k, params.theta_k)
     q1l = beam_from_feedback(fb_l.lambda1, fb_l.lambda2, fb_l.v1, params.r_l, params.theta_l)
     g = np.column_stack([params.alpha * q1k, params.beta * q1l])
-    pre = PrecodingMatrix(g, params=params)
-    return pre, params, report
+    return g, params, report
 

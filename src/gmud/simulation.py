@@ -16,7 +16,7 @@ depend on execution order or worker count.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .precoding import GridSpec, antenna_selection, optimize_gmud, reg_inv
 __all__ = [
     "MODULATIONS",
     "SimConfig",
-    "ChannelSet",
     "BerPoint",
     "BerCurve",
     "ReceiverInfo",
@@ -49,26 +48,9 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
-@dataclass(eq=False)
-class ChannelSet:
-    """Per-user 2x2 channels plus their exact factorizations (computed lazily)."""
-
-    channels: tuple[np.ndarray, ...]
-    _svds: tuple | None = field(default=None, repr=False)
-
-    @property
-    def svds(self):
-        if self._svds is None:
-            from .linalg import svd2x2
-
-            self._svds = tuple(svd2x2(h) for h in self.channels)
-        return self._svds
-
-
-def gen_channels(rng: np.random.Generator, users: int = 2, n_r: int = 2, n_t: int = 2) -> ChannelSet:
-    """Draw one i.i.d. Rayleigh channel matrix per user (deterministic in rng)."""
-    h = crandn(rng, (users, n_r, n_t))
-    return ChannelSet(tuple(h[k] for k in range(users)))
+def gen_channels(rng: np.random.Generator, users: int = 2, n_r: int = 2, n_t: int = 2) -> np.ndarray:
+    """Draw one i.i.d. Rayleigh channel matrix per user: a (users, n_r, n_t) array."""
+    return crandn(rng, (users, n_r, n_t))
 
 
 def modulate(bits, modulation: str) -> np.ndarray:
@@ -150,7 +132,7 @@ class ReceiverInfo:
 
 
 def receive_detect(
-    channel_set: ChannelSet,
+    channels: np.ndarray,
     x: np.ndarray,
     gamma,
     info: ReceiverInfo,
@@ -160,21 +142,21 @@ def receive_detect(
     """Add receiver noise, combine, equalize with the genie gain, and slice.
 
     User k forms z = sqrt(gamma) * ((w_k^H H_k) x + w_k^H n_k) / gain_k.
-    Interference is never cancelled.  Returns hard symbol decisions,
-    one row per user.
+    Interference is never cancelled.  Returns the hard bit decisions as
+    a (users, bits) uint8 array, one row per user.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.complex128).T).T  # (2, T)
     gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
     n_symbols = x.shape[1]
-    users = len(channel_set.channels)
+    users = len(channels)
     noise = crandn(rng, (users, 2, n_symbols)) * np.sqrt(noise_var)
     root_gamma = np.sqrt(gamma)
-    detected = np.empty((users, n_symbols), dtype=np.complex128)
+    detected = []
     for k in range(users):
         w = info.combiners[k].conj()
-        z = root_gamma * ((w @ channel_set.channels[k]) @ x + w @ noise[k]) / info.gains[k]
-        detected[k] = modulate(demodulate(z, info.modulation), info.modulation)
-    return detected
+        z = root_gamma * ((w @ channels[k]) @ x + w @ noise[k]) / info.gains[k]
+        detected.append(demodulate(z, info.modulation))
+    return np.stack(detected)
 
 
 @dataclass(frozen=True)
@@ -202,10 +184,6 @@ class SimConfig:
         if self.feedback != "perfect" and (not isinstance(self.feedback, int) or self.feedback < 1):
             raise ValueError("feedback must be 'perfect' or a positive integer N")
 
-    @property
-    def feedback_bits(self) -> str | int:
-        return "perfect" if self.feedback == "perfect" else 12 * self.feedback
-
 
 @dataclass(frozen=True)
 class BerPoint:
@@ -222,6 +200,11 @@ class BerCurve:
     modulation: str
     feedback: str | int
     points: tuple[BerPoint, ...]
+
+    @property
+    def feedback_bits(self) -> str | int:
+        """``"perfect"``, or the 12N feedback bits per user."""
+        return "perfect" if self.feedback == "perfect" else 12 * self.feedback
 
     def ber_at(self, snr_db: float) -> float:
         for p in self.points:
@@ -257,47 +240,49 @@ def _row_selectors(rows) -> list[np.ndarray]:
     return [np.eye(2, dtype=np.complex128)[row] for row in rows]
 
 
-def _link_reg_inv(cs: ChannelSet, noise_var: float, n, grid: GridSpec):
+def _link_reg_inv(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
     if n is None:
-        rows = [h[0] for h in cs.channels]
+        rows = [h[0] for h in channels]
     else:
-        rows = [_round_trip(h, "reg-inv", n).row for h in cs.channels]
-    return reg_inv(np.stack(rows), noise_var), _row_selectors((0,) * len(cs.channels))
+        rows = [_round_trip(h, "reg-inv", n).row for h in channels]
+    return reg_inv(np.stack(rows), noise_var), _row_selectors((0,) * len(channels))
 
 
-def _link_selection(cs: ChannelSet, noise_var: float, n, grid: GridSpec):
+def _link_selection(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
     if n is None:
-        estimates = list(cs.channels)
+        estimates = list(channels)
     else:
-        estimates = [_round_trip(h, "reg-inv-sel", n).channel for h in cs.channels]
-    selection, pre, _ = antenna_selection(estimates, noise_var)
-    return pre, _row_selectors(selection)
+        estimates = [_round_trip(h, "reg-inv-sel", n).channel for h in channels]
+    selection, g, _ = antenna_selection(estimates, noise_var)
+    return g, _row_selectors(selection)
 
 
-def _link_gmud(cs: ChannelSet, noise_var: float, n, grid: GridSpec):
+def _link_gmud(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
+    from .linalg import svd2x2  # read from linalg per call, so a patched svd2x2 takes effect
+
+    svds = [svd2x2(h) for h in channels]
     if n is None:
-        reports = [GmudFeedback.from_svd(svd) for svd in cs.svds]
+        reports = [GmudFeedback.from_svd(svd) for svd in svds]
     else:
-        reports = [_round_trip(svd, "gmud", n) for svd in cs.svds]
-    pre, params, _ = optimize_gmud(reports[0], reports[1], noise_var, grid)
+        reports = [_round_trip(svd, "gmud", n) for svd in svds]
+    g, params, _ = optimize_gmud(reports[0], reports[1], noise_var, grid)
     steering = ((params.r_k, params.theta_k), (params.r_l, params.theta_l))
-    return pre, [_rotation_projection(svd, r, t) for svd, (r, t) in zip(cs.svds, steering)]
+    return g, [_rotation_projection(svd, r, t) for svd, (r, t) in zip(svds, steering)]
 
 
 # Per-scheme link builders: (channels, noise_var, N or None for perfect CSI,
-# grid) -> (precoder, per-user unit combiners).
+# grid) -> (G, per-user unit combiners).
 _LINKS = {"reg-inv": _link_reg_inv, "reg-inv-sel": _link_selection, "gmud": _link_gmud}
 
 
-def _build_link(config: SimConfig, cs: ChannelSet, noise_var: float):
-    """Build the precoder from transmitter-visible data plus genie receiver info."""
+def _build_link(config: SimConfig, channels: np.ndarray, noise_var: float):
+    """Build G from transmitter-visible data plus genie receiver info."""
     n = None if config.feedback == "perfect" else config.feedback
-    pre, combiners = _LINKS[config.scheme](cs, noise_var, n, config.grid)
+    g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
     gains = tuple(
-        complex((w.conj() @ h) @ pre.g[:, k])
-        for k, (w, h) in enumerate(zip(combiners, cs.channels))
+        complex((w.conj() @ h) @ g[:, k]) for k, (w, h) in enumerate(zip(combiners, channels))
     )
-    return pre, ReceiverInfo(config.modulation, tuple(combiners), gains)
+    return g, ReceiverInfo(config.modulation, tuple(combiners), gains)
 
 
 def _simulate_point(config: SimConfig, snr_idx: int) -> BerPoint:
@@ -308,16 +293,13 @@ def _simulate_point(config: SimConfig, snr_idx: int) -> BerPoint:
     err_counts = np.empty(config.realizations, dtype=np.int64)
     for j in range(config.realizations):
         rng = np.random.default_rng([config.seed, snr_idx, j])
-        cs = gen_channels(rng)
-        pre, info = _build_link(config, cs, noise_var)
+        channels = gen_channels(rng)
+        g, info = _build_link(config, channels, noise_var)
         payload = rng.integers(0, 2, size=(2, config.symbols * bps), dtype=np.uint8)
         u = np.stack([modulate(payload[k], config.modulation) for k in range(2)])
-        x, gamma = transmit(pre.g, u)
-        detected = receive_detect(cs, x, gamma, info, noise_var, rng)
-        errs = 0
-        for k in range(2):
-            errs += int(np.count_nonzero(demodulate(detected[k], config.modulation) != payload[k]))
-        err_counts[j] = errs
+        x, gamma = transmit(g, u)
+        detected = receive_detect(channels, x, gamma, info, noise_var, rng)
+        err_counts[j] = np.count_nonzero(detected != payload)
     total_bits = bits_per_real * config.realizations
     total_errs = int(err_counts.sum())
     p = total_errs / total_bits

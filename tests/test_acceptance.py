@@ -129,8 +129,7 @@ def test_criterion_4_optimizer_oracle():
     rng = np.random.default_rng(SEED + 3)
     small = GridSpec(n_r=3, n_theta=4, n_p=3)
     for trial in range(100):
-        cs = gen_channels(rng)
-        fb_k, fb_l = (GmudFeedback.from_svd(s) for s in cs.svds)
+        fb_k, fb_l = (GmudFeedback.from_svd(svd2x2(h)) for h in gen_channels(rng))
         noise = float(rng.uniform(1e-3, 0.3))
         _, params, rep = optimize_gmud(fb_k, fb_l, noise, small)
 
@@ -154,8 +153,7 @@ def test_criterion_4_optimizer_oracle():
     # the default grid (r = lambda1 is the last linspace point)
     rng = np.random.default_rng(SEED + 4)
     for _ in range(100):
-        cs = gen_channels(rng)
-        fb_k, fb_l = (GmudFeedback.from_svd(s) for s in cs.svds)
+        fb_k, fb_l = (GmudFeedback.from_svd(svd2x2(h)) for h in gen_channels(rng))
         noise = 0.01
         _, _, rep = optimize_gmud(fb_k, fb_l, noise)
         for a2 in np.concatenate([np.linspace(0.1, 0.9, 9), [0.0, 1.0]]):
@@ -178,7 +176,7 @@ def test_criterion_5_antenna_selection_oracle():
         best_combo, best_score = None, -1.0
         for cand in itertools.product(range(2), range(2)):
             h_hat = np.stack([channels[k][row] for k, row in enumerate(cand)])
-            g = reg_inv(h_hat, noise).g
+            g = reg_inv(h_hat, noise)
             e = h_hat @ g
             noise_term = expected_gamma(g) * noise
             score = min(
@@ -349,7 +347,7 @@ def conditional_ber(e, g, noise_var, modulation):
     return float(errors.mean()) / (2 * MODULATIONS[modulation])
 
 
-def link_gains(scheme, channel_set, noise_var):
+def link_gains(scheme, channels, noise_var):
     """Precoder G and gains e[k, m] = w_k^H H_k g_m of one perfect-CSI link.
 
     Built from the public precoders.  The fixed scheme inverts each
@@ -358,18 +356,15 @@ def link_gains(scheme, channel_set, noise_var):
     H = P R Q^H, whose first row [r, 0] of R gives p1^H H = r q1^H, i.e.
     p1 proportional to H^{-H} q1.
     """
-    channels = channel_set.channels
     if scheme == "reg-inv":
-        g = reg_inv(np.stack([h[0] for h in channels]), noise_var).g
+        g = reg_inv(np.stack([h[0] for h in channels]), noise_var)
         combiners = [np.eye(2)[0]] * 2
     elif scheme == "reg-inv-sel":
-        rows, pre, _ = antenna_selection(list(channels), noise_var)
-        g = pre.g
+        rows, g, _ = antenna_selection(list(channels), noise_var)
         combiners = [np.eye(2)[row] for row in rows]
     else:
-        reports = [GmudFeedback.from_svd(svd) for svd in channel_set.svds]
-        pre, params, _ = optimize_gmud(reports[0], reports[1], noise_var)
-        g = pre.g
+        reports = [GmudFeedback.from_svd(svd2x2(h)) for h in channels]
+        g, params, _ = optimize_gmud(reports[0], reports[1], noise_var)
         steering = ((params.r_k, params.theta_k), (params.r_l, params.theta_l))
         combiners = []
         for h, fb, (r, theta) in zip(channels, reports, steering):
@@ -385,8 +380,8 @@ def oracle_ber(scheme, modulation, grid, snr_idx, realizations=400):
     noise_var = 10.0 ** (-grid[snr_idx] / 10.0)
     total = 0.0
     for j in range(realizations):
-        cs = gen_channels(np.random.default_rng([SEED, snr_idx, j]))
-        g, e = link_gains(scheme, cs, noise_var)
+        channels = gen_channels(np.random.default_rng([SEED, snr_idx, j]))
+        g, e = link_gains(scheme, channels, noise_var)
         total += conditional_ber(e, g, noise_var, modulation)
     return total / realizations
 

@@ -25,17 +25,16 @@ def crand(rng, shape):
 
 
 def random_reports(rng):
-    cs = gen_channels(rng)
-    return [GmudFeedback.from_svd(s) for s in cs.svds]
+    return [GmudFeedback.from_svd(svd2x2(h)) for h in gen_channels(rng)]
 
 
 class TestRegInv:
     def test_zero_noise_identity(self):
-        assert_allclose(reg_inv(np.eye(2), 0.0).g, np.eye(2))
+        assert_allclose(reg_inv(np.eye(2), 0.0), np.eye(2))
 
     def test_scalar_regularization(self):
         # K*sigma^2 = 0.2, so G = I / 1.2
-        assert_allclose(reg_inv(np.eye(2), 0.1).g, np.eye(2) / 1.2, rtol=1e-14)
+        assert_allclose(reg_inv(np.eye(2), 0.1), np.eye(2) / 1.2, rtol=1e-14)
 
     def test_zero_forcing_residual(self):
         rng = np.random.default_rng(0)
@@ -43,7 +42,7 @@ class TestRegInv:
             h = crand(rng, (2, 2))
             if abs(np.linalg.det(h)) < 0.1:
                 continue
-            assert np.linalg.norm(h @ reg_inv(h, 0.0).g - np.eye(2)) <= 1e-9
+            assert np.linalg.norm(h @ reg_inv(h, 0.0) - np.eye(2)) <= 1e-9
 
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +61,7 @@ class TestAntennaSelection:
         best_combo, best_score = None, -1.0
         for combo in itertools.product(*[range(h.shape[0]) for h in channels]):
             h_hat = np.stack([channels[k][row] for k, row in enumerate(combo)])
-            g = reg_inv(h_hat, noise_var).g
+            g = reg_inv(h_hat, noise_var)
             e = h_hat @ g
             gbar = expected_gamma(g)
             noise_term = 0.0 if snr == np.inf else gbar / snr
@@ -77,7 +76,7 @@ class TestAntennaSelection:
     def test_single_row_degenerate(self):
         rng = np.random.default_rng(1)
         channels = [crand(rng, (1, 2)), crand(rng, (1, 2))]
-        combo, pre, report = antenna_selection(channels, 0.01)
+        combo, g, report = antenna_selection(channels, 0.01)
         assert combo == (0, 0)
 
     def test_orthogonal_rows_selected(self):
@@ -85,7 +84,7 @@ class TestAntennaSelection:
         aliased = np.array([1.0, 1.0]) / np.sqrt(2)
         h1 = np.stack([aliased, np.array([1.0, 0.0])])
         h2 = np.stack([np.array([0.0, 1.0]), aliased])
-        combo, pre, report = antenna_selection([h1, h2], 0.01)
+        combo, g, report = antenna_selection([h1, h2], 0.01)
         assert combo == (1, 0)
 
     def test_matches_brute_force(self):
@@ -93,7 +92,7 @@ class TestAntennaSelection:
         for _ in range(200):
             channels = [crand(rng, (2, 2)), crand(rng, (2, 2))]
             noise = float(rng.uniform(1e-4, 0.5))
-            combo, pre, report = antenna_selection(channels, noise)
+            combo, g, report = antenna_selection(channels, noise)
             expected_combo, expected_score = self.brute_force(channels, noise)
             assert combo == expected_combo
             assert report.min_sinr == pytest.approx(expected_score, rel=1e-12)
@@ -182,11 +181,12 @@ class TestGmudMinSinr:
 
 class TestOptimizeGmud:
     def enumerate_grid(self, fb_k, fb_l, noise, grid):
+        """The grid maximum and its first argmax in C order, with alpha^2 in {0, 1} appended."""
         rk = np.linspace(fb_k.lambda2, fb_k.lambda1, grid.n_r)
         rl = np.linspace(fb_l.lambda2, fb_l.lambda1, grid.n_r)
         th = np.linspace(0.0, 2 * np.pi, grid.n_theta, endpoint=False)
         a2s = np.concatenate([np.linspace(0.1, 0.9, grid.n_p), [0.0, 1.0]])
-        best = -np.inf
+        best, best_params = -np.inf, None
         for irk, irl, itk, itl, ia in itertools.product(
             range(grid.n_r), range(grid.n_r), range(grid.n_theta), range(grid.n_theta), range(len(a2s))
         ):
@@ -194,13 +194,15 @@ class TestOptimizeGmud:
                 float(rk[irk]), float(th[itk]), float(rl[irl]), float(th[itl]),
                 alpha=float(np.sqrt(a2s[ia])), beta=float(np.sqrt(1.0 - a2s[ia])),
             )
-            best = max(best, gmud_min_sinr(p, fb_k, fb_l, noise).min_sinr)
-        return best
+            value = gmud_min_sinr(p, fb_k, fb_l, noise).min_sinr
+            if value > best:
+                best, best_params = value, p
+        return best, best_params
 
     def test_single_point_grid(self):
         rng = np.random.default_rng(6)
         fb_k, fb_l = random_reports(rng)
-        pre, params, rep = optimize_gmud(fb_k, fb_l, 0.01, GridSpec(1, 1, 1))
+        g, params, rep = optimize_gmud(fb_k, fb_l, 0.01, GridSpec(1, 1, 1))
         assert params.r_k == fb_k.lambda2
         assert params.theta_k == 0.0
         assert params.alpha == pytest.approx(np.sqrt(0.1), rel=1e-15)
@@ -212,11 +214,28 @@ class TestOptimizeGmud:
             fb_k, fb_l = random_reports(rng)
             noise = float(rng.uniform(1e-3, 0.2))
             _, params, rep = optimize_gmud(fb_k, fb_l, noise, grid)
-            assert rep.min_sinr == self.enumerate_grid(fb_k, fb_l, noise, grid)
+            assert rep.min_sinr == self.enumerate_grid(fb_k, fb_l, noise, grid)[0]
             # returned params reproduce the returned report bit for bit
             again = gmud_min_sinr(params, fb_k, fb_l, noise)
             assert again.min_sinr == rep.min_sinr
             assert again.per_user == rep.per_user
+
+    @pytest.mark.parametrize("noise", [0.05, 0.0])
+    def test_params_are_first_argmax_with_edge_powers(self, noise):
+        # alpha^2 in {0, 1} silences a user (min-SINR 0) and sits last on the
+        # power axis, so the search without it picks the same point; at zero
+        # noise the orthogonal pair puts a SINR_CAP plateau of ties on the grid
+        rng = np.random.default_rng(12)
+        grid = GridSpec(n_r=3, n_theta=4, n_p=3)
+        orthogonal = (
+            GmudFeedback(np.zeros(6), np.array([1.0, 0.0], dtype=complex), 2.0, 1.0),
+            GmudFeedback(np.zeros(6), np.array([0.0, 1.0], dtype=complex), 2.0, 1.0),
+        )
+        for fb_k, fb_l in [orthogonal] + [random_reports(rng) for _ in range(4)]:
+            _, params, rep = optimize_gmud(fb_k, fb_l, noise, grid)
+            best, best_params = self.enumerate_grid(fb_k, fb_l, noise, grid)
+            assert params == best_params
+            assert rep.min_sinr == best
 
     def test_dominates_svd_beamforming_point(self):
         rng = np.random.default_rng(8)
@@ -236,16 +255,16 @@ class TestOptimizeGmud:
         # orthogonal principal vectors: the zero-interference point r = lambda1 wins
         fb_k = GmudFeedback(np.zeros(6), np.array([1.0, 0.0], dtype=complex), 2.0, 1.0)
         fb_l = GmudFeedback(np.zeros(6), np.array([0.0, 1.0], dtype=complex), 2.0, 1.0)
-        pre, params, rep = optimize_gmud(fb_k, fb_l, 1e-6)
+        g, params, rep = optimize_gmud(fb_k, fb_l, 1e-6)
         assert params.r_k == 2.0 and params.r_l == 2.0
         assert params.alpha**2 == pytest.approx(0.5, rel=1e-12)
 
     def test_g_columns_are_loaded_beams(self):
         rng = np.random.default_rng(9)
         fb_k, fb_l = random_reports(rng)
-        pre, params, _ = optimize_gmud(fb_k, fb_l, 0.01)
-        assert np.linalg.norm(pre.g[:, 0]) == pytest.approx(params.alpha, abs=1e-12)
-        assert np.linalg.norm(pre.g[:, 1]) == pytest.approx(params.beta, abs=1e-12)
+        g, params, _ = optimize_gmud(fb_k, fb_l, 0.01)
+        assert np.linalg.norm(g[:, 0]) == pytest.approx(params.alpha, abs=1e-12)
+        assert np.linalg.norm(g[:, 1]) == pytest.approx(params.beta, abs=1e-12)
 
     def test_bad_grid_rejected(self):
         rng = np.random.default_rng(11)

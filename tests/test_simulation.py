@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gmud import (
+    BerCurve,
     GmudFeedback,
     ReceiverInfo,
     SimConfig,
@@ -15,10 +16,11 @@ from gmud import (
     receive_detect,
     reg_inv,
     run_ber,
+    svd2x2,
     transmit,
 )
 from gmud.feedback import SCHEMES
-from gmud.simulation import _LINKS, ChannelSet, _build_link, _rotation_projection
+from gmud.simulation import _LINKS, _build_link, _rotation_projection
 
 
 def qfunc(x):
@@ -76,24 +78,22 @@ class TestChannels:
     def test_deterministic(self):
         a = gen_channels(np.random.default_rng(42))
         b = gen_channels(np.random.default_rng(42))
-        for x, y in zip(a.channels, b.channels):
-            assert np.array_equal(x, y)
+        assert a.shape == (2, 2, 2)
+        assert np.array_equal(a, b)
 
     def test_entry_power(self):
         rng = np.random.default_rng(0)
         acc = 0.0
         count = 12500  # 1e5 entries in total
         for _ in range(count):
-            cs = gen_channels(rng)
-            acc += sum(float(np.mean(np.abs(h) ** 2)) for h in cs.channels) / 2
+            acc += sum(float(np.mean(np.abs(h) ** 2)) for h in gen_channels(rng)) / 2
         assert acc / count == pytest.approx(1.0, abs=0.01)
 
     def test_singular_value_trace_identity(self):
         rng = np.random.default_rng(1)
         acc, count = 0.0, 4000
         for _ in range(count):
-            cs = gen_channels(rng)
-            svd = cs.svds[0]
+            svd = svd2x2(gen_channels(rng)[0])
             acc += svd.lambda1**2 + svd.lambda2**2
         # E[l1^2 + l2^2] = E||H||_F^2 = 4, sd of the mean ~ 2/sqrt(n)
         assert acc / count == pytest.approx(4.0, abs=3 * 2 / np.sqrt(count))
@@ -125,29 +125,30 @@ class TestTransmit:
 class TestReceiveDetect:
     def test_zero_noise_zero_forcing(self):
         rng = np.random.default_rng(3)
-        cs = gen_channels(rng)
-        rows = [h[0] for h in cs.channels]
-        pre = reg_inv(np.stack(rows), 0.0)
+        channels = gen_channels(rng)
+        rows = [h[0] for h in channels]
+        g = reg_inv(np.stack(rows), 0.0)
         bits = rng.integers(0, 2, size=(2, 40), dtype=np.uint8)
         u = np.stack([modulate(bits[k], "qpsk") for k in range(2)])
-        x, gamma = transmit(pre.g, u)
+        x, gamma = transmit(g, u)
         w = np.array([1.0, 0.0], dtype=complex)  # selects receive row 0
-        gains = tuple(complex(rows[k] @ pre.g[:, k]) for k in range(2))
+        gains = tuple(complex(rows[k] @ g[:, k]) for k in range(2))
         info = ReceiverInfo("qpsk", (w, w), gains)
-        detected = receive_detect(cs, x, gamma, info, 0.0, rng)
-        assert_allclose(detected, u, atol=1e-9)
+        detected = receive_detect(channels, x, gamma, info, 0.0, rng)
+        assert detected.dtype == np.uint8
+        assert np.array_equal(detected, bits)
 
     def test_zero_noise_orthogonal_beams(self):
         h = np.diag([2.0, 1.0]).astype(complex)
-        cs = ChannelSet((h, np.fliplr(np.diag([1.0, 2.0])).astype(complex)))
+        channels = np.stack((h, np.fliplr(np.diag([1.0, 2.0])).astype(complex)))
         cfg = SimConfig(scheme="gmud", modulation="qpsk", snr_db=(60.0,), feedback="perfect")
-        pre, info = _build_link(cfg, cs, 0.0)
+        g, info = _build_link(cfg, channels, 0.0)
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=(2, 20), dtype=np.uint8)
         u = np.stack([modulate(bits[k], "qpsk") for k in range(2)])
-        x, gamma = transmit(pre.g, u)
-        detected = receive_detect(cs, x, gamma, info, 0.0, rng)
-        assert_allclose(detected, u, atol=1e-9)
+        x, gamma = transmit(g, u)
+        detected = receive_detect(channels, x, gamma, info, 0.0, rng)
+        assert np.array_equal(detected, bits)
 
     def test_gmud_combiner_sees_only_its_beam(self):
         # p1^H H is r times the conjugate of the transmitted beam up to a common
@@ -157,7 +158,7 @@ class TestReceiveDetect:
 
         rng = np.random.default_rng(6)
         for _ in range(200):
-            svd = gen_channels(rng).svds[0]
+            svd = svd2x2(gen_channels(rng)[0])
             h = svd.reconstruct()
             r = float(rng.uniform(svd.lambda2, svd.lambda1))
             theta = float(rng.uniform(0.0, 2 * np.pi))
@@ -168,13 +169,18 @@ class TestReceiveDetect:
             assert abs(p1.conj() @ h @ orthonormal_complement(q1)) <= 1e-10 * svd.lambda1
 
     def test_inverse_combiners_select_rows(self):
-        cs = gen_channels(np.random.default_rng(7))
+        from gmud import antenna_selection, decode, encode
+
+        channels = gen_channels(np.random.default_rng(7))
+        estimates = [decode(encode(h, "reg-inv-sel", 2), "reg-inv-sel", 2).channel for h in channels]
         for scheme in ("reg-inv", "reg-inv-sel"):
-            pre, info = _build_link(SimConfig(scheme=scheme, feedback=2), cs, 0.1)
-            rows = (0, 0) if scheme == "reg-inv" else pre.selection
-            for k, h in enumerate(cs.channels):
+            g, info = _build_link(SimConfig(scheme=scheme, feedback=2), channels, 0.1)
+            rows = tuple(int(np.flatnonzero(w)[0]) for w in info.combiners)
+            expected = (0, 0) if scheme == "reg-inv" else antenna_selection(estimates, 0.1)[0]
+            assert rows == expected
+            for k, h in enumerate(channels):
                 assert np.array_equal(info.combiners[k], np.eye(2)[rows[k]])
-                assert info.gains[k] == h[rows[k]] @ pre.g[:, k]
+                assert info.gains[k] == h[rows[k]] @ g[:, k]
 
     def test_awgn_qpsk_matches_q_function(self):
         # unit scalar channel: BER = Q(sqrt(2 Eb/N0)) with Eb/N0 = 1/(2 sigma^2)
@@ -235,6 +241,12 @@ class TestRunBer:
             curve.ber_at(5.0)
 
 
+class TestBerCurve:
+    def test_feedback_bits(self):
+        assert BerCurve("gmud", "qpsk", "perfect", ()).feedback_bits == "perfect"
+        assert BerCurve("gmud", "qpsk", 4, ()).feedback_bits == 48
+
+
 class TestSchemeTable:
     def test_one_link_builder_per_scheme(self):
         assert tuple(_LINKS) == SCHEMES
@@ -255,20 +267,17 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(scheme="gmud", feedback="sometimes")
 
-    def test_feedback_bits(self):
-        assert SimConfig(scheme="gmud", feedback="perfect").feedback_bits == "perfect"
-        assert SimConfig(scheme="gmud", feedback=4).feedback_bits == 48
-
     def test_quantized_transmitter_only_sees_decoded_values(self):
         rng = np.random.default_rng(8)
-        cs = gen_channels(rng)
-        cfg = SimConfig(scheme="gmud", modulation="qpsk", snr_db=(10.0,), feedback=2)
-        pre, info = _build_link(cfg, cs, 0.1)
-        # beams must be expressible from quantized reconstruction levels only
-        assert pre.params is not None
-        for k, svd in enumerate(cs.svds):
-            from gmud import encode, decode
+        from gmud import decode, encode, optimize_gmud
 
-            msg = decode(encode(svd, "gmud", 2), "gmud", 2)
-            r = (pre.params.r_k, pre.params.r_l)[k]
+        channels = gen_channels(rng)
+        cfg = SimConfig(scheme="gmud", modulation="qpsk", snr_db=(10.0,), feedback=2)
+        g, info = _build_link(cfg, channels, 0.1)
+        # the precoder is the search over the decoded reports, nothing else
+        msgs = [decode(encode(svd2x2(h), "gmud", 2), "gmud", 2) for h in channels]
+        g_decoded, params, _ = optimize_gmud(msgs[0], msgs[1], 0.1, cfg.grid)
+        assert np.array_equal(g, g_decoded)
+        # beams must be expressible from quantized reconstruction levels only
+        for msg, r in zip(msgs, (params.r_k, params.r_l)):
             assert msg.lambda2 <= r <= msg.lambda1 + 1e-12
