@@ -24,7 +24,7 @@ from .decomposition import PhasePair, gmud, solve_rotations
 from .errors import DomainError, FormatError
 from .feedback import SCHEMES, decode, encode
 from .precoding import GridSpec
-from .simulation import SimConfig, run_ber
+from .simulation import MODULATIONS, SimConfig, run_ber
 from .svgplot import line_chart
 
 CSV_HEADER = "scheme,modulation,feedback_bits,snr_db,ber,bits,errors"
@@ -241,7 +241,7 @@ def _add_matrix_args(p) -> None:
 
 
 def _add_sim_args(p) -> None:
-    p.add_argument("--mod", choices=("qpsk", "16qam"), default="qpsk")
+    p.add_argument("--mod", choices=tuple(MODULATIONS), default="qpsk")
     p.add_argument("--snr", default="0:2:20", help="start:step:stop in dB, inclusive")
     p.add_argument(
         "--feedback",

@@ -29,12 +29,9 @@ __all__ = [
     "PhasePair",
     "GmudFactorization",
     "solve_rotations",
-    "build_special_r",
-    "phase_matrix",
     "gmud",
     "beam_from_feedback",
     "steered_beams",
-    "beam_alignment",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -97,7 +94,9 @@ class GmudFactorization:
 
 
 def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
-    """Validate lambda2 <= r <= lambda1 (1e-9 relative slack) and clamp."""
+    """Validate lambda1 > 0 and lambda2 <= r <= lambda1 (1e-9 relative slack); clamp r."""
+    if lambda1 <= 0.0:
+        raise DomainError("lambda1 must be positive")
     if not np.isfinite(r) or r <= 0.0:
         raise DomainError(f"r must be a positive real, got {r}")
     slack = _R_EDGE_TOL * lambda1
@@ -110,22 +109,22 @@ def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
 
 
 def _rotation_factors(lambda1, lambda2, r):
-    """Elementwise (a, b, c, s); ``r`` may be a scalar or an array.
+    """Elementwise (a, b, c, s) shaped like ``r`` (a scalar or an array).
 
-    Shared by the scalar API and the vectorized beam-grid path so both
-    produce bit-identical values.  Assumes r already lies in
-    [lambda2, lambda1] and lambda1 > lambda2.
+    The only place the rotation math lives, so the scalar API, the factor
+    and the beam grid agree bit for bit.  Assumes r in [lambda2, lambda1].
+    Equal singular values (lambda1 - lambda2 <= 1e-12 * lambda1) give the
+    identity rotation (1, 0, 1, 0).
     """
+    if lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1:
+        one, zero = np.ones(np.shape(r)), np.zeros(np.shape(r))
+        return one, zero, one, zero
     span = lambda1**2 - lambda2**2
     a = np.sqrt(np.maximum(r**2 - lambda2**2, 0.0) / span)
     b = np.sqrt(np.maximum(lambda1**2 - r**2, 0.0) / span)
     c = (lambda1 / r) * a
     s = (lambda2 / r) * b
     return a, b, c, s
-
-
-def _is_degenerate(lambda1: float, lambda2: float) -> bool:
-    return lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1
 
 
 def solve_rotations(lambda1: float, lambda2: float, r: float) -> GmudRotation:
@@ -135,36 +134,14 @@ def solve_rotations(lambda1: float, lambda2: float, r: float) -> GmudRotation:
     b = sqrt(1-a^2), c = (lambda1/r)*a, s = (lambda2/r)*b.  These satisfy
     a*c*lambda1 + b*s*lambda2 = r and a*s*lambda1 - b*c*lambda2 = 0.
     Equal singular values collapse to the identity rotation (1, 0, 1, 0).
+    c is the cosine of the cone half-angle between the steered beam and
+    the principal vector: strictly increasing in r with c(lambda1) = 1.
 
     Raises :class:`DomainError` when r falls outside [lambda2, lambda1]
     (with 1e-9 relative slack at the endpoints).
     """
-    if lambda1 <= 0.0:
-        raise DomainError("lambda1 must be positive")
-    r = _checked_r(lambda1, lambda2, r)
-    if _is_degenerate(lambda1, lambda2):
-        return GmudRotation(1.0, 0.0, 1.0, 0.0)
-    a, b, c, s = _rotation_factors(lambda1, lambda2, r)
+    a, b, c, s = _rotation_factors(lambda1, lambda2, _checked_r(lambda1, lambda2, r))
     return GmudRotation(float(a), float(b), float(c), float(s))
-
-
-def _special_r(lambda1: float, lambda2: float, r: float) -> tuple[GmudRotation, SpecialR]:
-    """Rotations for r and the triangular factor they produce (r checked and clamped)."""
-    rot = solve_rotations(lambda1, lambda2, r)
-    r = _checked_r(lambda1, lambda2, r)
-    z1 = rot.b * rot.c * lambda1 - rot.a * rot.s * lambda2
-    z2 = rot.b * rot.s * lambda1 + rot.a * rot.c * lambda2
-    return rot, SpecialR(r, float(z1), float(z2))
-
-
-def build_special_r(lambda1: float, lambda2: float, r: float) -> SpecialR:
-    """Triangular factor entries z1 = b*c*lambda1 - a*s*lambda2, z2 = b*s*lambda1 + a*c*lambda2."""
-    return _special_r(lambda1, lambda2, r)[1]
-
-
-def phase_matrix(pp: PhasePair) -> np.ndarray:
-    """diag(e^{i*theta1}, e^{i*theta2}); unitary by construction."""
-    return np.diag(np.exp(1j * np.array([pp.theta1, pp.theta2])))
 
 
 def gmud(h, r: float, pp: PhasePair | None = None) -> GmudFactorization:
@@ -186,39 +163,46 @@ def gmud(h, r: float, pp: PhasePair | None = None) -> GmudFactorization:
     GmudFactorization
         p = u @ M @ u0 and q = v @ M @ v0 with u0 = [[a,b],[-b,a]],
         v0 = [[c,s],[-s,c]] from :func:`solve_rotations` and
-        M = :func:`phase_matrix`.
+        M = diag(e^{i*theta1}, e^{i*theta2}), which commutes with the
+        singular values.
     """
     return _factor(svd2x2(h), r, PhasePair() if pp is None else pp)
 
 
 def _factor(svd: SvdFactorization, r: float, pp: PhasePair) -> GmudFactorization:
     """The member of the unitary family of ``svd.reconstruct()`` selected by (r, pp)."""
-    if svd.lambda1 <= 0.0:
+    l1, l2 = svd.lambda1, svd.lambda2
+    if l1 <= 0.0:
         raise DomainError("zero matrix admits no positive r")
-    rot, rmat = _special_r(svd.lambda1, svd.lambda2, r)
+    rot = solve_rotations(l1, l2, r)
+    r = min(max(r, l2), l1)  # solve_rotations admitted r; clamp it as it did
+    z1 = rot.b * rot.c * l1 - rot.a * rot.s * l2
+    z2 = rot.b * rot.s * l1 + rot.a * rot.c * l2
+    rmat = SpecialR(r, float(z1), float(z2))
     u0 = np.array([[rot.a, rot.b], [-rot.b, rot.a]], dtype=np.complex128)
     v0 = np.array([[rot.c, rot.s], [-rot.s, rot.c]], dtype=np.complex128)
-    m = phase_matrix(pp)
-    return GmudFactorization(svd.u @ m @ u0, rmat, svd.v @ m @ v0, rmat.r, pp, svd)
+    m = np.diag(np.exp(1j * np.array([pp.theta1, pp.theta2])))
+    return GmudFactorization(svd.u @ m @ u0, rmat, svd.v @ m @ v0, r, pp, svd)
 
 
 def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:
     """Beam q1 = c * e^{i*theta} * v1 - s * v2 for broadcastable r, theta.
 
     ``r`` and ``theta`` may be scalars or arrays; the result has shape
-    broadcast(r, theta) + (2,).  No domain checking: callers guarantee
-    r in [lambda2, lambda1].  Scalar and grid evaluations share the same
-    elementwise operations, so a grid entry is bit-identical to the
-    corresponding scalar call.
+    broadcast(r, theta) + (2,).  The report must have lambda1 > 0 and a
+    unit-norm ``v1`` (:class:`DomainError` otherwise); r is not checked:
+    callers keep it in [lambda2, lambda1].  Scalar and grid evaluations
+    share the same elementwise operations, so a grid entry is
+    bit-identical to the corresponding scalar call.
     """
+    if lambda1 <= 0.0:
+        raise DomainError("lambda1 must be positive")
     v1 = np.asarray(v1, dtype=np.complex128)
+    nrm = np.linalg.norm(v1)
+    if abs(nrm - 1.0) > 1e-9:
+        raise DomainError(f"v1 must be unit norm, got ||v1|| = {nrm:.12g}")
     v2 = orthonormal_complement(v1)
-    if _is_degenerate(lambda1, lambda2):
-        c = np.ones(np.broadcast(np.asarray(r), np.asarray(theta)).shape)
-        s = np.zeros_like(c)
-    else:
-        _, _, c, s = _rotation_factors(lambda1, lambda2, np.asarray(r, dtype=np.float64))
-        c, s = np.broadcast_arrays(c, s)
+    _, _, c, s = _rotation_factors(lambda1, lambda2, np.asarray(r, dtype=np.float64))
     weight = c * np.exp(1j * np.asarray(theta, dtype=np.float64))
     weight, s = np.broadcast_arrays(weight, s)
     return weight[..., None] * v1 - s[..., None] * v2
@@ -230,22 +214,8 @@ def beam_from_feedback(lambda1: float, lambda2: float, v1, r: float, theta: floa
     Completes v1 with an arbitrary orthogonal second vector and returns
     the first column of V @ M(theta, 0) @ V0, i.e.
     c * e^{i*theta} * v1 - s * v2 (unit norm).  The alignment
-    |v1^H q1| equals c for every theta.
+    |v1^H q1| equals c for every theta.  r is checked as in
+    :func:`solve_rotations`.
     """
-    if lambda1 <= 0.0:
-        raise DomainError("lambda1 must be positive")
-    v1 = np.asarray(v1, dtype=np.complex128)
-    nrm = np.linalg.norm(v1)
-    if abs(nrm - 1.0) > 1e-9:
-        raise DomainError(f"v1 must be unit norm, got ||v1|| = {nrm:.12g}")
-    r = _checked_r(lambda1, lambda2, r)
-    return steered_beams(lambda1, lambda2, v1, r, float(theta))
+    return steered_beams(lambda1, lambda2, v1, _checked_r(lambda1, lambda2, r), float(theta))
 
-
-def beam_alignment(lambda1: float, lambda2: float, r: float) -> float:
-    """Cosine of the cone half-angle between the beam and the principal vector.
-
-    Equals the rotation coefficient c; strictly increasing in r with
-    c(lambda1) = 1.
-    """
-    return solve_rotations(lambda1, lambda2, r).c

@@ -67,7 +67,7 @@ def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, flo
     step = (hi - lo) / levels
     index = int(np.floor((v - lo) / step))
     index = min(max(index, 0), levels - 1)
-    return index, lo + (index + 0.5) * step
+    return index, _reconstruct(index, lo, hi, bits)
 
 
 def _reconstruct(index: int, lo: float, hi: float, bits: int) -> float:

@@ -64,7 +64,7 @@ def orthonormal_complement(v: np.ndarray) -> np.ndarray:
     """Unit 2-vector orthogonal to ``v``: [-conj(v1), conj(v0)].
 
     The inner product with ``v`` cancels exactly even in floating point.
-    No unit-norm check is done here; :func:`gmud.decomposition.beam_from_feedback`
+    No unit-norm check is done here; :func:`gmud.decomposition.steered_beams`
     checks its input before completing it.
     """
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=np.complex128)

@@ -124,10 +124,11 @@ def _capped_ratio(num, den):
 def antenna_selection(channels, noise_var: float):
     """Pick one receive row per user maximizing the minimum per-user SINR.
 
-    Enumerates all (N_R)^K row combinations in lexicographic order; for
-    each, builds the regularized inverse G of the stacked rows and scores
+    Enumerates all (N_R)^2 row combinations of the two users in
+    lexicographic order; for each, builds the regularized inverse G of
+    the stacked rows and scores
 
-        min_m |e_mm|^2 / (sum_{n != m} |e_mn|^2 + gamma_bar / snr)
+        min_m |e_mm|^2 / (|e_mn|^2 + gamma_bar / snr),  n the other user,
 
     with e = H_hat @ G, gamma_bar the expected normalization and
     snr = 1/noise_var (the noise term is 0 at zero noise).  Ties keep the
@@ -145,16 +146,9 @@ def antenna_selection(channels, noise_var: float):
         # gamma_bar / snr, not gamma_bar * noise_var: the two can differ in the last ulp
         noise_term = 0.0 if noise_var == 0.0 else gamma_bar / (1.0 / noise_var)
         powers = _abs2(e)
-        k = len(mats)
-        sinrs = tuple(
-            float(
-                _capped_ratio(
-                    powers[m, m],
-                    sum(powers[m, n] for n in range(k) if n != m) + noise_term,
-                )
-            )
-            for m in range(k)
-        )
+        # reg_inv inverts 2x2 only, so there are two users: e_01 interferes with 0, e_10 with 1
+        sinrs = _capped_ratio(np.diagonal(powers), powers[[0, 1], [1, 0]] + noise_term)
+        sinrs = tuple(float(x) for x in sinrs)
         score = min(sinrs)
         if best is None or score > best[0]:
             best = (score, combo, g, SinrReport(sinrs, score, gamma_bar))
@@ -279,9 +273,6 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
     report = SinrReport(
         (float(sk[idx]), float(sl[idx])), float(min_sinr[idx]), float(gamma_bar[i_a])
     )
-
-    q1k = beam_from_feedback(fb_k.lambda1, fb_k.lambda2, fb_k.v1, params.r_k, params.theta_k)
-    q1l = beam_from_feedback(fb_l.lambda1, fb_l.lambda2, fb_l.v1, params.r_l, params.theta_l)
-    g = np.column_stack([params.alpha * q1k, params.beta * q1l])
+    g = np.column_stack([params.alpha * beams_k[i_rk, i_tk], params.beta * beams_l[i_rl, i_tl]])
     return g, params, report
 

@@ -5,11 +5,8 @@ from numpy.testing import assert_allclose
 from gmud import (
     DomainError,
     PhasePair,
-    beam_alignment,
     beam_from_feedback,
-    build_special_r,
     gmud,
-    phase_matrix,
     solve_rotations,
     steered_beams,
     svd2x2,
@@ -70,19 +67,19 @@ class TestSolveRotations:
 
 class TestSpecialR:
     def test_svd_boundary(self):
-        spr = build_special_r(2.0, 1.0, 2.0)
+        spr = gmud(np.diag([2.0, 1.0]), 2.0).rmat
         assert (spr.r, spr.z1, spr.z2) == (2.0, 0.0, 1.0)
         assert_allclose(spr.as_matrix(), [[2, 0], [0, 1]])
 
     def test_geometric_mean_decomposition_case(self):
-        spr = build_special_r(2.0, 1.0, np.sqrt(2.0))
+        spr = gmud(np.diag([2.0, 1.0]), np.sqrt(2.0)).rmat
         assert spr.r == pytest.approx(np.sqrt(2.0), rel=1e-15)
         assert spr.z1 == pytest.approx(1.0, rel=1e-12)
         assert spr.z2 == pytest.approx(np.sqrt(2.0), rel=1e-12)
         assert spr.r * spr.z2 == pytest.approx(2.0, rel=1e-12)
 
     def test_degenerate(self):
-        spr = build_special_r(0.7, 0.7, 0.7)
+        spr = gmud(np.diag([0.7, 0.7]), 0.7).rmat
         assert_allclose(spr.as_matrix(), np.diag([0.7, 0.7]))
 
     def test_determinant_preserved(self):
@@ -90,24 +87,11 @@ class TestSpecialR:
         for _ in range(200):
             l2, l1 = np.sort(rng.uniform(0.05, 4.0, 2))
             r = rng.uniform(l2, l1)
-            spr = build_special_r(l1, l2, r)
+            spr = gmud(np.diag([l1, l2]), r).rmat
             assert spr.r * spr.z2 == pytest.approx(l1 * l2, rel=1e-10)
 
 
-class TestPhaseMatrix:
-    def test_zero_is_identity(self):
-        assert_allclose(phase_matrix(PhasePair(0.0, 0.0)), np.eye(2))
-
-    def test_pi(self):
-        assert_allclose(phase_matrix(PhasePair(np.pi, 0.0)), np.diag([-1.0, 1.0]), atol=1e-15)
-
-    def test_commutes_with_diagonal(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            m = phase_matrix(PhasePair(*rng.uniform(0, 2 * np.pi, 2)))
-            lam = np.diag(rng.uniform(0, 3, 2))
-            assert_allclose(m @ lam @ m.conj().T, lam, atol=1e-14)
-
+class TestPhasePair:
     def test_range_normalization(self):
         pp = PhasePair(-0.5, 7.0)
         assert 0.0 <= pp.theta1 < 2 * np.pi
@@ -180,7 +164,7 @@ class TestBeams:
         assert expected < 0.98183  # wider cone for smaller r
 
     def test_alignment_monotonic_in_r(self):
-        cs = [beam_alignment(2.0, 1.0, r) for r in np.linspace(1.0, 2.0, 10)]
+        cs = [solve_rotations(2.0, 1.0, r).c for r in np.linspace(1.0, 2.0, 10)]
         assert all(b > a for a, b in zip(cs, cs[1:]))
         assert cs[-1] == 1.0
 
@@ -188,12 +172,17 @@ class TestBeams:
         rng = np.random.default_rng(7)
         v1 = crand(rng, (2,))
         v1 /= np.linalg.norm(v1)
-        rs = np.linspace(1.0, 2.0, 5)
         thetas = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
-        grid = steered_beams(2.0, 1.0, v1, rs[:, None], thetas[None, :])
-        for i, r in enumerate(rs):
-            for j, t in enumerate(thetas):
-                assert np.array_equal(grid[i, j], beam_from_feedback(2.0, 1.0, v1, float(r), float(t)))
+        # (1.5, 1.5): equal singular values, where every beam is e^{i theta} v1
+        for l1, l2 in ((2.0, 1.0), (1.5, 1.5)):
+            rs = np.linspace(l2, l1, 5)
+            grid = steered_beams(l1, l2, v1, rs[:, None], thetas[None, :])
+            for i, r in enumerate(rs):
+                for j, t in enumerate(thetas):
+                    beam = beam_from_feedback(l1, l2, v1, float(r), float(t))
+                    assert np.array_equal(grid[i, j], beam)
+                    if l1 == l2:
+                        assert np.array_equal(beam, np.exp(1j * t) * v1)
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):

@@ -157,8 +157,10 @@ class TestReceiveDetect:
         from gmud.linalg import orthonormal_complement
 
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            svd = svd2x2(gen_channels(rng)[0])
+        channels = [gen_channels(rng)[0] for _ in range(200)]
+        channels.append(0.7 * svd2x2(channels[0]).u)  # equal singular values
+        for channel in channels:
+            svd = svd2x2(channel)
             h = svd.reconstruct()
             r = float(rng.uniform(svd.lambda2, svd.lambda1))
             theta = float(rng.uniform(0.0, 2 * np.pi))
