@@ -1,98 +1,17 @@
 """Multi-unitary 2x2 decomposition and limited-feedback MIMO precoding simulator."""
 
-from .errors import DomainError, FormatError, SingularMatrixError
-from .linalg import (
-    SvdFactorization,
-    mat_inv,
-    svd2x2,
-)
-from .decomposition import (
-    GmudFactorization,
-    GmudRotation,
-    PhasePair,
-    SpecialR,
-    beam_from_feedback,
-    gmud,
-    solve_rotations,
-    steered_beams,
-)
-from .precoding import (
-    SINR_CAP,
-    GmudBeamParams,
-    GridSpec,
-    SinrReport,
-    antenna_selection,
-    expected_gamma,
-    gmud_min_sinr,
-    optimize_gmud,
-    reg_inv,
-)
-from .feedback import (
-    GmudFeedback,
-    RegInvFixedFeedback,
-    RegInvSelectionFeedback,
-    decode,
-    encode,
-    quantize_scalar,
-    scheme_layout,
-)
-from .simulation import (
-    BerCurve,
-    BerPoint,
-    ReceiverInfo,
-    SimConfig,
-    crandn,
-    demodulate,
-    gen_channels,
-    modulate,
-    receive_detect,
-    run_ber,
-    transmit,
-)
+from . import decomposition, errors, feedback, linalg, precoding, simulation
+from .errors import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .decomposition import *  # noqa: F403
+from .precoding import *  # noqa: F403
+from .feedback import *  # noqa: F403
+from .simulation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError",
-    "FormatError",
-    "SingularMatrixError",
-    "SvdFactorization",
-    "mat_inv",
-    "svd2x2",
-    "GmudFactorization",
-    "GmudRotation",
-    "PhasePair",
-    "SpecialR",
-    "beam_from_feedback",
-    "gmud",
-    "solve_rotations",
-    "steered_beams",
-    "SINR_CAP",
-    "GmudBeamParams",
-    "GridSpec",
-    "SinrReport",
-    "antenna_selection",
-    "expected_gamma",
-    "gmud_min_sinr",
-    "optimize_gmud",
-    "reg_inv",
-    "GmudFeedback",
-    "RegInvFixedFeedback",
-    "RegInvSelectionFeedback",
-    "decode",
-    "encode",
-    "quantize_scalar",
-    "scheme_layout",
-    "BerCurve",
-    "BerPoint",
-    "ReceiverInfo",
-    "SimConfig",
-    "crandn",
-    "demodulate",
-    "gen_channels",
-    "modulate",
-    "receive_detect",
-    "run_ber",
-    "transmit",
-    "__version__",
-]
+    name
+    for module in (errors, linalg, decomposition, precoding, feedback, simulation)
+    for name in module.__all__
+] + ["__version__"]

@@ -59,13 +59,7 @@ def _parse_matrix(args) -> np.ndarray:
         raise FormatError(
             f"expected 8 whitespace-separated reals (row-major re/im pairs), got {len(parts)}"
         )
-    vals = [float(p) for p in parts]
-    return np.array(
-        [
-            [complex(vals[0], vals[1]), complex(vals[2], vals[3])],
-            [complex(vals[4], vals[5]), complex(vals[6], vals[7])],
-        ]
-    )
+    return np.array([float(p) for p in parts]).view(np.complex128).reshape(2, 2)
 
 
 def _parse_snr(spec: str) -> tuple[float, ...]:
@@ -111,10 +105,6 @@ def _resolve_seed(args) -> int:
     return 12345
 
 
-def _complex_matrix_json(m: np.ndarray):
-    return [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
-
-
 def cmd_decompose(args) -> int:
     h = _parse_matrix(args)
     pp = PhasePair(args.theta1, args.theta2)
@@ -127,9 +117,9 @@ def cmd_decompose(args) -> int:
         "r": fact.r,
         "theta1": fact.phases.theta1,
         "theta2": fact.phases.theta2,
-        "p": _complex_matrix_json(fact.p),
+        "p": fact.p.view(np.float64).reshape(2, 2, 2).tolist(),
         "r_matrix": [[fact.rmat.r, 0.0], [fact.rmat.z1, fact.rmat.z2]],
-        "q": _complex_matrix_json(fact.q),
+        "q": fact.q.view(np.float64).reshape(2, 2, 2).tolist(),
         "residual": residual,
         "beam_alignment": rot.c,
         "cone_angle": float(np.arccos(min(rot.c, 1.0))),

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "FormatError", "SingularMatrixError"]
+
 
 class SingularMatrixError(ValueError):
     """Matrix inversion hit a determinant or pivot below the rank tolerance."""

@@ -65,8 +65,8 @@ def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, flo
         raise ValueError("lo must be < hi")
     levels = 1 << bits
     step = (hi - lo) / levels
-    index = int(np.floor((v - lo) / step))
-    index = min(max(index, 0), levels - 1)
+    # clamping first cannot overflow and moves no in-range index: (hi - lo) / step == levels
+    index = min(int(np.floor((min(max(v, lo), hi) - lo) / step)), levels - 1)
     return index, _reconstruct(index, lo, hi, bits)
 
 
@@ -75,32 +75,19 @@ def _reconstruct(index: int, lo: float, hi: float, bits: int) -> float:
     return lo + (index + 0.5) * step
 
 
-def _pack(indices, layout) -> str:
-    return "".join(
-        format(idx, f"0{bits}b") for idx, (_, bits, _, _) in zip(indices, layout)
-    )
+def _floats(z) -> np.ndarray:
+    """Complex values as (Re, Im) float64 pairs in row order, flat: an exact view."""
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64).ravel()
 
 
-def _unpack(bits: str, layout) -> list[int]:
-    out = []
-    pos = 0
-    for _, width, _, _ in layout:
-        out.append(int(bits[pos : pos + width], 2))
-        pos += width
-    return out
+def _complex(parts) -> np.ndarray:
+    """Inverse of :func:`_floats`: (Re, Im) pairs back to complex values."""
+    return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)
 
 
-def _split_complex(vec: np.ndarray) -> list[float]:
-    out = []
-    for z in vec:
-        out.append(float(z.real))
-        out.append(float(z.imag))
-    return out
-
-
-def _join_complex(scalars) -> np.ndarray:
-    it = iter(scalars)
-    return np.array([complex(re, im) for re, im in zip(it, it)], dtype=np.complex128)
+def _pairs(z) -> list:
+    """JSON-ready nested lists with each complex entry as [re, im]."""
+    return _floats(z).reshape(np.shape(z) + (2,)).tolist()
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -116,10 +103,6 @@ def _unit_row(row: np.ndarray) -> tuple[np.ndarray, float]:
         return row / nrm, nrm
 
 
-def _pairs(values) -> list:
-    return [[z.real, z.imag] for z in values]
-
-
 @dataclass(eq=False)
 class RegInvSelectionFeedback:
     """Decoded full-channel report: two renormalized unit rows plus row norms."""
@@ -130,7 +113,7 @@ class RegInvSelectionFeedback:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> RegInvSelectionFeedback:
-        rows = (_join_complex(values[0:4]), _join_complex(values[4:8]))
+        rows = (_complex(values[0:4]), _complex(values[4:8]))
         return cls(values, np.stack([_unit(r) for r in rows]), values[8:10].copy())
 
     @property
@@ -140,7 +123,7 @@ class RegInvSelectionFeedback:
 
     def as_dict(self) -> dict:
         """JSON-ready decoded values, complex entries as [re, im] pairs."""
-        return {"channel": [_pairs(row) for row in self.channel], "norms": list(self.row_norms)}
+        return {"channel": _pairs(self.channel), "norms": self.row_norms.tolist()}
 
 
 @dataclass(eq=False)
@@ -153,7 +136,7 @@ class RegInvFixedFeedback:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> RegInvFixedFeedback:
-        return cls(values, _unit(_join_complex(values[0:4])), float(values[4]))
+        return cls(values, _unit(_complex(values[0:4])), float(values[4]))
 
     @property
     def row(self) -> np.ndarray:
@@ -176,7 +159,7 @@ class GmudFeedback:
     @classmethod
     def from_values(cls, values: np.ndarray) -> GmudFeedback:
         lam = sorted((float(values[4]), float(values[5])), reverse=True)
-        return cls(values, _unit(_join_complex(values[0:4])), lam[0], lam[1])
+        return cls(values, _unit(_complex(values[0:4])), lam[0], lam[1])
 
     @classmethod
     def from_svd(cls, svd: SvdFactorization) -> GmudFeedback:
@@ -191,13 +174,12 @@ class GmudFeedback:
 def _selection_scalars(h) -> list[float]:
     h = np.asarray(h, dtype=np.complex128)
     units, norms = zip(*(_unit_row(h[i]) for i in range(2)))
-    return [s for u in units for s in _split_complex(u)] + list(norms)
+    return _floats(units).tolist() + list(norms)
 
 
 def _fixed_row_scalars(h) -> list[float]:
-    h = np.asarray(h, dtype=np.complex128)
-    unit, nrm = _unit_row(h[0] if h.ndim == 2 else h)
-    return _split_complex(unit) + [nrm]
+    unit, nrm = _unit_row(np.asarray(h, dtype=np.complex128)[0])
+    return _floats(unit).tolist() + [nrm]
 
 
 def _spectral_scalars(source) -> list[float]:
@@ -206,7 +188,7 @@ def _spectral_scalars(source) -> list[float]:
     if isinstance(source, SvdFactorization):
         source = (source.lambda1, source.lambda2, source.v[:, 0])
     lam1, lam2, v1 = source
-    return _split_complex(np.asarray(v1, dtype=np.complex128)) + [float(lam1), float(lam2)]
+    return _floats(v1).tolist() + [float(lam1), float(lam2)]
 
 
 def _complex_fields(prefix: str, bits_per_n: int) -> tuple:
@@ -267,20 +249,20 @@ def encode(source, scheme: str, n: int) -> str:
     ``(lambda1, lambda2, v1)`` triple or :class:`SvdFactorization` for
     ``gmud``, or a previously decoded message of the matching type, whose
     stored reconstruction levels re-encode to identical bits.  Raises
-    :class:`DomainError` naming the first wire field that is not finite.
+    :class:`DomainError` naming the first wire field that is not finite,
+    and ``ValueError`` when the source does not fill the scheme's fields.
     """
     layout = scheme_layout(scheme, n)
     spec = _SCHEME_TABLE[scheme]
-    if isinstance(source, spec.message):
-        scalars = [float(v) for v in source.raw]
-    else:
-        scalars = spec.scalars(source)
-    indices = []
-    for v, (name, bits, lo, hi) in zip(scalars, layout):
+    scalars = source.raw if isinstance(source, spec.message) else spec.scalars(source)
+    if len(scalars) != len(layout):
+        raise ValueError(f"{scheme} source gives {len(scalars)} wire fields, expected {len(layout)}")
+    fields = []
+    for v, (name, width, lo, hi) in zip(scalars, layout):
         if not math.isfinite(v):
             raise DomainError(f"{name} is not finite")
-        indices.append(quantize_scalar(v, lo, hi, bits)[0])
-    return _pack(indices, layout)
+        fields.append(format(quantize_scalar(v, lo, hi, width)[0], f"0{width}b"))
+    return "".join(fields)
 
 
 def decode(bits: str, scheme: str, n: int):
@@ -295,10 +277,8 @@ def decode(bits: str, scheme: str, n: int):
         raise FormatError(f"expected {12 * n} bits, got {len(bits)}")
     if set(bits) - {"0", "1"}:
         raise FormatError("bitstring must contain only '0' and '1'")
-    values = np.array(
-        [
-            _reconstruct(idx, lo, hi, width)
-            for idx, (_, width, lo, hi) in zip(_unpack(bits, layout), layout)
-        ]
-    )
-    return _SCHEME_TABLE[scheme].message.from_values(values)
+    values, pos = [], 0
+    for _, width, lo, hi in layout:
+        values.append(_reconstruct(int(bits[pos : pos + width], 2), lo, hi, width))
+        pos += width
+    return _SCHEME_TABLE[scheme].message.from_values(np.array(values))

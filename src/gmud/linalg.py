@@ -9,21 +9,16 @@ freedom), which the quantized-feedback path relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularMatrixError
 
-__all__ = [
-    "SvdFactorization",
-    "as_matrix",
-    "mat_inv",
-    "svd2x2",
-    "orthonormal_complement",
-]
+__all__ = ["SvdFactorization", "mat_inv", "svd2x2"]
 
-# Determinants below _SINGULAR_TOL * ||a||_F count as singular.
+# det(b) at or below _SINGULAR_TOL * ||b||_F**2 counts as singular (see mat_inv).
 _SINGULAR_TOL = 1e-14
 # Below lambda2 <= _RANK_TOL * lambda1 the second left singular vector is
 # completed by orthogonality instead of the (numerically useless) h @ v / s.
@@ -35,7 +30,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # complex isfinite: both parts finite
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -43,21 +38,30 @@ def as_matrix(a) -> np.ndarray:
 def mat_inv(a) -> np.ndarray:
     """Invert a 2x2 complex matrix through its adjugate and determinant.
 
-    Raises :class:`SingularMatrixError` when the determinant falls at or
-    below ``1e-14 * ||a||_F`` and ``ValueError`` for any other shape.
+    Works on b = a * 2**-e, with 2**e from ``math.frexp`` of the largest
+    real or imaginary part, and scales the inverse back.  Both scalings
+    are exact, so the result is right at any floating-point scale.
+    Raises :class:`SingularMatrixError` when det(b) falls at or below
+    ``1e-14 * ||b||_F**2`` (condition numbers above about 1e14) and
+    ``ValueError`` for any other shape.
     """
     a = as_matrix(a)
     if a.shape != (2, 2):
         raise ValueError(f"mat_inv requires a square 2x2 matrix, got {a.shape}")
-    tol = _SINGULAR_TOL * float(np.linalg.norm(a))
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    parts = np.ascontiguousarray(a).view(np.float64)
+    # 2**-e brings the largest part into [0.5, 1); the bound keeps 2**-e finite
+    e = max(math.frexp(max(map(abs, parts.ravel().tolist())))[1], -1021)
+    scale = math.ldexp(1.0, -e)
+    scaled = parts * scale
+    tol = _SINGULAR_TOL * float(np.vdot(scaled, scaled))
+    b = scaled.view(np.complex128)
+    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
     if abs(det) <= tol:
         raise SingularMatrixError(
-            f"2x2 determinant {abs(det):.3e} below tolerance {tol:.3e}"
+            f"2x2 determinant {abs(det):.3e} below tolerance {tol:.3e} (matrix scaled by 2**{-e})"
         )
-    return np.array(
-        [[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]], dtype=np.complex128
-    ) / det
+    inv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]], dtype=np.complex128) / det
+    return (inv.view(np.float64) * scale).view(np.complex128)
 
 
 def orthonormal_complement(v: np.ndarray) -> np.ndarray:

@@ -197,18 +197,6 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     return SinrReport((sk, sl), min(sk, sl), float(gamma_bar))
 
 
-def _r_grid(fb, n_r: int) -> np.ndarray:
-    return np.linspace(fb.lambda2, fb.lambda1, n_r)
-
-
-def _theta_grid(n_theta: int) -> np.ndarray:
-    return np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-
-
-def _alpha2_grid(n_p: int) -> np.ndarray:
-    return np.linspace(0.1, 0.9, n_p)
-
-
 def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
     """Exhaustive max-min SINR search over beams and power loading.
 
@@ -227,10 +215,10 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
     if min(grid.n_r, grid.n_theta, grid.n_p) < 1:
         raise ValueError("grid sizes must be >= 1")
 
-    rk = _r_grid(fb_k, grid.n_r)
-    rl = _r_grid(fb_l, grid.n_r)
-    thetas = _theta_grid(grid.n_theta)
-    alpha2 = _alpha2_grid(grid.n_p)
+    rk = np.linspace(fb_k.lambda2, fb_k.lambda1, grid.n_r)
+    rl = np.linspace(fb_l.lambda2, fb_l.lambda1, grid.n_r)
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid.n_theta, endpoint=False)
+    alpha2 = np.linspace(0.1, 0.9, grid.n_p)
     alpha = np.sqrt(alpha2)
     beta = np.sqrt(1.0 - alpha2)
     # round-trip through the stored (alpha, beta) so a scalar re-evaluation

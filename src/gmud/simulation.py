@@ -48,9 +48,9 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
-def gen_channels(rng: np.random.Generator, users: int = 2, n_r: int = 2, n_t: int = 2) -> np.ndarray:
-    """Draw one i.i.d. Rayleigh channel matrix per user: a (users, n_r, n_t) array."""
-    return crandn(rng, (users, n_r, n_t))
+def gen_channels(rng: np.random.Generator) -> np.ndarray:
+    """Draw one i.i.d. Rayleigh 2x2 channel matrix per user: a (2, 2, 2) array."""
+    return crandn(rng, (2, 2, 2))
 
 
 def modulate(bits, modulation: str) -> np.ndarray:
@@ -206,12 +206,6 @@ class BerCurve:
         """``"perfect"``, or the 12N feedback bits per user."""
         return "perfect" if self.feedback == "perfect" else 12 * self.feedback
 
-    def ber_at(self, snr_db: float) -> float:
-        for p in self.points:
-            if p.snr_db == snr_db:
-                return p.ber
-        raise KeyError(f"no point at {snr_db} dB")
-
 
 def _rotation_projection(svd, r: float, theta: float) -> np.ndarray:
     """Receiver combiner p1: the first column of P in the user's own H = P R Q^H.
@@ -308,11 +302,6 @@ def _simulate_point(config: SimConfig, snr_idx: int) -> BerPoint:
     return BerPoint(float(snr_db), p, total_bits, total_errs, se)
 
 
-def _point_task(args):
-    config, idx = args
-    return _simulate_point(config, idx)
-
-
 def run_ber(config: SimConfig, jobs: int = 1) -> BerCurve:
     """Estimate the BER curve for one scheme/modulation/feedback setting.
 
@@ -323,7 +312,7 @@ def run_ber(config: SimConfig, jobs: int = 1) -> BerCurve:
     tasks = [(config, i) for i in range(len(config.snr_db))]
     if jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(min(jobs, len(tasks))) as pool:
-            points = pool.map(_point_task, tasks)
+            points = pool.starmap(_simulate_point, tasks)
     else:
-        points = [_simulate_point(config, i) for i in range(len(config.snr_db))]
+        points = [_simulate_point(*task) for task in tasks]
     return BerCurve(config.scheme, config.modulation, config.feedback, tuple(points))

@@ -40,6 +40,9 @@ class TestQuantizeScalar:
         idx, recon = quantize_scalar(5.0, 0.0, 4.0, 8)
         assert idx == 255
         assert recon == pytest.approx(3.9921875, rel=1e-15)
+        # clamped before the division, which would overflow at this size
+        assert quantize_scalar(1e305, 0.0, 4.0, 16)[0] == 65535
+        assert encode((1e307, 0.5, [1, 0]), "gmud", 4)[32:40] == "11111111"
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -197,6 +200,14 @@ class TestCodec:
             warnings.simplefilter("error")  # no RuntimeWarning on the way to the error
             with pytest.raises(DomainError, match=f"^{field} is not finite$"):
                 encode(source, scheme, 4)
+
+    @pytest.mark.parametrize(
+        "scheme, source",
+        [("reg-inv", np.array([1.0, 0.5j])), ("gmud", (2.0, 1.0, np.array([1.0, 0.0, 0.0])))],
+    )
+    def test_source_must_fill_the_fields(self, scheme, source):
+        with pytest.raises(ValueError, match="wire fields"):
+            encode(source, scheme, 4)
 
     def test_encoding_pure_function(self):
         rng = np.random.default_rng(5)

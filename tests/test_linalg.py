@@ -42,6 +42,15 @@ class TestMatInv:
         with pytest.raises(SingularMatrixError):
             mat_inv(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("exponent", [-1000, -500, -50, 0, 50, 500, 1000])
+    def test_any_scale(self, exponent):
+        # det ~ scale**2 while ||a|| ~ scale: the singularity test must not depend on scale
+        base = np.array([[1.0, 0.3j], [0.2, 2.0]])
+        inv = mat_inv(np.ldexp(1.0, exponent) * base)
+        assert np.array_equal(inv, np.ldexp(1.0, -exponent) * mat_inv(base))
+        with pytest.raises(SingularMatrixError):
+            mat_inv(np.ldexp(1.0, exponent) * np.array([[1.0, 2.0j], [0.5, 1.0j]]))
+
     def test_not_square(self):
         with pytest.raises(ValueError, match="square"):
             mat_inv(np.ones((2, 3)))

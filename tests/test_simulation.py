@@ -232,16 +232,6 @@ class TestRunBer:
         ber = run_ber(cfg).points[0].ber
         assert 0.02 <= ber <= 0.12  # coarse feedback leaves an interference plateau
 
-    def test_ber_at(self):
-        cfg = SimConfig(
-            scheme="reg-inv", modulation="qpsk", snr_db=(0.0, 10.0),
-            realizations=4, symbols=10, seed=1,
-        )
-        curve = run_ber(cfg)
-        assert curve.ber_at(10.0) == curve.points[1].ber
-        with pytest.raises(KeyError):
-            curve.ber_at(5.0)
-
 
 class TestBerCurve:
     def test_feedback_bits(self):
