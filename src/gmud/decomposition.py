@@ -16,12 +16,13 @@ shrinks to zero as r grows toward lambda1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .linalg import SvdFactorization, orthonormal_complement, svd2x2
+from .linalg import SvdFactorization, orthonormal_complement, _pow2_exponent, svd2x2
 
 __all__ = [
     "GmudRotation",
@@ -114,11 +115,17 @@ def _rotation_factors(lambda1, lambda2, r):
     The only place the rotation math lives, so the scalar API, the factor
     and the beam grid agree bit for bit.  Assumes r in [lambda2, lambda1].
     Equal singular values (lambda1 - lambda2 <= 1e-12 * lambda1) give the
-    identity rotation (1, 0, 1, 0).
+    identity rotation (1, 0, 1, 0).  The factors depend on ratios only, so
+    a lambda1 outside [2**-128, 2**128) is first scaled by a power of two.
     """
     if lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1:
         one, zero = np.ones(np.shape(r)), np.zeros(np.shape(r))
         return one, zero, one, zero
+    e = _pow2_exponent(lambda1)
+    if e:  # skipped at e = 0: a 0-d r times 1.0 would square as a numpy scalar
+        scale = math.ldexp(1.0, -e)
+        lambda1, lambda2 = lambda1 * scale, lambda2 * scale
+        r = np.multiply(r, scale, out=np.empty(np.shape(r)))  # an array stays an array
     span = lambda1**2 - lambda2**2
     a = np.sqrt(np.maximum(r**2 - lambda2**2, 0.0) / span)
     b = np.sqrt(np.maximum(lambda1**2 - r**2, 0.0) / span)

@@ -54,11 +54,13 @@ MAGNITUDE_RANGE = (0.0, 4.0)
 def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, float]:
     """Uniform midrise quantizer on [lo, hi) with 2**bits levels.
 
-    Out-of-range inputs clamp to the edge cells.  Returns the cell index
-    and the reconstruction level lo + (index + 0.5) * step; in-range
-    values err by at most half a step, and reconstruction levels map
-    back to their own index.
+    Out-of-range inputs (+-inf too) clamp to the edge cells; NaN raises
+    :class:`DomainError`.  Returns the cell index and the reconstruction
+    level lo + (index + 0.5) * step; in-range values err by at most half
+    a step, and reconstruction levels map back to their own index.
     """
+    if math.isnan(v):
+        raise DomainError("cannot quantize NaN")
     if bits < 1:
         raise ValueError("bits must be >= 1")
     if not lo < hi:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import DomainError, SingularMatrixError
 
 __all__ = ["SvdFactorization", "mat_inv", "svd2x2"]
 
@@ -23,6 +23,15 @@ _SINGULAR_TOL = 1e-14
 # Below lambda2 <= _RANK_TOL * lambda1 the second left singular vector is
 # completed by orthogonality instead of the (numerically useless) h @ v / s.
 _RANK_TOL = 1e-12
+
+
+def _pow2_exponent(m: float, safe: int = 128) -> int:
+    """e with m * 2**-e in [0.5, 1), or 0 for m in [2**-safe, 2**safe), whose squares are safe.
+
+    The bound e >= -1021 keeps 2**-e finite for subnormal m.
+    """
+    e = math.frexp(m)[1]
+    return 0 if -safe < e <= safe else max(e, -1021)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -49,8 +58,7 @@ def mat_inv(a) -> np.ndarray:
     if a.shape != (2, 2):
         raise ValueError(f"mat_inv requires a square 2x2 matrix, got {a.shape}")
     parts = np.ascontiguousarray(a).view(np.float64)
-    # 2**-e brings the largest part into [0.5, 1); the bound keeps 2**-e finite
-    e = max(math.frexp(max(map(abs, parts.ravel().tolist())))[1], -1021)
+    e = _pow2_exponent(max(map(abs, parts.ravel().tolist())), safe=0)  # always scaled
     scale = math.ldexp(1.0, -e)
     scaled = parts * scale
     tol = _SINGULAR_TOL * float(np.vdot(scaled, scaled))
@@ -79,7 +87,7 @@ class SvdFactorization:
     """h = u @ diag(lambda1, lambda2) @ v^H with lambda1 >= lambda2 >= 0.
 
     ``u`` and ``v`` are 2x2 unitary; in each column of ``v`` the entry of
-    largest magnitude is real and nonnegative (largest-row-index wins ties),
+    largest magnitude is real and nonnegative (the first row wins ties),
     which makes the factorization a deterministic function of ``h``.
     """
 
@@ -116,7 +124,9 @@ def svd2x2(h) -> SvdFactorization:
     lambda1*lambda2 matches |det h| to full precision.  Left vectors are
     h @ v_i / lambda_i, re-orthonormalized; when lambda2 <= 1e-12*lambda1
     the second left vector is completed by orthogonality instead.  The
-    zero matrix yields lambda1 = lambda2 = 0 with u = v = I.
+    zero matrix yields lambda1 = lambda2 = 0 with u = v = I.  Outside
+    [2**-128, 2**128), h is first scaled exactly by a power of two, so the
+    result is right at any scale (:class:`DomainError` if lambda1 overflows).
     """
     h = as_matrix(h)
     if h.shape != (2, 2):
@@ -124,6 +134,10 @@ def svd2x2(h) -> SvdFactorization:
     if not np.any(h):
         eye = np.eye(2, dtype=np.complex128)
         return SvdFactorization(eye, 0.0, 0.0, eye.copy())
+    parts = np.ascontiguousarray(h).view(np.float64)
+    e = _pow2_exponent(max(map(abs, parts.ravel().tolist())))
+    if e:
+        h = (parts * math.ldexp(1.0, -e)).view(np.complex128)
 
     w = h.conj().T @ h
     w00 = w[0, 0].real
@@ -160,4 +174,8 @@ def svd2x2(h) -> SvdFactorization:
         u2 = u2 - (u1.conj() @ u2) * u1
         u2 = u2 / np.linalg.norm(u2)
     u = np.column_stack([u1, u2])
+    try:
+        lambda1, lambda2 = math.ldexp(lambda1, e), math.ldexp(lambda2, e)
+    except OverflowError:
+        raise DomainError("largest singular value overflows float64") from None
     return SvdFactorization(u, lambda1, lambda2, v)

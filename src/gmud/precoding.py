@@ -13,11 +13,11 @@ users:
   over the beam parameters and an interior power split alpha^2 in
   [0.1, 0.9] maximizes the minimum SINR.
 
-Each returns G as a plain ndarray.  SINR evaluation is shared between
-the scalar point evaluator (:func:`gmud_min_sinr`) and the vectorized
-grid search so the two produce bit-identical numbers; the optimizer's
-result can therefore be checked exactly against a plain re-enumeration
-of its grid.
+Each returns G as a plain ndarray.  The point evaluator
+(:func:`gmud_min_sinr`) runs the grid search's SINR kernel on a
+one-point grid, so the two produce bit-identical numbers; the
+optimizer's result can therefore be checked exactly against a plain
+re-enumeration of its grid.
 """
 
 from __future__ import annotations
@@ -156,45 +156,43 @@ def antenna_selection(channels, noise_var: float):
     return combo, g, report
 
 
-def _pair_sinr(rk2, rl2, x, a2, b2, gamma_bar, noise_var):
-    """The two max-min cost fractions for a user pair.
+def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
+    """(SINR_k, SINR_l, gamma_bar) over beams (n_r, n_theta, 2), r (n_r,), alpha, beta (n_p,).
 
-    Broadcast-safe; scalar and grid callers execute identical
-    elementwise operations, keeping both paths bit-identical.
+    SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar) with
+    x = |q_k^H q_l|^2, SINR_l likewise, capped at :data:`SINR_CAP` and
+    shaped (n_rk, n_rl, n_theta_k, n_theta_l, n_p).  The search and its
+    one-point oracle share these array loops and so agree bit for bit;
+    numpy scalars would round squares and complex products differently.
     """
+    bk, bl = beams_k[:, None, :, None, :], beams_l[None, :, None, :, :]
+    inner = np.conj(bk[..., 0]) * bl[..., 0] + np.conj(bk[..., 1]) * bl[..., 1]
+    x = _abs2(inner)[..., None]
+    a2, b2 = alpha**2, beta**2
+    gamma_bar = a2 + b2
     n = noise_var * gamma_bar
+    rk2 = (rk**2)[:, None, None, None, None]
+    rl2 = (rl**2)[None, :, None, None, None]
     sk = _capped_ratio(a2 * rk2, (b2 * rk2) * x + n)
     sl = _capped_ratio(b2 * rl2, (a2 * rl2) * x + n)
-    return sk, sl
-
-
-def _beam_inner_abs2(bk, bl):
-    """|<q_k, q_l>|^2 over the last axis (length 2), broadcasting the rest."""
-    inner = np.conj(bk[..., 0]) * bl[..., 0] + np.conj(bk[..., 1]) * bl[..., 1]
-    return _abs2(inner)
+    return sk, sl, gamma_bar
 
 
 def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrReport:
     """Evaluate the max-min cost at one steering/loading point.
 
     ``fb_k`` and ``fb_l`` carry each user's reported ``lambda1``,
-    ``lambda2`` and principal vector ``v1``.  The interference coupling
-    is x = |q1_k^H q1_l|^2 and the report contains
-
-        SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar)
-
-    and the symmetric term, capped at :data:`SINR_CAP`.
+    ``lambda2`` and principal vector ``v1``.  This is the search's kernel
+    on a one-point grid, so it equals :func:`optimize_gmud`'s report.
     """
     q1k = beam_from_feedback(fb_k.lambda1, fb_k.lambda2, fb_k.v1, params.r_k, params.theta_k)
     q1l = beam_from_feedback(fb_l.lambda1, fb_l.lambda2, fb_l.v1, params.r_l, params.theta_l)
-    x = _beam_inner_abs2(q1k, q1l)
-    a2 = params.alpha**2
-    b2 = params.beta**2
-    gamma_bar = a2 + b2
-    sk, sl = _pair_sinr(params.r_k**2, params.r_l**2, x, a2, b2, gamma_bar, noise_var)
-    sk = float(sk)
-    sl = float(sl)
-    return SinrReport((sk, sl), min(sk, sl), float(gamma_bar))
+    sk, sl, gamma_bar = _pair_grid(
+        q1k[None, None], q1l[None, None], np.array([params.r_k]), np.array([params.r_l]),
+        np.array([params.alpha]), np.array([params.beta]), noise_var,
+    )
+    sk, sl = sk.item(), sl.item()
+    return SinrReport((sk, sl), min(sk, sl), float(gamma_bar.item()))
 
 
 def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
@@ -221,30 +219,10 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
     alpha2 = np.linspace(0.1, 0.9, grid.n_p)
     alpha = np.sqrt(alpha2)
     beta = np.sqrt(1.0 - alpha2)
-    # round-trip through the stored (alpha, beta) so a scalar re-evaluation
-    # from the returned params reproduces the same floats
-    a2 = alpha**2
-    b2 = beta**2
-    gamma_bar = a2 + b2
-
     beams_k = steered_beams(fb_k.lambda1, fb_k.lambda2, fb_k.v1, rk[:, None], thetas[None, :])
     beams_l = steered_beams(fb_l.lambda1, fb_l.lambda2, fb_l.v1, rl[:, None], thetas[None, :])
-    # x[i_rk, i_rl, i_tk, i_tl]
-    x = _beam_inner_abs2(
-        beams_k[:, None, :, None, :], beams_l[None, :, None, :, :]
-    )
-
-    rk2 = rk**2
-    rl2 = rl**2
-    sk, sl = _pair_sinr(
-        rk2[:, None, None, None, None],
-        rl2[None, :, None, None, None],
-        x[..., None],
-        a2,
-        b2,
-        gamma_bar,
-        noise_var,
-    )
+    # sk, sl[i_rk, i_rl, i_tk, i_tl, i_a]
+    sk, sl, gamma_bar = _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var)
     min_sinr = np.minimum(sk, sl)
     flat = int(np.argmax(min_sinr))  # first max in C order = lexicographic tie-break
     idx = np.unravel_index(flat, min_sinr.shape)

@@ -30,7 +30,6 @@ __all__ = [
     "SimConfig",
     "BerPoint",
     "BerCurve",
-    "ReceiverInfo",
     "crandn",
     "gen_channels",
     "modulate",
@@ -54,7 +53,7 @@ def gen_channels(rng: np.random.Generator) -> np.ndarray:
 
 
 def modulate(bits, modulation: str) -> np.ndarray:
-    """Gray-mapped symbols with unit average energy.
+    """Gray-mapped symbols with unit average energy, along the last axis.
 
     QPSK maps bit pairs (b1, b0) to ((1-2*b1) + 1j*(1-2*b0))/sqrt(2).
     16QAM maps bit quads (a, b, c, d): (a, b) pick the real level and
@@ -65,13 +64,13 @@ def modulate(bits, modulation: str) -> np.ndarray:
     bps = MODULATIONS.get(modulation)
     if bps is None:
         raise ValueError(f"unknown modulation {modulation!r}")
-    if bits.ndim != 1 or bits.size % bps:
+    if bits.ndim < 1 or bits.shape[-1] % bps:
         raise ValueError(f"bit count must be a multiple of {bps}")
     if modulation == "qpsk":
-        b1, b0 = bits[0::2], bits[1::2]
+        b1, b0 = bits[..., 0::2], bits[..., 1::2]
         return ((1.0 - 2.0 * b1) + 1j * (1.0 - 2.0 * b0)) / np.sqrt(2.0)
-    a, b = bits[0::4], bits[1::4]
-    c, d = bits[2::4], bits[3::4]
+    a, b = bits[..., 0::4], bits[..., 1::4]
+    c, d = bits[..., 2::4], bits[..., 3::4]
     re = (2.0 * a - 1.0) * (3.0 - 2.0 * b)
     im = (2.0 * c - 1.0) * (3.0 - 2.0 * d)
     return (re + 1j * im) / np.sqrt(10.0)
@@ -85,18 +84,20 @@ def _gray_axis_bits(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def demodulate(symbols, modulation: str) -> np.ndarray:
-    """Minimum-distance hard decisions back to bits (inverse of :func:`modulate`)."""
-    z = np.asarray(symbols, dtype=np.complex128)
-    if modulation == "qpsk":
-        out = np.empty(2 * z.size, dtype=np.uint8)
-        out[0::2] = z.real < 0.0
-        out[1::2] = z.imag < 0.0
-        return out
-    if modulation != "16qam":
+    """Minimum-distance hard decisions back to bits (inverse of :func:`modulate`).
+
+    Symbols run along the last axis: (..., T) symbols give (..., bps*T) bits.
+    """
+    z = np.atleast_1d(np.asarray(symbols, dtype=np.complex128))
+    if modulation not in MODULATIONS:
         raise ValueError(f"unknown modulation {modulation!r}")
-    out = np.empty(4 * z.size, dtype=np.uint8)
-    out[0::4], out[1::4] = _gray_axis_bits(z.real * np.sqrt(10.0))
-    out[2::4], out[3::4] = _gray_axis_bits(z.imag * np.sqrt(10.0))
+    out = np.empty(z.shape[:-1] + (MODULATIONS[modulation] * z.shape[-1],), dtype=np.uint8)
+    if modulation == "qpsk":
+        out[..., 0::2] = z.real < 0.0
+        out[..., 1::2] = z.imag < 0.0
+        return out
+    out[..., 0::4], out[..., 1::4] = _gray_axis_bits(z.real * np.sqrt(10.0))
+    out[..., 2::4], out[..., 3::4] = _gray_axis_bits(z.imag * np.sqrt(10.0))
     return out
 
 
@@ -113,50 +114,24 @@ def transmit(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s / np.sqrt(gamma), gamma
 
 
-@dataclass(eq=False)
-class ReceiverInfo:
-    """Genie side information for coherent detection.
-
-    User k combines its two antennas with the unit vector
-    ``combiners[k]`` (w_k) and divides by the true complex gain
-    ``gains[k]`` = w_k^H H_k G[:, k].  Steered-beam users take w_k = p1,
-    the first column of P in their own H_k = P R Q^H, which discards the
-    second row of R and the interference it carries; inverse-precoding
-    users take the unit vector selecting the receive row the transmitter
-    inverted.
-    """
-
-    modulation: str
-    combiners: tuple[np.ndarray, ...]
-    gains: tuple[complex, ...]
-
-
-def receive_detect(
-    channels: np.ndarray,
-    x: np.ndarray,
-    gamma,
-    info: ReceiverInfo,
-    noise_var: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise_var: float, rng):
     """Add receiver noise, combine, equalize with the genie gain, and slice.
 
-    User k forms z = sqrt(gamma) * ((w_k^H H_k) x + w_k^H n_k) / gain_k.
-    Interference is never cancelled.  Returns the hard bit decisions as
-    a (users, bits) uint8 array, one row per user.
+    User k combines its antennas with the unit vector w_k = ``combiners[k]``
+    and divides by the true gain w_k^H H_k g_k (g_k: column k of G):
+    z = sqrt(gamma) * ((w_k^H H_k) x + w_k^H n_k) / (w_k^H H_k g_k).
+    Interference is never cancelled.  Returns the hard bit decisions as a
+    (users, bits) uint8 array, one row per user.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.complex128).T).T  # (2, T)
     gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
-    n_symbols = x.shape[1]
-    users = len(channels)
-    noise = crandn(rng, (users, 2, n_symbols)) * np.sqrt(noise_var)
-    root_gamma = np.sqrt(gamma)
-    detected = []
-    for k in range(users):
-        w = info.combiners[k].conj()
-        z = root_gamma * ((w @ channels[k]) @ x + w @ noise[k]) / info.gains[k]
-        detected.append(demodulate(z, info.modulation))
-    return np.stack(detected)
+    noise = crandn(rng, (len(channels), 2, x.shape[1])) * np.sqrt(noise_var)
+    # users on the leading axis of (users, 1, .) matmuls, each the per-user vector product
+    w = np.conj(combiners)[:, None, :]
+    rows = w @ channels
+    gains = rows @ g.T[:, :, None]
+    z = np.sqrt(gamma) * (rows @ x + w @ noise) / gains
+    return demodulate(z[:, 0], modulation)
 
 
 @dataclass(frozen=True)
@@ -230,16 +205,12 @@ def _round_trip(source, scheme: str, n: int):
     return decode(encode(source, scheme, n), scheme, n)
 
 
-def _row_selectors(rows) -> list[np.ndarray]:
-    return [np.eye(2, dtype=np.complex128)[row] for row in rows]
-
-
 def _link_reg_inv(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
     if n is None:
         rows = [h[0] for h in channels]
     else:
         rows = [_round_trip(h, "reg-inv", n).row for h in channels]
-    return reg_inv(np.stack(rows), noise_var), _row_selectors((0,) * len(channels))
+    return reg_inv(np.stack(rows), noise_var), np.eye(2, dtype=np.complex128)[[0, 0]]
 
 
 def _link_selection(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
@@ -248,7 +219,7 @@ def _link_selection(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
     else:
         estimates = [_round_trip(h, "reg-inv-sel", n).channel for h in channels]
     selection, g, _ = antenna_selection(estimates, noise_var)
-    return g, _row_selectors(selection)
+    return g, np.eye(2, dtype=np.complex128)[list(selection)]
 
 
 def _link_gmud(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
@@ -261,26 +232,18 @@ def _link_gmud(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
         reports = [_round_trip(svd, "gmud", n) for svd in svds]
     g, params, _ = optimize_gmud(reports[0], reports[1], noise_var, grid)
     steering = ((params.r_k, params.theta_k), (params.r_l, params.theta_l))
-    return g, [_rotation_projection(svd, r, t) for svd, (r, t) in zip(svds, steering)]
+    return g, np.stack([_rotation_projection(svd, r, t) for svd, (r, t) in zip(svds, steering)])
 
 
 # Per-scheme link builders: (channels, noise_var, N or None for perfect CSI,
-# grid) -> (G, per-user unit combiners).
+# grid) -> (G, (users, 2) unit combiners): p1 of _rotation_projection for
+# gmud, the unit vector selecting the inverted receive row otherwise.
 _LINKS = {"reg-inv": _link_reg_inv, "reg-inv-sel": _link_selection, "gmud": _link_gmud}
-
-
-def _build_link(config: SimConfig, channels: np.ndarray, noise_var: float):
-    """Build G from transmitter-visible data plus genie receiver info."""
-    n = None if config.feedback == "perfect" else config.feedback
-    g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
-    gains = tuple(
-        complex((w.conj() @ h) @ g[:, k]) for k, (w, h) in enumerate(zip(combiners, channels))
-    )
-    return g, ReceiverInfo(config.modulation, tuple(combiners), gains)
 
 
 def _simulate_point(config: SimConfig, snr_idx: int) -> BerPoint:
     snr_db = config.snr_db[snr_idx]
+    n = None if config.feedback == "perfect" else config.feedback
     noise_var = 10.0 ** (-snr_db / 10.0)
     bps = MODULATIONS[config.modulation]
     bits_per_real = 2 * config.symbols * bps
@@ -288,11 +251,10 @@ def _simulate_point(config: SimConfig, snr_idx: int) -> BerPoint:
     for j in range(config.realizations):
         rng = np.random.default_rng([config.seed, snr_idx, j])
         channels = gen_channels(rng)
-        g, info = _build_link(config, channels, noise_var)
+        g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
         payload = rng.integers(0, 2, size=(2, config.symbols * bps), dtype=np.uint8)
-        u = np.stack([modulate(payload[k], config.modulation) for k in range(2)])
-        x, gamma = transmit(g, u)
-        detected = receive_detect(channels, x, gamma, info, noise_var, rng)
+        x, gamma = transmit(g, modulate(payload, config.modulation))
+        detected = receive_detect(channels, g, combiners, x, gamma, config.modulation, noise_var, rng)
         err_counts[j] = np.count_nonzero(detected != payload)
     total_bits = bits_per_real * config.realizations
     total_errs = int(err_counts.sum())

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import importlib.util
 import sys
@@ -58,3 +59,20 @@ def test_bytecheck_battery_covers_public_callables(monkeypatch):
     assert callables and not missing
     empty = [name for name in callables if next(bytecheck.BATTERY[name](gmud), None) is None]
     assert not empty
+
+
+def test_bytecheck_battery_keys_resolve(monkeypatch):
+    # a battery entry whose name was removed would record nothing but errors
+    from gmud import cli, simulation
+
+    bytecheck = _load("tools/bytecheck.py", monkeypatch)
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+    def resolves(key):
+        if key.startswith("simulation."):
+            return hasattr(simulation, key.removeprefix("simulation."))
+        if key.startswith("cli "):
+            return key.removeprefix("cli ") in sub.choices
+        return key in gmud.__all__ and callable(getattr(gmud, key))
+
+    assert bytecheck.BATTERY and not [key for key in bytecheck.BATTERY if not resolves(key)]

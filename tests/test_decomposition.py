@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
 from gmud import (
@@ -119,6 +120,28 @@ class TestGmud:
             for m in (f.p, f.q):
                 assert np.linalg.norm(m.conj().T @ m - np.eye(2)) <= 1e-12
             assert f.rmat.as_matrix()[0, 1] == 0.0
+
+    @given(
+        st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=8, max_size=8),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 2 * np.pi),
+        st.integers(-1000, 1000),
+    )
+    def test_any_scale(self, parts, u, theta, k):
+        # the rotation factors depend on ratios only; 2**k must not move them
+        l1, l2 = np.linalg.svd(np.array(parts).view(np.complex128).reshape(2, 2), compute_uv=False)
+        assume(l1 >= 1e-3 and l2 >= 1e-6 * l1)
+        h = np.ldexp(np.array(parts), k).view(np.complex128).reshape(2, 2)
+        svd = svd2x2(h)
+        r = svd.lambda2 + u * (svd.lambda1 - svd.lambda2)
+        f = gmud(h, r, PhasePair(theta, 0.5))
+        for m in (f.p, f.q):
+            assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-12
+        assert np.abs(f.reconstruct() - h).max() <= 1e-10 * svd.lambda1
+        assert f.rmat.r * f.rmat.z2 == pytest.approx(svd.lambda1 * svd.lambda2, rel=1e-10)
+        base = solve_rotations(*np.ldexp([svd.lambda1, svd.lambda2, r], -k))
+        rot = solve_rotations(svd.lambda1, svd.lambda2, r)
+        assert_allclose([rot.a, rot.b, rot.c, rot.s], [base.a, base.b, base.c, base.s], rtol=0, atol=1e-9)
 
     def test_r_independent_of_phases(self):
         rng = np.random.default_rng(4)

@@ -50,6 +50,12 @@ class TestQuantizeScalar:
         with pytest.raises(ValueError):
             quantize_scalar(0.0, 1.0, -1.0, 4)
 
+    def test_nan_raises_and_infinities_clamp(self):
+        with pytest.raises(DomainError, match="NaN"):
+            quantize_scalar(float("nan"), 0.0, 4.0, 8)
+        assert quantize_scalar(np.inf, 0.0, 4.0, 8)[0] == 255
+        assert quantize_scalar(-np.inf, 0.0, 4.0, 8)[0] == 0
+
     @given(
         st.floats(-1.0, 1.0, allow_nan=False),
         st.integers(1, 16),

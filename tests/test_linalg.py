@@ -1,13 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
-from gmud import SingularMatrixError, mat_inv, svd2x2
+from gmud import DomainError, SingularMatrixError, mat_inv, svd2x2
 from gmud.linalg import orthonormal_complement
 
 
 def crand(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+exponents = st.integers(-1000, 1000)
+
+
+def from_parts(parts) -> np.ndarray:
+    """Complex values from (Re, Im) pairs."""
+    return np.array(parts, dtype=np.float64).view(np.complex128)
+
+
+def scaled(h, k) -> np.ndarray:
+    """h * 2**k, exactly (part by part)."""
+    return np.ldexp(np.ascontiguousarray(h).view(np.float64), k).view(np.complex128)
+
+
+def check_factorization(f, h):
+    """f factors h: unitary u and v, ordered singular values, small residual."""
+    assert f.lambda1 >= f.lambda2 >= 0.0
+    for m in (f.u, f.v):
+        assert np.abs(m.conj().T @ m - np.eye(2)).max() <= 1e-12
+    # entrywise abs: no squares, so the check itself cannot overflow at 2**1000
+    assert np.abs(f.reconstruct() - h).max() <= 1e-12 * f.lambda1
 
 
 class TestMatInv:
@@ -142,4 +166,44 @@ class TestSvd2x2:
     def test_wrong_shape(self):
         with pytest.raises(ValueError, match="2x2"):
             svd2x2(np.eye(3))
+
+    @given(st.lists(unit_floats, min_size=8, max_size=8), exponents)
+    def test_any_scale(self, parts, k):
+        base = from_parts(parts).reshape(2, 2)
+        assume(np.abs(base).max() >= 1e-3)
+        f = svd2x2(scaled(base, k))
+        check_factorization(f, scaled(base, k))
+        l1, l2 = np.ldexp(np.linalg.svd(base, compute_uv=False), k)
+        assert f.lambda1 == pytest.approx(l1, rel=1e-12)
+        assert abs(f.lambda2 - l2) <= 1e-12 * f.lambda1
+
+    @given(st.lists(unit_floats, min_size=8, max_size=8), exponents)
+    def test_rank_deficient_any_scale(self, parts, k):
+        a, b = from_parts(parts[:4]), from_parts(parts[4:])
+        assume(min(np.abs(a).max(), np.abs(b).max()) >= 1e-3)
+        h = scaled(np.outer(a, b.conj()), k)
+        f = svd2x2(h)
+        check_factorization(f, h)
+        assert f.lambda2 <= 1e-12 * f.lambda1
+
+    @given(st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4), exponents)
+    def test_equal_singular_values_any_scale(self, angles, k):
+        t, phi, psi, chi = angles
+        c, s = np.cos(t), np.sin(t)
+        unitary = np.exp(1j * chi) * np.array(
+            [[np.exp(1j * phi) * c, np.exp(1j * psi) * s], [-np.exp(-1j * psi) * s, np.exp(-1j * phi) * c]]
+        )
+        h = scaled(unitary, k)
+        f = svd2x2(h)
+        check_factorization(f, h)
+        assert f.lambda2 == pytest.approx(f.lambda1, rel=1e-12)
+        assert f.lambda1 == pytest.approx(np.ldexp(1.0, k), rel=1e-12)
+
+    def test_subnormal_and_overflowing_input(self):
+        f = svd2x2(5e-324 * np.eye(2))
+        assert (f.lambda1, f.lambda2) == (5e-324, 5e-324)
+        f = svd2x2(1e-160 * np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert f.lambda2 == pytest.approx(1e-160 * np.linalg.svd([[1.0, 2.0], [3.0, 4.0]])[1][1], rel=1e-12)
+        with pytest.raises(DomainError, match="overflows"):
+            svd2x2(np.full((2, 2), 1.5e308))
 

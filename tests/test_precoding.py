@@ -149,7 +149,7 @@ class TestGmudMinSinr:
     def test_common_phase_invariance(self):
         # the cost sees the beams only through |q1k^H q1l|^2, which a common
         # phase rotation of both beams leaves untouched
-        from gmud.precoding import _beam_inner_abs2, _pair_sinr
+        from gmud.precoding import _pair_grid
 
         rng = np.random.default_rng(5)
         fb_k, fb_l = random_reports(rng)
@@ -163,13 +163,12 @@ class TestGmudMinSinr:
         rep = gmud_min_sinr(params, fb_k, fb_l, 0.01)
         for delta in (0.7, 2.9, 5.5):
             rot = np.exp(1j * delta)
-            x = _beam_inner_abs2(rot * q1k, rot * q1l)
-            sk, sl = _pair_sinr(
-                params.r_k**2, params.r_l**2, x,
-                params.alpha**2, params.beta**2,
-                params.alpha**2 + params.beta**2, 0.01,
+            sk, sl, _ = _pair_grid(
+                (rot * q1k)[None, None], (rot * q1l)[None, None],
+                np.array([params.r_k]), np.array([params.r_l]),
+                np.array([params.alpha]), np.array([params.beta]), 0.01,
             )
-            assert min(float(sk), float(sl)) == pytest.approx(rep.min_sinr, rel=1e-12)
+            assert min(sk.item(), sl.item()) == pytest.approx(rep.min_sinr, rel=1e-12)
 
     def test_saturation_total_order(self):
         fb_k = GmudFeedback(np.zeros(6), np.array([1.0, 0.0], dtype=complex), 2.0, 1.0)
@@ -219,6 +218,26 @@ class TestOptimizeGmud:
             again = gmud_min_sinr(params, fb_k, fb_l, noise)
             assert again.min_sinr == rep.min_sinr
             assert again.per_user == rep.per_user
+
+    def test_report_equals_oracle_bit_for_bit(self):
+        # gmud_min_sinr runs the search's own kernel on a one-point grid, so
+        # the report of the chosen point comes out identical, not just close
+        from gmud import decode, encode
+
+        rng = np.random.default_rng(2024)
+        grid = GridSpec(n_r=3, n_theta=4, n_p=3)
+        for i in range(3000):
+            svds = [svd2x2(h) for h in gen_channels(rng)]
+            if i % 2:
+                fb_k, fb_l = (decode(encode(s, "gmud", 2), "gmud", 2) for s in svds)
+            else:
+                fb_k, fb_l = (GmudFeedback.from_svd(s) for s in svds)
+            noise = (0.0, 1e-3, 0.05, 1.0)[(i // 2) % 4]
+            _, params, rep = optimize_gmud(fb_k, fb_l, noise, grid)
+            again = gmud_min_sinr(params, fb_k, fb_l, noise)
+            assert again.per_user == rep.per_user, i
+            assert again.min_sinr == rep.min_sinr, i
+            assert again.gamma_bar == rep.gamma_bar, i
 
     @pytest.mark.parametrize("noise", [0.05, 0.0])
     def test_params_are_first_argmax_with_edge_powers(self, noise):

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from gmud import (
     BerCurve,
     GmudFeedback,
-    ReceiverInfo,
+    GridSpec,
     SimConfig,
     crandn,
     demodulate,
@@ -20,7 +20,7 @@ from gmud import (
     transmit,
 )
 from gmud.feedback import SCHEMES
-from gmud.simulation import _LINKS, _build_link, _rotation_projection
+from gmud.simulation import _LINKS, _rotation_projection
 
 
 def qfunc(x):
@@ -64,6 +64,15 @@ class TestModulation:
                 [[b >> i & 1 for i in reversed(range(count))] for b in range(2**count)]
             ).ravel()
             assert np.array_equal(demodulate(modulate(bits, mod), mod), bits)
+
+    @pytest.mark.parametrize("mod", ["qpsk", "16qam"])
+    def test_rows_equal_per_row_calls(self, mod):
+        bits = np.random.default_rng(9).integers(0, 2, size=(2, 400), dtype=np.uint8)
+        symbols = modulate(bits, mod)
+        assert np.array_equal(symbols, np.stack([modulate(row, mod) for row in bits]))
+        z = symbols * 1.7 + crandn(np.random.default_rng(10), symbols.shape)
+        assert np.array_equal(demodulate(z, mod), np.stack([demodulate(row, mod) for row in z]))
+        assert np.array_equal(demodulate(symbols, mod), bits)
 
     def test_bad_lengths(self):
         with pytest.raises(ValueError):
@@ -123,31 +132,27 @@ class TestTransmit:
 
 
 class TestReceiveDetect:
-    def test_zero_noise_zero_forcing(self):
+    @pytest.mark.parametrize("mod", ["qpsk", "16qam"])
+    def test_zero_noise_zero_forcing(self, mod):
+        # 16QAM decisions come out exact only with the right gain magnitude
         rng = np.random.default_rng(3)
         channels = gen_channels(rng)
-        rows = [h[0] for h in channels]
-        g = reg_inv(np.stack(rows), 0.0)
+        g = reg_inv(np.stack([h[0] for h in channels]), 0.0)
         bits = rng.integers(0, 2, size=(2, 40), dtype=np.uint8)
-        u = np.stack([modulate(bits[k], "qpsk") for k in range(2)])
-        x, gamma = transmit(g, u)
-        w = np.array([1.0, 0.0], dtype=complex)  # selects receive row 0
-        gains = tuple(complex(rows[k] @ g[:, k]) for k in range(2))
-        info = ReceiverInfo("qpsk", (w, w), gains)
-        detected = receive_detect(channels, x, gamma, info, 0.0, rng)
+        x, gamma = transmit(g, modulate(bits, mod))
+        w = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)  # both select receive row 0
+        detected = receive_detect(channels, g, w, x, gamma, mod, 0.0, rng)
         assert detected.dtype == np.uint8
         assert np.array_equal(detected, bits)
 
     def test_zero_noise_orthogonal_beams(self):
         h = np.diag([2.0, 1.0]).astype(complex)
         channels = np.stack((h, np.fliplr(np.diag([1.0, 2.0])).astype(complex)))
-        cfg = SimConfig(scheme="gmud", modulation="qpsk", snr_db=(60.0,), feedback="perfect")
-        g, info = _build_link(cfg, channels, 0.0)
+        g, combiners = _LINKS["gmud"](channels, 0.0, None, GridSpec())
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=(2, 20), dtype=np.uint8)
-        u = np.stack([modulate(bits[k], "qpsk") for k in range(2)])
-        x, gamma = transmit(g, u)
-        detected = receive_detect(channels, x, gamma, info, 0.0, rng)
+        x, gamma = transmit(g, modulate(bits, "qpsk"))
+        detected = receive_detect(channels, g, combiners, x, gamma, "qpsk", 0.0, rng)
         assert np.array_equal(detected, bits)
 
     def test_gmud_combiner_sees_only_its_beam(self):
@@ -176,13 +181,11 @@ class TestReceiveDetect:
         channels = gen_channels(np.random.default_rng(7))
         estimates = [decode(encode(h, "reg-inv-sel", 2), "reg-inv-sel", 2).channel for h in channels]
         for scheme in ("reg-inv", "reg-inv-sel"):
-            g, info = _build_link(SimConfig(scheme=scheme, feedback=2), channels, 0.1)
-            rows = tuple(int(np.flatnonzero(w)[0]) for w in info.combiners)
+            _, combiners = _LINKS[scheme](channels, 0.1, 2, GridSpec())
+            rows = tuple(int(np.flatnonzero(w)[0]) for w in combiners)
             expected = (0, 0) if scheme == "reg-inv" else antenna_selection(estimates, 0.1)[0]
             assert rows == expected
-            for k, h in enumerate(channels):
-                assert np.array_equal(info.combiners[k], np.eye(2)[rows[k]])
-                assert info.gains[k] == h[rows[k]] @ g[:, k]
+            assert np.array_equal(combiners, np.eye(2)[list(rows)])
 
     def test_awgn_qpsk_matches_q_function(self):
         # unit scalar channel: BER = Q(sqrt(2 Eb/N0)) with Eb/N0 = 1/(2 sigma^2)
@@ -265,7 +268,7 @@ class TestSimConfig:
 
         channels = gen_channels(rng)
         cfg = SimConfig(scheme="gmud", modulation="qpsk", snr_db=(10.0,), feedback=2)
-        g, info = _build_link(cfg, channels, 0.1)
+        g, _ = _LINKS["gmud"](channels, 0.1, 2, cfg.grid)
         # the precoder is the search over the decoded reports, nothing else
         msgs = [decode(encode(svd2x2(h), "gmud", 2), "gmud", 2) for h in channels]
         g_decoded, params, _ = optimize_gmud(msgs[0], msgs[1], 0.1, cfg.grid)

@@ -12,9 +12,11 @@ of what was raised, plus every warning issued.  ``diff`` lists each item
 that differs between two records by function, group and input index, with
 the largest ulp distance between their float outputs, and ends with one
 summary line.  A tree is any checkout of the repository, for instance one
-unpacked with ``git archive`` or made with ``git worktree add``; the
-battery itself always comes from this file, so both trees see the same
-inputs.
+unpacked with ``git archive`` or made with ``git worktree add``.  Each
+record's battery comes from the ``tools/bytecheck.py`` that runs it, so
+two trees recorded with the same file see the same inputs; across an API
+change, record each tree with its own copy of this file, and the
+battery entries of renamed names show as missing from one record.
 
 Inputs come in named groups:
 
@@ -555,23 +557,30 @@ def _links(g):
     yield "edge", _config(g, "gmud", "qpsk", "perfect"), np.stack([0.7 * _unitary(rng), _crandn(rng, (2, 2))]), 0.1
 
 
+def _link(g, config, channels, noise):
+    """The scheme's link builder: (G, the users' combiners as one array)."""
+    n = None if config.feedback == "perfect" else config.feedback
+    m, combiners = g.simulation._LINKS[config.scheme](channels, noise, n, config.grid)
+    return m, np.asarray(combiners)
+
+
 @case("receive_detect")
 def _receive_detect(g):
     for group, config, channels, noise in _links(g):
         def call(config=config, channels=channels, noise=noise):
             rng = np.random.default_rng(11)
-            m, info = g.simulation._build_link(config, channels, noise)
+            m, combiners = _link(g, config, channels, noise)
             u = np.stack([g.modulate(rng.integers(0, 2, 40), config.modulation) for _ in range(2)])
             x, gamma = g.transmit(m, u)
-            return g.receive_detect(channels, x, gamma, info, noise, rng)
+            return g.receive_detect(channels, m, combiners, x, gamma, config.modulation, noise, rng)
 
         yield group, call
 
 
-@case("simulation._build_link")
-def _build_link(g):
+@case("simulation._LINKS")
+def _links_case(g):
     for group, config, channels, noise in _links(g):
-        yield group, lambda c=config, h=channels, noise=noise: g.simulation._build_link(c, h, noise)
+        yield group, lambda c=config, h=channels, noise=noise: _link(g, c, h, noise)
 
 
 @case("simulation._rotation_projection")
@@ -582,11 +591,6 @@ def _rotation_projection(g):
             yield group, lambda h=h, u=rng.uniform(), t=_phase(rng): (
                 lambda s: g.simulation._rotation_projection(s, s.lambda2 + u * (s.lambda1 - s.lambda2), t)
             )(g.svd2x2(h))
-
-
-@case("ReceiverInfo")
-def _receiver_info(g):
-    yield "typical", lambda: g.ReceiverInfo("qpsk", (np.array([1.0, 0.0]),), (1 + 1j,))
 
 
 @case("SimConfig")
