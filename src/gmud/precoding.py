@@ -9,9 +9,10 @@ users:
   every per-user receive-row combination and keeps the one maximizing
   the minimum per-user SINR.
 * ``optimize_gmud``: each user's column is a steered beam built from
-  that user's reported (lambda1, lambda2, v1); an exhaustive grid search
+  that user's reported (lambda1, lambda2, v1); an exact two-stage search
   over the beam parameters and an interior power split alpha^2 in
-  [0.1, 0.9] maximizes the minimum SINR.
+  [0.1, 0.9] maximizes the minimum SINR and returns the exhaustive
+  grid's first argmax.
 
 Each returns G as a plain ndarray.  The point evaluator
 (:func:`gmud_min_sinr`) runs the grid search's SINR kernel on a
@@ -156,18 +157,19 @@ def antenna_selection(channels, noise_var: float):
     return combo, g, report
 
 
-def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
-    """(SINR_k, SINR_l, gamma_bar) over beams (n_r, n_theta, 2), r (n_r,), alpha, beta (n_p,).
-
-    SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar) with
-    x = |q_k^H q_l|^2, SINR_l likewise, capped at :data:`SINR_CAP` and
-    shaped (n_rk, n_rl, n_theta_k, n_theta_l, n_p).  The search and its
-    one-point oracle share these array loops and so agree bit for bit;
-    numpy scalars would round squares and complex products differently.
-    """
+def _beam_x(beams_k, beams_l):
+    """x = |q_k^H q_l|^2 over beams (n_r, n_theta, 2), shaped (n_rk, n_rl, n_theta_k, n_theta_l)."""
     bk, bl = beams_k[:, None, :, None, :], beams_l[None, :, None, :, :]
-    inner = np.conj(bk[..., 0]) * bl[..., 0] + np.conj(bk[..., 1]) * bl[..., 1]
-    x = _abs2(inner)[..., None]
+    return _abs2(np.conj(bk[..., 0]) * bl[..., 0] + np.conj(bk[..., 1]) * bl[..., 1])
+
+
+def _sinr_grid(x, rk, rl, alpha, beta, noise_var):
+    """(SINR_k, SINR_l, gamma_bar) over x (n_rk, n_rl, n_theta_k, n_theta_l), r, alpha, beta.
+
+    SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar), SINR_l
+    likewise, capped at :data:`SINR_CAP` and shaped x.shape + (n_p,).
+    """
+    x = x[..., None]
     a2, b2 = alpha**2, beta**2
     gamma_bar = a2 + b2
     n = noise_var * gamma_bar
@@ -178,6 +180,14 @@ def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
     return sk, sl, gamma_bar
 
 
+def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
+    """:func:`_sinr_grid` at the beams' x.  The search and its one-point
+    oracle share these array loops and so agree bit for bit; numpy
+    scalars would round squares and complex products differently.
+    """
+    return _sinr_grid(_beam_x(beams_k, beams_l), rk, rl, alpha, beta, noise_var)
+
+
 def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrReport:
     """Evaluate the max-min cost at one steering/loading point.
 
@@ -185,6 +195,8 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     ``lambda2`` and principal vector ``v1``.  This is the search's kernel
     on a one-point grid, so it equals :func:`optimize_gmud`'s report.
     """
+    if not noise_var >= 0.0:
+        raise ValueError("noise_var must be nonnegative")
     q1k = beam_from_feedback(fb_k.lambda1, fb_k.lambda2, fb_k.v1, params.r_k, params.theta_k)
     q1l = beam_from_feedback(fb_l.lambda1, fb_l.lambda2, fb_l.v1, params.r_l, params.theta_l)
     sk, sl, gamma_bar = _pair_grid(
@@ -196,18 +208,27 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
 
 
 def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
-    """Exhaustive max-min SINR search over beams and power loading.
+    """Exact two-stage max-min SINR search over beams and power loading.
 
     The grid is r per user on [lambda2, lambda1] (``linspace``), theta
     on [0, 2*pi) (endpoint excluded), and alpha^2 on [0.1, 0.9];
-    beta = sqrt(1 - alpha^2).  The argmax tie is broken lexicographically
-    on (i_rk, i_rl, i_theta_k, i_theta_l, i_alpha), so the result is
-    bit-reproducible and equals the maximum of :func:`gmud_min_sinr`
-    over the same grid exactly.
+    beta = sqrt(1 - alpha^2).  The result is the exhaustive grid's first
+    argmax in C order over (i_rk, i_rl, i_theta_k, i_theta_l, i_alpha),
+    so it is bit-reproducible and equals the maximum of
+    :func:`gmud_min_sinr` over the same grid exactly.
+
+    Why two stages suffice: for fixed (i_rk, i_rl, i_alpha) and finite
+    r^2, each SINR is a chain of correctly rounded steps monotone in
+    x = |q_k^H q_l|^2 (times a constant >= 0, plus noise >= 0, num/den,
+    cap), so min-SINR is non-increasing in x and each (i_rk, i_rl) block
+    peaks at its smallest x.  Stage 1 scores those n_r^2 * n_p peaks and
+    picks the first best block; stage 2 takes the first argmax inside it.
 
     Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].
     """
+    if not noise_var >= 0.0:
+        raise ValueError("noise_var must be nonnegative")
     if grid is None:
         grid = GridSpec()
     if min(grid.n_r, grid.n_theta, grid.n_p) < 1:
@@ -221,24 +242,18 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
     beta = np.sqrt(1.0 - alpha2)
     beams_k = steered_beams(fb_k.lambda1, fb_k.lambda2, fb_k.v1, rk[:, None], thetas[None, :])
     beams_l = steered_beams(fb_l.lambda1, fb_l.lambda2, fb_l.v1, rl[:, None], thetas[None, :])
-    # sk, sl[i_rk, i_rl, i_tk, i_tl, i_a]
-    sk, sl, gamma_bar = _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var)
+    x = _beam_x(beams_k, beams_l)  # x[i_rk, i_rl, i_tk, i_tl]
+    peaks = np.minimum(*_sinr_grid(x.min(axis=(2, 3), keepdims=True), rk, rl, alpha, beta, noise_var)[:2])
+    i_rk, i_rl = (int(i) for i in np.unravel_index(int(np.argmax(peaks)), peaks.shape)[:2])
+    # array slices, not numpy scalars, so stage 2 rounds exactly as the full grid would
+    bk, bl = slice(i_rk, i_rk + 1), slice(i_rl, i_rl + 1)
+    sk, sl, gamma_bar = _sinr_grid(x[bk, bl], rk[bk], rl[bl], alpha, beta, noise_var)
     min_sinr = np.minimum(sk, sl)
-    flat = int(np.argmax(min_sinr))  # first max in C order = lexicographic tie-break
-    idx = np.unravel_index(flat, min_sinr.shape)
-    i_rk, i_rl, i_tk, i_tl, i_a = (int(i) for i in idx)
+    idx = np.unravel_index(int(np.argmax(min_sinr)), min_sinr.shape)  # first max in C order
+    _, _, i_tk, i_tl, i_a = (int(i) for i in idx)
 
-    params = GmudBeamParams(
-        r_k=float(rk[i_rk]),
-        theta_k=float(thetas[i_tk]),
-        r_l=float(rl[i_rl]),
-        theta_l=float(thetas[i_tl]),
-        alpha=float(alpha[i_a]),
-        beta=float(beta[i_a]),
-    )
-    report = SinrReport(
-        (float(sk[idx]), float(sl[idx])), float(min_sinr[idx]), float(gamma_bar[i_a])
-    )
+    params = GmudBeamParams(float(rk[i_rk]), float(thetas[i_tk]), float(rl[i_rl]), float(thetas[i_tl]),
+                            float(alpha[i_a]), float(beta[i_a]))
+    report = SinrReport((float(sk[idx]), float(sl[idx])), float(min_sinr[idx]), float(gamma_bar[i_a]))
     g = np.column_stack([params.alpha * beams_k[i_rk, i_tk], params.beta * beams_l[i_rl, i_tl]])
     return g, params, report
-

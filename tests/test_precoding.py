@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,6 +10,7 @@ from gmud import (
     GmudBeamParams,
     GmudFeedback,
     GridSpec,
+    SinrReport,
     antenna_selection,
     beam_from_feedback,
     expected_gamma,
@@ -16,6 +18,7 @@ from gmud import (
     gmud_min_sinr,
     optimize_gmud,
     reg_inv,
+    steered_beams,
     svd2x2,
 )
 
@@ -290,3 +293,69 @@ class TestOptimizeGmud:
         fb_k, fb_l = random_reports(rng)
         with pytest.raises(ValueError):
             optimize_gmud(fb_k, fb_l, 0.01, GridSpec(0, 4, 3))
+
+    def full_grid_search(self, fb_k, fb_l, noise, grid):
+        """The exhaustive search: every grid point through _pair_grid, first argmax in C order."""
+        from gmud.precoding import _pair_grid
+
+        rk = np.linspace(fb_k.lambda2, fb_k.lambda1, grid.n_r)
+        rl = np.linspace(fb_l.lambda2, fb_l.lambda1, grid.n_r)
+        thetas = np.linspace(0.0, 2.0 * np.pi, grid.n_theta, endpoint=False)
+        alpha2 = np.linspace(0.1, 0.9, grid.n_p)
+        alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
+        beams_k = steered_beams(fb_k.lambda1, fb_k.lambda2, fb_k.v1, rk[:, None], thetas[None, :])
+        beams_l = steered_beams(fb_l.lambda1, fb_l.lambda2, fb_l.v1, rl[:, None], thetas[None, :])
+        sk, sl, gamma_bar = _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise)
+        min_sinr = np.minimum(sk, sl)
+        idx = np.unravel_index(int(np.argmax(min_sinr)), min_sinr.shape)
+        i_rk, i_rl, i_tk, i_tl, i_a = (int(i) for i in idx)
+        params = GmudBeamParams(float(rk[i_rk]), float(thetas[i_tk]), float(rl[i_rl]), float(thetas[i_tl]),
+                                float(alpha[i_a]), float(beta[i_a]))
+        report = SinrReport((float(sk[idx]), float(sl[idx])), float(min_sinr[idx]), float(gamma_bar[i_a]))
+        g = np.column_stack([params.alpha * beams_k[i_rk, i_tk], params.beta * beams_l[i_rl, i_tl]])
+        return g, params, report
+
+    def test_two_stage_equals_full_grid(self):
+        # the block-peak search returns the exhaustive grid's first argmax byte
+        # for byte, ties on the SINR_CAP plateau included
+        from gmud import decode, encode
+
+        rng = np.random.default_rng(31)
+        grids = [GridSpec(), GridSpec(4, 8, 5), GridSpec(3, 5, 2), GridSpec(2, 3, 1), GridSpec(1, 1, 1)]
+        orthogonal = (
+            GmudFeedback(np.zeros(6), np.array([1.0, 0.0], dtype=complex), 2.0, 1.0),
+            GmudFeedback(np.zeros(6), np.array([0.0, 1.0], dtype=complex), 2.0, 1.0),
+        )
+        for i in range(1200):
+            grid = grids[0] if i % 10 == 0 else grids[1 + i % 4]
+            noise = (0.0, 1e-3, 0.05, 1.0)[i % 4]
+            n = (None, 1, 2, 4)[(i // 4) % 4]
+            h_k, h_l = crand(rng, (2, 2, 2))
+            if i % 20 == 7:
+                h_l = h_k  # collinear users
+            if i % 37 == 5:
+                h_k = rng.uniform(0.1, 3.0) * np.linalg.qr(crand(rng, (2, 2)))[0]  # lambda1 = lambda2
+            svds = (svd2x2(h_k), svd2x2(h_l))
+            if n is None:
+                fb_k, fb_l = (GmudFeedback.from_svd(s) for s in svds)
+            else:
+                fb_k, fb_l = (decode(encode(s, "gmud", n), "gmud", n) for s in svds)
+            if i % 50 == 0:
+                (fb_k, fb_l), noise = orthogonal, 0.0
+            g, params, rep = optimize_gmud(fb_k, fb_l, noise, grid)
+            want_g, want_params, want_rep = self.full_grid_search(fb_k, fb_l, noise, grid)
+            assert g.tobytes() == want_g.tobytes(), i
+            for got, want in ((params, want_params), (rep, want_rep)):
+                for field in dataclasses.fields(got):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    assert np.array(a).tobytes() == np.array(b).tobytes(), (i, field.name)
+
+    @pytest.mark.parametrize("noise", [-1.0, np.nan])
+    def test_bad_noise_rejected(self, noise):
+        rng = np.random.default_rng(13)
+        fb_k, fb_l = random_reports(rng)
+        params = GmudBeamParams(fb_k.lambda1, 0.0, fb_l.lambda1, 0.0, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
+        with pytest.raises(ValueError, match="noise_var must be nonnegative"):
+            optimize_gmud(fb_k, fb_l, noise, GridSpec(1, 1, 1))
+        with pytest.raises(ValueError, match="noise_var must be nonnegative"):
+            gmud_min_sinr(params, fb_k, fb_l, noise)

@@ -339,13 +339,15 @@ def _gmud_min_sinr(g):
             yield ("edge" if noise == 0.0 else "typical"), lambda p=params, k=fb_k, l=fb_l, noise=noise: (
                 g.gmud_min_sinr(p, k, l, noise)
             )
+    for noise in (-1.0, np.nan):
+        yield "error", lambda p=params, k=fb_k, l=fb_l, noise=noise: g.gmud_min_sinr(p, k, l, noise)
 
 
 @case("optimize_gmud")
 def _optimize_gmud(g):
     rng = _rng("optimize_gmud")
     grids = [g.GridSpec(), g.GridSpec(4, 8, 5), g.GridSpec(3, 5, 2), g.GridSpec(1, 1, 1)]
-    for i in range(300):
+    for i in range(1000):
         grid = grids[0] if i % 10 == 0 else grids[1 + i % 3]
         noise = (0.0, 1e-3, 0.05, 1.0)[i % 4]
         n = (None, 1, 2, 4)[(i // 4) % 4]
@@ -360,7 +362,8 @@ def _optimize_gmud(g):
     fb_k, fb_l = _reports(g, rng, None)
     bad = g.GmudFeedback(fb_k.raw, np.array([1.0, 1.0], dtype=complex), 1.0, 0.5)
     zero = g.GmudFeedback(fb_k.raw, fb_k.v1, 0.0, 0.0)
-    for args in ((fb_k, fb_l, 0.1, g.GridSpec(0, 4, 4)), (bad, fb_l, 0.1, grids[3]), (zero, fb_l, 0.1, grids[3])):
+    for args in ((fb_k, fb_l, 0.1, g.GridSpec(0, 4, 4)), (bad, fb_l, 0.1, grids[3]), (zero, fb_l, 0.1, grids[3]),
+                 (fb_k, fb_l, -1.0, grids[3]), (fb_k, fb_l, np.nan, grids[3])):
         yield "error", lambda args=args: g.optimize_gmud(*args)
 
 
