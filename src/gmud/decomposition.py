@@ -94,10 +94,15 @@ class GmudFactorization:
         return self.p @ self.rmat.as_matrix() @ self.q.conj().T
 
 
+def _check_lambda1(lambda1: float) -> None:
+    """A report's lambda1 must lie in (0, inf): NaN and inf would give NaN beams."""
+    if not 0.0 < lambda1 < math.inf:
+        raise DomainError("lambda1 must be positive" if lambda1 <= 0.0 else "lambda1 must be finite")
+
+
 def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
-    """Validate lambda1 > 0 and lambda2 <= r <= lambda1 (1e-9 relative slack); clamp r."""
-    if lambda1 <= 0.0:
-        raise DomainError("lambda1 must be positive")
+    """Validate 0 < lambda1 < inf and lambda2 <= r <= lambda1 (1e-9 relative slack); clamp r."""
+    _check_lambda1(lambda1)
     if not np.isfinite(r) or r <= 0.0:
         raise DomainError(f"r must be a positive real, got {r}")
     slack = _R_EDGE_TOL * lambda1
@@ -112,8 +117,8 @@ def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
 def _rotation_factors(lambda1, lambda2, r):
     """Elementwise (a, b, c, s) shaped like ``r`` (a scalar or an array).
 
-    The only place the rotation math lives, so the scalar API, the factor
-    and the beam grid agree bit for bit.  Assumes r in [lambda2, lambda1].
+    The only place the rotation math lives, for the scalar API, the factor,
+    the beam grid and the receiver combiner.  Assumes r in [lambda2, lambda1].
     Equal singular values (lambda1 - lambda2 <= 1e-12 * lambda1) give the
     identity rotation (1, 0, 1, 0).  The factors depend on ratios only, so
     a lambda1 outside [2**-128, 2**128) is first scaled by a power of two.
@@ -171,13 +176,11 @@ def gmud(h, r: float, pp: PhasePair | None = None) -> GmudFactorization:
         p = u @ M @ u0 and q = v @ M @ v0 with u0 = [[a,b],[-b,a]],
         v0 = [[c,s],[-s,c]] from :func:`solve_rotations` and
         M = diag(e^{i*theta1}, e^{i*theta2}), which commutes with the
-        singular values.
+        singular values.  At pp = (theta, 0), ``q[:, 0]`` is the beam
+        :func:`beam_from_feedback` builds from (lambda1, lambda2, v1, r, theta).
     """
-    return _factor(svd2x2(h), r, PhasePair() if pp is None else pp)
-
-
-def _factor(svd: SvdFactorization, r: float, pp: PhasePair) -> GmudFactorization:
-    """The member of the unitary family of ``svd.reconstruct()`` selected by (r, pp)."""
+    pp = PhasePair() if pp is None else pp
+    svd = svd2x2(h)
     l1, l2 = svd.lambda1, svd.lambda2
     if l1 <= 0.0:
         raise DomainError("zero matrix admits no positive r")
@@ -192,34 +195,40 @@ def _factor(svd: SvdFactorization, r: float, pp: PhasePair) -> GmudFactorization
     return GmudFactorization(svd.u @ m @ u0, rmat, svd.v @ m @ v0, r, pp, svd)
 
 
+def _steer(w1, w2, theta, x1, x2) -> np.ndarray:
+    """w1 e^{i*theta} x1 - w2 x2, shaped broadcast(w1, w2, theta) + (2,): column 1 of
+    [x1, x2] @ M(theta, 0) @ [[w1, w2], [-w2, w1]], the beam on (v1, v2) with (c, s)
+    and the receiver combiner on (u1, u2) with (a, b).
+    """
+    weight = w1 * np.exp(1j * np.asarray(theta, dtype=np.float64))
+    weight, w2 = np.broadcast_arrays(weight, w2)
+    return weight[..., None] * x1 - w2[..., None] * x2
+
+
 def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:
     """Beam q1 = c * e^{i*theta} * v1 - s * v2 for broadcastable r, theta.
 
     ``r`` and ``theta`` may be scalars or arrays; the result has shape
-    broadcast(r, theta) + (2,).  The report must have lambda1 > 0 and a
-    unit-norm ``v1`` (:class:`DomainError` otherwise); r is not checked:
-    callers keep it in [lambda2, lambda1].  Scalar and grid evaluations
-    share the same elementwise operations, so a grid entry is
+    broadcast(r, theta) + (2,).  The report must have 0 < lambda1 < inf
+    and a unit-norm ``v1`` (:class:`DomainError` otherwise); r is not
+    checked: callers keep it in [lambda2, lambda1].  Scalar and grid
+    evaluations share the same elementwise operations, so a grid entry is
     bit-identical to the corresponding scalar call.
     """
-    if lambda1 <= 0.0:
-        raise DomainError("lambda1 must be positive")
+    _check_lambda1(lambda1)
     v1 = np.asarray(v1, dtype=np.complex128)
     nrm = np.linalg.norm(v1)
     if abs(nrm - 1.0) > 1e-9:
         raise DomainError(f"v1 must be unit norm, got ||v1|| = {nrm:.12g}")
-    v2 = orthonormal_complement(v1)
     _, _, c, s = _rotation_factors(lambda1, lambda2, np.asarray(r, dtype=np.float64))
-    weight = c * np.exp(1j * np.asarray(theta, dtype=np.float64))
-    weight, s = np.broadcast_arrays(weight, s)
-    return weight[..., None] * v1 - s[..., None] * v2
+    return _steer(c, s, theta, v1, orthonormal_complement(v1))
 
 
 def beam_from_feedback(lambda1: float, lambda2: float, v1, r: float, theta: float) -> np.ndarray:
     """Transmission beam built from reported (lambda1, lambda2, v1).
 
-    Completes v1 with an arbitrary orthogonal second vector and returns
-    the first column of V @ M(theta, 0) @ V0, i.e.
+    Completes v1 with ``orthonormal_complement(v1)``, as :func:`svd2x2`
+    does, and returns the first column of V @ M(theta, 0) @ V0, i.e.
     c * e^{i*theta} * v1 - s * v2 (unit norm).  The alignment
     |v1^H q1| equals c for every theta.  r is checked as in
     :func:`solve_rotations`.

@@ -86,9 +86,10 @@ def orthonormal_complement(v: np.ndarray) -> np.ndarray:
 class SvdFactorization:
     """h = u @ diag(lambda1, lambda2) @ v^H with lambda1 >= lambda2 >= 0.
 
-    ``u`` and ``v`` are 2x2 unitary; in each column of ``v`` the entry of
-    largest magnitude is real and nonnegative (the first row wins ties),
-    which makes the factorization a deterministic function of ``h``.
+    ``u`` and ``v`` are 2x2 unitary.  The largest-magnitude entry of
+    v1 = ``v[:, 0]`` is real and nonnegative (the first row wins ties), and
+    ``v[:, 1]`` is ``orthonormal_complement(v1)``, as the transmitter
+    completes v1: ``h`` fixes the factorization, and its GMUD beams.
     """
 
     u: np.ndarray
@@ -100,21 +101,6 @@ class SvdFactorization:
         return (self.u * np.array([self.lambda1, self.lambda2])) @ self.v.conj().T
 
 
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real nonnegative."""
-    out = v.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = 0 if abs(col[0]) >= abs(col[1]) else 1
-        mag = abs(col[i])
-        if mag > 0.0:
-            out[:, j] = col * (np.conj(col[i]) / mag)
-            # force the pivot exactly real (its imaginary part is already 0
-            # up to rounding of conj(z)*z, which is exact)
-            out[i, j] = out[i, j].real
-    return out
-
-
 def svd2x2(h) -> SvdFactorization:
     """Closed-form SVD of a 2x2 complex matrix.
 
@@ -124,9 +110,9 @@ def svd2x2(h) -> SvdFactorization:
     lambda1*lambda2 matches |det h| to full precision.  Left vectors are
     h @ v_i / lambda_i, re-orthonormalized; when lambda2 <= 1e-12*lambda1
     the second left vector is completed by orthogonality instead.  The
-    zero matrix yields lambda1 = lambda2 = 0 with u = v = I.  Outside
-    [2**-128, 2**128), h is first scaled exactly by a power of two, so the
-    result is right at any scale (:class:`DomainError` if lambda1 overflows).
+    zero matrix yields lambda1 = lambda2 = 0 with u = v = I.  h is first
+    scaled exactly by the power of two of its largest part, so the result
+    is right at any scale (:class:`DomainError` if lambda1 overflows).
     """
     h = as_matrix(h)
     if h.shape != (2, 2):
@@ -135,9 +121,8 @@ def svd2x2(h) -> SvdFactorization:
         eye = np.eye(2, dtype=np.complex128)
         return SvdFactorization(eye, 0.0, 0.0, eye.copy())
     parts = np.ascontiguousarray(h).view(np.float64)
-    e = _pow2_exponent(max(map(abs, parts.ravel().tolist())))
-    if e:
-        h = (parts * math.ldexp(1.0, -e)).view(np.complex128)
+    e = _pow2_exponent(max(map(abs, parts.ravel().tolist())), safe=0)  # always scaled
+    h = (parts * math.ldexp(1.0, -e)).view(np.complex128)
 
     w = h.conj().T @ h
     w00 = w[0, 0].real
@@ -155,12 +140,13 @@ def svd2x2(h) -> SvdFactorization:
     n1 = np.linalg.norm(cand1)
     n2 = np.linalg.norm(cand2)
     if max(n1, n2) == 0.0:
-        # w is a multiple of the identity; any orthonormal basis works
-        v = np.eye(2, dtype=np.complex128)
+        v1 = np.array([1.0, 0.0], dtype=np.complex128)  # w is a multiple of the identity
     else:
         v1 = (cand1 / n1) if n1 >= n2 else (cand2 / n2)
-        v = np.column_stack([v1, orthonormal_complement(v1)])
-    v = _fix_column_phases(v)
+    i = 0 if abs(v1[0]) >= abs(v1[1]) else 1  # the phase convention: v1[i] real >= 0
+    v1 = v1 * (np.conj(v1[i]) / abs(v1[i]))
+    v1[i] = v1[i].real  # conj(z) * z / |z| is real up to rounding; make it exact
+    v = np.column_stack([v1, orthonormal_complement(v1)])
 
     lambda1 = float(np.sqrt(mu1))
     lambda2 = float(np.sqrt(mu2))

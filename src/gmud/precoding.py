@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import beam_from_feedback, steered_beams
+from .errors import DomainError
 from .linalg import as_matrix, mat_inv
 
 __all__ = [
@@ -62,6 +63,10 @@ class GridSpec:
     n_theta: int = 16
     n_p: int = 9
 
+    def __post_init__(self):
+        if min(self.n_r, self.n_theta, self.n_p) < 1:
+            raise ValueError("grid sizes must be >= 1")
+
 
 @dataclass
 class GmudBeamParams:
@@ -84,6 +89,15 @@ class SinrReport:
     gamma_bar: float
 
 
+def _check_inputs(noise_var: float, *reports) -> None:
+    """0 <= noise_var (NaN fails too), and a finite lambda1**2 per report for the SINR kernel."""
+    if not noise_var >= 0.0:
+        raise ValueError("noise_var must be nonnegative")
+    for fb in reports:
+        if np.isinf(fb.lambda1 * fb.lambda1):
+            raise DomainError(f"lambda1 = {fb.lambda1:.6g} is too large: lambda1**2 overflows float64")
+
+
 def reg_inv(h_tilde, noise_var: float) -> np.ndarray:
     """Regularized channel inverse G = H^H (H H^H + K*sigma^2 I)^{-1}.
 
@@ -92,9 +106,8 @@ def reg_inv(h_tilde, noise_var: float) -> np.ndarray:
     K*sigma^2 trades residual inter-user interference for a smaller
     transmit normalization.
     """
+    _check_inputs(noise_var)
     h = as_matrix(h_tilde)
-    if noise_var < 0.0:
-        raise ValueError("noise_var must be nonnegative")
     k = h.shape[0]
     a = h @ h.conj().T + (k * noise_var) * np.eye(k, dtype=np.complex128)
     return h.conj().T @ mat_inv(a)
@@ -137,6 +150,7 @@ def antenna_selection(channels, noise_var: float):
 
     Returns ``(selection, G, SinrReport)``.
     """
+    _check_inputs(noise_var)
     mats = [as_matrix(h) for h in channels]
     best = None
     for combo in itertools.product(*[range(h.shape[0]) for h in mats]):
@@ -195,8 +209,7 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     ``lambda2`` and principal vector ``v1``.  This is the search's kernel
     on a one-point grid, so it equals :func:`optimize_gmud`'s report.
     """
-    if not noise_var >= 0.0:
-        raise ValueError("noise_var must be nonnegative")
+    _check_inputs(noise_var, fb_k, fb_l)
     q1k = beam_from_feedback(fb_k.lambda1, fb_k.lambda2, fb_k.v1, params.r_k, params.theta_k)
     q1l = beam_from_feedback(fb_l.lambda1, fb_l.lambda2, fb_l.v1, params.r_l, params.theta_l)
     sk, sl, gamma_bar = _pair_grid(
@@ -207,7 +220,7 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     return SinrReport((sk, sl), min(sk, sl), float(gamma_bar.item()))
 
 
-def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
+def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
     """Exact two-stage max-min SINR search over beams and power loading.
 
     The grid is r per user on [lambda2, lambda1] (``linspace``), theta
@@ -218,21 +231,16 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec | None = None):
     :func:`gmud_min_sinr` over the same grid exactly.
 
     Why two stages suffice: for fixed (i_rk, i_rl, i_alpha) and finite
-    r^2, each SINR is a chain of correctly rounded steps monotone in
-    x = |q_k^H q_l|^2 (times a constant >= 0, plus noise >= 0, num/den,
-    cap), so min-SINR is non-increasing in x and each (i_rk, i_rl) block
-    peaks at its smallest x.  Stage 1 scores those n_r^2 * n_p peaks and
+    r^2 (a lambda1**2 overflow raises DomainError), each SINR is a chain
+    of correctly rounded steps monotone in x = |q_k^H q_l|^2 (times a
+    constant >= 0, plus noise >= 0, num/den, cap), so min-SINR is
+    non-increasing in x and each (i_rk, i_rl) block peaks at its smallest x.  Stage 1 scores those n_r^2 * n_p peaks and
     picks the first best block; stage 2 takes the first argmax inside it.
 
     Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].
     """
-    if not noise_var >= 0.0:
-        raise ValueError("noise_var must be nonnegative")
-    if grid is None:
-        grid = GridSpec()
-    if min(grid.n_r, grid.n_theta, grid.n_p) < 1:
-        raise ValueError("grid sizes must be >= 1")
+    _check_inputs(noise_var, fb_k, fb_l)
 
     rk = np.linspace(fb_k.lambda2, fb_k.lambda1, grid.n_r)
     rl = np.linspace(fb_l.lambda2, fb_l.lambda1, grid.n_r)

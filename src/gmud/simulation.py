@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import PhasePair, _factor
+from .decomposition import _rotation_factors, _steer
 from .feedback import SCHEMES, GmudFeedback, decode, encode
-from .linalg import orthonormal_complement
 from .precoding import GridSpec, antenna_selection, optimize_gmud, reg_inv
 
 __all__ = [
@@ -185,19 +184,15 @@ class BerCurve:
 def _rotation_projection(svd, r: float, theta: float) -> np.ndarray:
     """Receiver combiner p1: the first column of P in the user's own H = P R Q^H.
 
-    Built from the true channel and the transmitter's steering choice
-    (r clamped into the true singular-value interval, which can differ
-    from the quantized one the transmitter searched).  The transmitted
-    beam completes v1 with orthonormal_complement(v1), which differs
-    from the SVD's second column by the phase phi0; the phase pair
-    (theta + phi0, 0) makes the first column of Q that beam times
-    e^{i phi0}.  Then p1^H H = r e^{-i phi0} q1^H: the discarded row never
-    leaks into the decision statistic, and the phase cancels against the
-    gain.
+    The beam kernel on (u1, u2) with the rotation's (a, b), r clamped into
+    the true singular-value interval (the transmitter searched the
+    quantized one).  ``svd2x2`` completes v1 as the transmitter does, so
+    the sent beam is q1 of the same factorization and p1^H H = r q1^H:
+    the discarded row of R never reaches the decision statistic.
     """
     r = min(max(r, svd.lambda2), svd.lambda1)
-    phi0 = np.angle(np.vdot(orthonormal_complement(svd.v[:, 0]), svd.v[:, 1]))
-    return _factor(svd, r, PhasePair(theta + phi0, 0.0)).p[:, 0]
+    a, b, _, _ = _rotation_factors(svd.lambda1, svd.lambda2, np.asarray(r, dtype=np.float64))
+    return _steer(a, b, theta, svd.u[:, 0], svd.u[:, 1])
 
 
 def _round_trip(source, scheme: str, n: int):

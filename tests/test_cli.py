@@ -156,6 +156,19 @@ class TestSweep:
         assert "snr" in err.lower()
         assert not os.path.exists(str(tmp_path / "x") + ".csv")
 
+    @pytest.mark.parametrize("command", [("sweep", "--scheme", "reg-inv"), ("compare",)])
+    def test_bad_grid_writes_nothing(self, capsys, tmp_path, command):
+        # the grid is checked when it is parsed, before any curve is computed,
+        # also for a scheme that never searches it
+        code, out, err = run_cli(
+            capsys, *command, "--snr", "5:0:5", "--realizations", "2", "--symbols", "4",
+            "--grid", "0,4,3", "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid sizes must be >= 1" in err
+        assert os.listdir(tmp_path) == []
+
     def test_env_seed_default_and_flag_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GMUD_SEED", "99")
         out = str(tmp_path / "env")

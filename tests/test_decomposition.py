@@ -157,6 +157,24 @@ class TestGmud:
         with pytest.raises(DomainError, match="interval"):
             gmud(np.diag([2.0, 1.0]), 5.0)
 
+    def test_transmitted_beam_and_combiner_are_one_factorization(self):
+        # svd2x2 completes v1 as the transmitter does, so at (theta, 0) the beam
+        # steered from the report (lambda1, lambda2, v1) is q[:, 0], and the
+        # receiver combiner (the beam kernel on u1, u2) is p[:, 0]
+        from gmud.simulation import _rotation_projection
+
+        rng = np.random.default_rng(9)
+        channels = [crand(rng, (2, 2)) for _ in range(500)]
+        channels += [np.outer(crand(rng, 2), crand(rng, 2).conj()), 0.7 * np.eye(2), np.diag([2.0, 1.0])]
+        for h in channels:
+            svd = svd2x2(h)
+            r = float(rng.uniform(svd.lambda2, svd.lambda1))
+            theta = float(rng.uniform(0.0, 2 * np.pi))
+            f = gmud(h, r, PhasePair(theta, 0.0))
+            beam = beam_from_feedback(svd.lambda1, svd.lambda2, svd.v[:, 0], r, theta)
+            assert np.abs(f.q[:, 0] - beam).max() <= 1e-12
+            assert np.abs(f.p[:, 0] - _rotation_projection(svd, r, theta)).max() <= 1e-12
+
 
 class TestBeams:
     def test_svd_boundary_is_principal_vector(self):
@@ -214,3 +232,14 @@ class TestBeams:
     def test_non_unit_v1(self):
         with pytest.raises(DomainError):
             beam_from_feedback(2.0, 1.0, np.array([1.0, 1.0]), 1.5, 0.0)
+
+    @pytest.mark.parametrize("lambda1", [np.nan, np.inf])
+    def test_non_finite_lambda1_rejected(self, lambda1):
+        # a NaN or infinite report used to give NaN beams without an error
+        v1 = np.array([0.6, 0.8j])
+        with pytest.raises(DomainError, match="lambda1 must be finite"):
+            steered_beams(lambda1, 0.5, v1, np.full((2, 1), 1.0), np.zeros((1, 3)))
+        with pytest.raises(DomainError, match="lambda1 must be finite"):
+            beam_from_feedback(lambda1, 0.5, v1, 1.0, 0.0)
+        with pytest.raises(DomainError, match="lambda1 must be finite"):
+            solve_rotations(lambda1, 0.5, 1.0)

@@ -146,14 +146,19 @@ class TestSvd2x2:
             assert f.lambda1 * f.lambda2 == pytest.approx(det, rel=1e-10, abs=1e-300)
 
     def test_phase_convention(self):
+        # v1's largest entry (the first on ties) is real and >= 0, and v2 is the
+        # transmitter's completion of v1, bit for bit; multiples of the identity
+        # take the same path with v1 = e1
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            f = svd2x2(crand(rng, (2, 2)))
-            for j in range(2):
-                col = f.v[:, j]
-                i = 0 if abs(col[0]) >= abs(col[1]) else 1
-                assert col[i].imag == 0.0
-                assert col[i].real >= 0.0
+        channels = [crand(rng, (2, 2)) for _ in range(200)]
+        channels += [0.7 * np.eye(2), np.ldexp(1.0, -600) * np.eye(2), np.exp(1.1j) * np.eye(2)]
+        for h in channels:
+            f = svd2x2(h)
+            v1 = f.v[:, 0]
+            i = 0 if abs(v1[0]) >= abs(v1[1]) else 1
+            assert v1[i].imag == 0.0
+            assert v1[i].real >= 0.0
+            assert f.v[:, 1].tobytes() == orthonormal_complement(v1).tobytes()
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from gmud import (
     SINR_CAP,
+    DomainError,
     GmudBeamParams,
     GmudFeedback,
     GridSpec,
@@ -48,8 +49,9 @@ class TestRegInv:
             assert np.linalg.norm(h @ reg_inv(h, 0.0) - np.eye(2)) <= 1e-9
 
     def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            reg_inv(np.eye(2), -1.0)
+        for noise in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="noise_var must be nonnegative"):
+                reg_inv(np.eye(2), noise)
 
 
 class TestExpectedGamma:
@@ -350,6 +352,26 @@ class TestOptimizeGmud:
                     a, b = getattr(got, field.name), getattr(want, field.name)
                     assert np.array(a).tobytes() == np.array(b).tobytes(), (i, field.name)
 
+    def test_bad_reports_rejected(self):
+        # lambda1**2 overflows from ~1.34e154 up and the SINRs would come out
+        # NaN (inf/inf); a NaN lambda1 gave NaN beams; both now raise
+        rng = np.random.default_rng(14)
+        h_k, h_l = crand(rng, (2, 2, 2))
+        fb_l = GmudFeedback.from_svd(svd2x2(h_l))
+        huge = GmudFeedback.from_svd(svd2x2(1e155 * h_k))
+        nan = GmudFeedback(np.zeros(6), np.array([0.6, 0.8j]), np.nan, 0.5)
+        for fb, message in ((huge, r"lambda1\*\*2 overflows"), (nan, "lambda1 must be finite")):
+            params = GmudBeamParams(fb.lambda1, 0.0, fb_l.lambda1, 0.0, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
+            for k, l in ((fb, fb_l), (fb_l, fb)):
+                with pytest.raises(DomainError, match=message):
+                    optimize_gmud(k, l, 0.1, GridSpec(2, 3, 2))
+            with pytest.raises(DomainError, match=message):
+                gmud_min_sinr(params, fb, fb_l, 0.1)
+        # the last r whose square is finite still gives a finite report
+        edge = GmudFeedback.from_svd(svd2x2(1e153 * h_k))
+        _, _, rep = optimize_gmud(edge, fb_l, 0.1, GridSpec(2, 3, 2))
+        assert np.isfinite(rep.min_sinr)
+
     @pytest.mark.parametrize("noise", [-1.0, np.nan])
     def test_bad_noise_rejected(self, noise):
         rng = np.random.default_rng(13)
@@ -359,3 +381,5 @@ class TestOptimizeGmud:
             optimize_gmud(fb_k, fb_l, noise, GridSpec(1, 1, 1))
         with pytest.raises(ValueError, match="noise_var must be nonnegative"):
             gmud_min_sinr(params, fb_k, fb_l, noise)
+        with pytest.raises(ValueError, match="noise_var must be nonnegative"):
+            antenna_selection(list(crand(rng, (2, 2, 2))), noise)

@@ -21,8 +21,9 @@ battery entries of renamed names show as missing from one record.
 Inputs come in named groups:
 
 * ``typical``: random Gaussian channels, reports and scalars;
-* ``edge``: equal singular values, rank-deficient matrices, zero noise,
-  interval endpoints, exact quantizer levels;
+* ``edge``: equal singular values, exact multiples of the identity,
+  rank-deficient matrices, zero noise, interval endpoints, exact quantizer
+  levels;
 * ``error``: inputs that must raise, compared by type and message;
 * ``extreme-scale``: matrices and values at the ends of the float64 range
   (scales 2**-1000 .. 2**1000, 1e-15, 1e154, 1e305) and singular matrices
@@ -51,6 +52,8 @@ import numpy as np
 GROUPS = ("typical", "edge", "error", "extreme-scale")
 SCALES = tuple(np.ldexp(1.0, k) for k in (-1000, -600, -300, -100, 100, 300, 600, 1000)) + (1e-15, 1e154)
 RANGES = ((-1.0, 1.0), (0.0, 4.0))
+# exact multiples of the identity: h^H h = mu I, the branch of svd2x2 that takes v1 = e1
+IDENTITIES = (0.7 * np.eye(2), np.ldexp(1.0, -600) * np.eye(2), np.exp(1.1j) * np.eye(2))
 
 # name -> generator(gmud module) yielding (group, zero-argument call)
 BATTERY: dict = {}
@@ -155,6 +158,8 @@ def _svd2x2(g):
         yield group, lambda h=h: g.svd2x2(h)
     yield "edge", lambda: g.svd2x2(np.zeros((2, 2)))
     yield "edge", lambda: g.svd2x2(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    for h in IDENTITIES:
+        yield "edge", lambda h=h: g.svd2x2(h)
     for bad in (np.eye(3), np.ones(4), [[np.inf, 0.0], [0.0, 1.0]]):
         yield "error", lambda h=bad: g.svd2x2(h)
 
@@ -189,6 +194,8 @@ def _gmud(g):
     for _ in range(100):
         h = rng.uniform(0.1, 3.0) * _unitary(rng)
         yield "edge", lambda h=h: g.gmud(h, g.svd2x2(h).lambda1, g.PhasePair(1.0, 2.0))
+    for h in IDENTITIES:
+        yield "edge", lambda h=h: g.gmud(h, abs(h[0, 0]), g.PhasePair(1.0, 2.0))
     h = np.diag([2.0, 1.0])
     for r in (5.0, 0.5, 0.0, -1.0, np.nan, np.inf, 2.0 * (1 + 2e-9)):
         yield "error", lambda r=r: g.gmud(h, r)
@@ -204,7 +211,8 @@ def _solve_rotations(g):
     for l1, l2, r in ((2.0, 1.0, 2.0), (2.0, 1.0, 1.0), (1.5, 1.5, 1.5), (2.0, 0.0, 1e-3),
                       (1.0, 1.0 - 1e-13, 1.0), (2.0, 1.0, 2.0 + 1e-9), (2.0, 1.0, 1.0 - 1e-9)):
         yield "edge", lambda l1=l1, l2=l2, r=r: g.solve_rotations(l1, l2, r)
-    for l1, l2, r in ((0.0, 0.0, 1.0), (2.0, 1.0, 3.0), (2.0, 1.0, 0.5), (2.0, 1.0, np.nan), (-1.0, -2.0, 1.0)):
+    for l1, l2, r in ((0.0, 0.0, 1.0), (2.0, 1.0, 3.0), (2.0, 1.0, 0.5), (2.0, 1.0, np.nan), (-1.0, -2.0, 1.0),
+                      (np.nan, 0.5, 1.0), (np.inf, 0.5, 1.0)):
         yield "error", lambda l1=l1, l2=l2, r=r: g.solve_rotations(l1, l2, r)
     for scale in SCALES:
         yield "extreme-scale", lambda s=scale: g.solve_rotations(2.0 * s, s, 1.5 * s)
@@ -222,7 +230,7 @@ def _steered_beams(g):
             g.steered_beams(l1, l2, v, r, t)
         )
     yield "edge", lambda: g.steered_beams(1.5, 1.5, np.array([0.6, 0.8j]), np.full((3, 1), 1.5), np.arange(4.0))
-    for l1, v in ((0.0, [1.0, 0.0]), (2.0, [1.0, 1.0]), (-1.0, [1.0, 0.0])):
+    for l1, v in ((0.0, [1.0, 0.0]), (2.0, [1.0, 1.0]), (-1.0, [1.0, 0.0]), (np.nan, [1.0, 0.0]), (np.inf, [1.0, 0.0])):
         yield "error", lambda l1=l1, v=v: g.steered_beams(l1, 0.5, v, 1.0, 0.0)
 
 
@@ -237,7 +245,8 @@ def _beam_from_feedback(g):
     for l1, l2, r in ((2.0, 1.0, 2.0), (2.0, 1.0, 1.0), (1.5, 1.5, 1.5), (2.0, 1.0, 1.0 - 1e-9)):
         yield "edge", lambda l1=l1, l2=l2, r=r: g.beam_from_feedback(l1, l2, np.array([0.6, 0.8j]), r, 1.0)
     for l1, l2, v, r in ((0.0, 0.0, [1.0, 0.0], 1.0), (2.0, 1.0, [1.0, 1.0], 1.5),
-                         (2.0, 1.0, [1.0, 0.0], 3.0), (2.0, 1.0, [1.0, 1.0], 3.0)):
+                         (2.0, 1.0, [1.0, 0.0], 3.0), (2.0, 1.0, [1.0, 1.0], 3.0),
+                         (np.nan, 0.5, [1.0, 0.0], 1.0), (np.inf, 0.5, [1.0, 0.0], 1.0)):
         yield "error", lambda l1=l1, l2=l2, v=v, r=r: g.beam_from_feedback(l1, l2, v, r, 0.0)
 
 
@@ -282,6 +291,12 @@ def _reports(g, rng, n, h_k=None, h_l=None):
     return out
 
 
+def _bad_reports(g, rng):
+    """Reports whose lambda1 is NaN or whose lambda1**2 overflows."""
+    yield g.GmudFeedback(np.zeros(6), _unit(rng), np.nan, 0.5)
+    yield g.GmudFeedback.from_svd(g.svd2x2(1e155 * _crandn(rng, (2, 2))))
+
+
 @case("reg_inv")
 def _reg_inv(g):
     rng = _rng("reg_inv")
@@ -292,7 +307,7 @@ def _reg_inv(g):
         yield "edge", lambda h=_crandn(rng, (2, 2)): g.reg_inv(h, 0.0)
     yield "edge", lambda: g.reg_inv(np.eye(2), 0.0)
     yield "edge", lambda: g.reg_inv(_rank_one(rng), 0.1)
-    for h, noise in ((np.eye(2), -1.0), (np.ones((3, 2)), 0.1), ([[np.nan, 0.0], [0.0, 1.0]], 0.1)):
+    for h, noise in ((np.eye(2), -1.0), (np.ones((3, 2)), 0.1), ([[np.nan, 0.0], [0.0, 1.0]], 0.1), (np.eye(2), np.nan)):
         yield "error", lambda h=h, noise=noise: g.reg_inv(h, noise)
     for scale in SCALES:
         yield "extreme-scale", lambda h=scale * np.eye(2): g.reg_inv(h, 0.0)
@@ -318,6 +333,8 @@ def _antenna_selection(g):
         yield "edge", lambda c=_crandn(rng, (2, 2, 2)): g.antenna_selection(list(c), 0.0)
     for c in (_crandn(rng, (1, 2, 2)), _crandn(rng, (3, 2, 2))):
         yield "error", lambda c=c: g.antenna_selection(list(c), 0.1)
+    for noise in (-1.0, np.nan):
+        yield "error", lambda c=_crandn(rng, (2, 2, 2)), noise=noise: g.antenna_selection(list(c), noise)
     h = _crandn(rng, (2, 2))
     yield "extreme-scale", lambda: g.antenna_selection([h, h], 0.0)  # every combination singular
     for scale in SCALES:
@@ -341,6 +358,9 @@ def _gmud_min_sinr(g):
             )
     for noise in (-1.0, np.nan):
         yield "error", lambda p=params, k=fb_k, l=fb_l, noise=noise: g.gmud_min_sinr(p, k, l, noise)
+    for bad in _bad_reports(g, rng):
+        p = g.GmudBeamParams(bad.lambda1, 0.0, fb_l.lambda1, 0.0, float(np.sqrt(0.5)), float(np.sqrt(0.5)))
+        yield "error", lambda p=p, k=bad, l=fb_l: g.gmud_min_sinr(p, k, l, 0.1)
 
 
 @case("optimize_gmud")
@@ -362,15 +382,21 @@ def _optimize_gmud(g):
     fb_k, fb_l = _reports(g, rng, None)
     bad = g.GmudFeedback(fb_k.raw, np.array([1.0, 1.0], dtype=complex), 1.0, 0.5)
     zero = g.GmudFeedback(fb_k.raw, fb_k.v1, 0.0, 0.0)
-    for args in ((fb_k, fb_l, 0.1, g.GridSpec(0, 4, 4)), (bad, fb_l, 0.1, grids[3]), (zero, fb_l, 0.1, grids[3]),
+    yield "error", lambda: g.optimize_gmud(fb_k, fb_l, 0.1, g.GridSpec(0, 4, 4))  # GridSpec may raise first
+    for args in ((bad, fb_l, 0.1, grids[3]), (zero, fb_l, 0.1, grids[3]),
                  (fb_k, fb_l, -1.0, grids[3]), (fb_k, fb_l, np.nan, grids[3])):
         yield "error", lambda args=args: g.optimize_gmud(*args)
+    for bad in _bad_reports(g, rng):
+        for args in ((bad, fb_l, 0.1, grids[1]), (fb_l, bad, 0.1, grids[1])):
+            yield "error", lambda args=args: g.optimize_gmud(*args)
 
 
 @case("GridSpec")
 def _grid_spec(g):
     yield "typical", lambda: g.GridSpec()
     yield "typical", lambda: g.GridSpec(n_r=3, n_theta=5, n_p=2)
+    for sizes in ((0, 4, 3), (4, 0, 3), (4, 4, 0), (-1, 4, 3)):
+        yield "error", lambda sizes=sizes: g.GridSpec(*sizes)
 
 
 @case("GmudBeamParams")
