@@ -3,9 +3,9 @@
 Results are written atomically (temp file + rename): a CSV with the
 fixed header ``scheme,modulation,feedback_bits,snr_db,ber,bits,errors``,
 an SVG line chart with log-scale BER axis, an optional gnuplot ``.dat``,
-and a JSON manifest recording the resolved configuration so any output
-can be reproduced byte-for-byte.  ``GMUD_SEED`` provides the default
-seed; the ``--seed`` flag wins.
+and a JSON manifest recording the resolved configuration, so any output
+can be reproduced byte-for-byte, and the standard error of each point.
+``GMUD_SEED`` provides the default seed; the ``--seed`` flag wins.
 """
 
 from __future__ import annotations
@@ -185,6 +185,8 @@ def _emit(curves, args, seed, grid, started) -> None:
         "schemes": sorted({c.scheme for c in curves}, key=SCHEMES.index),
         "modulation": args.mod,
         "feedback": [c.feedback for c in curves],
+        # the standard error of each point's BER, from per-realization clustering
+        "se": [{"scheme": c.scheme, "feedback": c.feedback, "se": [p.se for p in c.points]} for c in curves],
         "snr": args.snr,
         "realizations": args.realizations,
         "symbols": args.symbols,

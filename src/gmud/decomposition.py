@@ -129,8 +129,9 @@ def _rotation_factors(lambda1, lambda2, r):
     e = _pow2_exponent(lambda1)
     if e:  # skipped at e = 0: a 0-d r times 1.0 would square as a numpy scalar
         scale = math.ldexp(1.0, -e)
-        lambda1, lambda2 = lambda1 * scale, lambda2 * scale
-        r = np.multiply(r, scale, out=np.empty(np.shape(r)))  # an array stays an array
+        # all three become arrays, so that all square alike (Python and numpy-scalar
+        # squares go through libm pow) and r = lambda2 still gives a = 0 exactly
+        lambda1, lambda2, r = (np.multiply(v, scale, out=np.empty(np.shape(v))) for v in (lambda1, lambda2, r))
     span = lambda1**2 - lambda2**2
     a = np.sqrt(np.maximum(r**2 - lambda2**2, 0.0) / span)
     b = np.sqrt(np.maximum(lambda1**2 - r**2, 0.0) / span)

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .linalg import SvdFactorization, svd2x2
+from .linalg import SvdFactorization, _norm, svd2x2
 
 __all__ = [
     "SCHEMES",
@@ -51,6 +51,30 @@ VECTOR_RANGE = (-1.0, 1.0)
 MAGNITUDE_RANGE = (0.0, 4.0)
 
 
+def _quantize(v, lo, hi, bits):
+    """Cells and reconstruction levels of the uniform midrise quantizer, elementwise.
+
+    The kernel of :func:`quantize_scalar`, :func:`encode` and the
+    realization-batched round trip.  Cells are integer-valued floats;
+    above 53 bits the top cell ``2**bits - 1`` rounds up to ``2**bits``
+    as a float, as it does in the level formula.
+    """
+    levels = np.ldexp(1.0, bits)
+    step = (hi - lo) / levels
+    # clamping first cannot overflow and moves no in-range index: (hi - lo) / step == levels
+    cells = np.minimum(np.floor((np.clip(v, lo, hi) - lo) / step), levels - 1.0)
+    return cells, _reconstruct(cells, lo, hi, bits)
+
+
+def _reconstruct(cells, lo, hi, bits):
+    return lo + (cells + 0.5) * ((hi - lo) / np.ldexp(1.0, bits))
+
+
+def _index(cell: float, bits: int) -> int:
+    """The exact cell index of a :func:`_quantize` cell, at any width."""
+    return min(int(cell), (1 << bits) - 1)
+
+
 def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, float]:
     """Uniform midrise quantizer on [lo, hi) with 2**bits levels.
 
@@ -65,16 +89,8 @@ def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, flo
         raise ValueError("bits must be >= 1")
     if not lo < hi:
         raise ValueError("lo must be < hi")
-    levels = 1 << bits
-    step = (hi - lo) / levels
-    # clamping first cannot overflow and moves no in-range index: (hi - lo) / step == levels
-    index = min(int(np.floor((min(max(v, lo), hi) - lo) / step)), levels - 1)
-    return index, _reconstruct(index, lo, hi, bits)
-
-
-def _reconstruct(index: int, lo: float, hi: float, bits: int) -> float:
-    step = (hi - lo) / (1 << bits)
-    return lo + (index + 0.5) * step
+    cell, level = _quantize(np.array([v], dtype=np.float64), lo, hi, bits)
+    return _index(cell[0], bits), float(level[0])
 
 
 def _floats(z) -> np.ndarray:
@@ -93,16 +109,18 @@ def _pairs(z) -> list:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    return vec / np.linalg.norm(vec)
+    """Each vector along the last axis divided by its norm."""
+    return vec / _norm(vec)[..., None]
 
 
-def _unit_row(row: np.ndarray) -> tuple[np.ndarray, float]:
+def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and row norms along the last axis; a zero row gives [1, 0, ...] and norm 0."""
     # an overflowing or non-finite row leaves a non-finite field, which encode names
-    with np.errstate(over="ignore", invalid="ignore"):
-        nrm = float(np.linalg.norm(row))
-        if nrm == 0.0:
-            return np.array([1.0 + 0.0j, 0.0j]), 0.0
-        return row / nrm, nrm
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nrm = _norm(rows)
+        units = rows / nrm[..., None]
+    units[nrm == 0.0] = np.eye(1, units.shape[-1])[0]
+    return units, nrm
 
 
 @dataclass(eq=False)
@@ -115,8 +133,7 @@ class RegInvSelectionFeedback:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> RegInvSelectionFeedback:
-        rows = (_complex(values[0:4]), _complex(values[4:8]))
-        return cls(values, np.stack([_unit(r) for r in rows]), values[8:10].copy())
+        return cls(values, _unit(_complex(values[0:8]).reshape(2, 2)), values[8:10].copy())
 
     @property
     def channel(self) -> np.ndarray:
@@ -173,15 +190,20 @@ class GmudFeedback:
         return {"v1": _pairs(self.v1), "lambda1": self.lambda1, "lambda2": self.lambda2}
 
 
-def _selection_scalars(h) -> list[float]:
+def _rows(h) -> np.ndarray:
+    """A channel source (..., rows, N_T) as complex; a vector reads as one-element rows."""
     h = np.asarray(h, dtype=np.complex128)
-    units, norms = zip(*(_unit_row(h[i]) for i in range(2)))
-    return _floats(units).tolist() + list(norms)
+    return h[:, None] if h.ndim == 1 else h
 
 
-def _fixed_row_scalars(h) -> list[float]:
-    unit, nrm = _unit_row(np.asarray(h, dtype=np.complex128)[0])
-    return _floats(unit).tolist() + [nrm]
+def _selection_scalars(h) -> np.ndarray:
+    units, norms = _unit_rows(_rows(h))
+    return np.concatenate([units.view(np.float64).reshape(norms.shape[:-1] + (-1,)), norms], axis=-1)
+
+
+def _fixed_row_scalars(h) -> np.ndarray:
+    unit, nrm = _unit_rows(_rows(h)[..., 0, :])
+    return np.concatenate([unit.view(np.float64), nrm[..., None]], axis=-1)
 
 
 def _spectral_scalars(source) -> list[float]:
@@ -243,6 +265,20 @@ def scheme_layout(scheme: str, n: int) -> list[tuple[str, int, float, float]]:
     return [(name, k * n, lo, hi) for name, k, (lo, hi) in _SCHEME_TABLE[scheme].fields]
 
 
+def _fields(scheme: str, n: int):
+    """The wire layout as arrays: names, then bits, lo and hi per field."""
+    names, bits, lo, hi = zip(*scheme_layout(scheme, n))
+    return names, np.array(bits), np.array(lo), np.array(hi)
+
+
+def _finite(scalars: np.ndarray, names) -> np.ndarray:
+    """``scalars`` (..., fields), or :class:`DomainError` naming the first field that is not."""
+    finite = np.isfinite(scalars)
+    if not finite.all():
+        raise DomainError(f"{names[int(np.argmin(finite)) % len(names)]} is not finite")
+    return scalars
+
+
 def encode(source, scheme: str, n: int) -> str:
     """Encode channel/decomposition data (or a decoded message) to 12*N bits.
 
@@ -254,17 +290,13 @@ def encode(source, scheme: str, n: int) -> str:
     :class:`DomainError` naming the first wire field that is not finite,
     and ``ValueError`` when the source does not fill the scheme's fields.
     """
-    layout = scheme_layout(scheme, n)
+    names, bits, lo, hi = _fields(scheme, n)
     spec = _SCHEME_TABLE[scheme]
-    scalars = source.raw if isinstance(source, spec.message) else spec.scalars(source)
-    if len(scalars) != len(layout):
-        raise ValueError(f"{scheme} source gives {len(scalars)} wire fields, expected {len(layout)}")
-    fields = []
-    for v, (name, width, lo, hi) in zip(scalars, layout):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} is not finite")
-        fields.append(format(quantize_scalar(v, lo, hi, width)[0], f"0{width}b"))
-    return "".join(fields)
+    scalars = np.asarray(source.raw if isinstance(source, spec.message) else spec.scalars(source), dtype=np.float64)
+    if len(scalars) != len(names):
+        raise ValueError(f"{scheme} source gives {len(scalars)} wire fields, expected {len(names)}")
+    cells, _ = _quantize(_finite(scalars, names), lo, hi, bits)
+    return "".join(format(_index(c, w), f"0{w}b") for c, w in zip(cells.tolist(), bits.tolist()))
 
 
 def decode(bits: str, scheme: str, n: int):
@@ -274,13 +306,30 @@ def decode(bits: str, scheme: str, n: int):
     renormalized and singular values sorted descending.  Raises
     :class:`FormatError` on wrong length or alphabet.
     """
-    layout = scheme_layout(scheme, n)
+    _, widths, lo, hi = _fields(scheme, n)
     if len(bits) != 12 * n:
         raise FormatError(f"expected {12 * n} bits, got {len(bits)}")
     if set(bits) - {"0", "1"}:
         raise FormatError("bitstring must contain only '0' and '1'")
-    values, pos = [], 0
-    for _, width, lo, hi in layout:
-        values.append(_reconstruct(int(bits[pos : pos + width], 2), lo, hi, width))
-        pos += width
-    return _SCHEME_TABLE[scheme].message.from_values(np.array(values))
+    ends = np.cumsum(widths).tolist()
+    cells = [float(int(bits[end - w : end], 2)) for end, w in zip(ends, widths.tolist())]
+    return _SCHEME_TABLE[scheme].message.from_values(_reconstruct(np.array(cells), lo, hi, widths))
+
+
+def _round_trip(scalars: np.ndarray, scheme: str, n: int) -> np.ndarray:
+    """``decode(encode(.))``'s levels for (..., fields) wire scalars, on arrays."""
+    names, bits, lo, hi = _fields(scheme, n)
+    return _quantize(_finite(scalars, names), lo, hi, bits)[1]
+
+
+def _estimates(h: np.ndarray, scheme: str, n: int) -> np.ndarray:
+    """What the transmitter decodes from each (..., 2, 2) channel of a stack.
+
+    ``reg-inv`` gives the reported rows (..., 2), ``reg-inv-sel`` the
+    channels (..., 2, 2): the ``row`` and ``channel`` of the decoded
+    messages, from the same arithmetic.
+    """
+    levels = _round_trip(_SCHEME_TABLE[scheme].scalars(h), scheme, n)
+    if scheme == "reg-inv":
+        return _unit(_complex(levels[..., :4])) * levels[..., 4:]
+    return _unit(_complex(levels[..., :8]).reshape(levels.shape[:-1] + (2, 2))) * levels[..., 8:, None]

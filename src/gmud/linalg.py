@@ -22,7 +22,10 @@ __all__ = ["SvdFactorization", "mat_inv", "svd2x2"]
 _SINGULAR_TOL = 1e-14
 # Below lambda2 <= _RANK_TOL * lambda1 the second left singular vector is
 # completed by orthogonality instead of the (numerically useless) h @ v / s.
-_RANK_TOL = 1e-12
+# The completion can miss u2's phase, a reconstruction error of up to
+# 2 * lambda2, so the tolerance stays well below 1e-12.  Just above it,
+# h @ v / s errs by ~eps / 1e-13 in phase only, ~eps * lambda1 in h.
+_RANK_TOL = 1e-13
 
 
 def _pow2_exponent(m: float, safe: int = 128) -> int:
@@ -44,32 +47,59 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def _norm(z) -> np.ndarray:
+    """2-norms over the last axis, rounded as the 1-D ``np.linalg.norm`` rounds."""
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+
+
+def _mat_inv(a: np.ndarray) -> np.ndarray:
+    """Invert every matrix of a complex (R, 2, 2) stack: the kernel of :func:`mat_inv`.
+
+    The determinant comes from real products on float views, so each
+    entry rounds as numpy-scalar complex arithmetic does (the array
+    complex product fuses multiply-adds).  The first matrix in stack
+    order that fails a check raises, as a loop over the stack would.
+    """
+    finite = np.isfinite(a).all(axis=(1, 2))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        if first:
+            _mat_inv(a[:first])  # an earlier matrix's error comes first
+        raise ValueError("matrix entries must be finite")
+    if a.shape[1:] != (2, 2):
+        raise ValueError(f"mat_inv requires a square 2x2 matrix, got {a.shape[1:]}")
+    parts = np.ascontiguousarray(a).view(np.float64)
+    # always scaled, by 2**-e with e bounded at -1021 so that 2**-e stays finite
+    e = np.maximum(np.frexp(np.abs(parts).max(axis=(1, 2)))[1], -1021)
+    scale = np.ldexp(1.0, -e)[:, None, None]
+    b = parts * scale
+    tol = _SINGULAR_TOL * np.vecdot(b.reshape(-1, 8), b.reshape(-1, 8))
+    (ar, ai, br, bi), (cr, ci, dr, di) = np.moveaxis(b, (1, 2), (0, 1))
+    det = np.stack([(ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)], axis=-1)
+    abs_det = np.hypot(det[:, 0], det[:, 1])
+    singular = abs_det <= tol
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise SingularMatrixError(
+            f"2x2 determinant {abs_det[i]:.3e} below tolerance {tol[i]:.3e} (matrix scaled by 2**{-int(e[i])})"
+        )
+    b = b.view(np.complex128)
+    adj = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
+    inv = adj / det.view(np.complex128)[:, :, None]
+    return (inv.view(np.float64) * scale).view(np.complex128)
+
+
 def mat_inv(a) -> np.ndarray:
     """Invert a 2x2 complex matrix through its adjugate and determinant.
 
-    Works on b = a * 2**-e, with 2**e from ``math.frexp`` of the largest
+    Works on b = a * 2**-e, with 2**e from ``frexp`` of the largest
     real or imaginary part, and scales the inverse back.  Both scalings
     are exact, so the result is right at any floating-point scale.
     Raises :class:`SingularMatrixError` when det(b) falls at or below
     ``1e-14 * ||b||_F**2`` (condition numbers above about 1e14) and
     ``ValueError`` for any other shape.
     """
-    a = as_matrix(a)
-    if a.shape != (2, 2):
-        raise ValueError(f"mat_inv requires a square 2x2 matrix, got {a.shape}")
-    parts = np.ascontiguousarray(a).view(np.float64)
-    e = _pow2_exponent(max(map(abs, parts.ravel().tolist())), safe=0)  # always scaled
-    scale = math.ldexp(1.0, -e)
-    scaled = parts * scale
-    tol = _SINGULAR_TOL * float(np.vdot(scaled, scaled))
-    b = scaled.view(np.complex128)
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    if abs(det) <= tol:
-        raise SingularMatrixError(
-            f"2x2 determinant {abs(det):.3e} below tolerance {tol:.3e} (matrix scaled by 2**{-e})"
-        )
-    inv = np.array([[b[1, 1], -b[0, 1]], [-b[1, 0], b[0, 0]]], dtype=np.complex128) / det
-    return (inv.view(np.float64) * scale).view(np.complex128)
+    return _mat_inv(as_matrix(a)[None])[0]
 
 
 def orthonormal_complement(v: np.ndarray) -> np.ndarray:
@@ -108,7 +138,7 @@ def svd2x2(h) -> SvdFactorization:
     quadratic formula with the cancellation-free discriminant
     (w00-w11)^2 + 4|w01|^2, the small one from mu2 = det(w)/mu1 so that
     lambda1*lambda2 matches |det h| to full precision.  Left vectors are
-    h @ v_i / lambda_i, re-orthonormalized; when lambda2 <= 1e-12*lambda1
+    h @ v_i / lambda_i, re-orthonormalized; when lambda2 <= 1e-13*lambda1
     the second left vector is completed by orthogonality instead.  The
     zero matrix yields lambda1 = lambda2 = 0 with u = v = I.  h is first
     scaled exactly by the power of two of its largest part, so the result
@@ -139,6 +169,13 @@ def svd2x2(h) -> SvdFactorization:
     cand2 = np.array([mu1 - w11, np.conj(w01)], dtype=np.complex128)
     n1 = np.linalg.norm(cand1)
     n2 = np.linalg.norm(cand2)
+    if max(n1, n2) < 2.0**-128:
+        # w is within 2**-128 of a multiple of I: the squares in the norms fell
+        # toward subnormals and v1 would miss unit norm, so scale exactly, redo
+        ce = _pow2_exponent(max(map(abs, np.concatenate([cand1, cand2]).view(np.float64).tolist())))
+        if ce:
+            cand1, cand2 = cand1 * math.ldexp(1.0, -ce), cand2 * math.ldexp(1.0, -ce)
+            n1, n2 = np.linalg.norm(cand1), np.linalg.norm(cand2)
     if max(n1, n2) == 0.0:
         v1 = np.array([1.0, 0.0], dtype=np.complex128)  # w is a multiple of the identity
     else:

@@ -30,7 +30,8 @@ import numpy as np
 
 from .decomposition import beam_from_feedback, steered_beams
 from .errors import DomainError
-from .linalg import as_matrix, mat_inv
+from .linalg import _mat_inv, _norm, as_matrix
+from .linalg import mat_inv  # noqa: F401  _reg_inv calls its kernel; profilers wrap this name
 
 __all__ = [
     "SINR_CAP",
@@ -98,6 +99,15 @@ def _check_inputs(noise_var: float, *reports) -> None:
             raise DomainError(f"lambda1 = {fb.lambda1:.6g} is too large: lambda1**2 overflows float64")
 
 
+def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
+    """G of every (R, K, N_T) row stack: the kernel of :func:`reg_inv`."""
+    h = np.ascontiguousarray(h, dtype=np.complex128)
+    k = h.shape[-2]
+    hh = np.swapaxes(np.conj(h), -1, -2)
+    a = h @ hh + (k * noise_var) * np.eye(k, dtype=np.complex128)
+    return hh @ _mat_inv(a.reshape(-1, k, k)).reshape(a.shape)
+
+
 def reg_inv(h_tilde, noise_var: float) -> np.ndarray:
     """Regularized channel inverse G = H^H (H H^H + K*sigma^2 I)^{-1}.
 
@@ -107,10 +117,17 @@ def reg_inv(h_tilde, noise_var: float) -> np.ndarray:
     transmit normalization.
     """
     _check_inputs(noise_var)
-    h = as_matrix(h_tilde)
-    k = h.shape[0]
-    a = h @ h.conj().T + (k * noise_var) * np.eye(k, dtype=np.complex128)
-    return h.conj().T @ mat_inv(a)
+    return _reg_inv(as_matrix(h_tilde)[None], noise_var)[0]
+
+
+def _expected_gammas(g: np.ndarray) -> np.ndarray:
+    """:func:`expected_gamma` of every matrix in a (..., M, N) stack.
+
+    The square is taken on Python floats: numpy-scalar ``**`` goes
+    through libm ``pow``, which the array square does not match.
+    """
+    nrm = _norm(g.reshape(g.shape[:-2] + (-1,)))
+    return np.array([v**2 for v in nrm.ravel().tolist()]).reshape(nrm.shape)
 
 
 def expected_gamma(g: np.ndarray) -> float:
@@ -119,7 +136,7 @@ def expected_gamma(g: np.ndarray) -> float:
     Cross terms vanish for independent zero-mean symbols, leaving the
     squared Frobenius norm (sum of column norms squared).
     """
-    return float(np.linalg.norm(g) ** 2)
+    return float(_expected_gammas(np.asarray(g)[None])[0])
 
 
 def _abs2(z):
@@ -133,6 +150,34 @@ def _capped_ratio(num, den):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
     return np.minimum(ratio, SINR_CAP)
+
+
+def _select(h_hat: np.ndarray, noise_var: float):
+    """Antenna selection over the row combinations ``h_hat`` (R, C, 2, N_T) of R realizations.
+
+    The kernel of :func:`antenna_selection`.  Returns the first best
+    combination of each realization, (R,), with its G (R, N_T, 2),
+    per-user SINRs (R, 2) and gamma_bar (R,).  Scores and picks follow
+    the scalar loop's rules: Python's ``min`` of the two SINRs, then the
+    first combination whose score is strictly greater.
+    """
+    g = _reg_inv(h_hat, noise_var)
+    e = h_hat @ g
+    gamma_bar = _expected_gammas(g)
+    # gamma_bar / snr, not gamma_bar * noise_var: the two can differ in the last ulp
+    noise_term = 0.0 if noise_var == 0.0 else (gamma_bar / (1.0 / noise_var))[..., None]
+    powers = _abs2(e)
+    # reg_inv inverts 2x2 only, so there are two users: e_01 interferes with 0, e_10 with 1
+    sinrs = _capped_ratio(powers[..., [0, 1], [0, 1]], powers[..., [0, 1], [1, 0]] + noise_term)
+    scores = np.where(sinrs[..., 1] < sinrs[..., 0], sinrs[..., 1], sinrs[..., 0])
+    pick = np.zeros(len(scores), dtype=np.intp)
+    best = scores[:, 0]
+    for c in range(1, scores.shape[1]):
+        better = scores[:, c] > best
+        pick[better] = c
+        best = np.where(better, scores[:, c], best)
+    r = np.arange(len(pick))
+    return pick, g[r, pick], sinrs[r, pick], gamma_bar[r, pick]
 
 
 def antenna_selection(channels, noise_var: float):
@@ -152,23 +197,11 @@ def antenna_selection(channels, noise_var: float):
     """
     _check_inputs(noise_var)
     mats = [as_matrix(h) for h in channels]
-    best = None
-    for combo in itertools.product(*[range(h.shape[0]) for h in mats]):
-        h_hat = np.stack([mats[k][row] for k, row in enumerate(combo)])
-        g = reg_inv(h_hat, noise_var)
-        e = h_hat @ g
-        gamma_bar = expected_gamma(g)
-        # gamma_bar / snr, not gamma_bar * noise_var: the two can differ in the last ulp
-        noise_term = 0.0 if noise_var == 0.0 else gamma_bar / (1.0 / noise_var)
-        powers = _abs2(e)
-        # reg_inv inverts 2x2 only, so there are two users: e_01 interferes with 0, e_10 with 1
-        sinrs = _capped_ratio(np.diagonal(powers), powers[[0, 1], [1, 0]] + noise_term)
-        sinrs = tuple(float(x) for x in sinrs)
-        score = min(sinrs)
-        if best is None or score > best[0]:
-            best = (score, combo, g, SinrReport(sinrs, score, gamma_bar))
-    _, combo, g, report = best
-    return combo, g, report
+    combos = list(itertools.product(*[range(h.shape[0]) for h in mats]))
+    h_hat = np.stack([np.stack([mats[k][row] for k, row in enumerate(combo)]) for combo in combos])
+    pick, g, sinrs, gamma_bar = _select(h_hat[None], noise_var)
+    per_user = tuple(sinrs[0].tolist())
+    return combos[pick[0]], g[0], SinrReport(per_user, min(per_user), float(gamma_bar[0]))
 
 
 def _beam_x(beams_k, beams_l):

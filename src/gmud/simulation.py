@@ -21,8 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _rotation_factors, _steer
-from .feedback import SCHEMES, GmudFeedback, decode, encode
-from .precoding import GridSpec, antenna_selection, optimize_gmud, reg_inv
+from .feedback import SCHEMES, GmudFeedback, _estimates, _round_trip, _spectral_scalars
+from .precoding import GridSpec, _reg_inv, _select, optimize_gmud
+
+# The scalar entry points of the stages the engine batches.  It calls their
+# stacked kernels instead, but profilers wrap these module attributes.
+from .feedback import decode, encode  # noqa: F401
+from .precoding import antenna_selection, reg_inv  # noqa: F401
 
 __all__ = [
     "MODULATIONS",
@@ -103,34 +108,45 @@ def demodulate(symbols, modulation: str) -> np.ndarray:
 def transmit(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize G @ u to unit power per symbol.
 
-    ``u`` holds one column per symbol (or a single vector).  Returns
-    (x, gamma) with gamma = ||G u||^2 columnwise and ||x|| = 1.
+    ``u`` holds one column per symbol (or a single vector); G (..., 2, 2)
+    and u (..., 2, T) may carry realizations on leading axes.  Returns
+    (x, gamma) with gamma = ||G u||^2 columnwise and ||x|| = 1.  Where
+    G u vanishes for a nonzero G (coarse feedback can give both users
+    the same row, and G rank one), x is 0 and gamma is 0: the receivers
+    then see only noise times zero.  A zero G raises ``ValueError``.
     """
-    s = np.asarray(g) @ np.asarray(u)
-    gamma = (s.real**2 + s.imag**2).sum(axis=0)
-    if np.any(gamma == 0.0):
+    g, u = np.asarray(g), np.asarray(u)
+    if u.ndim == 1:
+        x, gamma = transmit(g, u[:, None])
+        return x[:, 0], gamma[0]
+    s = g @ u
+    gamma = (s.real**2 + s.imag**2).sum(axis=-2)
+    vanished = gamma == 0.0
+    if np.any(vanished & ~np.any(g, axis=(-2, -1))[..., None]):
         raise ValueError("zero transmit vector: G @ u vanished")
-    return s / np.sqrt(gamma), gamma
+    x = s / np.sqrt(np.where(vanished, 1.0, gamma))[..., None, :]
+    return np.where(vanished[..., None, :], 0.0, x), gamma
 
 
-def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise_var: float, rng):
-    """Add receiver noise, combine, equalize with the genie gain, and slice.
+def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise):
+    """Combine, equalize with the genie gain, and slice.
 
-    User k combines its antennas with the unit vector w_k = ``combiners[k]``
-    and divides by the true gain w_k^H H_k g_k (g_k: column k of G):
+    User k receives H_k x + n_k (``noise[..., k, :, :]``, one column per
+    symbol), combines its antennas with the unit vector w_k =
+    ``combiners[..., k, :]`` and divides by the true gain w_k^H H_k g_k
+    (g_k: column k of G):
     z = sqrt(gamma) * ((w_k^H H_k) x + w_k^H n_k) / (w_k^H H_k g_k).
-    Interference is never cancelled.  Returns the hard bit decisions as a
-    (users, bits) uint8 array, one row per user.
+    Interference is never cancelled.  Realizations may stack on leading
+    axes.  Returns the hard bit decisions as a (..., users, bits) uint8
+    array, one row per user.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.complex128).T).T  # (2, T)
-    gamma = np.atleast_1d(np.asarray(gamma, dtype=np.float64))
-    noise = crandn(rng, (len(channels), 2, x.shape[1])) * np.sqrt(noise_var)
-    # users on the leading axis of (users, 1, .) matmuls, each the per-user vector product
-    w = np.conj(combiners)[:, None, :]
+    x = np.asarray(x, dtype=np.complex128)
+    # users on the (users, 1, .) matmul axis, each product the per-user vector product
+    w = np.conj(combiners)[..., None, :]
     rows = w @ channels
-    gains = rows @ g.T[:, :, None]
-    z = np.sqrt(gamma) * (rows @ x + w @ noise) / gains
-    return demodulate(z[:, 0], modulation)
+    gains = rows @ np.swapaxes(g, -1, -2)[..., None]
+    z = np.sqrt(gamma)[..., None, None, :] * (rows @ x[..., None, :, :] + w @ noise) / gains
+    return demodulate(z[..., 0, :], modulation)
 
 
 @dataclass(frozen=True)
@@ -195,68 +211,86 @@ def _rotation_projection(svd, r: float, theta: float) -> np.ndarray:
     return _steer(a, b, theta, svd.u[:, 0], svd.u[:, 1])
 
 
-def _round_trip(source, scheme: str, n: int):
-    """The report as the transmitter sees it: decoded from its 12N bits."""
-    return decode(encode(source, scheme, n), scheme, n)
+# Combinations of the users' receive rows, in lexicographic order: (combos, users).
+_COMBOS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+_ROWS = np.eye(2, dtype=np.complex128)
 
 
 def _link_reg_inv(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
-    if n is None:
-        rows = [h[0] for h in channels]
-    else:
-        rows = [_round_trip(h, "reg-inv", n).row for h in channels]
-    return reg_inv(np.stack(rows), noise_var), np.eye(2, dtype=np.complex128)[[0, 0]]
+    rows = channels[:, :, 0] if n is None else _estimates(channels, "reg-inv", n)
+    return _reg_inv(rows, noise_var), np.broadcast_to(_ROWS[[0, 0]], channels.shape[:3])
 
 
 def _link_selection(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
-    if n is None:
-        estimates = list(channels)
-    else:
-        estimates = [_round_trip(h, "reg-inv-sel", n).channel for h in channels]
-    selection, g, _ = antenna_selection(estimates, noise_var)
-    return g, np.eye(2, dtype=np.complex128)[list(selection)]
+    estimates = channels if n is None else _estimates(channels, "reg-inv-sel", n)
+    pick, g, _, _ = _select(estimates[:, [0, 1], _COMBOS], noise_var)
+    return g, _ROWS[_COMBOS[pick]]
 
 
 def _link_gmud(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
     from .linalg import svd2x2  # read from linalg per call, so a patched svd2x2 takes effect
 
-    svds = [svd2x2(h) for h in channels]
+    svds = [[svd2x2(h) for h in users] for users in channels]
     if n is None:
-        reports = [GmudFeedback.from_svd(svd) for svd in svds]
+        reports = [[GmudFeedback.from_svd(svd) for svd in pair] for pair in svds]
     else:
-        reports = [_round_trip(svd, "gmud", n) for svd in svds]
-    g, params, _ = optimize_gmud(reports[0], reports[1], noise_var, grid)
-    steering = ((params.r_k, params.theta_k), (params.r_l, params.theta_l))
-    return g, np.stack([_rotation_projection(svd, r, t) for svd, (r, t) in zip(svds, steering)])
+        levels = _round_trip(np.array([[_spectral_scalars(svd) for svd in pair] for pair in svds]), "gmud", n)
+        reports = [[GmudFeedback.from_values(v) for v in pair] for pair in levels]
+    gs, combiners = [], []
+    for pair, (fb_k, fb_l) in zip(svds, reports):
+        g, params, _ = optimize_gmud(fb_k, fb_l, noise_var, grid)
+        steering = ((params.r_k, params.theta_k), (params.r_l, params.theta_l))
+        gs.append(g)
+        combiners.append([_rotation_projection(svd, r, t) for svd, (r, t) in zip(pair, steering)])
+    return np.stack(gs), np.array(combiners)
 
 
-# Per-scheme link builders: (channels, noise_var, N or None for perfect CSI,
-# grid) -> (G, (users, 2) unit combiners): p1 of _rotation_projection for
-# gmud, the unit vector selecting the inverted receive row otherwise.
+# Per-scheme link builders: (channels (R, users, 2, 2), noise_var, N or None
+# for perfect CSI, grid) -> (G (R, 2, 2), (R, users, 2) unit combiners): p1 of
+# _rotation_projection for gmud, the unit vector selecting the inverted
+# receive row otherwise.
 _LINKS = {"reg-inv": _link_reg_inv, "reg-inv-sel": _link_selection, "gmud": _link_gmud}
+
+# Realizations per batch.  The speed barely changes from 16 to 64; one batch
+# of all realizations would hold every realization's noise and symbols at once.
+_CHUNK = 32
+
+
+def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
+    """Bit errors of every realization at one SNR point, in chunks of _CHUNK.
+
+    Realization j draws from its own generator (seed, snr index, j), in
+    the order channels, payload, noise; only the arithmetic is batched.
+    """
+    n = None if config.feedback == "perfect" else config.feedback
+    noise_var = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
+    bps = MODULATIONS[config.modulation]
+    err_counts = np.empty(config.realizations, dtype=np.int64)
+    for start in range(0, config.realizations, _CHUNK):
+        channels, payload, noise = [], [], []
+        for j in range(start, min(start + _CHUNK, config.realizations)):
+            rng = np.random.default_rng([config.seed, snr_idx, j])
+            channels.append(gen_channels(rng))
+            payload.append(rng.integers(0, 2, size=(2, config.symbols * bps), dtype=np.uint8))
+            noise.append(crandn(rng, (2, 2, config.symbols)))
+        channels, payload = np.stack(channels), np.stack(payload)
+        g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
+        x, gamma = transmit(g, modulate(payload, config.modulation))
+        noise = np.stack(noise) * np.sqrt(noise_var)
+        detected = receive_detect(channels, g, combiners, x, gamma, config.modulation, noise)
+        err_counts[start : start + len(payload)] = np.count_nonzero(detected != payload, axis=(1, 2))
+    return err_counts
 
 
 def _simulate_point(config: SimConfig, snr_idx: int) -> BerPoint:
-    snr_db = config.snr_db[snr_idx]
-    n = None if config.feedback == "perfect" else config.feedback
-    noise_var = 10.0 ** (-snr_db / 10.0)
-    bps = MODULATIONS[config.modulation]
-    bits_per_real = 2 * config.symbols * bps
-    err_counts = np.empty(config.realizations, dtype=np.int64)
-    for j in range(config.realizations):
-        rng = np.random.default_rng([config.seed, snr_idx, j])
-        channels = gen_channels(rng)
-        g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
-        payload = rng.integers(0, 2, size=(2, config.symbols * bps), dtype=np.uint8)
-        x, gamma = transmit(g, modulate(payload, config.modulation))
-        detected = receive_detect(channels, g, combiners, x, gamma, config.modulation, noise_var, rng)
-        err_counts[j] = np.count_nonzero(detected != payload)
+    err_counts = _error_counts(config, snr_idx)
+    bits_per_real = 2 * config.symbols * MODULATIONS[config.modulation]
     total_bits = bits_per_real * config.realizations
     total_errs = int(err_counts.sum())
     p = total_errs / total_bits
     resid = err_counts.astype(np.float64) - p * bits_per_real
     se = float(np.sqrt((resid**2).sum()) / total_bits)
-    return BerPoint(float(snr_db), p, total_bits, total_errs, se)
+    return BerPoint(float(config.snr_db[snr_idx]), p, total_bits, total_errs, se)
 
 
 def run_ber(config: SimConfig, jobs: int = 1) -> BerCurve:

@@ -201,6 +201,33 @@ class TestCompare:
         assert len(lines) == 12  # 2 SNR points each
         assert json.loads(read_csv(out + ".manifest.json"))["schemes"] == list(SCHEMES)
 
+    def test_manifest_standard_errors(self, capsys, tmp_path):
+        from gmud import GridSpec, SimConfig, run_ber
+
+        out = str(tmp_path / "se")
+        code, _, _ = run_cli(
+            capsys, "compare", "--mod", "qpsk", "--snr", "0:10:10", "--feedback", "perfect",
+            "--feedback", "2", "--realizations", "5", "--symbols", "8", "--seed", "6",
+            "--grid", "2,2,2", "--out", out,
+        )
+        assert code == 0
+        se = json.loads(read_csv(out + ".manifest.json"))["se"]
+        assert [(c["scheme"], c["feedback"]) for c in se] == [(s, f) for s in SCHEMES for f in ("perfect", 2)]
+        cfg = SimConfig(scheme="reg-inv-sel", modulation="qpsk", snr_db=(0.0, 10.0), feedback=2,
+                        realizations=5, symbols=8, seed=6, grid=GridSpec(2, 2, 2))
+        assert se[3]["se"] == [p.se for p in run_ber(cfg).points]
+        assert all(len(c["se"]) == 2 and min(c["se"]) > 0.0 for c in se)
+
+    def test_coarse_feedback_completes(self, capsys, tmp_path):
+        # 16QAM at N=1 and 2 gives rank-one G with symbol pairs in its null space
+        out = str(tmp_path / "coarse")
+        code, _, err = run_cli(
+            capsys, "compare", "--mod", "16qam", "--snr", "0:10:30", "--feedback", "1",
+            "--feedback", "2", "--grid", "2,2,2", "--out", out,
+        )
+        assert code == 0, err
+        assert len(read_csv(out + ".csv").strip().split("\n")) == 1 + 3 * 2 * 4
+
     def test_snr_grid_inclusive(self, capsys, tmp_path):
         out = str(tmp_path / "cmp2")
         code, _, _ = run_cli(

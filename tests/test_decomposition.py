@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from gmud import (
@@ -127,6 +127,8 @@ class TestGmud:
         st.floats(0.0, 2 * np.pi),
         st.integers(-1000, 1000),
     )
+    @example([0.8966339015324198, -0.22812541899815986, 0.2011906908222605, -0.40940717317402153,
+              0.30078125, 0.060810972669327557, 0.8966339015324198, 0.8966339015324198], 0.0, 0.0, 128)  # r = lambda2
     def test_any_scale(self, parts, u, theta, k):
         # the rotation factors depend on ratios only; 2**k must not move them
         l1, l2 = np.linalg.svd(np.array(parts).view(np.complex128).reshape(2, 2), compute_uv=False)

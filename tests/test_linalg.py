@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from gmud import DomainError, SingularMatrixError, mat_inv, svd2x2
@@ -173,6 +173,7 @@ class TestSvd2x2:
             svd2x2(np.eye(3))
 
     @given(st.lists(unit_floats, min_size=8, max_size=8), exponents)
+    @example([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-12], 0)  # lambda2 / lambda1 = 1e-12
     def test_any_scale(self, parts, k):
         base = from_parts(parts).reshape(2, 2)
         assume(np.abs(base).max() >= 1e-3)
@@ -192,6 +193,7 @@ class TestSvd2x2:
         assert f.lambda2 <= 1e-12 * f.lambda1
 
     @given(st.lists(st.floats(0.0, 2 * np.pi), min_size=4, max_size=4), exponents)
+    @example([9.220892867948306e-139, 2.0, 0.0, 2.0], 0)  # h^H h within 1e-155 of I
     def test_equal_singular_values_any_scale(self, angles, k):
         t, phi, psi, chi = angles
         c, s = np.cos(t), np.sin(t)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,18 +142,18 @@ class TestReceiveDetect:
         bits = rng.integers(0, 2, size=(2, 40), dtype=np.uint8)
         x, gamma = transmit(g, modulate(bits, mod))
         w = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)  # both select receive row 0
-        detected = receive_detect(channels, g, w, x, gamma, mod, 0.0, rng)
+        detected = receive_detect(channels, g, w, x, gamma, mod, np.zeros((2, 2, x.shape[1])))
         assert detected.dtype == np.uint8
         assert np.array_equal(detected, bits)
 
     def test_zero_noise_orthogonal_beams(self):
         h = np.diag([2.0, 1.0]).astype(complex)
         channels = np.stack((h, np.fliplr(np.diag([1.0, 2.0])).astype(complex)))
-        g, combiners = _LINKS["gmud"](channels, 0.0, None, GridSpec())
+        g, combiners = (a[0] for a in _LINKS["gmud"](channels[None], 0.0, None, GridSpec()))
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=(2, 20), dtype=np.uint8)
         x, gamma = transmit(g, modulate(bits, "qpsk"))
-        detected = receive_detect(channels, g, combiners, x, gamma, "qpsk", 0.0, rng)
+        detected = receive_detect(channels, g, combiners, x, gamma, "qpsk", np.zeros((2, 2, 10)))
         assert np.array_equal(detected, bits)
 
     def test_gmud_combiner_sees_only_its_beam(self):
@@ -181,7 +182,7 @@ class TestReceiveDetect:
         channels = gen_channels(np.random.default_rng(7))
         estimates = [decode(encode(h, "reg-inv-sel", 2), "reg-inv-sel", 2).channel for h in channels]
         for scheme in ("reg-inv", "reg-inv-sel"):
-            _, combiners = _LINKS[scheme](channels, 0.1, 2, GridSpec())
+            combiners = _LINKS[scheme](channels[None], 0.1, 2, GridSpec())[1][0]
             rows = tuple(int(np.flatnonzero(w)[0]) for w in combiners)
             expected = (0, 0) if scheme == "reg-inv" else antenna_selection(estimates, 0.1)[0]
             assert rows == expected
@@ -268,7 +269,7 @@ class TestSimConfig:
 
         channels = gen_channels(rng)
         cfg = SimConfig(scheme="gmud", modulation="qpsk", snr_db=(10.0,), feedback=2)
-        g, _ = _LINKS["gmud"](channels, 0.1, 2, cfg.grid)
+        g = _LINKS["gmud"](channels[None], 0.1, 2, cfg.grid)[0][0]
         # the precoder is the search over the decoded reports, nothing else
         msgs = [decode(encode(svd2x2(h), "gmud", 2), "gmud", 2) for h in channels]
         g_decoded, params, _ = optimize_gmud(msgs[0], msgs[1], 0.1, cfg.grid)
@@ -276,3 +277,114 @@ class TestSimConfig:
         # beams must be expressible from quantized reconstruction levels only
         for msg, r in zip(msgs, (params.r_k, params.r_l)):
             assert msg.lambda2 <= r <= msg.lambda1 + 1e-12
+
+
+def _loop_error_counts(config, snr_idx):
+    """The per-realization engine the chunked one replaced, written from the scalar API."""
+    from gmud import antenna_selection, decode, encode, optimize_gmud
+
+    n = None if config.feedback == "perfect" else config.feedback
+    noise_var = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
+    bps = {"qpsk": 2, "16qam": 4}[config.modulation]
+    counts = []
+    for j in range(config.realizations):
+        rng = np.random.default_rng([config.seed, snr_idx, j])
+        channels = gen_channels(rng)
+        if config.scheme == "reg-inv":
+            rows = [h[0] if n is None else decode(encode(h, "reg-inv", n), "reg-inv", n).row for h in channels]
+            g, combiners = reg_inv(np.stack(rows), noise_var), np.eye(2)[[0, 0]]
+        elif config.scheme == "reg-inv-sel":
+            est = [h if n is None else decode(encode(h, "reg-inv-sel", n), "reg-inv-sel", n).channel for h in channels]
+            selection, g, _ = antenna_selection(est, noise_var)
+            combiners = np.eye(2)[list(selection)]
+        else:
+            svds = [svd2x2(h) for h in channels]
+            reports = [GmudFeedback.from_svd(s) if n is None else decode(encode(s, "gmud", n), "gmud", n) for s in svds]
+            g, p, _ = optimize_gmud(reports[0], reports[1], noise_var, config.grid)
+            steering = ((p.r_k, p.theta_k), (p.r_l, p.theta_l))
+            combiners = np.stack([_rotation_projection(s, r, t) for s, (r, t) in zip(svds, steering)])
+        payload = rng.integers(0, 2, size=(2, config.symbols * bps), dtype=np.uint8)
+        x, gamma = transmit(g, modulate(payload, config.modulation))
+        noise = crandn(rng, (2, 2, config.symbols)) * np.sqrt(noise_var)
+        detected = receive_detect(channels, g, combiners.astype(complex), x, gamma, config.modulation, noise)
+        counts.append(np.count_nonzero(detected != payload))
+    return np.array(counts)
+
+
+class TestChunkedEngine:
+    """The realization-batched engine against the scalar API, call for call."""
+
+    def test_error_counts_equal_per_realization_loop(self):
+        from gmud.simulation import _CHUNK, _error_counts
+
+        sizes = (31, 33, 67)  # across one, two and three chunk boundaries
+        assert _CHUNK == 32
+        configs = [
+            SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0, 20.0), feedback=fb,
+                      realizations=sizes[i % 3], symbols=20, seed=100 + i, grid=GridSpec(4, 8, 5))
+            for i, (scheme, mod, fb) in enumerate(
+                (s, m, f) for s in SCHEMES for m in ("qpsk", "16qam") for f in ("perfect", 1, 2, 4)
+            )
+        ]
+        for cfg in configs:
+            for snr_idx in range(2):
+                assert np.array_equal(_error_counts(cfg, snr_idx), _loop_error_counts(cfg, snr_idx)), cfg
+
+    def test_stacked_kernels_equal_batch_of_one(self):
+        from gmud import antenna_selection, decode, encode, mat_inv
+        from gmud.feedback import _estimates, _round_trip, _SCHEME_TABLE
+        from gmud.linalg import _mat_inv
+        from gmud.precoding import _reg_inv, _select
+        from gmud.simulation import _COMBOS
+
+        rng = np.random.default_rng(2024)
+        draws = 3000
+        channels = crandn(rng, (draws, 2, 2, 2))
+        a = channels[:, 0] @ np.conj(np.swapaxes(channels[:, 0], 1, 2)) + 0.1 * np.eye(2)
+        assert np.array_equal(_mat_inv(a), np.stack([mat_inv(m) for m in a]))
+        rows = channels[:, :, 0]
+        for noise in (0.0, 0.05):
+            assert np.array_equal(_reg_inv(rows, noise), np.stack([reg_inv(h, noise) for h in rows]))
+        pick, g, sinrs, gamma_bar = _select(channels[:, [0, 1], _COMBOS], 0.05)
+        for k in range(draws):
+            combo, g_k, report = antenna_selection(list(channels[k]), 0.05)
+            assert tuple(_COMBOS[pick[k]]) == combo and np.array_equal(g[k], g_k)
+            assert tuple(sinrs[k].tolist()) == report.per_user and gamma_bar[k] == report.gamma_bar
+        for scheme in ("reg-inv", "reg-inv-sel"):
+            for n in (1, 2, 4, 8):
+                levels = _round_trip(_SCHEME_TABLE[scheme].scalars(channels), scheme, n)
+                estimates = _estimates(channels, scheme, n)
+                for k in range(0, draws, 10):
+                    for user in range(2):
+                        msg = decode(encode(channels[k, user], scheme, n), scheme, n)
+                        assert np.array_equal(levels[k, user], msg.raw)
+                        seen = msg.row if scheme == "reg-inv" else msg.channel
+                        assert np.array_equal(estimates[k, user], seen)
+        u = modulate(rng.integers(0, 2, size=(draws, 2, 40), dtype=np.uint8), "16qam")
+        x, gamma = transmit(g, u)
+        for k in range(draws):
+            x_k, gamma_k = transmit(g[k], u[k])
+            assert np.array_equal(x[k], x_k) and np.array_equal(gamma[k], gamma_k)
+
+
+class TestZeroTransmitVector:
+    """Coarse reports can give both users the same row, so G has rank one."""
+
+    def test_null_space_symbols_send_nothing(self):
+        g = np.outer([0.6, 0.8j], [1.0, 1.0])  # G u = 0 for u2 = -u1
+        u = np.array([[1.0, 1.0, 1j], [-1.0, 1.0, -1j]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, gamma = transmit(g, u)
+            assert gamma[0] == 0.0 and gamma[2] == 0.0 and gamma[1] > 0.0
+            assert not np.any(x[:, [0, 2]]) and np.linalg.norm(x[:, 1]) == pytest.approx(1.0)
+            channels = crandn(np.random.default_rng(12), (2, 2, 2))
+            noise = crandn(np.random.default_rng(13), (2, 2, 3))
+            detected = receive_detect(channels, g, np.eye(2)[[0, 0]], x, gamma, "16qam", noise)
+        # z = 0 slices to the level +1 on each axis: bits 1, 1 per axis
+        assert np.array_equal(detected[:, :4], np.ones((2, 4))) and np.array_equal(detected[:, 8:], np.ones((2, 4)))
+
+    def test_coarse_selection_run_completes(self):
+        cfg = SimConfig(scheme="reg-inv-sel", modulation="16qam", snr_db=(0.0,), feedback=1, seed=12345)
+        point = run_ber(cfg).points[0]
+        assert point.bits == 400 * 2 * 125 * 4 and 0.0 < point.ber < 0.5

@@ -5,7 +5,8 @@
 
 ``record`` imports ``gmud`` from ``<tree>/src`` in a fresh subprocess and
 runs a fixed, seeded battery of calls over every callable in
-``gmud.__all__``, the link builders of ``gmud.simulation`` and the
+``gmud.__all__``, the link builders of ``gmud.simulation`` (on stacks of
+one and of 33 realizations) and the
 ``decompose``/``quantize`` commands.  For each call it pickles what was
 returned (arrays and floats with their raw bytes), or the type and message
 of what was raised, plus every warning issued.  ``diff`` lists each item
@@ -158,6 +159,10 @@ def _svd2x2(g):
         yield group, lambda h=h: g.svd2x2(h)
     yield "edge", lambda: g.svd2x2(np.zeros((2, 2)))
     yield "edge", lambda: g.svd2x2(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    yield "edge", lambda: g.svd2x2(np.diag([1j, 1e-12j]))  # lambda2 / lambda1 = 1e-12
+    t = 9.220892867948306e-139  # h^H h within 1e-155 of I: tiny eigenvector candidates
+    yield "edge", lambda: g.svd2x2(np.exp(2j) * np.array([[np.exp(2j) * np.cos(t), np.sin(t)],
+                                                           [-np.sin(t), np.exp(-2j) * np.cos(t)]]))
     for h in IDENTITIES:
         yield "edge", lambda h=h: g.svd2x2(h)
     for bad in (np.eye(3), np.ones(4), [[np.inf, 0.0], [0.0, 1.0]]):
@@ -216,6 +221,8 @@ def _solve_rotations(g):
         yield "error", lambda l1=l1, l2=l2, r=r: g.solve_rotations(l1, l2, r)
     for scale in SCALES:
         yield "extreme-scale", lambda s=scale: g.solve_rotations(2.0 * s, s, 1.5 * s)
+    # r at an endpoint of a scaled interval, where the squares of r and lambda2 must agree
+    yield "extreme-scale", lambda: g.solve_rotations(4.964992150187819e38, 2.716388943994476e38, 2.716388943994476e38)
 
 
 @case("steered_beams")
@@ -567,6 +574,9 @@ def _transmit(g):
     for _ in range(300):
         yield "typical", lambda m=_crandn(rng, (2, 2)), u=_crandn(rng, (2, 20)): g.transmit(m, u)
     yield "edge", lambda: g.transmit(np.eye(2), np.array([1.0, 0.0]))
+    # a rank-one G and a symbol pair in its null space, beside one that is not
+    rank_one = np.outer(_crandn(rng, 2), [1.0, 1.0])
+    yield "edge", lambda: g.transmit(rank_one, np.array([[1.0, 1.0], [-1.0, 1j]]))
     yield "error", lambda: g.transmit(np.zeros((2, 2)), np.ones((2, 3)))
 
 
@@ -575,33 +585,58 @@ def _config(g, scheme, mod, feedback, **kw):
                        realizations=6, symbols=10, seed=7, grid=g.GridSpec(4, 8, 5), **kw)
 
 
+def _stacked(g) -> bool:
+    """Whether the tree's link builders and receivers take realization stacks.
+
+    Trees from before the chunked engine (no ``simulation._CHUNK``) build
+    one realization per link-builder call and draw the receiver noise
+    inside ``receive_detect``; the battery calls them that way, so the
+    records of trees on either side of that change compare item by item.
+    """
+    return hasattr(g.simulation, "_CHUNK")
+
+
 def _links(g):
-    """(config, channels, noise_var) inputs of the link builders."""
+    """(config, channels, noise_var) inputs of the link builders; channels are (R, 2, 2, 2) stacks."""
     rng = _rng("links")
     for scheme in ("reg-inv", "reg-inv-sel", "gmud"):
         for feedback in ("perfect", 1, 2, 4):
             for noise in (1e-3, 0.05, 1.0):
                 for _ in range(10):
-                    yield "typical", _config(g, scheme, "16qam", feedback), _crandn(rng, (2, 2, 2)), noise
-    yield "edge", _config(g, "gmud", "qpsk", "perfect"), np.stack([0.7 * _unitary(rng), _crandn(rng, (2, 2))]), 0.1
+                    yield "typical", _config(g, scheme, "16qam", feedback), _crandn(rng, (1, 2, 2, 2)), noise
+    yield "edge", _config(g, "gmud", "qpsk", "perfect"), np.stack([0.7 * _unitary(rng), _crandn(rng, (2, 2))])[None], 0.1
+    rng = _rng("links batch")
+    for scheme in ("reg-inv", "reg-inv-sel", "gmud"):
+        for feedback in ("perfect", 1, 4):
+            yield "typical", _config(g, scheme, "16qam", feedback), _crandn(rng, (33, 2, 2, 2)), 0.05
 
 
 def _link(g, config, channels, noise):
-    """The scheme's link builder: (G, the users' combiners as one array)."""
+    """The scheme's link builder on a stack: G (R, 2, 2) and the combiners (R, 2, 2)."""
     n = None if config.feedback == "perfect" else config.feedback
-    m, combiners = g.simulation._LINKS[config.scheme](channels, noise, n, config.grid)
-    return m, np.asarray(combiners)
+    build = g.simulation._LINKS[config.scheme]
+    if _stacked(g):
+        m, combiners = build(channels, noise, n, config.grid)
+        return m, np.asarray(combiners)
+    links = [build(h, noise, n, config.grid) for h in channels]
+    return np.stack([m for m, _ in links]), np.stack([np.asarray(c) for _, c in links])
 
 
 @case("receive_detect")
 def _receive_detect(g):
     for group, config, channels, noise in _links(g):
+        if len(channels) > 1:
+            continue
+
         def call(config=config, channels=channels, noise=noise):
             rng = np.random.default_rng(11)
-            m, combiners = _link(g, config, channels, noise)
+            m, combiners = (a[0] for a in _link(g, config, channels, noise))
             u = np.stack([g.modulate(rng.integers(0, 2, 40), config.modulation) for _ in range(2)])
             x, gamma = g.transmit(m, u)
-            return g.receive_detect(channels, m, combiners, x, gamma, config.modulation, noise, rng)
+            if not _stacked(g):
+                return g.receive_detect(channels[0], m, combiners, x, gamma, config.modulation, noise, rng)
+            n = g.crandn(rng, (2, 2, x.shape[-1])) * np.sqrt(noise)
+            return g.receive_detect(channels[0], m, combiners, x, gamma, config.modulation, n)
 
         yield group, call
 
@@ -649,6 +684,11 @@ def _run_ber(g):
             for feedback in ("perfect", 1, 4):
                 yield "typical", lambda c=_config(g, scheme, mod, feedback): g.run_ber(c)
     yield "typical", lambda: g.run_ber(_config(g, "gmud", "qpsk", 2), jobs=2)
+    # coarse feedback that gives a rank-one G and a vanishing G u (seed, SNR found by search)
+    for scheme, mod, feedback, seed in (("reg-inv-sel", "16qam", 1, 12345), ("reg-inv-sel", "16qam", 2, 6),
+                                        ("reg-inv-sel", "qpsk", 2, 6), ("reg-inv", "16qam", 1, 1)):
+        yield "edge", lambda c=g.SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0,), feedback=feedback,
+                                           seed=seed): g.run_ber(c)
 
 
 # command line
