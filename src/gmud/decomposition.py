@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .linalg import SvdFactorization, orthonormal_complement, _pow2_exponent, svd2x2
+from .linalg import SvdFactorization, orthonormal_complement, _pow2_exponents, svd2x2
 
 __all__ = [
     "GmudRotation",
@@ -114,30 +114,34 @@ def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
     return min(max(r, lambda2), lambda1)
 
 
+def _any(mask) -> bool:
+    """Whether a mask holds anywhere: a Python bool (from Python floats) or a numpy bool or array."""
+    return mask if isinstance(mask, bool) else mask.any()
+
+
 def _rotation_factors(lambda1, lambda2, r):
-    """Elementwise (a, b, c, s) shaped like ``r`` (a scalar or an array).
+    """Elementwise (a, b, c, s) of broadcastable ``lambda1``, ``lambda2`` and ``r``.
 
     The only place the rotation math lives, for the scalar API, the factor,
-    the beam grid and the receiver combiner.  Assumes r in [lambda2, lambda1].
+    the beam grids and the receiver combiners.  Assumes r in [lambda2, lambda1].
     Equal singular values (lambda1 - lambda2 <= 1e-12 * lambda1) give the
     identity rotation (1, 0, 1, 0).  The factors depend on ratios only, so
     a lambda1 outside [2**-128, 2**128) is first scaled by a power of two.
+    Squares are products, so scalars and arrays round alike.
     """
-    if lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1:
-        one, zero = np.ones(np.shape(r)), np.zeros(np.shape(r))
-        return one, zero, one, zero
-    e = _pow2_exponent(lambda1)
-    if e:  # skipped at e = 0: a 0-d r times 1.0 would square as a numpy scalar
-        scale = math.ldexp(1.0, -e)
-        # all three become arrays, so that all square alike (Python and numpy-scalar
-        # squares go through libm pow) and r = lambda2 still gives a = 0 exactly
-        lambda1, lambda2, r = (np.multiply(v, scale, out=np.empty(np.shape(v))) for v in (lambda1, lambda2, r))
-    span = lambda1**2 - lambda2**2
-    a = np.sqrt(np.maximum(r**2 - lambda2**2, 0.0) / span)
-    b = np.sqrt(np.maximum(lambda1**2 - r**2, 0.0) / span)
-    c = (lambda1 / r) * a
-    s = (lambda2 / r) * b
-    return a, b, c, s
+    degenerate = lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1
+    any_degenerate = _any(degenerate)
+    if _any((lambda1 < 2.0**-128) | (lambda1 >= 2.0**128)):  # where _pow2_exponents is nonzero
+        scale = np.ldexp(1.0, -_pow2_exponents(lambda1))
+        lambda1, lambda2, r = lambda1 * scale, lambda2 * scale, r * scale
+    l1_sq, l2_sq, r_sq = lambda1 * lambda1, lambda2 * lambda2, r * r
+    span = np.where(degenerate, 1.0, l1_sq - l2_sq) if any_degenerate else l1_sq - l2_sq
+    a = np.sqrt(np.maximum(r_sq - l2_sq, 0.0) / span)
+    b = np.sqrt(np.maximum(l1_sq - r_sq, 0.0) / span)
+    factors = a, b, (lambda1 / r) * a, (lambda2 / r) * b
+    if any_degenerate:  # the identity rotation replaces these entries
+        factors = tuple(np.where(degenerate, fixed, f) for fixed, f in zip((1.0, 0.0, 1.0, 0.0), factors))
+    return factors
 
 
 def solve_rotations(lambda1: float, lambda2: float, r: float) -> GmudRotation:
@@ -206,6 +210,16 @@ def _steer(w1, w2, theta, x1, x2) -> np.ndarray:
     return weight[..., None] * x1 - w2[..., None] * x2
 
 
+def _check_report(lambda1: float, v1) -> np.ndarray:
+    """v1 as a complex array, once 0 < lambda1 < inf and ||v1|| = 1 (1e-9 slack) hold."""
+    _check_lambda1(lambda1)
+    v1 = np.asarray(v1, dtype=np.complex128)
+    nrm = np.linalg.norm(v1)
+    if abs(nrm - 1.0) > 1e-9:
+        raise DomainError(f"v1 must be unit norm, got ||v1|| = {nrm:.12g}")
+    return v1
+
+
 def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:
     """Beam q1 = c * e^{i*theta} * v1 - s * v2 for broadcastable r, theta.
 
@@ -216,11 +230,7 @@ def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:
     evaluations share the same elementwise operations, so a grid entry is
     bit-identical to the corresponding scalar call.
     """
-    _check_lambda1(lambda1)
-    v1 = np.asarray(v1, dtype=np.complex128)
-    nrm = np.linalg.norm(v1)
-    if abs(nrm - 1.0) > 1e-9:
-        raise DomainError(f"v1 must be unit norm, got ||v1|| = {nrm:.12g}")
+    v1 = _check_report(lambda1, v1)
     _, _, c, s = _rotation_factors(lambda1, lambda2, np.asarray(r, dtype=np.float64))
     return _steer(c, s, theta, v1, orthonormal_complement(v1))
 

@@ -183,7 +183,7 @@ class GmudFeedback:
     @classmethod
     def from_svd(cls, svd: SvdFactorization) -> GmudFeedback:
         """The exact (unquantized) report of a channel: perfect CSI."""
-        return cls(np.array(_spectral_scalars(svd)), svd.v[:, 0].copy(), svd.lambda1, svd.lambda2)
+        return cls(_spectral_scalars(svd), svd.v[:, 0].copy(), svd.lambda1, svd.lambda2)
 
     def as_dict(self) -> dict:
         """JSON-ready decoded values, complex entries as [re, im] pairs."""
@@ -206,13 +206,15 @@ def _fixed_row_scalars(h) -> np.ndarray:
     return np.concatenate([unit.view(np.float64), nrm[..., None]], axis=-1)
 
 
-def _spectral_scalars(source) -> list[float]:
+def _spectral_scalars(source) -> np.ndarray:
+    """The gmud wire scalars (..., 6) of a channel, an SVD or (lambda1, lambda2, v1), which may be stacked."""
     if isinstance(source, np.ndarray):
         source = svd2x2(source)
     if isinstance(source, SvdFactorization):
         source = (source.lambda1, source.lambda2, source.v[:, 0])
     lam1, lam2, v1 = source
-    return _floats(v1).tolist() + [float(lam1), float(lam2)]
+    v1 = np.ascontiguousarray(v1, dtype=np.complex128).view(np.float64)
+    return np.concatenate([v1, np.stack([lam1, lam2], axis=-1).astype(np.float64)], axis=-1)
 
 
 def _complex_fields(prefix: str, bits_per_n: int) -> tuple:
@@ -228,7 +230,7 @@ class _Scheme:
     """A feedback scheme: wire fields as (name, bits per unit N, range), source -> scalars, message type."""
 
     fields: tuple[tuple[str, int, tuple[float, float]], ...]
-    scalars: Callable[..., list[float]]
+    scalars: Callable[..., np.ndarray]
     message: type
 
 

@@ -37,6 +37,12 @@ def _pow2_exponent(m: float, safe: int = 128) -> int:
     return 0 if -safe < e <= safe else max(e, -1021)
 
 
+def _pow2_exponents(m: np.ndarray, safe: int = 128) -> np.ndarray:
+    """:func:`_pow2_exponent` of every entry of ``m``."""
+    e = np.frexp(m)[1]
+    return np.where((-safe < e) & (e <= safe), 0, np.maximum(e, -1021))
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a finite 2-D complex128 array (no copy if already one)."""
     m = np.asarray(a, dtype=np.complex128)
@@ -52,30 +58,44 @@ def _norm(z) -> np.ndarray:
     return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
-def _mat_inv(a: np.ndarray) -> np.ndarray:
-    """Invert every matrix of a complex (R, 2, 2) stack: the kernel of :func:`mat_inv`.
-
-    The determinant comes from real products on float views, so each
-    entry rounds as numpy-scalar complex arithmetic does (the array
-    complex product fuses multiply-adds).  The first matrix in stack
-    order that fails a check raises, as a loop over the stack would.
+def _check_finite(a: np.ndarray, kernel) -> None:
+    """ValueError for the first matrix of stack ``a`` with an entry that is not
+    finite, after ``kernel`` on the matrices before it: their errors come
+    first, as in a loop over the stack.
     """
     finite = np.isfinite(a).all(axis=(1, 2))
     if not finite.all():
         first = int(np.argmin(finite))
         if first:
-            _mat_inv(a[:first])  # an earlier matrix's error comes first
+            kernel(a[:first])
         raise ValueError("matrix entries must be finite")
+
+
+def _det(parts: np.ndarray):
+    """(Re, Im) of the determinants of an (R, 2, 4) float view of 2x2 complex matrices.
+
+    Real products, so each rounds as numpy-scalar complex arithmetic does
+    (the array complex product fuses multiply-adds).
+    """
+    (ar, ai, br, bi), (cr, ci, dr, di) = np.moveaxis(parts, (1, 2), (0, 1))
+    return (ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)
+
+
+def _mat_inv(a: np.ndarray) -> np.ndarray:
+    """Invert every matrix of a complex (R, 2, 2) stack: the kernel of :func:`mat_inv`.
+
+    The determinant comes from :func:`_det`.  The first matrix in stack
+    order that fails a check raises, as a loop over the stack would.
+    """
+    _check_finite(a, _mat_inv)
     if a.shape[1:] != (2, 2):
         raise ValueError(f"mat_inv requires a square 2x2 matrix, got {a.shape[1:]}")
     parts = np.ascontiguousarray(a).view(np.float64)
-    # always scaled, by 2**-e with e bounded at -1021 so that 2**-e stays finite
-    e = np.maximum(np.frexp(np.abs(parts).max(axis=(1, 2)))[1], -1021)
+    e = _pow2_exponents(np.abs(parts).max(axis=(1, 2)), safe=0)  # always scaled
     scale = np.ldexp(1.0, -e)[:, None, None]
     b = parts * scale
     tol = _SINGULAR_TOL * np.vecdot(b.reshape(-1, 8), b.reshape(-1, 8))
-    (ar, ai, br, bi), (cr, ci, dr, di) = np.moveaxis(b, (1, 2), (0, 1))
-    det = np.stack([(ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)], axis=-1)
+    det = np.stack(_det(b), axis=-1)
     abs_det = np.hypot(det[:, 0], det[:, 1])
     singular = abs_det <= tol
     if singular.any():
@@ -103,13 +123,15 @@ def mat_inv(a) -> np.ndarray:
 
 
 def orthonormal_complement(v: np.ndarray) -> np.ndarray:
-    """Unit 2-vector orthogonal to ``v``: [-conj(v1), conj(v0)].
+    """Unit 2-vectors orthogonal to ``v`` along its last axis: [-conj(v1), conj(v0)].
 
     The inner product with ``v`` cancels exactly even in floating point.
     No unit-norm check is done here; :func:`gmud.decomposition.steered_beams`
     checks its input before completing it.
     """
-    return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=np.complex128)
+    out = np.conj(np.asarray(v, dtype=np.complex128)[..., ::-1])
+    np.negative(out[..., 0], out=out[..., 0])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +180,11 @@ def svd2x2(h) -> SvdFactorization:
     w00 = w[0, 0].real
     w11 = w[1, 1].real
     w01 = w[0, 1]
-    disc = (w00 - w11) ** 2 + 4.0 * (w01.real**2 + w01.imag**2)
+    d = w00 - w11
+    disc = d * d + 4.0 * (w01.real * w01.real + w01.imag * w01.imag)
     mu1 = 0.5 * ((w00 + w11) + np.sqrt(disc))
     det_h = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-    det_w = det_h.real**2 + det_h.imag**2
+    det_w = det_h.real * det_h.real + det_h.imag * det_h.imag
     mu2 = min(det_w / mu1, mu1)
 
     # two closed-form eigenvector candidates for mu1; take the better-scaled one
@@ -202,3 +225,62 @@ def svd2x2(h) -> SvdFactorization:
     except OverflowError:
         raise DomainError("largest singular value overflows float64") from None
     return SvdFactorization(u, lambda1, lambda2, v)
+
+
+def _svd2x2(h: np.ndarray):
+    """:func:`svd2x2` of every matrix of a complex (R, 2, 2) stack: (u, lambda1, lambda2, v).
+
+    The same arithmetic on arrays, with the branches as masks, so each
+    matrix gets :func:`svd2x2`'s bytes: the determinant from :func:`_det`,
+    moduli by ``hypot`` as the scalar ``abs`` takes them, and stacked
+    matmuls for h^H h and h v.  The first matrix in stack order that
+    fails raises, as a loop would.
+    """
+    _check_finite(h, _svd2x2)
+    rows, zero = np.arange(len(h)), ~h.any(axis=(1, 2))
+    parts = np.ascontiguousarray(h).view(np.float64)
+    e = _pow2_exponents(np.abs(parts).max(axis=(1, 2)), safe=0)  # always scaled
+    # the zero matrix is computed as I, and its results replaced at the end
+    eye = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    parts = np.where(zero[:, None, None], eye, parts * np.ldexp(1.0, -e)[:, None, None])
+    h = parts.view(np.complex128)
+    w = np.swapaxes(h.conj(), 1, 2) @ h
+    w00, w11, w01 = w[:, 0, 0].real, w[:, 1, 1].real, w[:, 0, 1]
+    d = w00 - w11
+    mu1 = 0.5 * ((w00 + w11) + np.sqrt(d * d + 4.0 * (w01.real * w01.real + w01.imag * w01.imag)))
+    det_re, det_im = _det(parts)
+    mu2 = (det_re * det_re + det_im * det_im) / mu1
+    mu2 = np.where(mu1 < mu2, mu1, mu2)
+
+    # the two eigenvector candidates for mu1 (R, 2, 2), rescaled where w is within 2**-128 of mu I
+    cand = np.stack([np.stack([w01, mu1 - w00], axis=-1), np.stack([mu1 - w11, np.conj(w01)], axis=-1)], axis=1)
+    n = _norm(cand)
+    small = n.max(axis=1) < 2.0**-128
+    if small.any():
+        ce = np.where(small, _pow2_exponents(np.abs(cand.view(np.float64)).max(axis=(1, 2))), 0)
+        cand = cand * np.ldexp(1.0, -ce)[:, None, None]
+        n = _norm(cand)
+    pick = (n[:, 0] < n[:, 1]).astype(np.intp)
+    identity = n[rows, pick] == 0.0  # w is a multiple of I: v1 = e1
+    v1 = np.where(identity[:, None], [1.0, 0.0], cand[rows, pick] / np.where(identity, 1.0, n[rows, pick])[:, None])
+    mod = np.hypot(v1.real, v1.imag)
+    i = (mod[:, 0] < mod[:, 1]).astype(np.intp)  # the phase convention: v1[i] real >= 0
+    v1 = v1 * (np.conj(v1[rows, i]) / mod[rows, i])[:, None]
+    v1[rows, i] = v1[rows, i].real
+    v = np.stack([v1, orthonormal_complement(v1)], axis=-1)
+
+    lambda1, lambda2 = np.sqrt(mu1), np.sqrt(mu2)
+    u1 = (h @ v[:, :, :1])[..., 0] / lambda1[:, None]
+    u1 = u1 / _norm(u1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # where u2 is completed instead
+        u2 = (h @ v[:, :, 1:])[..., 0] / lambda2[:, None]
+        u2 = u2 - (u1.conj()[:, None] @ u2[..., None])[..., 0] * u1
+        u2 = u2 / _norm(u2)[:, None]
+    u = np.stack([u1, np.where((lambda2 <= _RANK_TOL * lambda1)[:, None], orthonormal_complement(u1), u2)], axis=-1)
+    with np.errstate(over="ignore"):
+        lambda1, lambda2 = np.ldexp(lambda1, e), np.ldexp(lambda2, e)
+    if np.isinf(lambda1).any():
+        raise DomainError("largest singular value overflows float64")
+    u[zero] = v[zero] = np.eye(2)
+    lambda1[zero] = lambda2[zero] = 0.0
+    return u, lambda1, lambda2, v

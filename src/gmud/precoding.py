@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import beam_from_feedback, steered_beams
+from .decomposition import _check_report, _rotation_factors, _steer, beam_from_feedback
+from .decomposition import steered_beams  # noqa: F401  _search builds its beams; profilers wrap this name
 from .errors import DomainError
-from .linalg import _mat_inv, _norm, as_matrix
+from .linalg import _mat_inv, _norm, as_matrix, orthonormal_complement
 from .linalg import mat_inv  # noqa: F401  _reg_inv calls its kernel; profilers wrap this name
 
 __all__ = [
@@ -90,13 +91,28 @@ class SinrReport:
     gamma_bar: float
 
 
-def _check_inputs(noise_var: float, *reports) -> None:
+def _check_inputs(noise_var: float, *lambda1s: float) -> None:
     """0 <= noise_var (NaN fails too), and a finite lambda1**2 per report for the SINR kernel."""
     if not noise_var >= 0.0:
         raise ValueError("noise_var must be nonnegative")
-    for fb in reports:
-        if np.isinf(fb.lambda1 * fb.lambda1):
-            raise DomainError(f"lambda1 = {fb.lambda1:.6g} is too large: lambda1**2 overflows float64")
+    for lambda1 in lambda1s:
+        if np.isinf(lambda1 * lambda1):
+            raise DomainError(f"lambda1 = {lambda1:.6g} is too large: lambda1**2 overflows float64")
+
+
+def _check_reports(lambda1: np.ndarray, v1: np.ndarray) -> None:
+    """Raise for the first bad pair of (P, 2) reports what a loop over the pairs would.
+
+    Per pair: each user's lambda1**2 overflow (:func:`_check_inputs`), then
+    each user's lambda1 and v1 as :func:`steered_beams` checks them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = np.isinf(lambda1 * lambda1) | ~((0.0 < lambda1) & (lambda1 < np.inf)) | (np.abs(_norm(v1) - 1.0) > 1e-9)
+    if bad.any():
+        j = int(np.argmax(bad.any(axis=1)))
+        _check_inputs(0.0, *lambda1[j].tolist())
+        for lam, v in zip(lambda1[j].tolist(), v1[j]):
+            _check_report(lam, v)
 
 
 def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
@@ -121,13 +137,9 @@ def reg_inv(h_tilde, noise_var: float) -> np.ndarray:
 
 
 def _expected_gammas(g: np.ndarray) -> np.ndarray:
-    """:func:`expected_gamma` of every matrix in a (..., M, N) stack.
-
-    The square is taken on Python floats: numpy-scalar ``**`` goes
-    through libm ``pow``, which the array square does not match.
-    """
+    """:func:`expected_gamma` of every matrix in a (..., M, N) stack."""
     nrm = _norm(g.reshape(g.shape[:-2] + (-1,)))
-    return np.array([v**2 for v in nrm.ravel().tolist()]).reshape(nrm.shape)
+    return nrm * nrm
 
 
 def expected_gamma(g: np.ndarray) -> float:
@@ -205,34 +217,34 @@ def antenna_selection(channels, noise_var: float):
 
 
 def _beam_x(beams_k, beams_l):
-    """x = |q_k^H q_l|^2 over beams (n_r, n_theta, 2), shaped (n_rk, n_rl, n_theta_k, n_theta_l)."""
-    bk, bl = beams_k[:, None, :, None, :], beams_l[None, :, None, :, :]
+    """x = |q_k^H q_l|^2 over beams (..., n_r, n_theta, 2), shaped (..., n_rk, n_rl, n_theta_k, n_theta_l)."""
+    bk, bl = beams_k[..., :, None, :, None, :], beams_l[..., None, :, None, :, :]
     return _abs2(np.conj(bk[..., 0]) * bl[..., 0] + np.conj(bk[..., 1]) * bl[..., 1])
 
 
-def _sinr_grid(x, rk, rl, alpha, beta, noise_var):
-    """(SINR_k, SINR_l, gamma_bar) over x (n_rk, n_rl, n_theta_k, n_theta_l), r, alpha, beta.
+def _sinr(x, rk2, rl2, a2, b2, noise_var):
+    """SINR_k, SINR_l and min-SINR, stacked, of broadcastable x, r_k^2, r_l^2, alpha^2 and beta^2.
 
-    SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar), SINR_l
-    likewise, capped at :data:`SINR_CAP` and shaped x.shape + (n_p,).
+    SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar) with
+    gamma_bar = alpha^2 + beta^2, SINR_l likewise, capped at :data:`SINR_CAP`.
+    Elementwise, so any layout of the operands gives the same bytes.
     """
-    x = x[..., None]
-    a2, b2 = alpha**2, beta**2
-    gamma_bar = a2 + b2
-    n = noise_var * gamma_bar
-    rk2 = (rk**2)[:, None, None, None, None]
-    rl2 = (rl**2)[None, :, None, None, None]
-    sk = _capped_ratio(a2 * rk2, (b2 * rk2) * x + n)
-    sl = _capped_ratio(b2 * rl2, (a2 * rl2) * x + n)
-    return sk, sl, gamma_bar
+    n = noise_var * (a2 + b2)
+    sk, sl = _capped_ratio(a2 * rk2, (b2 * rk2) * x + n), _capped_ratio(b2 * rl2, (a2 * rl2) * x + n)
+    return np.stack([sk, sl, np.minimum(sk, sl)])
 
 
 def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
-    """:func:`_sinr_grid` at the beams' x.  The search and its one-point
+    """(SINR_k, SINR_l, gamma_bar) over the beams' x (n_rk, n_rl, n_theta_k, n_theta_l), r, alpha, beta.
+
+    The SINRs are shaped x.shape + (n_p,).  The search and its one-point
     oracle share these array loops and so agree bit for bit; numpy
-    scalars would round squares and complex products differently.
+    scalars would round complex products differently.
     """
-    return _sinr_grid(_beam_x(beams_k, beams_l), rk, rl, alpha, beta, noise_var)
+    a2, b2 = alpha**2, beta**2
+    rk2, rl2 = (rk * rk)[:, None, None, None, None], (rl * rl)[None, :, None, None, None]
+    sk, sl, _ = _sinr(_beam_x(beams_k, beams_l)[..., None], rk2, rl2, a2, b2, noise_var)
+    return sk, sl, a2 + b2
 
 
 def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrReport:
@@ -242,7 +254,7 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     ``lambda2`` and principal vector ``v1``.  This is the search's kernel
     on a one-point grid, so it equals :func:`optimize_gmud`'s report.
     """
-    _check_inputs(noise_var, fb_k, fb_l)
+    _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
     q1k = beam_from_feedback(fb_k.lambda1, fb_k.lambda2, fb_k.v1, params.r_k, params.theta_k)
     q1l = beam_from_feedback(fb_l.lambda1, fb_l.lambda2, fb_l.v1, params.r_l, params.theta_l)
     sk, sl, gamma_bar = _pair_grid(
@@ -251,6 +263,82 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     )
     sk, sl = sk.item(), sl.item()
     return SinrReport((sk, sl), min(sk, sl), float(gamma_bar.item()))
+
+
+def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
+    """``np.linspace(start[i], stop[i], num)`` for every entry, along a new last axis.
+
+    Entry by entry the bytes of the scalar call: ``np.linspace`` with array
+    end points divides before it multiplies for all rows once one step
+    underflows to 0, so here that choice is made per row.
+    """
+    delta = (stop - start)[..., None]
+    y = np.arange(num, dtype=np.float64)
+    if num > 1:
+        step = delta / (num - 1)
+        y = np.where(step == 0.0, (y / (num - 1)) * delta, y * step) + start[..., None]
+        y[..., -1] = stop
+        return y
+    return y * delta + start[..., None]
+
+
+# Pairs whose x arrays _search builds at once: 128 KiB of x per pair at the
+# default grid, plus complex temporaries; a few pairs at a time run fastest.
+_X_PAIRS = 4
+
+
+def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var: float, grid: GridSpec):
+    """:func:`optimize_gmud` of P user pairs at once: the kernel of the search.
+
+    ``lambda1``, ``lambda2`` (P, 2) and ``v1`` (P, 2, 2) hold each pair's
+    reports, user k first.  Returns G (P, 2, 2), the params (P, 6) in
+    :class:`GmudBeamParams` order and the reports (P, 4): SINR_k, SINR_l,
+    their minimum and gamma_bar.  Each pair gets the bytes a search of it
+    alone gives, and the first bad pair raises what a loop would.  x is
+    built :data:`_X_PAIRS` pairs at a time and only its block minima are
+    kept; stage 2 builds the chosen block of each pair again.
+    """
+    _check_inputs(noise_var)
+    _check_reports(lambda1, v1)
+    n_r, n_t, n_p = grid.n_r, grid.n_theta, grid.n_p
+    pairs, parts = np.arange(len(lambda1)), [slice(i, i + _X_PAIRS) for i in range(0, len(lambda1), _X_PAIRS)]
+    r = _linspace(lambda2, lambda1, n_r)  # (P, 2, n_r)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_t, endpoint=False)
+    alpha2 = np.linspace(0.1, 0.9, n_p)
+    alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
+    a2, b2 = (alpha**2)[:, None], (beta**2)[:, None]
+    # each user's beam grid (P, 2, n_r, n_theta, 2), as steered_beams builds it
+    _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], r)
+    v2 = orthonormal_complement(v1)
+    beams = _steer(c[..., None], s[..., None], thetas, v1[:, :, None, None], v2[:, :, None, None])
+    # stage 1: the n_r^2 * n_p block peaks at each block's smallest x, laid out (P, n_p, n_r^2)
+    x_min = np.empty((len(pairs), n_r, n_r))
+    for part in parts:
+        x = _beam_x(beams[part, 0], beams[part, 1])  # bound until the next x reuses its memory
+        x_min[part] = x.min(axis=(-2, -1))
+    r2 = r * r
+    rk2, rl2 = np.repeat(r2[:, :1], n_r, axis=-1), np.tile(r2[:, 1:], n_r)  # at i_rk * n_r + i_rl
+    i_rk, i_rl = np.divmod(_first_max(_sinr(x_min.reshape(-1, 1, n_r * n_r), rk2, rl2, a2, b2, noise_var)) // n_p, n_r)
+    # stage 2: the chosen block of each pair, built again and laid out (P, n_p, n_theta^2)
+    beams_k, beams_l = beams[pairs, 0, i_rk], beams[pairs, 1, i_rl]
+    x = _beam_x(beams_k[:, None], beams_l[:, None]).reshape(-1, 1, n_t * n_t)
+    r_k, r_l = r[pairs, 0, i_rk], r[pairs, 1, i_rl]
+    pick, report = np.empty(len(pairs), dtype=np.intp), np.empty((len(pairs), 4))
+    for part in parts:
+        sinrs = _sinr(x[part], (r_k * r_k)[part, None, None], (r_l * r_l)[part, None, None], a2, b2, noise_var)
+        pick[part] = _first_max(sinrs)  # i_t * n_p + i_a with i_t = i_tk * n_theta + i_tl
+        report[part, :3] = sinrs[:, pairs[: len(sinrs[0])], pick[part] % n_p, pick[part] // n_p].T
+    i_t, i_a = np.divmod(pick, n_p)
+    i_tk, i_tl = np.divmod(i_t, n_t)
+    report[:, 3] = (a2 + b2)[i_a, 0]
+    g = np.stack([alpha[i_a][:, None] * beams_k[pairs, i_tk], beta[i_a][:, None] * beams_l[pairs, i_tl]], axis=-1)
+    return g, np.stack([r_k, thetas[i_tk], r_l, thetas[i_tl], alpha[i_a], beta[i_a]], axis=-1), report
+
+
+def _first_max(sinrs: np.ndarray) -> np.ndarray:
+    """Per pair, where the min-SINR of :func:`_sinr`'s (3, P, n_p, m) stack first peaks in
+    C order over (i, i_p): the flat index i * n_p + i_p."""
+    return np.swapaxes(sinrs[2], 1, 2).reshape(sinrs.shape[1], -1).argmax(axis=1)
 
 
 def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
@@ -269,32 +357,16 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
     constant >= 0, plus noise >= 0, num/den, cap), so min-SINR is
     non-increasing in x and each (i_rk, i_rl) block peaks at its smallest x.  Stage 1 scores those n_r^2 * n_p peaks and
     picks the first best block; stage 2 takes the first argmax inside it.
+    This is a batch of one through :func:`_search`.
 
     Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].
     """
-    _check_inputs(noise_var, fb_k, fb_l)
-
-    rk = np.linspace(fb_k.lambda2, fb_k.lambda1, grid.n_r)
-    rl = np.linspace(fb_l.lambda2, fb_l.lambda1, grid.n_r)
-    thetas = np.linspace(0.0, 2.0 * np.pi, grid.n_theta, endpoint=False)
-    alpha2 = np.linspace(0.1, 0.9, grid.n_p)
-    alpha = np.sqrt(alpha2)
-    beta = np.sqrt(1.0 - alpha2)
-    beams_k = steered_beams(fb_k.lambda1, fb_k.lambda2, fb_k.v1, rk[:, None], thetas[None, :])
-    beams_l = steered_beams(fb_l.lambda1, fb_l.lambda2, fb_l.v1, rl[:, None], thetas[None, :])
-    x = _beam_x(beams_k, beams_l)  # x[i_rk, i_rl, i_tk, i_tl]
-    peaks = np.minimum(*_sinr_grid(x.min(axis=(2, 3), keepdims=True), rk, rl, alpha, beta, noise_var)[:2])
-    i_rk, i_rl = (int(i) for i in np.unravel_index(int(np.argmax(peaks)), peaks.shape)[:2])
-    # array slices, not numpy scalars, so stage 2 rounds exactly as the full grid would
-    bk, bl = slice(i_rk, i_rk + 1), slice(i_rl, i_rl + 1)
-    sk, sl, gamma_bar = _sinr_grid(x[bk, bl], rk[bk], rl[bl], alpha, beta, noise_var)
-    min_sinr = np.minimum(sk, sl)
-    idx = np.unravel_index(int(np.argmax(min_sinr)), min_sinr.shape)  # first max in C order
-    _, _, i_tk, i_tl, i_a = (int(i) for i in idx)
-
-    params = GmudBeamParams(float(rk[i_rk]), float(thetas[i_tk]), float(rl[i_rl]), float(thetas[i_tl]),
-                            float(alpha[i_a]), float(beta[i_a]))
-    report = SinrReport((float(sk[idx]), float(sl[idx])), float(min_sinr[idx]), float(gamma_bar[i_a]))
-    g = np.column_stack([params.alpha * beams_k[i_rk, i_tk], params.beta * beams_l[i_rl, i_tl]])
-    return g, params, report
+    _check_inputs(noise_var)  # before the reports are read
+    g, params, report = _search(
+        np.array([[fb_k.lambda1, fb_l.lambda1]], dtype=np.float64),
+        np.array([[fb_k.lambda2, fb_l.lambda2]], dtype=np.float64),
+        np.array([[fb_k.v1, fb_l.v1]], dtype=np.complex128), noise_var, grid,
+    )
+    sk, sl, min_sinr, gamma_bar = report[0].tolist()
+    return g[0], GmudBeamParams(*params[0].tolist()), SinrReport((sk, sl), min_sinr, gamma_bar)

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _rotation_factors, _steer
-from .feedback import SCHEMES, GmudFeedback, _estimates, _round_trip, _spectral_scalars
-from .precoding import GridSpec, _reg_inv, _select, optimize_gmud
+from .feedback import SCHEMES, _complex, _estimates, _round_trip, _spectral_scalars, _unit
+from .linalg import _svd2x2
+from .precoding import GridSpec, _reg_inv, _search, _select
 
 # The scalar entry points of the stages the engine batches.  It calls their
 # stacked kernels instead, but profilers wrap these module attributes.
 from .feedback import decode, encode  # noqa: F401
-from .precoding import antenna_selection, reg_inv  # noqa: F401
+from .precoding import antenna_selection, optimize_gmud, reg_inv  # noqa: F401
 
 __all__ = [
     "MODULATIONS",
@@ -197,18 +198,20 @@ class BerCurve:
         return "perfect" if self.feedback == "perfect" else 12 * self.feedback
 
 
-def _rotation_projection(svd, r: float, theta: float) -> np.ndarray:
-    """Receiver combiner p1: the first column of P in the user's own H = P R Q^H.
+def _rotation_projection(u, lambda1, lambda2, r, theta) -> np.ndarray:
+    """Receiver combiners p1 (..., 2): the first column of P in each user's own H = P R Q^H.
 
-    The beam kernel on (u1, u2) with the rotation's (a, b), r clamped into
-    the true singular-value interval (the transmitter searched the
-    quantized one).  ``svd2x2`` completes v1 as the transmitter does, so
-    the sent beam is q1 of the same factorization and p1^H H = r q1^H:
-    the discarded row of R never reaches the decision statistic.
+    ``u`` (..., 2, 2), ``lambda1`` and ``lambda2`` are the user's SVD, stacked
+    or not, and (r, theta) the steering the transmitter chose.  The beam
+    kernel on (u1, u2) with the rotation's (a, b), r clamped into the true
+    singular-value interval (the transmitter searched the quantized one).
+    ``svd2x2`` completes v1 as the transmitter does, so the sent beam is q1
+    of the same factorization and p1^H H = r q1^H: the discarded row of R
+    never reaches the decision statistic.
     """
-    r = min(max(r, svd.lambda2), svd.lambda1)
-    a, b, _, _ = _rotation_factors(svd.lambda1, svd.lambda2, np.asarray(r, dtype=np.float64))
-    return _steer(a, b, theta, svd.u[:, 0], svd.u[:, 1])
+    r = np.minimum(np.maximum(r, lambda2), lambda1)
+    a, b, _, _ = _rotation_factors(lambda1, lambda2, r)
+    return _steer(a, b, theta, u[..., 0], u[..., 1])
 
 
 # Combinations of the users' receive rows, in lexicographic order: (combos, users).
@@ -228,27 +231,20 @@ def _link_selection(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
 
 
 def _link_gmud(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
-    from .linalg import svd2x2  # read from linalg per call, so a patched svd2x2 takes effect
-
-    svds = [[svd2x2(h) for h in users] for users in channels]
-    if n is None:
-        reports = [[GmudFeedback.from_svd(svd) for svd in pair] for pair in svds]
-    else:
-        levels = _round_trip(np.array([[_spectral_scalars(svd) for svd in pair] for pair in svds]), "gmud", n)
-        reports = [[GmudFeedback.from_values(v) for v in pair] for pair in levels]
-    gs, combiners = [], []
-    for pair, (fb_k, fb_l) in zip(svds, reports):
-        g, params, _ = optimize_gmud(fb_k, fb_l, noise_var, grid)
-        steering = ((params.r_k, params.theta_k), (params.r_l, params.theta_l))
-        gs.append(g)
-        combiners.append([_rotation_projection(svd, r, t) for svd, (r, t) in zip(pair, steering)])
-    return np.stack(gs), np.array(combiners)
+    u, lam1, lam2, v = (a.reshape(channels.shape[:2] + a.shape[1:]) for a in _svd2x2(channels.reshape(-1, 2, 2)))
+    lambda1, lambda2, v1 = lam1, lam2, v[..., 0]
+    if n is not None:  # the decoded reports: renormalized v1, singular values sorted
+        levels = _round_trip(_spectral_scalars((lam1, lam2, v1)), "gmud", n)
+        v1 = _unit(_complex(levels[..., :4]))
+        lambda1, lambda2 = np.maximum(levels[..., 4], levels[..., 5]), np.minimum(levels[..., 4], levels[..., 5])
+    g, params, _ = _search(lambda1, lambda2, v1, noise_var, grid)
+    return g, _rotation_projection(u, lam1, lam2, params[:, [0, 2]], params[:, [1, 3]])
 
 
-# Per-scheme link builders: (channels (R, users, 2, 2), noise_var, N or None
-# for perfect CSI, grid) -> (G (R, 2, 2), (R, users, 2) unit combiners): p1 of
-# _rotation_projection for gmud, the unit vector selecting the inverted
-# receive row otherwise.
+# Per-scheme link builders, each a stack of array kernels: (channels (R, users,
+# 2, 2), noise_var, N or None for perfect CSI, grid) -> (G (R, 2, 2), (R, users,
+# 2) unit combiners): p1 of _rotation_projection for gmud, the unit vector
+# selecting the inverted receive row otherwise.
 _LINKS = {"reg-inv": _link_reg_inv, "reg-inv-sel": _link_selection, "gmud": _link_gmud}
 
 # Realizations per batch.  The speed barely changes from 16 to 64; one batch

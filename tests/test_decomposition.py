@@ -175,7 +175,7 @@ class TestGmud:
             f = gmud(h, r, PhasePair(theta, 0.0))
             beam = beam_from_feedback(svd.lambda1, svd.lambda2, svd.v[:, 0], r, theta)
             assert np.abs(f.q[:, 0] - beam).max() <= 1e-12
-            assert np.abs(f.p[:, 0] - _rotation_projection(svd, r, theta)).max() <= 1e-12
+            assert np.abs(f.p[:, 0] - _rotation_projection(svd.u, svd.lambda1, svd.lambda2, r, theta)).max() <= 1e-12
 
 
 class TestBeams:

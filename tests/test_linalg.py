@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from gmud import DomainError, SingularMatrixError, mat_inv, svd2x2
-from gmud.linalg import orthonormal_complement
+from gmud.linalg import _RANK_TOL, _svd2x2, orthonormal_complement
 
 
 def crand(rng, shape):
@@ -214,3 +214,64 @@ class TestSvd2x2:
         with pytest.raises(DomainError, match="overflows"):
             svd2x2(np.full((2, 2), 1.5e308))
 
+
+def unitary(t, phi, psi, chi) -> np.ndarray:
+    c, s = np.cos(t), np.sin(t)
+    return np.exp(1j * chi) * np.array(
+        [[np.exp(1j * phi) * c, np.exp(1j * psi) * s], [-np.exp(-1j * psi) * s, np.exp(-1j * phi) * c]]
+    )
+
+
+class TestStackedSvd:
+    """_svd2x2 on a stack against svd2x2 matrix by matrix, byte for byte."""
+
+    def stack(self):
+        rng = np.random.default_rng(21)
+        q1, q2 = (unitary(*rng.uniform(0.0, 2 * np.pi, 4)) for _ in range(2))
+        mats = [crand(rng, (2, 2)) for _ in range(13)]
+        mats += [np.zeros((2, 2)), 0.7 * np.eye(2), np.exp(1.1j) * np.eye(2), np.ldexp(1.0, -600) * np.eye(2)]
+        mats += [np.outer(crand(rng, 2), crand(rng, 2).conj()) for _ in range(3)]
+        # lambda2 just below and just above _RANK_TOL * lambda1: u2 completed, then u2 = h v2 / lambda2
+        mats += [q1 @ np.diag([1.0, f * _RANK_TOL]) @ q2 for f in (0.99, 1.01)]
+        mats += [unitary(9.220892867948306e-139, 2.0, 0.0, 2.0)]  # h^H h within 2**-128 of I
+        mats += [scaled(crand(rng, (2, 2)), k) for k in (1000, -1000, 1000, -1000)]
+        mats += [scaled(np.outer(crand(rng, 2), crand(rng, 2).conj()), k) for k in (1000, -1000)]
+        mats += [scaled(unitary(*rng.uniform(0.0, 2 * np.pi, 4)), k) for k in (1000, -1000)]
+        mats += [5e-324 * np.eye(2), 1e-160 * np.array([[1.0, 2.0], [3.0, 4.0]])]
+        assert len(mats) == 33
+        return np.array(mats, dtype=np.complex128)
+
+    def test_stack_equals_per_matrix(self):
+        h = self.stack()
+        u, lambda1, lambda2, v = _svd2x2(h)
+        for i, m in enumerate(h):
+            f = svd2x2(m)
+            assert u[i].tobytes() == f.u.tobytes(), i
+            assert v[i].tobytes() == f.v.tobytes(), i
+            assert lambda1[i].tobytes() == np.float64(f.lambda1).tobytes(), i
+            assert lambda2[i].tobytes() == np.float64(f.lambda2).tobytes(), i
+
+    def test_random_stack_equals_per_matrix(self):
+        # equal singular values make the moduli of v1's entries tie or nearly
+        # tie, where only hypot's rounding picks the entry svd2x2 picks
+        rng = np.random.default_rng(22)
+        kinds = (lambda: crand(rng, (2, 2)), lambda: rng.uniform(0.1, 3.0) * unitary(*rng.uniform(0.0, 2 * np.pi, 4)),
+                 lambda: np.outer(crand(rng, 2), crand(rng, 2).conj()))
+        h = np.array([scaled(kinds[i % 3](), int(rng.integers(-60, 60))) for i in range(600)])
+        u, lambda1, lambda2, v = _svd2x2(h)
+        for i, m in enumerate(h):
+            f = svd2x2(m)
+            assert (u[i].tobytes(), v[i].tobytes()) == (f.u.tobytes(), f.v.tobytes()), i
+            assert (lambda1[i], lambda2[i]) == (f.lambda1, f.lambda2), i
+
+    def test_first_error_in_stack_order(self):
+        # as a loop over the stack: the first failing matrix names the error
+        h = self.stack()
+        overflow, nonfinite = np.full((2, 2), 1.5e308), np.array([[1.0, np.nan], [0.0, 1.0]])
+        for first, second, error in ((overflow, nonfinite, DomainError), (nonfinite, overflow, ValueError)):
+            bad = h.copy()
+            bad[5], bad[20] = first, second
+            with pytest.raises(error):
+                svd2x2(first)
+            with pytest.raises(error):
+                _svd2x2(bad)

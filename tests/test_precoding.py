@@ -372,6 +372,53 @@ class TestOptimizeGmud:
         _, _, rep = optimize_gmud(edge, fb_l, 0.1, GridSpec(2, 3, 2))
         assert np.isfinite(rep.min_sinr)
 
+    def test_chunk_equals_per_pair_search(self):
+        # the kernel over a chunk of pairs gives each pair the bytes of its own search
+        from gmud import decode, encode
+        from gmud.precoding import _search
+
+        rng = np.random.default_rng(41)
+        for grid in (GridSpec(4, 8, 5), GridSpec(1, 1, 1)):
+            for noise in (0.0, 1e-3, 0.1, 1.0):
+                for n in (None, 1, 2, 4):
+                    pairs = []
+                    for p in range(9):
+                        channels = crand(rng, (2, 2, 2))
+                        if p % 3 == 1:  # lambda1 = lambda2
+                            channels[p % 2] = rng.uniform(0.1, 3.0) * np.linalg.qr(crand(rng, (2, 2)))[0]
+                        svds = [svd2x2(h) for h in channels]
+                        pairs.append([GmudFeedback.from_svd(s) if n is None else decode(encode(s, "gmud", n), "gmud", n)
+                                      for s in svds])
+                    g, params, report = _search(*(np.array([[getattr(fb, f) for fb in pair] for pair in pairs])
+                                                  for f in ("lambda1", "lambda2", "v1")), noise, grid)
+                    for j, (fb_k, fb_l) in enumerate(pairs):
+                        want_g, want_params, want_rep = optimize_gmud(fb_k, fb_l, noise, grid)
+                        assert g[j].tobytes() == want_g.tobytes(), (grid, noise, n, j)
+                        assert params[j].tobytes() == np.array(dataclasses.astuple(want_params)).tobytes()
+                        want = [*want_rep.per_user, want_rep.min_sinr, want_rep.gamma_bar]
+                        assert report[j].tobytes() == np.array(want).tobytes()
+
+    def test_chunk_raises_as_the_loop(self):
+        # a bad report in pair j raises what the per-pair loop raises there
+        from gmud.precoding import _search
+
+        rng = np.random.default_rng(42)
+        pairs = [random_reports(rng) for _ in range(6)]
+        huge = GmudFeedback.from_svd(svd2x2(1e155 * crand(rng, (2, 2))))
+        skewed = GmudFeedback(np.zeros(6), np.array([1.0, 1.0], dtype=complex), 1.0, 0.5)
+        # within a pair both lambda1**2 checks come before the v1 checks
+        for j, bad_pair in ((4, (None, huge)), (2, (skewed, None)), (3, (huge, None)), (1, (skewed, huge))):
+            chunk = [list(pair) for pair in pairs]
+            chunk[j] = [fb if bad is None else bad for fb, bad in zip(chunk[j], bad_pair)]
+            chunk[5][0] = skewed  # a later bad pair never speaks first
+            with pytest.raises(DomainError) as want:
+                for fb_k, fb_l in chunk:
+                    optimize_gmud(fb_k, fb_l, 0.1, GridSpec(2, 3, 2))
+            with pytest.raises(DomainError) as got:
+                _search(*(np.array([[getattr(fb, f) for fb in pair] for pair in chunk])
+                          for f in ("lambda1", "lambda2", "v1")), 0.1, GridSpec(2, 3, 2))
+            assert str(got.value) == str(want.value)
+
     @pytest.mark.parametrize("noise", [-1.0, np.nan])
     def test_bad_noise_rejected(self, noise):
         rng = np.random.default_rng(13)

@@ -170,7 +170,7 @@ class TestReceiveDetect:
             h = svd.reconstruct()
             r = float(rng.uniform(svd.lambda2, svd.lambda1))
             theta = float(rng.uniform(0.0, 2 * np.pi))
-            p1 = _rotation_projection(svd, r, theta)
+            p1 = _rotation_projection(svd.u, svd.lambda1, svd.lambda2, r, theta)
             q1 = beam_from_feedback(svd.lambda1, svd.lambda2, svd.v[:, 0], r, theta)
             assert np.linalg.norm(p1) == pytest.approx(1.0, abs=1e-12)
             assert abs(p1.conj() @ h @ q1) == pytest.approx(r, rel=1e-10)
@@ -302,7 +302,8 @@ def _loop_error_counts(config, snr_idx):
             reports = [GmudFeedback.from_svd(s) if n is None else decode(encode(s, "gmud", n), "gmud", n) for s in svds]
             g, p, _ = optimize_gmud(reports[0], reports[1], noise_var, config.grid)
             steering = ((p.r_k, p.theta_k), (p.r_l, p.theta_l))
-            combiners = np.stack([_rotation_projection(s, r, t) for s, (r, t) in zip(svds, steering)])
+            combiners = np.stack([_rotation_projection(s.u, s.lambda1, s.lambda2, r, t)
+                                  for s, (r, t) in zip(svds, steering)])
         payload = rng.integers(0, 2, size=(2, config.symbols * bps), dtype=np.uint8)
         x, gamma = transmit(g, modulate(payload, config.modulation))
         noise = crandn(rng, (2, 2, config.symbols)) * np.sqrt(noise_var)
@@ -329,6 +330,28 @@ class TestChunkedEngine:
         for cfg in configs:
             for snr_idx in range(2):
                 assert np.array_equal(_error_counts(cfg, snr_idx), _loop_error_counts(cfg, snr_idx)), cfg
+
+    def test_gmud_link_equals_single_realizations(self):
+        # the stacked gmud builder on 33 realizations gives each one the bytes of
+        # its own call, and of the scalar API: svd2x2, the report, optimize_gmud
+        from gmud import decode, encode, optimize_gmud
+
+        rng = np.random.default_rng(33)
+        channels = crandn(rng, (33, 2, 2, 2))
+        channels[7, 1] = 0.7 * np.eye(2)  # lambda1 = lambda2
+        grid = GridSpec(4, 8, 5)
+        for n in (None, 1, 4):
+            g, combiners = _LINKS["gmud"](channels, 0.05, n, grid)
+            for j, pair in enumerate(channels):
+                g_j, combiners_j = _LINKS["gmud"](pair[None], 0.05, n, grid)
+                assert g[j].tobytes() == g_j[0].tobytes() and combiners[j].tobytes() == combiners_j[0].tobytes(), (n, j)
+                svds = [svd2x2(h) for h in pair]
+                reports = [GmudFeedback.from_svd(s) if n is None else decode(encode(s, "gmud", n), "gmud", n)
+                           for s in svds]
+                want_g, p, _ = optimize_gmud(*reports, 0.05, grid)
+                steering = ((p.r_k, p.theta_k), (p.r_l, p.theta_l))
+                want = [_rotation_projection(s.u, s.lambda1, s.lambda2, r, t) for s, (r, t) in zip(svds, steering)]
+                assert g[j].tobytes() == want_g.tobytes() and combiners[j].tobytes() == np.stack(want).tobytes(), (n, j)
 
     def test_stacked_kernels_equal_batch_of_one(self):
         from gmud import antenna_selection, decode, encode, mat_inv

@@ -609,6 +609,15 @@ def _links(g):
     for scheme in ("reg-inv", "reg-inv-sel", "gmud"):
         for feedback in ("perfect", 1, 4):
             yield "typical", _config(g, scheme, "16qam", feedback), _crandn(rng, (33, 2, 2, 2)), 0.05
+    # the masks of a stacked gmud builder: identity multiples, rank one, equal
+    # singular values and scales 2**+-300 beside Gaussian channels, in one stack
+    rng = _rng("links edge batch")
+    kinds = (lambda: IDENTITIES[int(rng.integers(len(IDENTITIES)))], lambda: _rank_one(rng),
+             lambda: rng.uniform(0.1, 3.0) * _unitary(rng), lambda: np.ldexp(1.0, 300) * _crandn(rng, (2, 2)),
+             lambda: np.ldexp(1.0, -300) * _crandn(rng, (2, 2)), lambda: _crandn(rng, (2, 2)))
+    channels = np.array([[kinds[(i + k * (i // 6)) % 6]() for k in range(2)] for i in range(33)], dtype=complex)
+    for feedback in ("perfect", 1, 4):
+        yield "edge", _config(g, "gmud", "16qam", feedback), channels, 0.05
 
 
 def _link(g, config, channels, noise):
@@ -647,13 +656,24 @@ def _links_case(g):
         yield group, lambda c=config, h=channels, noise=noise: _link(g, c, h, noise)
 
 
+def _projection(g, svd, r, theta):
+    """The gmud receiver combiner of one SVD.
+
+    Trees from before the stacked gmud builder (no ``simulation._svd2x2``)
+    take the SVD object, later ones its arrays, so both record the same items.
+    """
+    if hasattr(g.simulation, "_svd2x2"):
+        return g.simulation._rotation_projection(svd.u, svd.lambda1, svd.lambda2, r, theta)
+    return g.simulation._rotation_projection(svd, r, theta)
+
+
 @case("simulation._rotation_projection")
 def _rotation_projection(g):
     rng = _rng("rotation_projection")
     for group, h in _matrices(rng, 2000):
         if group != "extreme-scale":
             yield group, lambda h=h, u=rng.uniform(), t=_phase(rng): (
-                lambda s: g.simulation._rotation_projection(s, s.lambda2 + u * (s.lambda1 - s.lambda2), t)
+                lambda s: _projection(g, s, s.lambda2 + u * (s.lambda1 - s.lambda2), t)
             )(g.svd2x2(h))
 
 
