@@ -125,12 +125,13 @@ def _rotation_factors(lambda1, lambda2, r):
     The only place the rotation math lives, for the scalar API, the factor,
     the beam grids and the receiver combiners.  Assumes r in [lambda2, lambda1].
     Equal singular values (lambda1 - lambda2 <= 1e-12 * lambda1) give the
-    identity rotation (1, 0, 1, 0).  The factors depend on ratios only, so
-    a lambda1 outside [2**-128, 2**128) is first scaled by a power of two.
-    Squares are products, so scalars and arrays round alike.
+    identity rotation (1, 0, 1, 0), and r = lambda2 = 0 (rank one) the limit
+    (0, 1, 1, 0) of r -> 0+, not c = (lambda1/0)*0.  The factors depend on
+    ratios only, so a lambda1 outside [2**-128, 2**128) is first scaled by a
+    power of two.  Squares are products, so scalars and arrays round alike.
     """
-    degenerate = lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1
-    any_degenerate = _any(degenerate)
+    degenerate, zero_r = lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1, r == 0.0
+    any_degenerate, any_zero_r = _any(degenerate), _any(zero_r)
     if _any((lambda1 < 2.0**-128) | (lambda1 >= 2.0**128)):  # where _pow2_exponents is nonzero
         scale = np.ldexp(1.0, -_pow2_exponents(lambda1))
         lambda1, lambda2, r = lambda1 * scale, lambda2 * scale, r * scale
@@ -138,9 +139,13 @@ def _rotation_factors(lambda1, lambda2, r):
     span = np.where(degenerate, 1.0, l1_sq - l2_sq) if any_degenerate else l1_sq - l2_sq
     a = np.sqrt(np.maximum(r_sq - l2_sq, 0.0) / span)
     b = np.sqrt(np.maximum(l1_sq - r_sq, 0.0) / span)
+    if any_zero_r:  # divide by 1 there; the limit below replaces the quotients
+        r = np.where(zero_r, 1.0, r)
     factors = a, b, (lambda1 / r) * a, (lambda2 / r) * b
-    if any_degenerate:  # the identity rotation replaces these entries
-        factors = tuple(np.where(degenerate, fixed, f) for fixed, f in zip((1.0, 0.0, 1.0, 0.0), factors))
+    limits = (degenerate, any_degenerate, (1.0, 0.0, 1.0, 0.0)), (zero_r, any_zero_r, (0.0, 1.0, 1.0, 0.0))
+    for mask, hit, fixed in limits:
+        if hit:
+            factors = tuple(np.where(mask, v, f) for v, f in zip(fixed, factors))
     return factors
 
 

@@ -9,8 +9,8 @@ users:
   every per-user receive-row combination and keeps the one maximizing
   the minimum per-user SINR.
 * ``optimize_gmud``: each user's column is a steered beam built from
-  that user's reported (lambda1, lambda2, v1); an exact two-stage search
-  over the beam parameters and an interior power split alpha^2 in
+  that user's reported (lambda1, lambda2, v1); an exact branch-and-bound
+  search over the beam parameters and an interior power split alpha^2 in
   [0.1, 0.9] maximizes the minimum SINR and returns the exhaustive
   grid's first argmax.
 
@@ -282,9 +282,18 @@ def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     return y * delta + start[..., None]
 
 
-# Pairs whose x arrays _search builds at once: 128 KiB of x per pair at the
-# default grid, plus complex temporaries; a few pairs at a time run fastest.
-_X_PAIRS = 4
+_X_SLACK = 2.0**-46  # 128 units in the last place at 1; derived in _search
+
+
+def _x_bound(c, s, v1, v2, beams_l):
+    """Lower bounds (P, n_r, n_r) on each block's smallest x from the beams' ``c``, ``s`` (P, 2, n_r), ``v1``,
+    ``v2`` (P, 2, 2) and user l's ``beams_l`` (P, n_r, n_theta, 2); NaN becomes -inf (:func:`_search`)."""
+    vk = np.conj(np.stack([v1[:, 0], v2[:, 0]], axis=1))[:, :, None, None]  # (P, 2, 1, 1, 2)
+    z = np.abs(vk[..., 0] * beams_l[:, None, ..., 0] + vk[..., 1] * beams_l[:, None, ..., 1])  # |v1^H q_l|, |v2^H q_l|
+    t = c[:, 0, :, None, None] * z[:, None, 0] - s[:, 0, :, None, None] * z[:, None, 1]  # (P, n_rk, n_rl, n_theta)
+    n = (c + s)[:, 0, :, None] * (c + s)[:, 1, None, :]
+    bound = (t * t).min(axis=-1) - _X_SLACK * (n * n)
+    return np.where(np.isnan(bound), -np.inf, bound)
 
 
 def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var: float, grid: GridSpec):
@@ -294,55 +303,81 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     reports, user k first.  Returns G (P, 2, 2), the params (P, 6) in
     :class:`GmudBeamParams` order and the reports (P, 4): SINR_k, SINR_l,
     their minimum and gamma_bar.  Each pair gets the bytes a search of it
-    alone gives, and the first bad pair raises what a loop would.  x is
-    built :data:`_X_PAIRS` pairs at a time and only its block minima are
-    kept; stage 2 builds the chosen block of each pair again.
+    alone gives, and the first bad pair raises what a loop would.
+
+    Stage 1 is a branch and bound over the (i_rk, i_rl) blocks.  As
+    q_k = c e^{i theta_k} v1 - s v2, q_k^H q_l = e^{-i theta_k} A - B with
+    A = c v1^H q_l and B = s v2^H q_l, so x >= t^2, t = |A| - |B|, at every
+    theta_k.  Less a slack, its minimum over theta_l bounds the block's x,
+    and the min-SINR there its peak (min-SINR is non-increasing in x down to
+    -inf, and a NaN bound, as -inf, scores as a NaN x).  The best-bound block
+    is searched first; its peak L prunes every block bounded below L, and
+    the rest are searched in one gather (``>=`` keeps ties with L that may
+    come first in C order).  Stage 2 scores the chosen block at the power
+    splits whose stage-1 score is its peak only: no other split reaches it.
+
+    The slack is _X_SLACK N^2, N = (c_k + s_k)(c_l + s_l) >= ||q_k|| ||q_l||.
+    With u = 2**-53, the computed q_k is c w v1 - s v2 + e, w = fl(e^{i theta}),
+    ||e|| <= 5u (c_k + s_k) and ||w| - 1| <= 2u, so |q_k^H q_l| >= |t| - 7uN;
+    the computed t is off by 7uN, and x by 3.3uN before squaring and 2u
+    relative after.  So x >= t^2 - 37uN^2, plus 2uN^2 for rounding t^2 and
+    the subtraction: 128u covers it three times over.  No term scales with
+    lambda, and c and s enter as computed, cancellation error and all (near
+    lambda1 - lambda2 = 1e-12 lambda1).
     """
     _check_inputs(noise_var)
     _check_reports(lambda1, v1)
     n_r, n_t, n_p = grid.n_r, grid.n_theta, grid.n_p
-    pairs, parts = np.arange(len(lambda1)), [slice(i, i + _X_PAIRS) for i in range(0, len(lambda1), _X_PAIRS)]
+    pairs = np.arange(len(lambda1))
     r = _linspace(lambda2, lambda1, n_r)  # (P, 2, n_r)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_t, endpoint=False)
     alpha2 = np.linspace(0.1, 0.9, n_p)
     alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
-    a2, b2 = (alpha**2)[:, None], (beta**2)[:, None]
+    a2, b2 = alpha**2, beta**2
     # each user's beam grid (P, 2, n_r, n_theta, 2), as steered_beams builds it
     _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], r)
     v2 = orthonormal_complement(v1)
     beams = _steer(c[..., None], s[..., None], thetas, v1[:, :, None, None], v2[:, :, None, None])
-    # stage 1: the n_r^2 * n_p block peaks at each block's smallest x, laid out (P, n_p, n_r^2)
-    x_min = np.empty((len(pairs), n_r, n_r))
-    for part in parts:
-        x = _beam_x(beams[part, 0], beams[part, 1])  # bound until the next x reuses its memory
-        x_min[part] = x.min(axis=(-2, -1))
-    r2 = r * r
-    rk2, rl2 = np.repeat(r2[:, :1], n_r, axis=-1), np.tile(r2[:, 1:], n_r)  # at i_rk * n_r + i_rl
-    i_rk, i_rl = np.divmod(_first_max(_sinr(x_min.reshape(-1, 1, n_r * n_r), rk2, rl2, a2, b2, noise_var)) // n_p, n_r)
-    # stage 2: the chosen block of each pair, built again and laid out (P, n_p, n_theta^2)
-    beams_k, beams_l = beams[pairs, 0, i_rk], beams[pairs, 1, i_rl]
-    x = _beam_x(beams_k[:, None], beams_l[:, None]).reshape(-1, 1, n_t * n_t)
+    rk2, rl2 = np.repeat(r[:, 0] * r[:, 0], n_r, axis=-1), np.tile(r[:, 1] * r[:, 1], n_r)  # at i_rk * n_r + i_rl
+
+    def block_x(p, i):  # x of the blocks i of pairs p, (len(p), n_theta, n_theta)
+        return _beam_x(beams[p, 0, i // n_r, None], beams[p, 1, i % n_r, None])[:, 0, 0]
+
+    def min_sinr(x, p, i):  # min-SINR (len(p), n_p, i.shape[1]) of the blocks i of pairs p at x
+        return _sinr(x[:, None], rk2[p, i][:, None], rl2[p, i][:, None], a2[:, None], b2[:, None], noise_var)[2]
+
+    # stage 1: the block peaks at each block's smallest x, laid out (P, n_p, n_r^2); pruned blocks score -inf
+    blocks = np.arange(n_r * n_r)[None]
+    bound = min_sinr(_x_bound(c, s, v1, v2, beams[:, 1]).reshape(-1, n_r * n_r), pairs[:, None], blocks).max(axis=1)
+    seed = bound.argmax(axis=1)
+    x_min = np.zeros(bound.shape)
+    x_min[pairs, seed] = block_x(pairs, seed).min(axis=(-2, -1))
+    searched = ~(bound < min_sinr(x_min[pairs, seed, None], pairs[:, None], seed[:, None]).max(axis=1))
+    p, i = np.nonzero(searched & (blocks != seed[:, None]))
+    x_min[p, i] = block_x(p, i).min(axis=(-2, -1))
+    searched[pairs, seed] = True
+    scores = np.where(searched[:, None], min_sinr(x_min, pairs[:, None], blocks), -np.inf)
+    block = np.swapaxes(scores, 1, 2).reshape(len(pairs), -1).argmax(axis=1) // n_p  # the first best in C order
+    i_rk, i_rl = np.divmod(block, n_r)
+    # stage 2: the chosen block at its peak's power splits, padded per pair with splits that cannot win
+    at_peak = scores[pairs, :, block]
+    at_peak = at_peak == at_peak.max(axis=1, keepdims=True)
+    splits = np.argsort(~at_peak, axis=1, kind="stable")[:, : at_peak.sum(axis=1).max()]
+    x = block_x(pairs, block).reshape(-1, 1, n_t * n_t)
     r_k, r_l = r[pairs, 0, i_rk], r[pairs, 1, i_rl]
-    pick, report = np.empty(len(pairs), dtype=np.intp), np.empty((len(pairs), 4))
-    for part in parts:
-        sinrs = _sinr(x[part], (r_k * r_k)[part, None, None], (r_l * r_l)[part, None, None], a2, b2, noise_var)
-        pick[part] = _first_max(sinrs)  # i_t * n_p + i_a with i_t = i_tk * n_theta + i_tl
-        report[part, :3] = sinrs[:, pairs[: len(sinrs[0])], pick[part] % n_p, pick[part] // n_p].T
-    i_t, i_a = np.divmod(pick, n_p)
+    sinrs = _sinr(x, (r_k * r_k)[:, None, None], (r_l * r_l)[:, None, None], a2[splits, None], b2[splits, None],
+                  noise_var)
+    i_t, j = np.divmod(np.swapaxes(sinrs[2], 1, 2).reshape(len(pairs), -1).argmax(axis=1), splits.shape[1])
+    i_a = splits[pairs, j]
     i_tk, i_tl = np.divmod(i_t, n_t)
-    report[:, 3] = (a2 + b2)[i_a, 0]
-    g = np.stack([alpha[i_a][:, None] * beams_k[pairs, i_tk], beta[i_a][:, None] * beams_l[pairs, i_tl]], axis=-1)
+    report = np.concatenate([sinrs[:, pairs, j, i_t].T, (a2 + b2)[i_a, None]], axis=1)
+    beams_k, beams_l = beams[pairs, 0, i_rk, i_tk], beams[pairs, 1, i_rl, i_tl]
+    g = np.stack([alpha[i_a][:, None] * beams_k, beta[i_a][:, None] * beams_l], axis=-1)
     return g, np.stack([r_k, thetas[i_tk], r_l, thetas[i_tl], alpha[i_a], beta[i_a]], axis=-1), report
 
 
-def _first_max(sinrs: np.ndarray) -> np.ndarray:
-    """Per pair, where the min-SINR of :func:`_sinr`'s (3, P, n_p, m) stack first peaks in
-    C order over (i, i_p): the flat index i * n_p + i_p."""
-    return np.swapaxes(sinrs[2], 1, 2).reshape(sinrs.shape[1], -1).argmax(axis=1)
-
-
 def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
-    """Exact two-stage max-min SINR search over beams and power loading.
+    """Exact two-stage, branch-and-bound max-min SINR search over beams and power loading.
 
     The grid is r per user on [lambda2, lambda1] (``linspace``), theta
     on [0, 2*pi) (endpoint excluded), and alpha^2 on [0.1, 0.9];
@@ -355,9 +390,9 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
     r^2 (a lambda1**2 overflow raises DomainError), each SINR is a chain
     of correctly rounded steps monotone in x = |q_k^H q_l|^2 (times a
     constant >= 0, plus noise >= 0, num/den, cap), so min-SINR is
-    non-increasing in x and each (i_rk, i_rl) block peaks at its smallest x.  Stage 1 scores those n_r^2 * n_p peaks and
-    picks the first best block; stage 2 takes the first argmax inside it.
-    This is a batch of one through :func:`_search`.
+    non-increasing in x and each (i_rk, i_rl) block peaks at its smallest x.  Stage 1 finds the first best block,
+    searching only the blocks that a lower bound on x leaves in contention; stage 2 takes the first argmax inside
+    it, at the power splits where the block peaks.  This is a batch of one through :func:`_search`.
 
     Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].

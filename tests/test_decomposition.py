@@ -227,6 +227,23 @@ class TestBeams:
                     if l1 == l2:
                         assert np.array_equal(beam, np.exp(1j * t) * v1)
 
+    def test_rank_one_report_at_zero_r(self):
+        # r = lambda2 = 0 takes the r -> 0+ limit (a, b, c, s) = (0, 1, 1, 0),
+        # so the beam is e^{i theta} v1, with no 0/0 and no warning
+        import warnings
+
+        from gmud.decomposition import _rotation_factors
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beams = steered_beams(2.0, 0.0, [1, 0], [0.0, 1.0], 0.3)
+            factors = _rotation_factors(2.0, 0.0, np.array([0.0, 1.0]))
+        assert np.isfinite(beams).all()
+        assert_allclose(np.linalg.norm(beams, axis=-1), 1.0, rtol=1e-15)
+        assert np.array_equal(beams[0], np.exp(0.3j) * np.array([1.0, 0.0]))
+        assert [f[0] for f in factors] == [0.0, 1.0, 1.0, 0.0]
+        assert [f[1] for f in factors] == [0.5, np.sqrt(0.75), 1.0, 0.0]  # r > 0 is unchanged
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             beam_from_feedback(2.0, 1.0, np.array([1.0, 0.0]), 0.2, 0.0)

@@ -32,6 +32,46 @@ def random_reports(rng):
     return [GmudFeedback.from_svd(svd2x2(h)) for h in gen_channels(rng)]
 
 
+def hard_pairs(rng, count, n=None):
+    """Report pairs of the cases the search's x bound is tight or rounds on, perfect (n None) or N-bit.
+
+    Collinear users (h_l = h_k and e^{i phi} h_k), equal singular values,
+    lambda1 - lambda2 at 1.01e-12 and 2e-12 lambda1 (a and c lose accuracy
+    to cancellation), rank one (lambda2 = 0) and channels scaled by
+    2**+-300, beside Gaussian pairs.
+    """
+    from gmud import decode, encode
+
+    def report(h):
+        svd = svd2x2(h)
+        return GmudFeedback.from_svd(svd) if n is None else decode(encode(svd, "gmud", n), "gmud", n)
+
+    pairs = []
+    for p in range(count):
+        kind = p % 10
+        h_k, h_l = crand(rng, (2, 2, 2))
+        if kind in (1, 4, 6):
+            h_l = h_k
+        elif kind == 2:
+            h_l = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * h_k
+        elif kind == 3:
+            h_k = rng.uniform(0.1, 3.0) * np.linalg.qr(crand(rng, (2, 2)))[0]
+        elif kind == 8:
+            h_k, h_l = 2.0**300 * h_k, 2.0**-300 * h_l
+        fb_k, fb_l = report(h_k), report(h_l)
+        if kind in (4, 5):
+            fb_k = dataclasses.replace(fb_k, lambda2=fb_k.lambda1 * (1.0 - (1.01e-12, 2e-12)[kind - 4]))
+        elif kind in (6, 7):
+            fb_l = dataclasses.replace(fb_l, lambda2=0.0)
+        pairs.append((fb_k, fb_l))
+    return pairs
+
+
+def stacked(pairs):
+    """The (P, 2) lambda1, lambda2 and (P, 2, 2) v1 arrays of report pairs, as _search takes them."""
+    return tuple(np.array([[getattr(fb, f) for fb in pair] for pair in pairs]) for f in ("lambda1", "lambda2", "v1"))
+
+
 class TestRegInv:
     def test_zero_noise_identity(self):
         assert_allclose(reg_inv(np.eye(2), 0.0), np.eye(2))
@@ -351,6 +391,75 @@ class TestOptimizeGmud:
                 for field in dataclasses.fields(got):
                     a, b = getattr(got, field.name), getattr(want, field.name)
                     assert np.array(a).tobytes() == np.array(b).tobytes(), (i, field.name)
+
+    def test_x_bound_below_block_minima(self):
+        # the bound on each block's smallest x holds against x as computed,
+        # on the cases where it is tight and only the slack covers rounding
+        from gmud.decomposition import _rotation_factors, _steer
+        from gmud.linalg import orthonormal_complement
+        from gmud.precoding import _beam_x, _linspace, _x_bound
+
+        rng = np.random.default_rng(51)
+        grid, checked = GridSpec(), 0
+        thetas = np.linspace(0.0, 2.0 * np.pi, grid.n_theta, endpoint=False)
+        for chunk in range(64):
+            lambda1, lambda2, v1 = stacked(hard_pairs(rng, 33, (None, 1, 2, 4)[chunk % 4]))
+            _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], _linspace(lambda2, lambda1, grid.n_r))
+            v2 = orthonormal_complement(v1)
+            beams = _steer(c[..., None], s[..., None], thetas, v1[:, :, None, None], v2[:, :, None, None])
+            bound = _x_bound(c, s, v1, v2, beams[:, 1])
+            x_min = _beam_x(beams[:, 0], beams[:, 1]).min(axis=(-2, -1))
+            assert not np.isnan(x_min).any() and not np.isnan(bound).any()
+            assert (bound <= x_min).all(), chunk
+            checked += len(v1)
+        assert checked >= 2000
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3, 0.05, 1.0])
+    def test_pruned_search_equals_full_grid(self, noise):
+        # a chunk of the bound's hard cases gives each pair the exhaustive
+        # grid's first argmax, byte for byte: pruning drops no block that
+        # could win or tie, and stage 2 no power split
+        from gmud.precoding import _search
+
+        rng = np.random.default_rng(52)
+        for grid in (GridSpec(), GridSpec(4, 8, 5)):
+            for n in (None, 4):
+                pairs = hard_pairs(rng, 33, n)
+                g, params, report = _search(*stacked(pairs), noise, grid)
+                for j, (fb_k, fb_l) in enumerate(pairs):
+                    want_g, want_params, want_rep = self.full_grid_search(fb_k, fb_l, noise, grid)
+                    assert g[j].tobytes() == want_g.tobytes(), (grid, n, j)
+                    assert params[j].tobytes() == np.array(dataclasses.astuple(want_params)).tobytes(), (grid, n, j)
+                    want = [*want_rep.per_user, want_rep.min_sinr, want_rep.gamma_bar]
+                    assert report[j].tobytes() == np.array(want).tobytes(), (grid, n, j)
+
+    def test_pruning_keeps_ties_with_the_seed_peak(self, monkeypatch):
+        # pruning is exact under any valid bound on the block minima.  Here the
+        # bound is the minima themselves, but -inf on the last block, which so
+        # is searched first.  Both reports have lambda1 = lambda2 to 5e-13, so
+        # every block has the same x, and user k, the weaker, is the binding
+        # one: the blocks of the last i_rk all tie that block's peak, with
+        # bounds equal to it, and the first of them must win
+        from gmud import precoding
+        from gmud.decomposition import _steer
+
+        def minima(c, s, v1, v2, beams_l):
+            thetas = np.linspace(0.0, 2.0 * np.pi, beams_l.shape[2], endpoint=False)
+            beams_k = _steer(c[:, 0, :, None], s[:, 0, :, None], thetas, v1[:, 0, None, None], v2[:, 0, None, None])
+            bound = precoding._beam_x(beams_k, beams_l).min(axis=(-2, -1))
+            bound[:, -1, -1] = -np.inf
+            return bound
+
+        monkeypatch.setattr(precoding, "_x_bound", minima)
+        rng = np.random.default_rng(53)
+        for noise in (1e-3, 0.05, 1.0):
+            v1_k, v1_l = (v / np.linalg.norm(v) for v in crand(rng, (2, 2)))
+            fb_k = GmudFeedback(np.zeros(6), v1_k, 0.2, 0.2 * (1.0 - 5e-13))
+            fb_l = GmudFeedback(np.zeros(6), v1_l, 1.0, 1.0 - 5e-13)
+            g, params, rep = optimize_gmud(fb_k, fb_l, noise)
+            want_g, want_params, want_rep = self.full_grid_search(fb_k, fb_l, noise, GridSpec())
+            assert params.r_l == fb_l.lambda2 and want_params.r_l == fb_l.lambda2
+            assert g.tobytes() == want_g.tobytes() and params == want_params and rep == want_rep
 
     def test_bad_reports_rejected(self):
         # lambda1**2 overflows from ~1.34e154 up and the SINRs would come out

@@ -618,6 +618,18 @@ def _links(g):
     channels = np.array([[kinds[(i + k * (i // 6)) % 6]() for k in range(2)] for i in range(33)], dtype=complex)
     for feedback in ("perfect", 1, 4):
         yield "edge", _config(g, "gmud", "16qam", feedback), channels, 0.05
+    # the gmud search's pruning: the SINR_CAP plateau ties at zero noise, many
+    # surviving blocks at high SNR, and the cases where its x bound is tight
+    # (collinear users, singular values 2e-12 apart) in one stack
+    rng = _rng("links pruning batch")
+    for noise, group in ((0.0, "edge"), (1e-3, "typical")):
+        for feedback in ("perfect", 4):
+            yield group, _config(g, "gmud", "16qam", feedback), _crandn(rng, (33, 2, 2, 2)), noise
+    kinds = (lambda h: h, lambda h: np.exp(2j * np.pi * rng.uniform()) * h,
+             lambda h: _unitary(rng) @ np.diag([1.0, 1.0 - 2e-12]) @ _unitary(rng))
+    channels = np.array([[h, kinds[i % 3](h)] for i, h in enumerate(_crandn(rng, (33, 2, 2)))])
+    for noise in (0.0, 1e-3):
+        yield "edge", _config(g, "gmud", "16qam", "perfect"), channels, noise
 
 
 def _link(g, config, channels, noise):
