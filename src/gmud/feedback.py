@@ -25,8 +25,10 @@ a decoded message reproduces its bits exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -55,7 +57,7 @@ def _quantize(v, lo, hi, bits):
     """Cells and reconstruction levels of the uniform midrise quantizer, elementwise.
 
     The kernel of :func:`quantize_scalar`, :func:`encode` and the
-    realization-batched round trip.  Cells are integer-valued floats;
+    realization-batched reports.  Cells are integer-valued floats;
     above 53 bits the top cell ``2**bits - 1`` rounds up to ``2**bits``
     as a float, as it does in the level formula.
     """
@@ -93,23 +95,14 @@ def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, flo
     return _index(cell[0], bits), float(level[0])
 
 
-def _floats(z) -> np.ndarray:
-    """Complex values as (Re, Im) float64 pairs in row order, flat: an exact view."""
-    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64).ravel()
-
-
-def _complex(parts) -> np.ndarray:
-    """Inverse of :func:`_floats`: (Re, Im) pairs back to complex values."""
-    return np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)
-
-
 def _pairs(z) -> list:
     """JSON-ready nested lists with each complex entry as [re, im]."""
-    return _floats(z).reshape(np.shape(z) + (2,)).tolist()
+    return np.ascontiguousarray(z, dtype=np.complex128).view(np.float64).reshape(np.shape(z) + (2,)).tolist()
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    """Each vector along the last axis divided by its norm."""
+def _unit(parts) -> np.ndarray:
+    """(Re, Im) pairs back to complex vectors along the last axis, each divided by its norm."""
+    vec = np.ascontiguousarray(parts, dtype=np.float64).view(np.complex128)
     return vec / _norm(vec)[..., None]
 
 
@@ -123,8 +116,21 @@ def _unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return units, nrm
 
 
+class _Message:
+    """A decoded report, ``raw`` first.  The scheme's stacked decoder ``_decode``
+    builds it from levels (..., fields), each field then carrying the leading
+    axes; :meth:`from_values` is a batch of one through it."""
+
+    @classmethod
+    def from_values(cls, values):
+        """The message of one report's reconstruction levels, in wire order."""
+        stack = cls._decode(np.array(values, dtype=np.float64)[None])
+        fields = (getattr(stack, f.name)[0] for f in dataclasses.fields(cls)[1:])
+        return cls(values, *(v.item() if v.ndim == 0 else v for v in fields))
+
+
 @dataclass(eq=False)
-class RegInvSelectionFeedback:
+class RegInvSelectionFeedback(_Message):
     """Decoded full-channel report: two renormalized unit rows plus row norms."""
 
     raw: np.ndarray  # the 10 reconstruction levels, wire order
@@ -132,13 +138,13 @@ class RegInvSelectionFeedback:
     row_norms: np.ndarray  # (2,)
 
     @classmethod
-    def from_values(cls, values: np.ndarray) -> RegInvSelectionFeedback:
-        return cls(values, _unit(_complex(values[0:8]).reshape(2, 2)), values[8:10].copy())
+    def _decode(cls, levels: np.ndarray) -> RegInvSelectionFeedback:
+        return cls(levels, _unit(levels[..., 0:8].reshape(levels.shape[:-1] + (2, 4))), levels[..., 8:10])
 
     @property
     def channel(self) -> np.ndarray:
         """Channel estimate: rows scaled back by their norms."""
-        return self.unit_rows * self.row_norms[:, None]
+        return self.unit_rows * self.row_norms[..., None]
 
     def as_dict(self) -> dict:
         """JSON-ready decoded values, complex entries as [re, im] pairs."""
@@ -146,7 +152,7 @@ class RegInvSelectionFeedback:
 
 
 @dataclass(eq=False)
-class RegInvFixedFeedback:
+class RegInvFixedFeedback(_Message):
     """Decoded single-row report (the no-selection baseline)."""
 
     raw: np.ndarray  # 5 reconstruction levels
@@ -154,12 +160,12 @@ class RegInvFixedFeedback:
     row_norm: float
 
     @classmethod
-    def from_values(cls, values: np.ndarray) -> RegInvFixedFeedback:
-        return cls(values, _unit(_complex(values[0:4])), float(values[4]))
+    def _decode(cls, levels: np.ndarray) -> RegInvFixedFeedback:
+        return cls(levels, _unit(levels[..., 0:4]), levels[..., 4])
 
     @property
     def row(self) -> np.ndarray:
-        return self.unit_row * self.row_norm
+        return self.unit_row * np.expand_dims(self.row_norm, -1)
 
     def as_dict(self) -> dict:
         """JSON-ready decoded values, complex entries as [re, im] pairs."""
@@ -167,7 +173,7 @@ class RegInvFixedFeedback:
 
 
 @dataclass(eq=False)
-class GmudFeedback:
+class GmudFeedback(_Message):
     """Decoded spectral report: principal vector plus both singular values."""
 
     raw: np.ndarray  # 6 reconstruction levels
@@ -176,9 +182,9 @@ class GmudFeedback:
     lambda2: float
 
     @classmethod
-    def from_values(cls, values: np.ndarray) -> GmudFeedback:
-        lam = sorted((float(values[4]), float(values[5])), reverse=True)
-        return cls(values, _unit(_complex(values[0:4])), lam[0], lam[1])
+    def _decode(cls, levels: np.ndarray) -> GmudFeedback:
+        lam = levels[..., 4:6]
+        return cls(levels, _unit(levels[..., 0:4]), lam.max(axis=-1), lam.min(axis=-1))
 
     @classmethod
     def from_svd(cls, svd: SvdFactorization) -> GmudFeedback:
@@ -196,14 +202,10 @@ def _rows(h) -> np.ndarray:
     return h[:, None] if h.ndim == 1 else h
 
 
-def _selection_scalars(h) -> np.ndarray:
-    units, norms = _unit_rows(_rows(h))
+def _row_scalars(rows) -> np.ndarray:
+    """Wire scalars (..., 5 * rows) of rows (..., rows, 2): unit rows as (Re, Im) pairs, then row norms."""
+    units, norms = _unit_rows(rows)
     return np.concatenate([units.view(np.float64).reshape(norms.shape[:-1] + (-1,)), norms], axis=-1)
-
-
-def _fixed_row_scalars(h) -> np.ndarray:
-    unit, nrm = _unit_rows(_rows(h)[..., 0, :])
-    return np.concatenate([unit.view(np.float64), nrm[..., None]], axis=-1)
 
 
 def _spectral_scalars(source) -> np.ndarray:
@@ -227,31 +229,33 @@ def _complex_fields(prefix: str, bits_per_n: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Scheme:
-    """A feedback scheme: wire fields as (name, bits per unit N, range), source -> scalars, message type."""
+    """A feedback scheme: wire fields as (name, bits per unit N, range), source -> scalars, the message type,
+    whose ``_decode`` is the stacked decoder, what the transmitter uses of a message, and the same of a
+    source under perfect CSI (for gmud the source is (lambda1, lambda2, v1) itself)."""
 
     fields: tuple[tuple[str, int, tuple[float, float]], ...]
     scalars: Callable[..., np.ndarray]
     message: type
+    report: Callable
+    exact: Callable
 
 
 _SCHEME_TABLE = {
     "reg-inv": _Scheme(
         _complex_fields("row", 2) + (("norm", 4, MAGNITUDE_RANGE),),
-        _fixed_row_scalars,
-        RegInvFixedFeedback,
+        lambda h: _row_scalars(_rows(h)[..., :1, :]), RegInvFixedFeedback, attrgetter("row"),
+        lambda h: _rows(h)[..., 0, :],
     ),
     "reg-inv-sel": _Scheme(
         _complex_fields("row0", 1)
         + _complex_fields("row1", 1)
         + (("norm0", 2, MAGNITUDE_RANGE), ("norm1", 2, MAGNITUDE_RANGE)),
-        _selection_scalars,
-        RegInvSelectionFeedback,
+        lambda h: _row_scalars(_rows(h)), RegInvSelectionFeedback, attrgetter("channel"), _rows,
     ),
     "gmud": _Scheme(
         _complex_fields("v1", 2)
         + (("lambda1", 2, MAGNITUDE_RANGE), ("lambda2", 2, MAGNITUDE_RANGE)),
-        _spectral_scalars,
-        GmudFeedback,
+        _spectral_scalars, GmudFeedback, attrgetter("lambda1", "lambda2", "v1"), tuple,
     ),
 }
 
@@ -318,20 +322,16 @@ def decode(bits: str, scheme: str, n: int):
     return _SCHEME_TABLE[scheme].message.from_values(_reconstruct(np.array(cells), lo, hi, widths))
 
 
-def _round_trip(scalars: np.ndarray, scheme: str, n: int) -> np.ndarray:
-    """``decode(encode(.))``'s levels for (..., fields) wire scalars, on arrays."""
-    names, bits, lo, hi = _fields(scheme, n)
-    return _quantize(_finite(scalars, names), lo, hi, bits)[1]
+def _reports(source, scheme: str, n: int | None):
+    """What the transmitter uses of each report in a stack: exact for ``n`` None, else decoded from 12N bits.
 
-
-def _estimates(h: np.ndarray, scheme: str, n: int) -> np.ndarray:
-    """What the transmitter decodes from each (..., 2, 2) channel of a stack.
-
-    ``reg-inv`` gives the reported rows (..., 2), ``reg-inv-sel`` the
-    channels (..., 2, 2): the ``row`` and ``channel`` of the decoded
-    messages, from the same arithmetic.
+    ``source`` is a channel stack (..., 2, 2), or for ``gmud`` a stacked
+    (lambda1, lambda2, v1).  Decoded, the reports are the ``row`` (..., 2),
+    the ``channel`` (..., 2, 2) and the (lambda1, lambda2, v1) of
+    :func:`decode`'s messages, through the same decoder.
     """
-    levels = _round_trip(_SCHEME_TABLE[scheme].scalars(h), scheme, n)
-    if scheme == "reg-inv":
-        return _unit(_complex(levels[..., :4])) * levels[..., 4:]
-    return _unit(_complex(levels[..., :8]).reshape(levels.shape[:-1] + (2, 2))) * levels[..., 8:, None]
+    spec = _SCHEME_TABLE[scheme]
+    if n is None:
+        return spec.exact(source)
+    names, bits, lo, hi = _fields(scheme, n)
+    return spec.report(spec.message._decode(_quantize(_finite(spec.scalars(source), names), lo, hi, bits)[1]))

@@ -23,7 +23,6 @@ re-enumeration of its grid.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +191,11 @@ def _select(h_hat: np.ndarray, noise_var: float):
     return pick, g[r, pick], sinrs[r, pick], gamma_bar[r, pick]
 
 
+def _combos(rows) -> np.ndarray:
+    """Every choice of one receive row per user, (combos, users), in lexicographic order; ``rows`` per user."""
+    return np.indices(rows).reshape(len(rows), -1).T
+
+
 def antenna_selection(channels, noise_var: float):
     """Pick one receive row per user maximizing the minimum per-user SINR.
 
@@ -209,11 +213,11 @@ def antenna_selection(channels, noise_var: float):
     """
     _check_inputs(noise_var)
     mats = [as_matrix(h) for h in channels]
-    combos = list(itertools.product(*[range(h.shape[0]) for h in mats]))
+    combos = _combos([h.shape[0] for h in mats])
     h_hat = np.stack([np.stack([mats[k][row] for k, row in enumerate(combo)]) for combo in combos])
     pick, g, sinrs, gamma_bar = _select(h_hat[None], noise_var)
     per_user = tuple(sinrs[0].tolist())
-    return combos[pick[0]], g[0], SinrReport(per_user, min(per_user), float(gamma_bar[0]))
+    return tuple(combos[pick[0]].tolist()), g[0], SinrReport(per_user, min(per_user), float(gamma_bar[0]))
 
 
 def _beam_x(beams_k, beams_l):
@@ -237,9 +241,9 @@ def _sinr(x, rk2, rl2, a2, b2, noise_var):
 def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
     """(SINR_k, SINR_l, gamma_bar) over the beams' x (n_rk, n_rl, n_theta_k, n_theta_l), r, alpha, beta.
 
-    The SINRs are shaped x.shape + (n_p,).  The search and its one-point
-    oracle share these array loops and so agree bit for bit; numpy
-    scalars would round complex products differently.
+    The SINRs are shaped x.shape + (n_p,): the search's kernels on a whole grid, for :func:`gmud_min_sinr`
+    (one point) and the tests' exhaustive oracle.  As array loops they agree with the search bit for bit;
+    numpy scalars would round complex products differently.
     """
     a2, b2 = alpha**2, beta**2
     rk2, rl2 = (rk * rk)[:, None, None, None, None], (rl * rl)[None, :, None, None, None]
@@ -346,22 +350,22 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     def min_sinr(x, p, i):  # min-SINR (len(p), n_p, i.shape[1]) of the blocks i of pairs p at x
         return _sinr(x[:, None], rk2[p, i][:, None], rl2[p, i][:, None], a2[:, None], b2[:, None], noise_var)[2]
 
-    # stage 1: the block peaks at each block's smallest x, laid out (P, n_p, n_r^2); pruned blocks score -inf
+    # stage 1: each block's peak, its min-SINR at its smallest x, (P, n_r^2); pruned blocks score -inf
     blocks = np.arange(n_r * n_r)[None]
     bound = min_sinr(_x_bound(c, s, v1, v2, beams[:, 1]).reshape(-1, n_r * n_r), pairs[:, None], blocks).max(axis=1)
     seed = bound.argmax(axis=1)
-    x_min = np.zeros(bound.shape)
-    x_min[pairs, seed] = block_x(pairs, seed).min(axis=(-2, -1))
-    searched = ~(bound < min_sinr(x_min[pairs, seed, None], pairs[:, None], seed[:, None]).max(axis=1))
-    p, i = np.nonzero(searched & (blocks != seed[:, None]))
-    x_min[p, i] = block_x(p, i).min(axis=(-2, -1))
-    searched[pairs, seed] = True
-    scores = np.where(searched[:, None], min_sinr(x_min, pairs[:, None], blocks), -np.inf)
-    block = np.swapaxes(scores, 1, 2).reshape(len(pairs), -1).argmax(axis=1) // n_p  # the first best in C order
+    x_min, peak = np.zeros(bound.shape), np.full(bound.shape, -np.inf)
+
+    def score(p, i):  # the peaks of the blocks i of pairs p, at their smallest x
+        x_min[p, i] = block_x(p, i).min(axis=(-2, -1))
+        peak[p, i] = min_sinr(x_min[p, i, None], p[:, None], i[:, None]).max(axis=1)[:, 0]
+
+    score(pairs, seed)
+    score(*np.nonzero(~(bound < peak[pairs, seed, None]) & (blocks != seed[:, None])))
+    block = peak.argmax(axis=1)  # the first best in C order
     i_rk, i_rl = np.divmod(block, n_r)
     # stage 2: the chosen block at its peak's power splits, padded per pair with splits that cannot win
-    at_peak = scores[pairs, :, block]
-    at_peak = at_peak == at_peak.max(axis=1, keepdims=True)
+    at_peak = min_sinr(x_min[pairs, block, None], pairs[:, None], block[:, None])[..., 0] == peak[pairs, block, None]
     splits = np.argsort(~at_peak, axis=1, kind="stable")[:, : at_peak.sum(axis=1).max()]
     x = block_x(pairs, block).reshape(-1, 1, n_t * n_t)
     r_k, r_l = r[pairs, 0, i_rk], r[pairs, 1, i_rl]

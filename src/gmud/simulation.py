@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import _rotation_factors, _steer
-from .feedback import SCHEMES, _complex, _estimates, _round_trip, _spectral_scalars, _unit
+from .feedback import SCHEMES, _reports
 from .linalg import _svd2x2
-from .precoding import GridSpec, _reg_inv, _search, _select
+from .precoding import GridSpec, _combos, _reg_inv, _search, _select
 
 # The scalar entry points of the stages the engine batches.  It calls their
 # stacked kernels instead, but profilers wrap these module attributes.
@@ -214,37 +214,30 @@ def _rotation_projection(u, lambda1, lambda2, r, theta) -> np.ndarray:
     return _steer(a, b, theta, u[..., 0], u[..., 1])
 
 
-# Combinations of the users' receive rows, in lexicographic order: (combos, users).
-_COMBOS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
 _ROWS = np.eye(2, dtype=np.complex128)
 
 
 def _link_reg_inv(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
-    rows = channels[:, :, 0] if n is None else _estimates(channels, "reg-inv", n)
-    return _reg_inv(rows, noise_var), np.broadcast_to(_ROWS[[0, 0]], channels.shape[:3])
+    return _reg_inv(_reports(channels, "reg-inv", n), noise_var), np.broadcast_to(_ROWS[[0, 0]], channels.shape[:3])
 
 
 def _link_selection(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
-    estimates = channels if n is None else _estimates(channels, "reg-inv-sel", n)
-    pick, g, _, _ = _select(estimates[:, [0, 1], _COMBOS], noise_var)
-    return g, _ROWS[_COMBOS[pick]]
+    combos = _combos((2, 2))
+    pick, g, _, _ = _select(_reports(channels, "reg-inv-sel", n)[:, [0, 1], combos], noise_var)
+    return g, _ROWS[combos[pick]]
 
 
 def _link_gmud(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
     u, lam1, lam2, v = (a.reshape(channels.shape[:2] + a.shape[1:]) for a in _svd2x2(channels.reshape(-1, 2, 2)))
-    lambda1, lambda2, v1 = lam1, lam2, v[..., 0]
-    if n is not None:  # the decoded reports: renormalized v1, singular values sorted
-        levels = _round_trip(_spectral_scalars((lam1, lam2, v1)), "gmud", n)
-        v1 = _unit(_complex(levels[..., :4]))
-        lambda1, lambda2 = np.maximum(levels[..., 4], levels[..., 5]), np.minimum(levels[..., 4], levels[..., 5])
-    g, params, _ = _search(lambda1, lambda2, v1, noise_var, grid)
+    g, params, _ = _search(*_reports((lam1, lam2, v[..., 0]), "gmud", n), noise_var, grid)
     return g, _rotation_projection(u, lam1, lam2, params[:, [0, 2]], params[:, [1, 3]])
 
 
 # Per-scheme link builders, each a stack of array kernels: (channels (R, users,
 # 2, 2), noise_var, N or None for perfect CSI, grid) -> (G (R, 2, 2), (R, users,
-# 2) unit combiners): p1 of _rotation_projection for gmud, the unit vector
-# selecting the inverted receive row otherwise.
+# 2) unit combiners).  G comes from the reports of feedback._reports, exact or
+# decoded; the combiners are p1 of _rotation_projection for gmud, the unit
+# vector selecting the inverted receive row otherwise.
 _LINKS = {"reg-inv": _link_reg_inv, "reg-inv-sel": _link_selection, "gmud": _link_gmud}
 
 # Realizations per batch.  The speed barely changes from 16 to 64; one batch

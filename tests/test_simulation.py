@@ -354,11 +354,10 @@ class TestChunkedEngine:
                 assert g[j].tobytes() == want_g.tobytes() and combiners[j].tobytes() == np.stack(want).tobytes(), (n, j)
 
     def test_stacked_kernels_equal_batch_of_one(self):
-        from gmud import antenna_selection, decode, encode, mat_inv
-        from gmud.feedback import _estimates, _round_trip, _SCHEME_TABLE
-        from gmud.linalg import _mat_inv
-        from gmud.precoding import _reg_inv, _select
-        from gmud.simulation import _COMBOS
+        from gmud import antenna_selection, mat_inv
+        from gmud.feedback import _reports
+        from gmud.linalg import _mat_inv, _svd2x2
+        from gmud.precoding import _combos, _reg_inv, _select
 
         rng = np.random.default_rng(2024)
         draws = 3000
@@ -368,26 +367,40 @@ class TestChunkedEngine:
         rows = channels[:, :, 0]
         for noise in (0.0, 0.05):
             assert np.array_equal(_reg_inv(rows, noise), np.stack([reg_inv(h, noise) for h in rows]))
-        pick, g, sinrs, gamma_bar = _select(channels[:, [0, 1], _COMBOS], 0.05)
+        combos = _combos((2, 2))
+        pick, g, sinrs, gamma_bar = _select(channels[:, [0, 1], combos], 0.05)
         for k in range(draws):
             combo, g_k, report = antenna_selection(list(channels[k]), 0.05)
-            assert tuple(_COMBOS[pick[k]]) == combo and np.array_equal(g[k], g_k)
+            assert tuple(combos[pick[k]]) == combo and np.array_equal(g[k], g_k)
             assert tuple(sinrs[k].tolist()) == report.per_user and gamma_bar[k] == report.gamma_bar
-        for scheme in ("reg-inv", "reg-inv-sel"):
-            for n in (1, 2, 4, 8):
-                levels = _round_trip(_SCHEME_TABLE[scheme].scalars(channels), scheme, n)
-                estimates = _estimates(channels, scheme, n)
+        # each scheme's stacked reports: the exact view under perfect CSI, else the decoded message's
+        _, lam1, lam2, v = (x.reshape((draws, 2) + x.shape[1:]) for x in _svd2x2(channels.reshape(-1, 2, 2)))
+        for scheme, source in (("reg-inv", channels), ("reg-inv-sel", channels), ("gmud", (lam1, lam2, v[..., 0]))):
+            for n in (None, 1, 2, 4, 8):
+                reports = _reports(source, scheme, n)
                 for k in range(0, draws, 10):
                     for user in range(2):
-                        msg = decode(encode(channels[k, user], scheme, n), scheme, n)
-                        assert np.array_equal(levels[k, user], msg.raw)
-                        seen = msg.row if scheme == "reg-inv" else msg.channel
-                        assert np.array_equal(estimates[k, user], seen)
+                        got = [x[k, user] for x in reports] if scheme == "gmud" else [reports[k, user]]
+                        want = _public_report(channels[k, user], scheme, n)
+                        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
         u = modulate(rng.integers(0, 2, size=(draws, 2, 40), dtype=np.uint8), "16qam")
         x, gamma = transmit(g, u)
         for k in range(draws):
             x_k, gamma_k = transmit(g[k], u[k])
             assert np.array_equal(x[k], x_k) and np.array_equal(gamma[k], gamma_k)
+
+
+def _public_report(h, scheme, n):
+    """What the transmitter uses of one user's channel h, through the public API: the exact view or the message."""
+    from gmud import decode, encode
+
+    if scheme == "gmud":
+        msg = GmudFeedback.from_svd(svd2x2(h)) if n is None else decode(encode(h, scheme, n), scheme, n)
+        return [msg.lambda1, msg.lambda2, msg.v1]
+    if n is None:
+        return [h[0] if scheme == "reg-inv" else h]
+    msg = decode(encode(h, scheme, n), scheme, n)
+    return [msg.row if scheme == "reg-inv" else msg.channel]
 
 
 class TestZeroTransmitVector:

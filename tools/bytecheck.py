@@ -630,6 +630,23 @@ def _links(g):
     channels = np.array([[h, kinds[i % 3](h)] for i, h in enumerate(_crandn(rng, (33, 2, 2)))])
     for noise in (0.0, 1e-3):
         yield "edge", _config(g, "gmud", "16qam", "perfect"), channels, noise
+    # the inverse schemes' decode at its edges: zero rows, rows whose norm the
+    # [0, 4] quantizer clamps, near-parallel rows (within a channel and across
+    # the users' first rows) and Gaussian rows, in one stack
+    rng = _rng("links inverse edge batch")
+    channels = _crandn(rng, (33, 2, 2, 2))
+    for i, h in enumerate(channels):
+        kind, user, row = i % 4, (i // 8) % 2, (i // 4) % 2
+        if kind == 0:
+            h[user, row] = 0.0
+        elif kind == 1:
+            h[:, row] *= rng.uniform(4.0, 40.0) / np.linalg.norm(h[:, row], axis=-1, keepdims=True)
+        elif kind == 2:
+            h[user, 1 - row] = np.exp(2j * np.pi * rng.uniform()) * h[user, row] + 1e-9 * _crandn(rng, 2)
+            h[1 - user, 0] = np.exp(2j * np.pi * rng.uniform()) * h[user, 0] + 1e-9 * _crandn(rng, 2)
+    for scheme in ("reg-inv", "reg-inv-sel"):
+        for feedback in (1, 2, 4):
+            yield "edge", _config(g, scheme, "16qam", feedback), channels, 0.05
 
 
 def _link(g, config, channels, noise):
