@@ -126,9 +126,10 @@ def _rotation_factors(lambda1, lambda2, r):
     the beam grids and the receiver combiners.  Assumes r in [lambda2, lambda1].
     Equal singular values (lambda1 - lambda2 <= 1e-12 * lambda1) give the
     identity rotation (1, 0, 1, 0), and r = lambda2 = 0 (rank one) the limit
-    (0, 1, 1, 0) of r -> 0+, not c = (lambda1/0)*0.  The factors depend on
-    ratios only, so a lambda1 outside [2**-128, 2**128) is first scaled by a
-    power of two.  Squares are products, so scalars and arrays round alike.
+    (0, 1, 1, 0) of r -> 0+, not c = (lambda1/0)*0.  The factors depend on ratios
+    only, so a lambda1 outside [2**-128, 2**128) is first scaled by a power of two,
+    and where r*r underflows c comes from lambda2/r and a = c*r/lambda1.  Squares
+    are products, so scalars and arrays round alike.
     """
     degenerate, zero_r = lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1, r == 0.0
     any_degenerate, any_zero_r = _any(degenerate), _any(zero_r)
@@ -141,7 +142,12 @@ def _rotation_factors(lambda1, lambda2, r):
     b = np.sqrt(np.maximum(l1_sq - r_sq, 0.0) / span)
     if any_zero_r:  # divide by 1 there; the limit below replaces the quotients
         r = np.where(zero_r, 1.0, r)
-    factors = a, b, (lambda1 / r) * a, (lambda2 / r) * b
+    if not _any(tiny := r_sq < 2.0**-1022):
+        c = (lambda1 / r) * a
+    else:  # r*r underflowed there, and lambda1/r may overflow; (lambda2/lambda1)**2 < 2**-766 rounds off
+        c = np.where(tiny, np.sqrt(1.0 - (lambda2 / r) * (lambda2 / r)), (lambda1 / np.where(tiny, 1.0, r)) * a)
+        a = np.where(tiny, c * (r / lambda1), a)
+    factors = a, b, c, (lambda2 / r) * b
     limits = (degenerate, any_degenerate, (1.0, 0.0, 1.0, 0.0)), (zero_r, any_zero_r, (0.0, 1.0, 1.0, 0.0))
     for mask, hit, fixed in limits:
         if hit:

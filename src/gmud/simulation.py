@@ -8,9 +8,9 @@ with unit variance.  Each transmitted vector is normalized to unit power
 The transmitter only ever sees the feedback (exact under perfect CSI,
 an encode/decode round trip under quantized feedback); receivers use
 their true channel and a genie-known effective gain, with inter-user
-interference treated as noise.  Every realization draws its generator
-from (master seed, snr index, realization index), so results do not
-depend on execution order or worker count.
+interference treated as noise.  Realization j of SNR point i draws the
+stream of default_rng([seed, i, j]), seeded in bulk per point, so results
+do not depend on execution order, chunking or worker count.
 """
 
 from __future__ import annotations
@@ -174,6 +174,8 @@ class SimConfig:
             raise ValueError("realizations and symbols must be >= 1")
         if self.feedback != "perfect" and (not isinstance(self.feedback, int) or self.feedback < 1):
             raise ValueError("feedback must be 'perfect' or a positive integer N")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -240,34 +242,71 @@ def _link_gmud(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
 # vector selecting the inverted receive row otherwise.
 _LINKS = {"reg-inv": _link_reg_inv, "reg-inv-sel": _link_selection, "gmud": _link_gmud}
 
-# Realizations per batch.  The speed barely changes from 16 to 64; one batch
-# of all realizations would hold every realization's noise and symbols at once.
+# Realizations per batch, drawn into one set of (R, ...) buffers.  The speed barely
+# changes from 16 to 64; one batch of all would hold every noise and symbol at once.
 _CHUNK = 32
+
+# numpy's SeedSequence algorithm (numpy/random/bit_generator.pyx, pool of 4 words), fixed by NEP 19.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _seed_states(seed: int, snr_idx: int, count: int) -> np.ndarray:
+    """(count, 4) uint64 whose row j is ``SeedSequence([seed, snr_idx, j]).generate_state(4, np.uint64)``."""
+    def hashmix(rows, k, n, init=_INIT_A, mult=_MULT_A):  # hashmixes k, ..., k+n-1 of the chain, one per row
+        const = np.array([init * pow(mult, i, 1 << 32) & _M32 for i in range(k, k + n + 1)], np.uint32)[:, None]
+        rows = (rows ^ const[:-1]) * const[1:]
+        return rows ^ rows >> 16
+
+    words = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)] + [snr_idx]  # low first
+    entropy = np.zeros((max(len(words) + 1, 4), count), np.uint32)  # padded to the pool's 4 words
+    entropy[: len(words)], entropy[len(words)] = np.array(words, np.uint32)[:, None], np.arange(count)
+    pool, k = hashmix(entropy[:4], 0, 4), 4
+    for src in range(len(entropy)):  # each pool word into the other three, then each entropy word past the pool
+        dst = [d for d in range(4) if d != src]
+        mixed = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else entropy[src], k, len(dst)) * _MIX_R
+        pool[dst], k = mixed ^ mixed >> 16, k + len(dst)
+    state = hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], 0, 8, _INIT_B, _MULT_B).T
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+@dataclass
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """Seeds a PCG64 with one row of :func:`_seed_states`, its ``generate_state(4, np.uint64)``."""
+
+    state: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
 
 
 def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
     """Bit errors of every realization at one SNR point, in chunks of _CHUNK.
 
-    Realization j draws from its own generator (seed, snr index, j), in
-    the order channels, payload, noise; only the arithmetic is batched.
+    Realization j draws, in the order channels, payload, noise, from the stream of
+    ``default_rng([seed, snr index, j])``, seeded with the point's others in one pass.
+    Normals [i, 0] and [i, 1] are what :func:`crandn` draws for real and imaginary parts.
     """
     n = None if config.feedback == "perfect" else config.feedback
     noise_var = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
     bps = MODULATIONS[config.modulation]
+    states = _seed_states(int(config.seed), snr_idx, config.realizations)
     err_counts = np.empty(config.realizations, dtype=np.int64)
     for start in range(0, config.realizations, _CHUNK):
-        channels, payload, noise = [], [], []
-        for j in range(start, min(start + _CHUNK, config.realizations)):
-            rng = np.random.default_rng([config.seed, snr_idx, j])
-            channels.append(gen_channels(rng))
-            payload.append(rng.integers(0, 2, size=(2, config.symbols * bps), dtype=np.uint8))
-            noise.append(crandn(rng, (2, 2, config.symbols)))
-        channels, payload = np.stack(channels), np.stack(payload)
+        size = min(_CHUNK, config.realizations - start)
+        channels, noise = np.empty((size, 2, 2, 2, 2)), np.empty((size, 2, 2, 2, config.symbols))
+        payload = np.empty((size, 2, config.symbols * bps), dtype=np.uint8)
+        for i, state in enumerate(states[start : start + size]):
+            rng = np.random.Generator(np.random.PCG64(_SeedState(state)))
+            rng.standard_normal(out=channels[i])
+            payload[i] = rng.integers(0, 2, size=payload.shape[1:], dtype=np.uint8)
+            rng.standard_normal(out=noise[i])
+        channels = (channels[:, 0] + 1j * channels[:, 1]) * np.sqrt(0.5)
         g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
         x, gamma = transmit(g, modulate(payload, config.modulation))
-        noise = np.stack(noise) * np.sqrt(noise_var)
+        noise = (noise[:, 0] + 1j * noise[:, 1]) * np.sqrt(0.5) * np.sqrt(noise_var)
         detected = receive_detect(channels, g, combiners, x, gamma, config.modulation, noise)
-        err_counts[start : start + len(payload)] = np.count_nonzero(detected != payload, axis=(1, 2))
+        err_counts[start : start + size] = np.count_nonzero(detected != payload, axis=(1, 2))
     return err_counts
 
 

@@ -244,6 +244,23 @@ class TestBeams:
         assert [f[0] for f in factors] == [0.0, 1.0, 1.0, 0.0]
         assert [f[1] for f in factors] == [0.5, np.sqrt(0.75), 1.0, 0.0]  # r > 0 is unchanged
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lambda2, r", [(0.0, 1e-300), (1e-310, 1e-300), (0.0, 1e-320), (1e-200, 3e-155)])
+    def test_tiny_r_keeps_unit_norm_and_unitary_factors(self, lambda2, r):
+        # r*r underflows here; c used to come out 0, the beam zero or of norm lambda2/r
+        beam = steered_beams(2.0, lambda2, [1, 0], r, 0.3)
+        assert_allclose(np.linalg.norm(beam), 1.0, rtol=1e-15)
+        rot = solve_rotations(2.0, lambda2, r)
+        assert_allclose([rot.a**2 + rot.b**2, rot.c**2 + rot.s**2], 1.0, rtol=1e-15)
+        assert_allclose(rot.a * rot.c * 2.0 + rot.b * rot.s * lambda2, r, rtol=1e-14, atol=1e-323)
+        h = np.diag([2.0, lambda2]).astype(complex)
+        fact = gmud(h, r, PhasePair(0.3, 0.0))
+        for m in (fact.p, fact.q):
+            assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-15)
+        assert_allclose(fact.reconstruct(), h, rtol=0, atol=1e-15)
+        svd = fact.source_svd  # its lambda2 may round to 0 next to lambda1 = 2
+        assert_allclose(fact.q[:, 0], steered_beams(svd.lambda1, svd.lambda2, svd.v[:, 0], r, 0.3), atol=1e-15)
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             beam_from_feedback(2.0, 1.0, np.array([1.0, 0.0]), 0.2, 0.0)

@@ -262,6 +262,11 @@ class TestSimConfig:
             SimConfig(scheme="gmud", feedback=0)
         with pytest.raises(ValueError):
             SimConfig(scheme="gmud", feedback="sometimes")
+        for seed in (-1, 1.5, "7", None, np.int64(-3), np.float64(2.0)):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(scheme="gmud", seed=seed)
+        for seed in (0, 2**32, 2**64 + 7, np.int64(5), np.uint64(2**64 - 1)):  # numpy seeds these too
+            assert SimConfig(scheme="gmud", seed=seed).seed == seed
 
     def test_quantized_transmitter_only_sees_decoded_values(self):
         rng = np.random.default_rng(8)
@@ -315,6 +320,15 @@ def _loop_error_counts(config, snr_idx):
 class TestChunkedEngine:
     """The realization-batched engine against the scalar API, call for call."""
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 5])
+    def test_seed_states_equal_seed_sequence(self, seed):
+        from gmud.simulation import _seed_states
+
+        for snr_idx in range(7):
+            want = [np.random.SeedSequence([seed, snr_idx, j]).generate_state(4, np.uint64) for j in range(401)]
+            got = _seed_states(seed, snr_idx, 401)
+            assert got.dtype == np.uint64 and np.array_equal(got, np.stack(want)), snr_idx
+
     def test_error_counts_equal_per_realization_loop(self):
         from gmud.simulation import _CHUNK, _error_counts
 
@@ -325,6 +339,16 @@ class TestChunkedEngine:
                       realizations=sizes[i % 3], symbols=20, seed=100 + i, grid=GridSpec(4, 8, 5))
             for i, (scheme, mod, fb) in enumerate(
                 (s, m, f) for s in SCHEMES for m in ("qpsk", "16qam") for f in ("perfect", 1, 2, 4)
+            )
+        ]
+        # seeds of two, three and four 32-bit words, and QPSK payloads of 125 32-bit words: an odd count, so a
+        # generator reused across realizations would start the next payload on the leftover half word
+        configs += [
+            SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0, 20.0), feedback=fb, realizations=size,
+                      symbols=symbols, seed=seed, grid=GridSpec(4, 8, 5))
+            for scheme, mod, fb, size, symbols, seed in (
+                ("reg-inv", "qpsk", "perfect", 33, 125, 2**64 + 7), ("reg-inv-sel", "16qam", 2, 65, 20, 2**32),
+                ("gmud", "qpsk", 4, 31, 125, 2**96 + 5), ("reg-inv-sel", "qpsk", "perfect", 64, 125, np.int64(9)),
             )
         ]
         for cfg in configs:

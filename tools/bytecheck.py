@@ -205,6 +205,8 @@ def _gmud(g):
     for r in (5.0, 0.5, 0.0, -1.0, np.nan, np.inf, 2.0 * (1 + 2e-9)):
         yield "error", lambda r=r: g.gmud(h, r)
     yield "error", lambda: g.gmud(np.zeros((2, 2)), 1.0)
+    # r*r underflows: Q used to come out 0
+    yield "extreme-scale", lambda: g.gmud(np.diag([2.0, 0.0]), 1e-300)
 
 
 @case("solve_rotations")
@@ -223,6 +225,7 @@ def _solve_rotations(g):
         yield "extreme-scale", lambda s=scale: g.solve_rotations(2.0 * s, s, 1.5 * s)
     # r at an endpoint of a scaled interval, where the squares of r and lambda2 must agree
     yield "extreme-scale", lambda: g.solve_rotations(4.964992150187819e38, 2.716388943994476e38, 2.716388943994476e38)
+    yield "extreme-scale", lambda: g.solve_rotations(2.0, 0.0, 1e-300)  # r*r underflows
 
 
 @case("steered_beams")
@@ -239,6 +242,8 @@ def _steered_beams(g):
     yield "edge", lambda: g.steered_beams(1.5, 1.5, np.array([0.6, 0.8j]), np.full((3, 1), 1.5), np.arange(4.0))
     for l1, v in ((0.0, [1.0, 0.0]), (2.0, [1.0, 1.0]), (-1.0, [1.0, 0.0]), (np.nan, [1.0, 0.0]), (np.inf, [1.0, 0.0])):
         yield "error", lambda l1=l1, v=v: g.steered_beams(l1, 0.5, v, 1.0, 0.0)
+    for l2 in (0.0, 1e-310):  # r*r underflows: the beam used to be zero or of norm l2/r
+        yield "extreme-scale", lambda l2=l2: g.steered_beams(2.0, l2, [1, 0], 1e-300, 0.3)
 
 
 @case("beam_from_feedback")
@@ -711,7 +716,7 @@ def _sim_config(g):
     yield "typical", lambda: g.SimConfig(scheme="gmud")
     for kw in ({"scheme": "bogus"}, {"scheme": "gmud", "modulation": "bpsk"}, {"scheme": "gmud", "snr_db": ()},
                {"scheme": "gmud", "realizations": 0}, {"scheme": "gmud", "feedback": 0},
-               {"scheme": "gmud", "feedback": "4"}):
+               {"scheme": "gmud", "feedback": "4"}, {"scheme": "gmud", "seed": -1}, {"scheme": "gmud", "seed": 1.5}):
         yield "error", lambda kw=kw: g.SimConfig(**kw)
 
 
@@ -738,6 +743,12 @@ def _run_ber(g):
                                         ("reg-inv-sel", "qpsk", 2, 6), ("reg-inv", "16qam", 1, 1)):
         yield "edge", lambda c=g.SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0,), feedback=feedback,
                                            seed=seed): g.run_ber(c)
+    # seeds of two and three 32-bit words, and QPSK payloads of 125 32-bit words (an odd count)
+    for scheme, mod, symbols, seed in (("gmud", "16qam", 10, 2**32), ("reg-inv-sel", "qpsk", 10, 2**64 + 7),
+                                       ("reg-inv", "qpsk", 125, 7), ("gmud", "qpsk", 125, 2**64 + 7)):
+        yield "edge", lambda c=g.SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0, 10.0), feedback=4,
+                                           realizations=40, symbols=symbols, seed=seed,
+                                           grid=g.GridSpec(4, 8, 5)): g.run_ber(c)
 
 
 # command line
