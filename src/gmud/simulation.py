@@ -10,11 +10,15 @@ an encode/decode round trip under quantized feedback); receivers use
 their true channel and a genie-known effective gain, with inter-user
 interference treated as noise.  Realization j of SNR point i draws the
 stream of default_rng([seed, i, j]), seeded in bulk per point, so results
-do not depend on execution order, chunking or worker count.
+do not depend on execution order, chunking or worker count.  Its payload
+is the top bit of each byte of its raw PCG64 words, which is what
+``integers(0, 2, dtype=np.uint8)`` draws; the noise and the transmit
+power are scaled on real values.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 
@@ -57,28 +61,42 @@ def gen_channels(rng: np.random.Generator) -> np.ndarray:
     return crandn(rng, (2, 2, 2))
 
 
+def _symbol_table(bps: int) -> np.ndarray:
+    """Symbol i is the closed form of :func:`modulate` on the bps bits of i, most significant first."""
+    bits = np.arange(2**bps)[:, None] >> np.arange(bps)[::-1] & 1
+    if bps == 2:
+        return ((1.0 - 2.0 * bits[:, 0]) + 1j * (1.0 - 2.0 * bits[:, 1])) / np.sqrt(2.0)
+    re = (2.0 * bits[:, 0] - 1.0) * (3.0 - 2.0 * bits[:, 1])
+    im = (2.0 * bits[:, 2] - 1.0) * (3.0 - 2.0 * bits[:, 3])
+    return (re + 1j * im) / np.sqrt(10.0)
+
+
+_SYMBOLS = {mod: _symbol_table(bps) for mod, bps in MODULATIONS.items()}
+
+
 def modulate(bits, modulation: str) -> np.ndarray:
     """Gray-mapped symbols with unit average energy, along the last axis.
 
     QPSK maps bit pairs (b1, b0) to ((1-2*b1) + 1j*(1-2*b0))/sqrt(2).
     16QAM maps bit quads (a, b, c, d): (a, b) pick the real level and
     (c, d) the imaginary level through the per-axis Gray code
-    {00: -3, 01: -1, 11: +1, 10: +3}, scaled by 1/sqrt(10).
+    {00: -3, 01: -1, 11: +1, 10: +3}, scaled by 1/sqrt(10).  The symbols
+    come from a table built from this closed form at import, indexed by
+    each symbol's bits; bits other than 0 and 1 raise ``ValueError``.
     """
-    bits = np.asarray(bits, dtype=np.float64)
+    bits = np.asarray(bits)
     bps = MODULATIONS.get(modulation)
     if bps is None:
         raise ValueError(f"unknown modulation {modulation!r}")
     if bits.ndim < 1 or bits.shape[-1] % bps:
         raise ValueError(f"bit count must be a multiple of {bps}")
-    if modulation == "qpsk":
-        b1, b0 = bits[..., 0::2], bits[..., 1::2]
-        return ((1.0 - 2.0 * b1) + 1j * (1.0 - 2.0 * b0)) / np.sqrt(2.0)
-    a, b = bits[..., 0::4], bits[..., 1::4]
-    c, d = bits[..., 2::4], bits[..., 3::4]
-    re = (2.0 * a - 1.0) * (3.0 - 2.0 * b)
-    im = (2.0 * c - 1.0) * (3.0 - 2.0 * d)
-    return (re + 1j * im) / np.sqrt(10.0)
+    flags = bits.astype(bool, order="C")
+    if np.any(flags != bits):
+        raise ValueError("bits must be 0 or 1")
+    # A symbol's bps bytes read as one little-endian word: multiplying by sum(2**(9*k)) adds bit i of the
+    # symbol at weight 2**(bps-1-i) into the top byte, and no lower byte's sum reaches 256 to carry into it.
+    index = flags.view(f"<u{bps}") * sum(2 ** (9 * k) for k in range(bps)) >> 8 * (bps - 1)
+    return np.take(_SYMBOLS[modulation], index)
 
 
 def _gray_axis_bits(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +129,9 @@ def transmit(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``u`` holds one column per symbol (or a single vector); G (..., 2, 2)
     and u (..., 2, T) may carry realizations on leading axes.  Returns
-    (x, gamma) with gamma = ||G u||^2 columnwise and ||x|| = 1.  Where
+    (x, gamma) with gamma = ||G u||^2 columnwise and x = G u times the
+    real 1/sqrt(gamma) (numpy divides a complex value by a real one through
+    that reciprocal), so ||x|| = 1.  Where
     G u vanishes for a nonzero G (coarse feedback can give both users
     the same row, and G rank one), x is 0 and gamma is 0: the receivers
     then see only noise times zero.  A zero G raises ``ValueError``.
@@ -125,8 +145,8 @@ def transmit(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vanished = gamma == 0.0
     if np.any(vanished & ~np.any(g, axis=(-2, -1))[..., None]):
         raise ValueError("zero transmit vector: G @ u vanished")
-    x = s / np.sqrt(np.where(vanished, 1.0, gamma))[..., None, :]
-    return np.where(vanished[..., None, :], 0.0, x), gamma
+    x = s * (1.0 / np.sqrt(np.where(vanished, 1.0, gamma)))[..., None, :]
+    return (np.where(vanished[..., None, :], 0.0, x) if vanished.any() else x), gamma
 
 
 def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise):
@@ -251,10 +271,15 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R, _M32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 
 
+@functools.lru_cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:  # init * mult**i mod 2**32, i < count
+    return np.array([init * pow(mult, i, 1 << 32) & _M32 for i in range(count)], np.uint32)[:, None]
+
+
 def _seed_states(seed: int, snr_idx: int, count: int) -> np.ndarray:
     """(count, 4) uint64 whose row j is ``SeedSequence([seed, snr_idx, j]).generate_state(4, np.uint64)``."""
     def hashmix(rows, k, n, init=_INIT_A, mult=_MULT_A):  # hashmixes k, ..., k+n-1 of the chain, one per row
-        const = np.array([init * pow(mult, i, 1 << 32) & _M32 for i in range(k, k + n + 1)], np.uint32)[:, None]
+        const = _hash_constants(init, mult, k + n + 1)[k:]
         rows = (rows ^ const[:-1]) * const[1:]
         return rows ^ rows >> 16
 
@@ -280,31 +305,43 @@ class _SeedState(np.random.bit_generator.ISeedSequence):
         return self.state
 
 
+def _complex(parts: np.ndarray, *scales: float) -> np.ndarray:
+    """``(parts[:, 0] + 1j * parts[:, 1]) * scale * ...`` for nonzero parts, scaled on the parts in place."""
+    for scale in scales:
+        parts *= scale
+    z = np.empty(parts[:, 0].shape, np.complex128)
+    z.real, z.imag = parts[:, 0], parts[:, 1]
+    return z
+
+
 def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
     """Bit errors of every realization at one SNR point, in chunks of _CHUNK.
 
     Realization j draws, in the order channels, payload, noise, from the stream of
     ``default_rng([seed, snr index, j])``, seeded with the point's others in one pass.
-    Normals [i, 0] and [i, 1] are what :func:`crandn` draws for real and imaginary parts.
+    Normals [i, 0] and [i, 1] are what :func:`crandn` draws for real and imaginary parts.  For
+    two values Lemire's method in ``integers(0, 2, dtype=np.uint8)`` keeps the top bit of each
+    byte of 32-bit draws, which PCG64 cuts low half first from its raw 64-bit words.
     """
     n = None if config.feedback == "perfect" else config.feedback
     noise_var = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
-    bps = MODULATIONS[config.modulation]
+    bits = 2 * config.symbols * MODULATIONS[config.modulation]
     states = _seed_states(int(config.seed), snr_idx, config.realizations)
     err_counts = np.empty(config.realizations, dtype=np.int64)
     for start in range(0, config.realizations, _CHUNK):
         size = min(_CHUNK, config.realizations - start)
         channels, noise = np.empty((size, 2, 2, 2, 2)), np.empty((size, 2, 2, 2, config.symbols))
-        payload = np.empty((size, 2, config.symbols * bps), dtype=np.uint8)
+        words = np.empty((size, -(-bits // 8)), "<u8")
         for i, state in enumerate(states[start : start + size]):
             rng = np.random.Generator(np.random.PCG64(_SeedState(state)))
             rng.standard_normal(out=channels[i])
-            payload[i] = rng.integers(0, 2, size=payload.shape[1:], dtype=np.uint8)
+            words[i] = rng.bit_generator.random_raw(words.shape[1])
             rng.standard_normal(out=noise[i])
-        channels = (channels[:, 0] + 1j * channels[:, 1]) * np.sqrt(0.5)
+        payload = (words.view(np.uint8)[:, :bits] >> 7).reshape(size, 2, -1)
+        channels = _complex(channels, np.sqrt(0.5))
         g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
         x, gamma = transmit(g, modulate(payload, config.modulation))
-        noise = (noise[:, 0] + 1j * noise[:, 1]) * np.sqrt(0.5) * np.sqrt(noise_var)
+        noise = _complex(noise, np.sqrt(0.5), np.sqrt(noise_var))
         detected = receive_detect(channels, g, combiners, x, gamma, config.modulation, noise)
         err_counts[start : start + size] = np.count_nonzero(detected != payload, axis=(1, 2))
     return err_counts

@@ -28,6 +28,19 @@ def qfunc(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+def _closed_form(bits, modulation):
+    """The Gray maps of ``modulate`` written out on float bits: the oracle of its symbol tables."""
+    bits = np.asarray(bits, dtype=np.float64)
+    if modulation == "qpsk":
+        b1, b0 = bits[..., 0::2], bits[..., 1::2]
+        return ((1.0 - 2.0 * b1) + 1j * (1.0 - 2.0 * b0)) / np.sqrt(2.0)
+    a, b = bits[..., 0::4], bits[..., 1::4]
+    c, d = bits[..., 2::4], bits[..., 3::4]
+    re = (2.0 * a - 1.0) * (3.0 - 2.0 * b)
+    im = (2.0 * c - 1.0) * (3.0 - 2.0 * d)
+    return (re + 1j * im) / np.sqrt(10.0)
+
+
 class TestModulation:
     def test_qpsk_map(self):
         s = modulate([0, 0, 0, 1, 1, 0, 1, 1], "qpsk")
@@ -83,6 +96,28 @@ class TestModulation:
         with pytest.raises(ValueError):
             modulate([0, 0], "8psk")
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool, np.float64])
+    @pytest.mark.parametrize("mod", ["qpsk", "16qam"])
+    def test_table_equals_closed_form(self, mod, dtype):
+        bps = {"qpsk": 2, "16qam": 4}[mod]
+        every = np.array([[b >> i & 1 for i in reversed(range(bps))] for b in range(2**bps)]).ravel()
+        rows = np.random.default_rng(bps).integers(0, 2, size=(3, 2, 40 * bps)).astype(dtype)
+        for bits in (every.astype(dtype), rows, rows[..., ::-1], rows.transpose(1, 0, 2)):  # and two strided views
+            got = modulate(bits, mod)
+            assert got.dtype == np.complex128 and got.tobytes() == _closed_form(bits, mod).tobytes()
+        empty = modulate(np.zeros(0, dtype), mod)
+        assert empty.shape == (0,) and empty.dtype == np.complex128
+
+    def test_non_binary_bits_rejected(self):
+        for bits in ([0, 2], [0.5, 1], [-1, 1], [np.nan, 1], [[1, 0], [1, 3]]):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                modulate(bits, "qpsk")
+        # the modulation, then the bit count, are checked first
+        with pytest.raises(ValueError, match="unknown modulation"):
+            modulate([0, 2], "8psk")
+        with pytest.raises(ValueError, match="bit count must be a multiple of 4"):
+            modulate([0, 2], "16qam")
+
 
 class TestChannels:
     def test_deterministic(self):
@@ -130,6 +165,15 @@ class TestTransmit:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             transmit(np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+    def test_reciprocal_equals_complex_division(self):
+        # numpy divides by a real-valued complex through its reciprocal, so scaling
+        # by 1/sqrt(gamma) gives the bytes of s / sqrt(gamma)
+        rng = np.random.default_rng(3)
+        g, u = crandn(rng, (40, 2, 2)), crandn(rng, (40, 2, 125))
+        s = g @ u
+        x, gamma = transmit(g, u)
+        assert x.tobytes() == (s / np.sqrt(gamma)[..., None, :]).tobytes()
 
 
 class TestReceiveDetect:
@@ -328,6 +372,24 @@ class TestChunkedEngine:
             want = [np.random.SeedSequence([seed, snr_idx, j]).generate_state(4, np.uint64) for j in range(401)]
             got = _seed_states(seed, snr_idx, 401)
             assert got.dtype == np.uint64 and np.array_equal(got, np.stack(want)), snr_idx
+
+    @pytest.mark.parametrize("mod", ["qpsk", "16qam"])
+    @pytest.mark.parametrize("symbols", [1, 2, 3, 125])
+    def test_payload_words_equal_integers(self, symbols, mod):
+        # the engine reads a realization's payload as the top bit of each byte of its raw
+        # PCG64 words, between the channel and noise normals; this pins the numpy behaviour
+        # it relies on (Lemire's integers on the bytes of half-word draws)
+        bits = 2 * symbols * {"qpsk": 2, "16qam": 4}[mod]
+        for seed_row in ([5, 0, 0], [5, 3, 17], [2**64 + 7, 6, 399], [0, 1, 2]):
+            want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed_row)))
+            pcg = np.random.PCG64(np.random.SeedSequence(seed_row))
+            got = np.random.Generator(pcg)
+            assert np.array_equal(want.standard_normal((2, 2, 2, 2)), got.standard_normal((2, 2, 2, 2)))
+            payload = want.integers(0, 2, size=(2, bits // 2), dtype=np.uint8)
+            words = pcg.random_raw(-(-bits // 8)).astype("<u8")
+            assert np.array_equal((words.view(np.uint8)[:bits] >> 7).reshape(2, -1), payload), seed_row
+            noise = (2, 2, 2, symbols)
+            assert np.array_equal(want.standard_normal(noise), got.standard_normal(noise)), seed_row
 
     def test_error_counts_equal_per_realization_loop(self):
         from gmud.simulation import _CHUNK, _error_counts

@@ -558,7 +558,10 @@ def _modulate(g):
         for _ in range(100):
             yield "typical", lambda b=rng.integers(0, 2, 40, dtype=np.uint8), mod=mod: g.modulate(b, mod)
         yield "edge", lambda mod=mod: g.modulate([], mod)
-    for bits, mod in (([0, 1, 1], "qpsk"), ([0, 1], "16qam"), ([0, 1], "bpsk"), ([[0, 1]], "qpsk")):
+    # bad lengths, an unknown modulation, then bits other than 0 and 1
+    for bits, mod in (([0, 1, 1], "qpsk"), ([0, 1], "16qam"), ([0, 1], "bpsk"), ([[0, 1]], "qpsk"),
+                      ([0, 2], "qpsk"), ([0.5, 1], "qpsk"), ([1, 0, 3, 1], "16qam"),
+                      ([[0, 1, 1, 0], [np.nan, 0, 1, 1]], "16qam")):
         yield "error", lambda b=bits, mod=mod: g.modulate(b, mod)
 
 
@@ -743,9 +746,11 @@ def _run_ber(g):
                                         ("reg-inv-sel", "qpsk", 2, 6), ("reg-inv", "16qam", 1, 1)):
         yield "edge", lambda c=g.SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0,), feedback=feedback,
                                            seed=seed): g.run_ber(c)
-    # seeds of two and three 32-bit words, and QPSK payloads of 125 32-bit words (an odd count)
+    # seeds of two and three 32-bit words, QPSK payloads of 125 32-bit words (an odd count), and one-symbol
+    # payloads: QPSK's 4 bits are one 32-bit draw, half a PCG64 word, and 16QAM's 8 are one 64-bit word
     for scheme, mod, symbols, seed in (("gmud", "16qam", 10, 2**32), ("reg-inv-sel", "qpsk", 10, 2**64 + 7),
-                                       ("reg-inv", "qpsk", 125, 7), ("gmud", "qpsk", 125, 2**64 + 7)):
+                                       ("reg-inv", "qpsk", 125, 7), ("gmud", "qpsk", 125, 2**64 + 7),
+                                       ("gmud", "qpsk", 1, 11), ("reg-inv-sel", "16qam", 1, 11)):
         yield "edge", lambda c=g.SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0, 10.0), feedback=4,
                                            realizations=40, symbols=symbols, seed=seed,
                                            grid=g.GridSpec(4, 8, 5)): g.run_ber(c)
