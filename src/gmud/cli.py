@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -67,6 +68,8 @@ def _parse_snr(spec: str) -> tuple[float, ...]:
         start, step, stop = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise FormatError(f"bad --snr {spec!r}; expected start:step:stop") from exc
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise FormatError(f"bad --snr {spec!r}; start, step and stop must be finite")
     if step == 0.0:
         if start != stop:
             raise FormatError("--snr step 0 requires start == stop")
@@ -164,20 +167,19 @@ def _curve_label(curve) -> str:
 
 
 def _emit(curves, args, seed, grid, started) -> None:
-    csv_path = args.out + ".csv"
-    svg_path = args.out + ".svg"
-    outputs = {"csv": csv_path, "svg": svg_path}
-    _atomic_write(csv_path, _csv_rows(curves))
-    chart = line_chart(
-        [( _curve_label(c), [(p.snr_db, p.ber) for p in c.points]) for c in curves],
-        title=f"{args.mod.upper()} bit error rate",
-        xlabel="SNR (dB)",
-        ylabel="BER",
-    )
-    _atomic_write(svg_path, chart)
+    """Write the CSV, SVG, optional .dat and manifest, all texts built before the first write."""
+    texts = {
+        "csv": _csv_rows(curves),
+        "svg": line_chart(
+            [(_curve_label(c), [(p.snr_db, p.ber) for p in c.points]) for c in curves],
+            title=f"{args.mod.upper()} bit error rate",
+            xlabel="SNR (dB)",
+            ylabel="BER",
+        ),
+    }
     if args.dat:
-        outputs["dat"] = args.out + ".dat"
-        _atomic_write(outputs["dat"], _dat_rows(curves))
+        texts["dat"] = _dat_rows(curves)
+    outputs = {kind: f"{args.out}.{kind}" for kind in texts}
     manifest = {
         "tool": "gmud",
         "version": __version__,
@@ -196,7 +198,9 @@ def _emit(curves, args, seed, grid, started) -> None:
         "outputs": outputs,
         "duration_s": round(time.monotonic() - started, 3),
     }
-    _atomic_write(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    texts["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    for kind, text in texts.items():
+        _atomic_write(f"{args.out}.{kind}", text)
 
 
 def cmd_simulate(args) -> int:

@@ -28,17 +28,12 @@ _SINGULAR_TOL = 1e-14
 _RANK_TOL = 1e-13
 
 
-def _pow2_exponent(m: float, safe: int = 128) -> int:
-    """e with m * 2**-e in [0.5, 1), or 0 for m in [2**-safe, 2**safe), whose squares are safe.
+def _pow2_exponents(m: np.ndarray, safe: int = 128) -> np.ndarray:
+    """e with m * 2**-e in [0.5, 1) for each entry of ``m``, or 0 where m is in
+    [2**-safe, 2**safe), whose squares are safe.
 
     The bound e >= -1021 keeps 2**-e finite for subnormal m.
     """
-    e = math.frexp(m)[1]
-    return 0 if -safe < e <= safe else max(e, -1021)
-
-
-def _pow2_exponents(m: np.ndarray, safe: int = 128) -> np.ndarray:
-    """:func:`_pow2_exponent` of every entry of ``m``."""
     e = np.frexp(m)[1]
     return np.where((-safe < e) & (e <= safe), 0, np.maximum(e, -1021))
 
@@ -160,81 +155,67 @@ def svd2x2(h) -> SvdFactorization:
     quadratic formula with the cancellation-free discriminant
     (w00-w11)^2 + 4|w01|^2, the small one from mu2 = det(w)/mu1 so that
     lambda1*lambda2 matches |det h| to full precision.  Left vectors are
-    h @ v_i / lambda_i, re-orthonormalized; when lambda2 <= 1e-13*lambda1
-    the second left vector is completed by orthogonality instead.  The
-    zero matrix yields lambda1 = lambda2 = 0 with u = v = I.  h is first
-    scaled exactly by the power of two of its largest part, so the result
-    is right at any scale (:class:`DomainError` if lambda1 overflows).
+    h @ v_i / lambda_i, re-orthonormalized.  h is first scaled exactly by
+    the power of two of its largest part, so the result is right at any
+    scale (:class:`DomainError` if lambda1 overflows).
+
+    This is the common path.  The rare inputs go to :func:`_svd2x2` as a
+    batch of one, whose masks handle them: the zero matrix (lambda1 =
+    lambda2 = 0, u = v = I), w within 2**-128 of a multiple of I (the
+    eigenvector candidates are rescaled, or v1 = e1 for exact multiples),
+    lambda2 <= 1e-13*lambda1 (u2 is completed by orthogonality) and
+    largest parts at or above 2**1022, where lambda1 may overflow.
     """
     h = as_matrix(h)
     if h.shape != (2, 2):
         raise ValueError(f"svd2x2 requires a 2x2 matrix, got {h.shape}")
-    if not np.any(h):
-        eye = np.eye(2, dtype=np.complex128)
-        return SvdFactorization(eye, 0.0, 0.0, eye.copy())
     parts = np.ascontiguousarray(h).view(np.float64)
-    e = _pow2_exponent(max(map(abs, parts.ravel().tolist())), safe=0)  # always scaled
-    h = (parts * math.ldexp(1.0, -e)).view(np.complex128)
+    e = max(math.frexp(max(map(abs, parts.ravel().tolist())))[1], -1021)
+    hs = (parts * math.ldexp(1.0, -e)).view(np.complex128)
 
-    w = h.conj().T @ h
+    w = hs.conj().T @ hs
     w00 = w[0, 0].real
     w11 = w[1, 1].real
     w01 = w[0, 1]
     d = w00 - w11
     disc = d * d + 4.0 * (w01.real * w01.real + w01.imag * w01.imag)
     mu1 = 0.5 * ((w00 + w11) + np.sqrt(disc))
-    det_h = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+    det_h = hs[0, 0] * hs[1, 1] - hs[0, 1] * hs[1, 0]
     det_w = det_h.real * det_h.real + det_h.imag * det_h.imag
-    mu2 = min(det_w / mu1, mu1)
 
     # two closed-form eigenvector candidates for mu1; take the better-scaled one
     cand1 = np.array([w01, mu1 - w00], dtype=np.complex128)
     cand2 = np.array([mu1 - w11, np.conj(w01)], dtype=np.complex128)
     n1 = np.linalg.norm(cand1)
     n2 = np.linalg.norm(cand2)
-    if max(n1, n2) < 2.0**-128:
-        # w is within 2**-128 of a multiple of I: the squares in the norms fell
-        # toward subnormals and v1 would miss unit norm, so scale exactly, redo
-        ce = _pow2_exponent(max(map(abs, np.concatenate([cand1, cand2]).view(np.float64).tolist())))
-        if ce:
-            cand1, cand2 = cand1 * math.ldexp(1.0, -ce), cand2 * math.ldexp(1.0, -ce)
-            n1, n2 = np.linalg.norm(cand1), np.linalg.norm(cand2)
-    if max(n1, n2) == 0.0:
-        v1 = np.array([1.0, 0.0], dtype=np.complex128)  # w is a multiple of the identity
-    else:
-        v1 = (cand1 / n1) if n1 >= n2 else (cand2 / n2)
+    lambda1 = float(np.sqrt(mu1))
+    # the rare inputs, in an order that computes mu2 only when mu1 > 0
+    if e > 1022 or max(n1, n2) < 2.0**-128 or (lambda2 := float(np.sqrt(min(det_w / mu1, mu1)))) <= _RANK_TOL * lambda1:
+        u, lambda1, lambda2, v = _svd2x2(h[None])
+        return SvdFactorization(u[0], float(lambda1[0]), float(lambda2[0]), v[0])
+    v1 = (cand1 / n1) if n1 >= n2 else (cand2 / n2)
     i = 0 if abs(v1[0]) >= abs(v1[1]) else 1  # the phase convention: v1[i] real >= 0
     v1 = v1 * (np.conj(v1[i]) / abs(v1[i]))
     v1[i] = v1[i].real  # conj(z) * z / |z| is real up to rounding; make it exact
     v = np.column_stack([v1, orthonormal_complement(v1)])
 
-    lambda1 = float(np.sqrt(mu1))
-    lambda2 = float(np.sqrt(mu2))
-
-    u1 = (h @ v[:, 0]) / lambda1
+    u1 = (hs @ v[:, 0]) / lambda1
     u1 = u1 / np.linalg.norm(u1)
-    if lambda2 <= _RANK_TOL * lambda1:
-        u2 = orthonormal_complement(u1)
-    else:
-        u2 = (h @ v[:, 1]) / lambda2
-        u2 = u2 - (u1.conj() @ u2) * u1
-        u2 = u2 / np.linalg.norm(u2)
-    u = np.column_stack([u1, u2])
-    try:
-        lambda1, lambda2 = math.ldexp(lambda1, e), math.ldexp(lambda2, e)
-    except OverflowError:
-        raise DomainError("largest singular value overflows float64") from None
-    return SvdFactorization(u, lambda1, lambda2, v)
+    u2 = (hs @ v[:, 1]) / lambda2
+    u2 = u2 - (u1.conj() @ u2) * u1
+    u2 = u2 / np.linalg.norm(u2)
+    # lambda1 < 2*sqrt(2) after scaling, so with e <= 1022 neither ldexp overflows
+    return SvdFactorization(np.column_stack([u1, u2]), math.ldexp(lambda1, e), math.ldexp(lambda2, e), v)
 
 
 def _svd2x2(h: np.ndarray):
     """:func:`svd2x2` of every matrix of a complex (R, 2, 2) stack: (u, lambda1, lambda2, v).
 
-    The same arithmetic on arrays, with the branches as masks, so each
-    matrix gets :func:`svd2x2`'s bytes: the determinant from :func:`_det`,
-    moduli by ``hypot`` as the scalar ``abs`` takes them, and stacked
-    matmuls for h^H h and h v.  The first matrix in stack order that
-    fails raises, as a loop would.
+    :func:`svd2x2`'s common path on arrays, so each matrix gets its bytes:
+    the determinant from :func:`_det`, moduli by ``hypot`` as the scalar
+    ``abs`` takes them, and stacked matmuls for h^H h and h v.  The rare
+    inputs' rules live only here, as masks.  The first matrix in stack
+    order that fails raises, as a loop would.
     """
     _check_finite(h, _svd2x2)
     rows, zero = np.arange(len(h)), ~h.any(axis=(1, 2))
@@ -252,7 +233,8 @@ def _svd2x2(h: np.ndarray):
     mu2 = (det_re * det_re + det_im * det_im) / mu1
     mu2 = np.where(mu1 < mu2, mu1, mu2)
 
-    # the two eigenvector candidates for mu1 (R, 2, 2), rescaled where w is within 2**-128 of mu I
+    # the two eigenvector candidates for mu1 (R, 2, 2).  Where w is within 2**-128 of mu I the squares
+    # in their norms fall toward subnormals and v1 would miss unit norm, so they are scaled exactly
     cand = np.stack([np.stack([w01, mu1 - w00], axis=-1), np.stack([mu1 - w11, np.conj(w01)], axis=-1)], axis=1)
     n = _norm(cand)
     small = n.max(axis=1) < 2.0**-128

@@ -168,9 +168,8 @@ def _select(h_hat: np.ndarray, noise_var: float):
 
     The kernel of :func:`antenna_selection`.  Returns the first best
     combination of each realization, (R,), with its G (R, N_T, 2),
-    per-user SINRs (R, 2) and gamma_bar (R,).  Scores and picks follow
-    the scalar loop's rules: Python's ``min`` of the two SINRs, then the
-    first combination whose score is strictly greater.
+    per-user SINRs (R, 2) and gamma_bar (R,).  A combination scores the
+    smaller of its two SINRs, and ``argmax`` picks the first best score.
     """
     g = _reg_inv(h_hat, noise_var)
     e = h_hat @ g
@@ -180,13 +179,7 @@ def _select(h_hat: np.ndarray, noise_var: float):
     powers = _abs2(e)
     # reg_inv inverts 2x2 only, so there are two users: e_01 interferes with 0, e_10 with 1
     sinrs = _capped_ratio(powers[..., [0, 1], [0, 1]], powers[..., [0, 1], [1, 0]] + noise_term)
-    scores = np.where(sinrs[..., 1] < sinrs[..., 0], sinrs[..., 1], sinrs[..., 0])
-    pick = np.zeros(len(scores), dtype=np.intp)
-    best = scores[:, 0]
-    for c in range(1, scores.shape[1]):
-        better = scores[:, c] > best
-        pick[better] = c
-        best = np.where(better, scores[:, c], best)
+    pick = sinrs.min(axis=-1).argmax(axis=1)
     r = np.arange(len(pick))
     return pick, g[r, pick], sinrs[r, pick], gamma_bar[r, pick]
 
@@ -309,6 +302,11 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     their minimum and gamma_bar.  Each pair gets the bytes a search of it
     alone gives, and the first bad pair raises what a loop would.
 
+    For fixed (i_rk, i_rl, i_alpha) and finite r^2, each SINR is a chain of
+    correctly rounded steps monotone in x = |q_k^H q_l|^2 (times a constant
+    >= 0, plus noise >= 0, num/den, cap), so min-SINR is non-increasing in x
+    and each (i_rk, i_rl) block peaks at its smallest x.
+
     Stage 1 is a branch and bound over the (i_rk, i_rl) blocks.  As
     q_k = c e^{i theta_k} v1 - s v2, q_k^H q_l = e^{-i theta_k} A - B with
     A = c v1^H q_l and B = s v2^H q_l, so x >= t^2, t = |A| - |B|, at every
@@ -381,22 +379,16 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
 
 
 def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
-    """Exact two-stage, branch-and-bound max-min SINR search over beams and power loading.
+    """Exact max-min SINR search over beams and power loading.
 
     The grid is r per user on [lambda2, lambda1] (``linspace``), theta
     on [0, 2*pi) (endpoint excluded), and alpha^2 on [0.1, 0.9];
     beta = sqrt(1 - alpha^2).  The result is the exhaustive grid's first
     argmax in C order over (i_rk, i_rl, i_theta_k, i_theta_l, i_alpha),
     so it is bit-reproducible and equals the maximum of
-    :func:`gmud_min_sinr` over the same grid exactly.
-
-    Why two stages suffice: for fixed (i_rk, i_rl, i_alpha) and finite
-    r^2 (a lambda1**2 overflow raises DomainError), each SINR is a chain
-    of correctly rounded steps monotone in x = |q_k^H q_l|^2 (times a
-    constant >= 0, plus noise >= 0, num/den, cap), so min-SINR is
-    non-increasing in x and each (i_rk, i_rl) block peaks at its smallest x.  Stage 1 finds the first best block,
-    searching only the blocks that a lower bound on x leaves in contention; stage 2 takes the first argmax inside
-    it, at the power splits where the block peaks.  This is a batch of one through :func:`_search`.
+    :func:`gmud_min_sinr` over the same grid exactly.  A lambda1**2
+    overflow raises DomainError.  This is a batch of one through
+    :func:`_search`, whose docstring derives its branch and bound.
 
     Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].

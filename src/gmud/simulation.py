@@ -8,19 +8,27 @@ with unit variance.  Each transmitted vector is normalized to unit power
 The transmitter only ever sees the feedback (exact under perfect CSI,
 an encode/decode round trip under quantized feedback); receivers use
 their true channel and a genie-known effective gain, with inter-user
-interference treated as noise.  Realization j of SNR point i draws the
-stream of default_rng([seed, i, j]), seeded in bulk per point, so results
-do not depend on execution order, chunking or worker count.  Its payload
-is the top bit of each byte of its raw PCG64 words, which is what
-``integers(0, 2, dtype=np.uint8)`` draws; the noise and the transmit
-power are scaled on real values.
+interference treated as noise.
+
+Realization j of SNR point i draws, in the order channels, payload,
+noise, from the stream of default_rng([seed, i, j]), seeded in bulk per
+point, so results do not depend on execution order, chunking or worker
+count.  Its payload is the top bit of each byte of its raw PCG64 words,
+low byte first, which is what ``integers(0, 2, dtype=np.uint8)`` draws:
+for two values Lemire's method rejects nothing and keeps the top bit of
+each byte of 32-bit draws, which PCG64 cuts low half first from its raw
+64-bit words.  The noise and the transmit power are scaled on real
+values.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -170,6 +178,11 @@ def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise):
     return demodulate(z[..., 0, :], modulation)
 
 
+def _integer(x) -> bool:
+    """Python or numpy integer, not bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One BER run: scheme, modulation, SNR grid, feedback mode, sampling plan."""
@@ -188,13 +201,20 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.modulation not in MODULATIONS:
             raise ValueError(f"modulation must be one of {tuple(MODULATIONS)}")
-        if not self.snr_db:
+        snr = self.snr_db
+        if not isinstance(snr, (Sequence, np.ndarray)) or isinstance(snr, str) or not all(
+            isinstance(s, Real) and not isinstance(s, bool) and math.isfinite(s) for s in snr
+        ):
+            raise ValueError("snr_db must be a sequence of finite reals")
+        if len(snr) == 0:
             raise ValueError("snr_db must be nonempty")
+        if not (_integer(self.realizations) and _integer(self.symbols)):
+            raise ValueError("realizations and symbols must be integers")
         if self.realizations < 1 or self.symbols < 1:
             raise ValueError("realizations and symbols must be >= 1")
-        if self.feedback != "perfect" and (not isinstance(self.feedback, int) or self.feedback < 1):
+        if self.feedback != "perfect" and (not _integer(self.feedback) or self.feedback < 1):
             raise ValueError("feedback must be 'perfect' or a positive integer N")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
 
@@ -317,11 +337,9 @@ def _complex(parts: np.ndarray, *scales: float) -> np.ndarray:
 def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
     """Bit errors of every realization at one SNR point, in chunks of _CHUNK.
 
-    Realization j draws, in the order channels, payload, noise, from the stream of
-    ``default_rng([seed, snr index, j])``, seeded with the point's others in one pass.
-    Normals [i, 0] and [i, 1] are what :func:`crandn` draws for real and imaginary parts.  For
-    two values Lemire's method in ``integers(0, 2, dtype=np.uint8)`` keeps the top bit of each
-    byte of 32-bit draws, which PCG64 cuts low half first from its raw 64-bit words.
+    The draws are those the module docstring derives, seeded for the whole
+    point in one pass.  Normals [i, 0] and [i, 1] are what :func:`crandn`
+    draws for real and imaginary parts.
     """
     n = None if config.feedback == "perfect" else config.feedback
     noise_var = 10.0 ** (-config.snr_db[snr_idx] / 10.0)

@@ -22,10 +22,11 @@ def line_chart(curves, title: str, xlabel: str, ylabel: str) -> str:
 
     Points with y <= 0 are dropped (they have no log position); a curve
     with no positive points is skipped but still listed in the legend.
+    When no point is positive, the axes span 1e-1 to 1e0.
     """
     xs = [x for _, pts in curves for x, y in pts]
-    ys = [y for _, pts in curves for x, y in pts if y > 0.0]
-    if not xs or not ys:
+    ys = [y for _, pts in curves for x, y in pts if y > 0.0] or [0.1]
+    if not xs:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:

@@ -156,6 +156,40 @@ class TestSweep:
         assert "snr" in err.lower()
         assert not os.path.exists(str(tmp_path / "x") + ".csv")
 
+    @pytest.mark.parametrize("snr", ["0:1:inf", "nan:0:nan", "-inf:0:-inf", "inf:0:inf", "0:nan:10"])
+    def test_non_finite_snr_flag(self, capsys, tmp_path, snr):
+        code, out, err = run_cli(capsys, "sweep", "--scheme", "reg-inv", f"--snr={snr}", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert out == ""
+        assert err == f"gmud: error: bad --snr {snr!r}; start, step and stop must be finite\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_all_zero_ber_sweep_is_a_result(self, capsys, tmp_path):
+        # every point's BER is 0 here: the chart has axes and a legend but no curve
+        out = str(tmp_path / "z")
+        code, _, err = run_cli(
+            capsys, "sweep", "--scheme", "reg-inv", "--snr", "40:0:40", "--realizations", "2", "--symbols", "4",
+            "--out", out,
+        )
+        assert (code, err) == (0, "")
+        assert read_csv(out + ".csv").split("\n")[1] == "reg-inv,qpsk,perfect,40.0,0.0,32,0"
+        svg = read_csv(out + ".svg")
+        assert "<polyline" not in svg and ">reg-inv (perfect)</text>" in svg
+        assert json.loads(read_csv(out + ".manifest.json"))["outputs"] == {"csv": out + ".csv", "svg": out + ".svg"}
+
+    def test_failed_output_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # every output's text is built before the first file is written
+        def refuse(*args, **kwargs):
+            raise ValueError("nothing to plot")
+
+        monkeypatch.setattr("gmud.cli.line_chart", refuse)
+        code, _, err = run_cli(
+            capsys, "sweep", "--scheme", "reg-inv", "--snr", "5:0:5", "--realizations", "2", "--symbols", "4",
+            "--dat", "--out", str(tmp_path / "x"),
+        )
+        assert (code, err) == (2, "gmud: error: nothing to plot\n")
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", [("sweep", "--scheme", "reg-inv"), ("compare",)])
     def test_bad_grid_writes_nothing(self, capsys, tmp_path, command):
         # the grid is checked when it is parsed, before any curve is computed,

@@ -306,11 +306,41 @@ class TestSimConfig:
             SimConfig(scheme="gmud", feedback=0)
         with pytest.raises(ValueError):
             SimConfig(scheme="gmud", feedback="sometimes")
-        for seed in (-1, 1.5, "7", None, np.int64(-3), np.float64(2.0)):
+        for seed in (-1, 1.5, "7", None, np.int64(-3), np.float64(2.0), True):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(scheme="gmud", seed=seed)
         for seed in (0, 2**32, 2**64 + 7, np.int64(5), np.uint64(2**64 - 1)):  # numpy seeds these too
             assert SimConfig(scheme="gmud", seed=seed).seed == seed
+
+    @pytest.mark.parametrize("snr_db", [(-np.inf,), (np.nan,), (np.inf,), (0.0, np.inf), [np.float64(-np.inf)]])
+    def test_non_finite_snr_refused(self, snr_db):
+        # -inf gave gmud a BER from NaN decisions, NaN a noise_var error, +inf singular inverses
+        with pytest.raises(ValueError, match="snr_db must be a sequence of finite reals"):
+            SimConfig(scheme="gmud", snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", ["10", 10.0, ("10",), (True,), None, (1j,)])
+    def test_snr_must_be_a_sequence_of_reals(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be a sequence of finite reals"):
+            SimConfig(scheme="gmud", snr_db=snr_db)
+
+    def test_snr_sequences_accepted(self):
+        for snr_db in ((0.0, 10.0), [5, 7.5], range(0, 30, 10), (np.float32(3.0), np.int64(4)), np.array([1.0, 2.0])):
+            assert SimConfig(scheme="gmud", snr_db=snr_db).snr_db is snr_db
+
+    @pytest.mark.parametrize("field", ["realizations", "symbols"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0), "4"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match="realizations and symbols must be integers"):
+            SimConfig(scheme="gmud", **{field: value})
+
+    def test_feedback_integers(self):
+        for feedback in (True, False, 2.0, np.float64(4.0)):
+            with pytest.raises(ValueError, match="feedback"):
+                SimConfig(scheme="gmud", feedback=feedback)
+        # numpy integers are taken as seeds are, with the same results as Python ints
+        native, numpy_n = (run_ber(SimConfig(scheme="reg-inv-sel", snr_db=(10.0,), feedback=n, realizations=3,
+                                             symbols=4)) for n in (4, np.int64(4)))
+        assert native.points == numpy_n.points
 
     def test_quantized_transmitter_only_sees_decoded_values(self):
         rng = np.random.default_rng(8)

@@ -719,7 +719,11 @@ def _sim_config(g):
     yield "typical", lambda: g.SimConfig(scheme="gmud")
     for kw in ({"scheme": "bogus"}, {"scheme": "gmud", "modulation": "bpsk"}, {"scheme": "gmud", "snr_db": ()},
                {"scheme": "gmud", "realizations": 0}, {"scheme": "gmud", "feedback": 0},
-               {"scheme": "gmud", "feedback": "4"}, {"scheme": "gmud", "seed": -1}, {"scheme": "gmud", "seed": 1.5}):
+               {"scheme": "gmud", "feedback": "4"}, {"scheme": "gmud", "seed": -1}, {"scheme": "gmud", "seed": 1.5},
+               {"scheme": "gmud", "snr_db": (-np.inf,)}, {"scheme": "gmud", "snr_db": (np.nan,)},
+               {"scheme": "reg-inv", "snr_db": (0.0, np.inf)}, {"scheme": "gmud", "snr_db": "10"},
+               {"scheme": "gmud", "realizations": 2.5}, {"scheme": "gmud", "symbols": 2.5},
+               {"scheme": "gmud", "feedback": True}):
         yield "error", lambda kw=kw: g.SimConfig(**kw)
 
 
