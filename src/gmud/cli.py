@@ -31,6 +31,7 @@ from .svgplot import line_chart
 CSV_HEADER = "scheme,modulation,feedback_bits,snr_db,ber,bits,errors"
 
 _SCHEME_ALIASES = {**{s: s for s in SCHEMES}, "reg-inv-selection": "reg-inv-sel"}
+_MAX_SNR_POINTS = 10_000  # the most points one --snr range may name
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -76,8 +77,10 @@ def _parse_snr(spec: str) -> tuple[float, ...]:
         return (start,)
     if step < 0.0 or stop < start:
         raise FormatError("--snr requires step > 0 and stop >= start")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return tuple(start + i * step for i in range(count))
+    steps = (stop - start) / step + 1e-9  # inf where stop - start overflows
+    if not steps < _MAX_SNR_POINTS:
+        raise FormatError(f"bad --snr {spec!r}; at most {_MAX_SNR_POINTS} points from start to stop")
+    return tuple(start + i * step for i in range(int(np.floor(steps)) + 1))
 
 
 def _parse_feedback(values) -> list:

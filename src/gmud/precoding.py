@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _check_report, _rotation_factors, _steer, beam_from_feedback
-from .decomposition import steered_beams  # noqa: F401  _search builds its beams; profilers wrap this name
+from .decomposition import _check_report, _checked_r, _rotation_factors, _steer
+from .decomposition import beam_from_feedback, steered_beams  # noqa: F401  profilers wrap these names
 from .errors import DomainError
 from .linalg import _mat_inv, _norm, as_matrix, orthonormal_complement
 from .linalg import mat_inv  # noqa: F401  _reg_inv calls its kernel; profilers wrap this name
@@ -155,12 +155,10 @@ def _abs2(z):
 
 
 def _capped_ratio(num, den):
-    """num/den saturated at SINR_CAP; 0 denominator maps to CAP (or 0 if num = 0)."""
-    num = np.asarray(num, dtype=np.float64)
-    den = np.asarray(den, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0))
-    return np.minimum(ratio, SINR_CAP)
+    """num/den saturated at SINR_CAP, silently: a quotient that overflows is CAP, and a den that is not
+    positive (0, or NaN) gives CAP for num > 0 and 0 otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.minimum(np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0)), SINR_CAP)
 
 
 def _select(h_hat: np.ndarray, noise_var: float):
@@ -220,15 +218,23 @@ def _beam_x(beams_k, beams_l):
 
 
 def _sinr(x, rk2, rl2, a2, b2, noise_var):
-    """SINR_k, SINR_l and min-SINR, stacked, of broadcastable x, r_k^2, r_l^2, alpha^2 and beta^2.
+    """SINR_k and SINR_l of broadcastable arrays x, r_k^2, r_l^2, alpha^2 and beta^2, for the caller to cap.
 
-    SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar) with
-    gamma_bar = alpha^2 + beta^2, SINR_l likewise, capped at :data:`SINR_CAP`.
-    Elementwise, so any layout of the operands gives the same bytes.
+    SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar) with gamma_bar = alpha^2 + beta^2, SINR_l
+    likewise.  Elementwise, so any layout of the operands gives the same bytes.  Where every den is positive
+    the quotients are taken directly, inf where they overflow, and np.minimum(., SINR_CAP) makes them what
+    :func:`_capped_ratio` gives; one min per den checks it.  For x >= 0 each den is at least
+    sigma^2 gamma_bar, so on the search's splits any noise_var > 0 takes this path.  Otherwise (zero noise)
+    a den may be 0, and :func:`_capped_ratio` rules.
     """
     n = noise_var * (a2 + b2)
-    sk, sl = _capped_ratio(a2 * rk2, (b2 * rk2) * x + n), _capped_ratio(b2 * rl2, (a2 * rl2) * x + n)
-    return np.stack([sk, sl, np.minimum(sk, sl)])
+    nums, dens = (a2 * rk2, b2 * rl2), ((b2 * rk2) * x, (a2 * rl2) * x)
+    for den in dens:
+        den += n
+    if not all(den.min(initial=np.inf) > 0.0 for den in dens):  # NaN fails too
+        return tuple(map(_capped_ratio, nums, dens))
+    with np.errstate(over="ignore"):
+        return tuple(np.divide(num, den, out=den) for num, den in zip(nums, dens))
 
 
 def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
@@ -240,8 +246,8 @@ def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
     """
     a2, b2 = alpha**2, beta**2
     rk2, rl2 = (rk * rk)[:, None, None, None, None], (rl * rl)[None, :, None, None, None]
-    sk, sl, _ = _sinr(_beam_x(beams_k, beams_l)[..., None], rk2, rl2, a2, b2, noise_var)
-    return sk, sl, a2 + b2
+    sk, sl = _sinr(_beam_x(beams_k, beams_l)[..., None], rk2, rl2, a2, b2, noise_var)
+    return np.minimum(sk, SINR_CAP), np.minimum(sl, SINR_CAP), a2 + b2
 
 
 def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrReport:
@@ -252,10 +258,16 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     on a one-point grid, so it equals :func:`optimize_gmud`'s report.
     """
     _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
-    q1k = beam_from_feedback(fb_k.lambda1, fb_k.lambda2, fb_k.v1, params.r_k, params.theta_k)
-    q1l = beam_from_feedback(fb_l.lambda1, fb_l.lambda2, fb_l.v1, params.r_l, params.theta_l)
+    # each user's checks in the order beam_from_feedback makes them, then both beams in one stacked call
+    (r_k, v1_k), (r_l, v1_l) = ((_checked_r(fb.lambda1, fb.lambda2, r), _check_report(fb.lambda1, fb.v1))
+                                for fb, r in ((fb_k, params.r_k), (fb_l, params.r_l)))
+    _, _, c, s = _rotation_factors(np.array([fb_k.lambda1, fb_l.lambda1], dtype=np.float64),
+                                   np.array([fb_k.lambda2, fb_l.lambda2], dtype=np.float64),
+                                   np.array([r_k, r_l], dtype=np.float64))
+    v1 = np.array([v1_k, v1_l])
+    q = _steer(c, s, np.array([params.theta_k, params.theta_l], dtype=np.float64), v1, orthonormal_complement(v1))
     sk, sl, gamma_bar = _pair_grid(
-        q1k[None, None], q1l[None, None], np.array([params.r_k]), np.array([params.r_l]),
+        q[0, None, None], q[1, None, None], np.array([params.r_k]), np.array([params.r_l]),
         np.array([params.alpha]), np.array([params.beta]), noise_var,
     )
     sk, sl = sk.item(), sl.item()
@@ -282,15 +294,17 @@ def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
 _X_SLACK = 2.0**-46  # 128 units in the last place at 1; derived in _search
 
 
-def _x_bound(c, s, v1, v2, beams_l):
+def _x_bound(c, s, v1, v2, thetas):
     """Lower bounds (P, n_r, n_r) on each block's smallest x from the beams' ``c``, ``s`` (P, 2, n_r), ``v1``,
-    ``v2`` (P, 2, 2) and user l's ``beams_l`` (P, n_r, n_theta, 2); NaN becomes -inf (:func:`_search`)."""
-    vk = np.conj(np.stack([v1[:, 0], v2[:, 0]], axis=1))[:, :, None, None]  # (P, 2, 1, 1, 2)
-    z = np.abs(vk[..., 0] * beams_l[:, None, ..., 0] + vk[..., 1] * beams_l[:, None, ..., 1])  # |v1^H q_l|, |v2^H q_l|
-    t = c[:, 0, :, None, None] * z[:, None, 0] - s[:, 0, :, None, None] * z[:, None, 1]  # (P, n_rk, n_rl, n_theta)
+    ``v2`` (P, 2, 2) and the phases ``thetas`` (n_theta,), with no beam grid (:func:`_search`)."""
+    vk, vl = np.conj(np.stack([v1[:, 0], v2[:, 0]], axis=1)), np.stack([v1[:, 1], v2[:, 1]], axis=1)
+    g = vk[:, :, None, 0] * vl[:, None, :, 0] + vk[:, :, None, 1] * vl[:, None, :, 1]  # g[p, i, j] = v_ik^H v_jl
+    cw = np.exp(1j * thetas)[:, None, None] * c[:, 1]  # (n_theta, P, n_r); theta leads, as min over it is cheap
+    z = np.abs(cw[:, :, None] * g[:, :, 0, None] - s[:, 1, None] * g[:, :, 1, None])  # |v1_k^H q_l|, |v2_k^H q_l|
+    t = np.stack([c[:, 0], -s[:, 0]], axis=-1) @ z  # c_k z_1 - s_k z_2, (n_theta, P, n_rk, n_rl)
+    t *= t
     n = (c + s)[:, 0, :, None] * (c + s)[:, 1, None, :]
-    bound = (t * t).min(axis=-1) - _X_SLACK * (n * n)
-    return np.where(np.isnan(bound), -np.inf, bound)
+    return t.min(axis=0) - _X_SLACK * (n * n)
 
 
 def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var: float, grid: GridSpec):
@@ -310,22 +324,31 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     Stage 1 is a branch and bound over the (i_rk, i_rl) blocks.  As
     q_k = c e^{i theta_k} v1 - s v2, q_k^H q_l = e^{-i theta_k} A - B with
     A = c v1^H q_l and B = s v2^H q_l, so x >= t^2, t = |A| - |B|, at every
-    theta_k.  Less a slack, its minimum over theta_l bounds the block's x,
-    and the min-SINR there its peak (min-SINR is non-increasing in x down to
-    -inf, and a NaN bound, as -inf, scores as a NaN x).  The best-bound block
-    is searched first; its peak L prunes every block bounded below L, and
-    the rest are searched in one gather (``>=`` keeps ties with L that may
-    come first in C order).  Stage 2 scores the chosen block at the power
-    splits whose stage-1 score is its peak only: no other split reaches it.
+    theta_k.  With g = v^H [v1_l, v2_l] for v in {v1_k, v2_k}, four numbers
+    per pair, v^H q_l = c_l e^{i theta_l} g_1 - s_l g_2, so no beam is built
+    for the bound.  Less a slack, the minimum of t^2 over theta_l bounds the
+    block's x.  The bound's x is clamped at 0 (NaN too) before it is scored:
+    every computed x is >= 0, so max(bound, 0) still bounds it, and the
+    min-SINR there bounds the block's peak, x = 0 giving the largest.  The
+    best-bound block is searched first; its peak L prunes every block bounded
+    below L, and the rest are searched in one gather (``>=`` keeps ties with
+    L that may come first in C order).  Beams are built for those blocks
+    only, and the chosen block keeps its beams, x and score per power split.
+    Stage 2 scores it at the splits whose stage-1 score is its peak only: no
+    other split reaches it.
 
     The slack is _X_SLACK N^2, N = (c_k + s_k)(c_l + s_l) >= ||q_k|| ||q_l||.
-    With u = 2**-53, the computed q_k is c w v1 - s v2 + e, w = fl(e^{i theta}),
-    ||e|| <= 5u (c_k + s_k) and ||w| - 1| <= 2u, so |q_k^H q_l| >= |t| - 7uN;
-    the computed t is off by 7uN, and x by 3.3uN before squaring and 2u
-    relative after.  So x >= t^2 - 37uN^2, plus 2uN^2 for rounding t^2 and
-    the subtraction: 128u covers it three times over.  No term scales with
-    lambda, and c and s enter as computed, cancellation error and all (near
-    lambda1 - lambda2 = 1e-12 lambda1).
+    With u = 2**-53, a computed beam is c w v1 - s v2 + e, w = fl(e^{i theta})
+    (the bound uses the same w), ||e|| <= 5u (c + s) and ||w| - 1| <= 2u, so
+    |q_k^H q_l| >= |t| - 7uN, t taken on the computed q_l.  The computed g
+    are off by 4u each, and c_l w g_1 - s_l g_2 and its modulus by another
+    6u (c_l + s_l); with v^H e_l, the computed |A| and |B| are off by
+    15u (c_l + s_l), and t, a two-term product rounded in any order, by 18uN.
+    x is off by 3.3uN before squaring and 2u relative after, so
+    x >= t^2 - 2 (7 + 18 + 3.3) uN^2 - 2uN^2 >= t^2 - 59uN^2, plus 2uN^2 for
+    rounding t^2 and the subtraction: 128u covers it twice over.  No term
+    scales with lambda, and c and s enter as computed, cancellation error and
+    all (near lambda1 - lambda2 = 1e-12 lambda1).
     """
     _check_inputs(noise_var)
     _check_reports(lambda1, v1)
@@ -336,45 +359,51 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     alpha2 = np.linspace(0.1, 0.9, n_p)
     alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
     a2, b2 = alpha**2, beta**2
-    # each user's beam grid (P, 2, n_r, n_theta, 2), as steered_beams builds it
     _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], r)
     v2 = orthonormal_complement(v1)
-    beams = _steer(c[..., None], s[..., None], thetas, v1[:, :, None, None], v2[:, :, None, None])
-    rk2, rl2 = np.repeat(r[:, 0] * r[:, 0], n_r, axis=-1), np.tile(r[:, 1] * r[:, 1], n_r)  # at i_rk * n_r + i_rl
+    r2 = r * r
+    users = np.arange(2)
 
-    def block_x(p, i):  # x of the blocks i of pairs p, (len(p), n_theta, n_theta)
-        return _beam_x(beams[p, 0, i // n_r, None], beams[p, 1, i % n_r, None])[:, 0, 0]
+    def min_sinr(x, p, i):  # min-SINR (n_p,) + x.shape of the blocks i = i_rk * n_r + i_rl of pairs p at x
+        split = (-1,) + (1,) * x.ndim  # splits lead
+        sk, sl = _sinr(x, r2[p, 0, i // n_r], r2[p, 1, i % n_r], a2.reshape(split), b2.reshape(split), noise_var)
+        return np.minimum(np.minimum(sk, sl, out=sk), SINR_CAP, out=sk)  # capped once
 
-    def min_sinr(x, p, i):  # min-SINR (len(p), n_p, i.shape[1]) of the blocks i of pairs p at x
-        return _sinr(x[:, None], rk2[p, i][:, None], rl2[p, i][:, None], a2[:, None], b2[:, None], noise_var)[2]
+    def score(p, i):  # beams, x (len(p), n_theta^2) and min-SINR at min x (n_p, len(p)) of the blocks i of pairs p
+        i_r = np.stack(np.divmod(i, n_r), axis=1)
+        q = _steer(c[p[:, None], users, i_r][..., None], s[p[:, None], users, i_r][..., None], thetas,
+                   v1[p][:, :, None], v2[p][:, :, None])
+        x = _beam_x(q[:, 0, None], q[:, 1, None]).reshape(len(p), n_t * n_t)
+        return q, x, min_sinr(x.min(axis=1), p, i)
 
     # stage 1: each block's peak, its min-SINR at its smallest x, (P, n_r^2); pruned blocks score -inf
     blocks = np.arange(n_r * n_r)[None]
-    bound = min_sinr(_x_bound(c, s, v1, v2, beams[:, 1]).reshape(-1, n_r * n_r), pairs[:, None], blocks).max(axis=1)
+    x_bound = np.fmax(_x_bound(c, s, v1, v2, thetas).reshape(-1, n_r * n_r), 0.0)
+    bound = min_sinr(x_bound, pairs[:, None], blocks).max(axis=0)
     seed = bound.argmax(axis=1)
-    x_min, peak = np.zeros(bound.shape), np.full(bound.shape, -np.inf)
-
-    def score(p, i):  # the peaks of the blocks i of pairs p, at their smallest x
-        x_min[p, i] = block_x(p, i).min(axis=(-2, -1))
-        peak[p, i] = min_sinr(x_min[p, i, None], p[:, None], i[:, None]).max(axis=1)[:, 0]
-
-    score(pairs, seed)
-    score(*np.nonzero(~(bound < peak[pairs, seed, None]) & (blocks != seed[:, None])))
+    q, x, at = score(pairs, seed)
+    p_s, i_s = np.nonzero(~(bound < at.max(axis=0)[:, None]) & (blocks != seed[:, None]))
+    q_s, x_s, at_s = score(p_s, i_s)
+    peak = np.full(bound.shape, -np.inf)
+    peak[pairs, seed], peak[p_s, i_s] = at.max(axis=0), at_s.max(axis=0)
     block = peak.argmax(axis=1)  # the first best in C order
-    i_rk, i_rl = np.divmod(block, n_r)
+    moved = np.nonzero(block != seed)[0]  # pairs whose best block is a survivor, found in C order
+    j = np.searchsorted(p_s * n_r * n_r + i_s, moved * n_r * n_r + block[moved])
+    q[moved], x[moved], at[:, moved] = q_s[j], x_s[j], at_s[:, j]
     # stage 2: the chosen block at its peak's power splits, padded per pair with splits that cannot win
-    at_peak = min_sinr(x_min[pairs, block, None], pairs[:, None], block[:, None])[..., 0] == peak[pairs, block, None]
+    at_peak = (at == peak[pairs, block]).T
     splits = np.argsort(~at_peak, axis=1, kind="stable")[:, : at_peak.sum(axis=1).max()]
-    x = block_x(pairs, block).reshape(-1, 1, n_t * n_t)
+    i_rk, i_rl = np.divmod(block, n_r)
     r_k, r_l = r[pairs, 0, i_rk], r[pairs, 1, i_rl]
-    sinrs = _sinr(x, (r_k * r_k)[:, None, None], (r_l * r_l)[:, None, None], a2[splits, None], b2[splits, None],
-                  noise_var)
-    i_t, j = np.divmod(np.swapaxes(sinrs[2], 1, 2).reshape(len(pairs), -1).argmax(axis=1), splits.shape[1])
+    sk, sl = (np.minimum(v, SINR_CAP) for v in _sinr(x[..., None], r2[pairs, 0, i_rk, None, None],
+                                                     r2[pairs, 1, i_rl, None, None], a2[splits][:, None],
+                                                     b2[splits][:, None], noise_var))
+    sinr = np.minimum(sk, sl)  # (P, n_theta^2, splits)
+    i_t, j = np.divmod(sinr.reshape(len(pairs), -1).argmax(axis=1), splits.shape[1])
     i_a = splits[pairs, j]
     i_tk, i_tl = np.divmod(i_t, n_t)
-    report = np.concatenate([sinrs[:, pairs, j, i_t].T, (a2 + b2)[i_a, None]], axis=1)
-    beams_k, beams_l = beams[pairs, 0, i_rk, i_tk], beams[pairs, 1, i_rl, i_tl]
-    g = np.stack([alpha[i_a][:, None] * beams_k, beta[i_a][:, None] * beams_l], axis=-1)
+    report = np.stack([sk[pairs, i_t, j], sl[pairs, i_t, j], sinr[pairs, i_t, j], (a2 + b2)[i_a]], axis=1)
+    g = np.stack([alpha[i_a][:, None] * q[pairs, 0, i_tk], beta[i_a][:, None] * q[pairs, 1, i_tl]], axis=-1)
     return g, np.stack([r_k, thetas[i_tk], r_l, thetas[i_tl], alpha[i_a], beta[i_a]], axis=-1), report
 
 

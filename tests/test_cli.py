@@ -164,6 +164,15 @@ class TestSweep:
         assert err == f"gmud: error: bad --snr {snr!r}; start, step and stop must be finite\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("snr", ["-1e308:1e308:1e308", "0:1e-300:1", "0:0.001:10", "-5e307:1e-300:5e307"])
+    def test_snr_range_too_long_flag(self, capsys, tmp_path, snr):
+        # an overflowing stop - start, or a tiny step against a wide range, is refused before any point is built
+        code, out, err = run_cli(capsys, "sweep", "--scheme", "reg-inv", f"--snr={snr}", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert out == ""
+        assert err == f"gmud: error: bad --snr {snr!r}; at most 10000 points from start to stop\n"
+        assert os.listdir(tmp_path) == []
+
     def test_all_zero_ber_sweep_is_a_result(self, capsys, tmp_path):
         # every point's BER is 0 here: the chart has axes and a legend but no curve
         out = str(tmp_path / "z")

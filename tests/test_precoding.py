@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,48 @@ class TestGmudMinSinr:
         rep = gmud_min_sinr(params, fb_k, fb_l, 0.0)
         assert rep.min_sinr == SINR_CAP
 
+    @pytest.mark.parametrize("noise", [5e-324, 1e-300])
+    def test_overflowing_sinr_saturates_silently(self, noise):
+        # orthogonal beams at the smallest noise: r^2 / (2 sigma^2) overflows float64 at 5e-324, and the
+        # SINR is SINR_CAP with no warning, from the search as from the point evaluator
+        fb_k = GmudFeedback(np.zeros(6), np.array([1.0, 0.0], dtype=complex), 2.0, 1.0)
+        fb_l = GmudFeedback(np.zeros(6), np.array([0.0, 1.0], dtype=complex), 2.0, 1.0)
+        params = GmudBeamParams(2.0, 0.0, 2.0, 0.0, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, rep = optimize_gmud(fb_k, fb_l, noise)
+            point = gmud_min_sinr(params, fb_k, fb_l, noise)
+        assert rep.min_sinr == point.min_sinr == SINR_CAP
+        assert rep.per_user == point.per_user == (SINR_CAP, SINR_CAP)
+
+    def test_division_path_equals_masked_rule(self):
+        # where every denominator is positive the kernel divides directly; capped, that is byte for byte the
+        # masked rule of _capped_ratio, at alpha^2 = 0 and beta^2 = 0 (criterion 4's edge splits), x = 0,
+        # r = 0 and overflowing quotients too.  At zero noise, and for splits no search makes (alpha = beta = 0,
+        # a NaN or an overflowing square, as gmud_min_sinr accepts them), the kernel takes the rule itself
+        from gmud.precoding import _capped_ratio, _sinr
+
+        rng = np.random.default_rng(61)
+        x = rng.uniform(0.0, 1.0, (400, 1))
+        x[::7] = 0.0
+        rk2, rl2 = (rng.uniform(0.0, 9.0, (400, 1)) for _ in range(2))
+        rk2[::11], rl2[::13] = 0.0, 0.0
+        a2 = np.concatenate([np.linspace(0.1, 0.9, 9), rng.uniform(0.0, 1.0, 5), [0.0, 1.0]])
+        b2 = np.concatenate([1.0 - a2[:-2], [1.0, 0.0]])
+        odd = np.array([0.0, 1e-320, np.nan, np.inf, 1e300, 0.5])
+        for noise in (0.0, 5e-324, 1e-300, 1e-3, 0.05, 1.0):
+            for split_a2, split_b2 in ((a2, b2), (odd, odd[::-1])):
+                with warnings.catch_warnings():  # the odd splits' products may warn (inf * 0), the search's not
+                    warnings.simplefilter("error" if split_a2 is a2 else "ignore")
+                    sinrs = [np.minimum(v, SINR_CAP) for v in _sinr(x, rk2, rl2, split_a2, split_b2, noise)]
+                    n = noise * (split_a2 + split_b2)
+                    want = [_capped_ratio(split_a2 * rk2, (split_b2 * rk2) * x + n),
+                            _capped_ratio(split_b2 * rl2, (split_a2 * rl2) * x + n)]
+                for got, expected in zip(sinrs, want):
+                    assert got.tobytes() == expected.tobytes(), noise
+                if split_a2 is a2:  # a silenced user
+                    assert (sinrs[0][:, -2] == 0.0).all() and (sinrs[1][:, -1] == 0.0).all()
+
 
 class TestOptimizeGmud:
     def enumerate_grid(self, fb_k, fb_l, noise, grid):
@@ -407,7 +450,7 @@ class TestOptimizeGmud:
             _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], _linspace(lambda2, lambda1, grid.n_r))
             v2 = orthonormal_complement(v1)
             beams = _steer(c[..., None], s[..., None], thetas, v1[:, :, None, None], v2[:, :, None, None])
-            bound = _x_bound(c, s, v1, v2, beams[:, 1])
+            bound = _x_bound(c, s, v1, v2, thetas)
             x_min = _beam_x(beams[:, 0], beams[:, 1]).min(axis=(-2, -1))
             assert not np.isnan(x_min).any() and not np.isnan(bound).any()
             assert (bound <= x_min).all(), chunk
@@ -443,9 +486,9 @@ class TestOptimizeGmud:
         from gmud import precoding
         from gmud.decomposition import _steer
 
-        def minima(c, s, v1, v2, beams_l):
-            thetas = np.linspace(0.0, 2.0 * np.pi, beams_l.shape[2], endpoint=False)
-            beams_k = _steer(c[:, 0, :, None], s[:, 0, :, None], thetas, v1[:, 0, None, None], v2[:, 0, None, None])
+        def minima(c, s, v1, v2, thetas):
+            beams_k, beams_l = (_steer(c[:, u, :, None], s[:, u, :, None], thetas, v1[:, u, None, None],
+                                       v2[:, u, None, None]) for u in (0, 1))
             bound = precoding._beam_x(beams_k, beams_l).min(axis=(-2, -1))
             bound[:, -1, -1] = -np.inf
             return bound
@@ -459,6 +502,38 @@ class TestOptimizeGmud:
             g, params, rep = optimize_gmud(fb_k, fb_l, noise)
             want_g, want_params, want_rep = self.full_grid_search(fb_k, fb_l, noise, GridSpec())
             assert params.r_l == fb_l.lambda2 and want_params.r_l == fb_l.lambda2
+            assert g.tobytes() == want_g.tobytes() and params == want_params and rep == want_rep
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_nan_or_negative_bound_is_searched_first(self, monkeypatch, bad):
+        # a NaN or negative bound on a block's smallest x scores as x = 0, the largest min-SINR, so that
+        # block is still searched first (the seed) and never pruned.  Here the last block (r = lambda1 for
+        # both users, where c = 1) gets it and every other block its true minimum
+        from gmud import precoding
+        from gmud.decomposition import _steer
+
+        def minima(c, s, v1, v2, thetas):
+            beams_k, beams_l = (_steer(c[:, u, :, None], s[:, u, :, None], thetas, v1[:, u, None, None],
+                                       v2[:, u, None, None]) for u in (0, 1))
+            bound = precoding._beam_x(beams_k, beams_l).min(axis=(-2, -1))
+            bound[:, -1, -1] = bad
+            return bound
+
+        steered = []
+
+        def spy(w1, *args):
+            steered.append(w1)
+            return _steer(w1, *args)
+
+        monkeypatch.setattr(precoding, "_x_bound", minima)
+        monkeypatch.setattr(precoding, "_steer", spy)
+        rng = np.random.default_rng(54)
+        for noise in (1e-3, 0.05, 1.0):
+            fb_k, fb_l = random_reports(rng)
+            steered.clear()
+            g, params, rep = optimize_gmud(fb_k, fb_l, noise)
+            assert (steered[0] == 1.0).all()  # the seed's beams have c = 1 for both users
+            want_g, want_params, want_rep = self.full_grid_search(fb_k, fb_l, noise, GridSpec())
             assert g.tobytes() == want_g.tobytes() and params == want_params and rep == want_rep
 
     def test_bad_reports_rejected(self):

@@ -309,6 +309,23 @@ def _bad_reports(g, rng):
     yield g.GmudFeedback.from_svd(g.svd2x2(1e155 * _crandn(rng, (2, 2))))
 
 
+# noise_vars at which the search's SINRs overflow or its denominators vanish: zero (the SINR_CAP plateau),
+# the smallest subnormal and 1e-300
+TINY_NOISES = (0.0, 5e-324, 1e-300)
+
+
+def _meeting_reports(g, rng):
+    """Report pairs whose beams can be orthogonal (x = 0) or collinear: orthogonal principal vectors,
+    collinear users exact and 4-bit, a random pair, and lambda1 = lambda2."""
+    e1, e2 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+    yield g.GmudFeedback(np.zeros(6), e1, 2.0, 1.0), g.GmudFeedback(np.zeros(6), e2, 2.0, 1.0)
+    h = _crandn(rng, (2, 2))
+    yield _reports(g, rng, None, h, h)
+    yield _reports(g, rng, 4, h, h)
+    yield _reports(g, rng, None)
+    yield _reports(g, rng, None, rng.uniform(0.1, 3.0) * _unitary(rng))
+
+
 @case("reg_inv")
 def _reg_inv(g):
     rng = _rng("reg_inv")
@@ -373,6 +390,17 @@ def _gmud_min_sinr(g):
     for bad in _bad_reports(g, rng):
         p = g.GmudBeamParams(bad.lambda1, 0.0, fb_l.lambda1, 0.0, float(np.sqrt(0.5)), float(np.sqrt(0.5)))
         yield "error", lambda p=p, k=bad, l=fb_l: g.gmud_min_sinr(p, k, l, 0.1)
+    # where the SINR kernel's division path meets its zero-denominator masks
+    for fb_k, fb_l in _meeting_reports(g, rng):
+        for noise in TINY_NOISES:
+            # the principal vectors at an even split first: for orthogonal reports, x = 0
+            points = [(fb_k.lambda1, 0.0, fb_l.lambda1, 0.0, 0.5)] + [
+                (rng.uniform(fb_k.lambda2, fb_k.lambda1), _phase(rng), rng.uniform(fb_l.lambda2, fb_l.lambda1),
+                 _phase(rng), rng.uniform(0.1, 0.9)) for _ in range(4)]
+            for r_k, theta_k, r_l, theta_l, alpha2 in points:
+                params = g.GmudBeamParams(r_k, theta_k, r_l, theta_l, float(np.sqrt(alpha2)),
+                                          float(np.sqrt(1 - alpha2)))
+                yield "edge", lambda p=params, k=fb_k, l=fb_l, noise=noise: g.gmud_min_sinr(p, k, l, noise)
 
 
 @case("optimize_gmud")
@@ -401,6 +429,11 @@ def _optimize_gmud(g):
     for bad in _bad_reports(g, rng):
         for args in ((bad, fb_l, 0.1, grids[1]), (fb_l, bad, 0.1, grids[1])):
             yield "error", lambda args=args: g.optimize_gmud(*args)
+    # where the SINR kernel's division path meets its zero-denominator masks
+    for fb_k, fb_l in _meeting_reports(g, rng):
+        for noise in TINY_NOISES:
+            for grid in grids:
+                yield "edge", lambda k=fb_k, l=fb_l, noise=noise, grid=grid: g.optimize_gmud(k, l, noise, grid)
 
 
 @case("GridSpec")
