@@ -64,7 +64,7 @@ class SpecialR:
     z2: float
 
     def as_matrix(self) -> np.ndarray:
-        return np.array([[self.r, 0.0], [self.z1, self.z2]], dtype=np.complex128)
+        return np.array([self.r, 0.0, self.z1, self.z2], dtype=np.complex128).reshape(2, 2)
 
 
 @dataclass
@@ -200,15 +200,13 @@ def gmud(h, r: float, pp: PhasePair | None = None) -> GmudFactorization:
     l1, l2 = svd.lambda1, svd.lambda2
     if l1 <= 0.0:
         raise DomainError("zero matrix admits no positive r")
-    rot = solve_rotations(l1, l2, r)
-    r = min(max(r, l2), l1)  # solve_rotations admitted r; clamp it as it did
-    z1 = rot.b * rot.c * l1 - rot.a * rot.s * l2
-    z2 = rot.b * rot.s * l1 + rot.a * rot.c * l2
-    rmat = SpecialR(r, float(z1), float(z2))
-    u0 = np.array([[rot.a, rot.b], [-rot.b, rot.a]], dtype=np.complex128)
-    v0 = np.array([[rot.c, rot.s], [-rot.s, rot.c]], dtype=np.complex128)
-    m = np.diag(np.exp(1j * np.array([pp.theta1, pp.theta2])))
-    return GmudFactorization(svd.u @ m @ u0, rmat, svd.v @ m @ v0, r, pp, svd)
+    r = _checked_r(l1, l2, r)
+    a, b, c, s = map(float, _rotation_factors(l1, l2, r))
+    rmat = SpecialR(r, b * c * l1 - a * s * l2, b * s * l1 + a * c * l2)
+    t1, t2 = pp.theta1, pp.theta2
+    m = np.array([complex(math.cos(t1), math.sin(t1)), 0.0, 0.0, complex(math.cos(t2), math.sin(t2))]).reshape(2, 2)
+    pq = np.array([svd.u, svd.v]) @ m @ np.array([a, b, -b, a, c, s, -s, c], dtype=np.complex128).reshape(2, 2, 2)
+    return GmudFactorization(pq[0], rmat, pq[1], r, pp, svd)
 
 
 def _steer(w1, w2, theta, x1, x2) -> np.ndarray:

@@ -148,6 +148,11 @@ class SvdFactorization:
         return (self.u * np.array([self.lambda1, self.lambda2])) @ self.v.conj().T
 
 
+def _norm1(z: np.ndarray) -> float:
+    """The 2-norm of a 1-D complex array: the BLAS dots of ``np.linalg.norm``, without its checks."""
+    return math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
+
+
 def svd2x2(h) -> SvdFactorization:
     """Closed-form SVD of a 2x2 complex matrix.
 
@@ -159,12 +164,14 @@ def svd2x2(h) -> SvdFactorization:
     the power of two of its largest part, so the result is right at any
     scale (:class:`DomainError` if lambda1 overflows).
 
-    This is the common path.  The rare inputs go to :func:`_svd2x2` as a
-    batch of one, whose masks handle them: the zero matrix (lambda1 =
-    lambda2 = 0, u = v = I), w within 2**-128 of a multiple of I (the
-    eigenvector candidates are rescaled, or v1 = e1 for exact multiples),
-    lambda2 <= 1e-13*lambda1 (u2 is completed by orthogonality) and
-    largest parts at or above 2**1022, where lambda1 may overflow.
+    This is the common path, on Python floats but for BLAS products and
+    dots and numpy's complex array arithmetic, which round otherwise.  The
+    rare inputs go to :func:`_svd2x2` as a batch of one, whose masks handle
+    them: the zero matrix (lambda1 = lambda2 = 0, u = v = I), w within
+    2**-128 of a multiple of I (the eigenvector candidates are rescaled, or
+    v1 = e1 for exact multiples), lambda2 <= 1e-13*lambda1 (u2 is completed
+    by orthogonality) and largest parts at or above 2**1022, where lambda1
+    may overflow.
     """
     h = as_matrix(h)
     if h.shape != (2, 2):
@@ -173,39 +180,38 @@ def svd2x2(h) -> SvdFactorization:
     e = max(math.frexp(max(map(abs, parts.ravel().tolist())))[1], -1021)
     hs = (parts * math.ldexp(1.0, -e)).view(np.complex128)
 
-    w = hs.conj().T @ hs
-    w00 = w[0, 0].real
-    w11 = w[1, 1].real
-    w01 = w[0, 1]
+    (w00, w01), (_, w11) = (hs.conj().T @ hs).tolist()
+    w00, w11 = w00.real, w11.real
     d = w00 - w11
-    disc = d * d + 4.0 * (w01.real * w01.real + w01.imag * w01.imag)
-    mu1 = 0.5 * ((w00 + w11) + np.sqrt(disc))
-    det_h = hs[0, 0] * hs[1, 1] - hs[0, 1] * hs[1, 0]
+    mu1 = 0.5 * ((w00 + w11) + math.sqrt(d * d + 4.0 * (w01.real * w01.real + w01.imag * w01.imag)))
+    (h00, h01), (h10, h11) = hs.tolist()
+    det_h = h00 * h11 - h01 * h10
     det_w = det_h.real * det_h.real + det_h.imag * det_h.imag
 
-    # two closed-form eigenvector candidates for mu1; take the better-scaled one
-    cand1 = np.array([w01, mu1 - w00], dtype=np.complex128)
-    cand2 = np.array([mu1 - w11, np.conj(w01)], dtype=np.complex128)
-    n1 = np.linalg.norm(cand1)
-    n2 = np.linalg.norm(cand2)
-    lambda1 = float(np.sqrt(mu1))
+    # mu1's closed-form eigenvectors [w01, mu1 - w00] and [mu1 - w11, conj(w01)]: their real and
+    # imaginary parts as rows, their norms, and v1 the better-scaled one
+    ri = np.array([w01.real, mu1 - w00, w01.imag, 0.0, mu1 - w11, w01.real, 0.0, -w01.imag]).reshape(4, 2)
+    sq = np.vecdot(ri, ri).tolist()
+    n1, n2 = math.sqrt(sq[0] + sq[1]), math.sqrt(sq[2] + sq[3])
+    lambda1 = math.sqrt(mu1)
     # the rare inputs, in an order that computes mu2 only when mu1 > 0
-    if e > 1022 or max(n1, n2) < 2.0**-128 or (lambda2 := float(np.sqrt(min(det_w / mu1, mu1)))) <= _RANK_TOL * lambda1:
+    if e > 1022 or max(n1, n2) < 2.0**-128 or (lambda2 := math.sqrt(min(det_w / mu1, mu1))) <= _RANK_TOL * lambda1:
         u, lambda1, lambda2, v = _svd2x2(h[None])
         return SvdFactorization(u[0], float(lambda1[0]), float(lambda2[0]), v[0])
-    v1 = (cand1 / n1) if n1 >= n2 else (cand2 / n2)
-    i = 0 if abs(v1[0]) >= abs(v1[1]) else 1  # the phase convention: v1[i] real >= 0
-    v1 = v1 * (np.conj(v1[i]) / abs(v1[i]))
-    v1[i] = v1[i].real  # conj(z) * z / |z| is real up to rounding; make it exact
-    v = np.column_stack([v1, orthonormal_complement(v1)])
+    v1 = np.array([w01, mu1 - w00]) / n1 if n1 >= n2 else np.array([mu1 - w11, w01.conjugate()]) / n2
+    mod = list(map(abs, v1.tolist()))
+    i = 0 if mod[0] >= mod[1] else 1  # the phase convention: v1[i] real >= 0
+    v1 = (v1 * (v1[i].conjugate() / mod[i])).tolist()
+    v1[i] = complex(v1[i].real)  # conj(z) * z / |z| is real up to rounding; make it exact
+    v = np.array([v1[0], -v1[1].conjugate(), v1[1], v1[0].conjugate()]).reshape(2, 2)  # v2: orthonormal_complement(v1)
 
     u1 = (hs @ v[:, 0]) / lambda1
-    u1 = u1 / np.linalg.norm(u1)
+    u1 = u1 / _norm1(u1)
     u2 = (hs @ v[:, 1]) / lambda2
     u2 = u2 - (u1.conj() @ u2) * u1
-    u2 = u2 / np.linalg.norm(u2)
+    u2 = u2 / _norm1(u2)
     # lambda1 < 2*sqrt(2) after scaling, so with e <= 1022 neither ldexp overflows
-    return SvdFactorization(np.column_stack([u1, u2]), math.ldexp(lambda1, e), math.ldexp(lambda2, e), v)
+    return SvdFactorization(np.array([u1, u2]).T.copy(), math.ldexp(lambda1, e), math.ldexp(lambda2, e), v)
 
 
 def _svd2x2(h: np.ndarray):

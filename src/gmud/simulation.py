@@ -183,6 +183,15 @@ def _integer(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
+def _noise_var(snr_db):
+    """10**(-snr_db/10), the noise variance at ``snr_db`` dB; ValueError where it overflows (below ~-3082 dB)."""
+    with np.errstate(over="raise"):  # a numpy scalar would give inf where a float raises
+        try:
+            return 10.0 ** (-snr_db / 10.0)
+        except (OverflowError, FloatingPointError):
+            raise ValueError(f"snr_db {snr_db} is too low: its noise variance 10**(-snr_db/10) overflows") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One BER run: scheme, modulation, SNR grid, feedback mode, sampling plan."""
@@ -208,6 +217,8 @@ class SimConfig:
             raise ValueError("snr_db must be a sequence of finite reals")
         if len(snr) == 0:
             raise ValueError("snr_db must be nonempty")
+        for s in snr:
+            _noise_var(s)
         if not (_integer(self.realizations) and _integer(self.symbols)):
             raise ValueError("realizations and symbols must be integers")
         if self.realizations < 1 or self.symbols < 1:
@@ -342,7 +353,7 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
     draws for real and imaginary parts.
     """
     n = None if config.feedback == "perfect" else config.feedback
-    noise_var = 10.0 ** (-config.snr_db[snr_idx] / 10.0)
+    noise_var = _noise_var(config.snr_db[snr_idx])
     bits = 2 * config.symbols * MODULATIONS[config.modulation]
     states = _seed_states(int(config.seed), snr_idx, config.realizations)
     err_counts = np.empty(config.realizations, dtype=np.int64)

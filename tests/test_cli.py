@@ -173,6 +173,12 @@ class TestSweep:
         assert err == f"gmud: error: bad --snr {snr!r}; at most 10000 points from start to stop\n"
         assert os.listdir(tmp_path) == []
 
+    def test_overflowing_noise_variance_flag(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "sweep", "--scheme", "reg-inv", "--snr=-5000:0:-5000", "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "gmud: error: snr_db -5000.0 is too low: its noise variance 10**(-snr_db/10) overflows\n"
+        assert os.listdir(tmp_path) == []
+
     def test_all_zero_ber_sweep_is_a_result(self, capsys, tmp_path):
         # every point's BER is 0 here: the chart has axes and a legend but no curve
         out = str(tmp_path / "z")

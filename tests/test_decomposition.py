@@ -145,6 +145,40 @@ class TestGmud:
         rot = solve_rotations(svd.lambda1, svd.lambda2, r)
         assert_allclose([rot.a, rot.b, rot.c, rot.s], [base.a, base.b, base.c, base.s], rtol=0, atol=1e-9)
 
+    def test_factors_equal_numpy_oracle_bytes(self):
+        # gmud() takes its phases from cos/sin and makes both factors in one stacked product; the oracle is
+        # u @ diag(exp(1j*theta)) @ u0 and v @ diag(exp(1j*theta)) @ v0 with solve_rotations' coefficients
+        rng = np.random.default_rng(31)
+        cases = []
+        for i in range(500):
+            if i % 2:
+                h = crand(rng, (2, 2))
+            else:  # the benchmark's factorize inputs, 1 in 4 of them scaled by 2**+-(300..1000)
+                q1, q2 = (np.linalg.qr(crand(rng, (2, 2)))[0] for _ in range(2))
+                s1 = 2.0 ** rng.uniform(-4.0, 4.0)
+                h = (q1 * [s1, s1 * 10.0 ** rng.uniform(-3.0, 0.0)]) @ q2.conj().T
+                if i % 8 == 0:
+                    h = np.ldexp(h.view(np.float64), int(rng.integers(300, 1001)) * int(rng.choice((-1, 1))))
+                    h = h.view(np.complex128)
+            svd = svd2x2(h)
+            r = [svd.lambda1, svd.lambda2, svd.lambda1 * (1 + 5e-10)][i % 5] if i % 5 < 3 else \
+                float(svd.lambda2 + rng.uniform() * (svd.lambda1 - svd.lambda2))
+            cases.append((h, r, None if i % 7 == 0 else PhasePair(*rng.uniform(-7.0, 14.0, 2))))
+        cases += [(0.7 * np.eye(2), 0.7, PhasePair(1.0, 2.0)), (np.diag([2.0, 1.0]), 2.0, None)]
+        for i, (h, r, pp) in enumerate(cases):
+            f = gmud(h, r, pp)
+            svd, pp = svd2x2(h), pp or PhasePair()
+            l1, l2 = svd.lambda1, svd.lambda2
+            rot, r = solve_rotations(l1, l2, r), min(max(r, l2), l1)
+            m = np.diag(np.exp(1j * np.array([pp.theta1, pp.theta2])))
+            p = svd.u @ m @ np.array([[rot.a, rot.b], [-rot.b, rot.a]], dtype=np.complex128)
+            q = svd.v @ m @ np.array([[rot.c, rot.s], [-rot.s, rot.c]], dtype=np.complex128)
+            z = [r, rot.b * rot.c * l1 - rot.a * rot.s * l2, rot.b * rot.s * l1 + rot.a * rot.c * l2]
+            rec = p @ np.array([[z[0], 0.0], [z[1], z[2]]], dtype=np.complex128) @ q.conj().T
+            assert (f.p.tobytes(), f.q.tobytes()) == (p.tobytes(), q.tobytes()), i
+            assert np.array([f.r, f.rmat.r, f.rmat.z1, f.rmat.z2]).tobytes() == np.array([r] + z).tobytes(), i
+            assert f.reconstruct().tobytes() == rec.tobytes(), i
+
     def test_r_independent_of_phases(self):
         rng = np.random.default_rng(4)
         h = crand(rng, (2, 2))

@@ -264,6 +264,29 @@ class TestStackedSvd:
             assert (u[i].tobytes(), v[i].tobytes()) == (f.u.tobytes(), f.v.tobytes()), i
             assert (lambda1[i], lambda2[i]) == (f.lambda1, f.lambda2), i
 
+    def test_factorize_shaped_stack_equals_per_matrix(self):
+        # the benchmark's factorize inputs: h = U diag(s1, s2) V^H with s2/s1 in [1e-3, 1], every third
+        # scaled by 2**+-(300..1000), every third with parts 2**-600 apart inside one matrix
+        rng = np.random.default_rng(23)
+        mats = []
+        for i in range(900):
+            s1 = 2.0 ** rng.uniform(-4.0, 4.0)
+            u, v = (unitary(*rng.uniform(0.0, 2 * np.pi, 4)) for _ in range(2))
+            h = (u * [s1, s1 * 10.0 ** rng.uniform(-3.0, 0.0)]) @ v.conj().T
+            if i % 3 == 1:
+                h = scaled(h, int(rng.integers(300, 1001)) * int(rng.choice((-1, 1))))
+            elif i % 3 == 2:
+                parts = h.view(np.float64)
+                h = np.where(rng.random(parts.shape) < 0.5, parts * 2.0**-600, parts).view(np.complex128)
+            mats.append(h)
+        h = np.array(mats)
+        u, lambda1, lambda2, v = _svd2x2(h)
+        for i, m in enumerate(h):
+            f = svd2x2(m)
+            assert (u[i].tobytes(), v[i].tobytes()) == (f.u.tobytes(), f.v.tobytes()), i
+            assert (lambda1[i].tobytes(), lambda2[i].tobytes()) == (np.float64(f.lambda1).tobytes(),
+                                                                    np.float64(f.lambda2).tobytes()), i
+
     def test_first_error_in_stack_order(self):
         # as a loop over the stack: the first failing matrix names the error
         h = self.stack()

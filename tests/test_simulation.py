@@ -323,6 +323,13 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="snr_db must be a sequence of finite reals"):
             SimConfig(scheme="gmud", snr_db=snr_db)
 
+    @pytest.mark.parametrize("snr_db", [(-5000.0,), (0.0, -3083.0), np.array([-5000.0]), (np.float32(-400.0),)])
+    def test_overflowing_noise_variance_refused(self, snr_db):
+        # 10**(-snr_db/10) overflows: a float raised OverflowError in run_ber, a numpy scalar gave inf noise
+        with pytest.raises(ValueError, match=r"snr_db -?\d.* overflows"):
+            run_ber(SimConfig(scheme="reg-inv", snr_db=snr_db, realizations=1, symbols=1))
+        assert SimConfig(scheme="reg-inv", snr_db=(-3082.0,)).snr_db == (-3082.0,)  # 10**308.2 is finite
+
     def test_snr_sequences_accepted(self):
         for snr_db in ((0.0, 10.0), [5, 7.5], range(0, 30, 10), (np.float32(3.0), np.int64(4)), np.array([1.0, 2.0])):
             assert SimConfig(scheme="gmud", snr_db=snr_db).snr_db is snr_db

@@ -21,7 +21,10 @@ battery entries of renamed names show as missing from one record.
 
 Inputs come in named groups:
 
-* ``typical``: random Gaussian channels, reports and scalars;
+* ``typical``: random Gaussian channels, reports and scalars, and for
+  ``svd2x2`` and ``gmud`` matrices shaped like perfbench's ``factorize``
+  inputs (known singular values; scaled and mixed-scale ones go to the
+  other groups);
 * ``edge``: equal singular values, exact multiples of the identity,
   rank-deficient matrices, zero noise, interval endpoints, exact quantizer
   levels;
@@ -114,6 +117,29 @@ def _matrices(rng, count):
         yield "extreme-scale", scale * _rank_one(rng)
 
 
+def _factorize_shaped(rng, count):
+    """Matrices shaped like perfbench's ``factorize`` inputs, as (group, h).
+
+    h = U diag(s1, s2) V^H with s1 = 2**u, u uniform in [-4, 4], and s2/s1
+    = 10**w, w uniform in [-3, 0]: ``count`` as drawn, then ``count // 4``
+    scaled by 2**+-(300..1000) and ``count // 4`` whose parts lie 2**-600
+    apart inside one matrix.
+    """
+
+    def draw():
+        s1 = 2.0 ** rng.uniform(-4.0, 4.0)
+        return (_unitary(rng) * [s1, s1 * 10.0 ** rng.uniform(-3.0, 0.0)]) @ _unitary(rng).conj().T
+
+    for _ in range(count):
+        yield "typical", draw()
+    for _ in range(count // 4):
+        k = int(rng.integers(300, 1001)) * int(rng.choice((-1, 1)))
+        yield "extreme-scale", np.ldexp(draw().view(np.float64), k).view(np.complex128)
+    for _ in range(count // 4):
+        parts = draw().view(np.float64)
+        yield "edge", np.where(rng.random(parts.shape) < 0.5, parts * 2.0**-600, parts).view(np.complex128)
+
+
 # errors
 
 
@@ -167,6 +193,8 @@ def _svd2x2(g):
         yield "edge", lambda h=h: g.svd2x2(h)
     for bad in (np.eye(3), np.ones(4), [[np.inf, 0.0], [0.0, 1.0]]):
         yield "error", lambda h=bad: g.svd2x2(h)
+    for group, h in _factorize_shaped(_rng("svd2x2 factorize"), 1000):
+        yield group, lambda h=h: g.svd2x2(h)
 
 
 @case("SvdFactorization")
@@ -207,6 +235,10 @@ def _gmud(g):
     yield "error", lambda: g.gmud(np.zeros((2, 2)), 1.0)
     # r*r underflows: Q used to come out 0
     yield "extreme-scale", lambda: g.gmud(np.diag([2.0, 0.0]), 1e-300)
+    rng = _rng("gmud factorize")
+    for group, h in _factorize_shaped(rng, 1000):
+        r, pp = _r_inside(rng, h), g.PhasePair(*rng.uniform(0.0, 2.0 * np.pi, 2))
+        yield group, lambda h=h, r=r, pp=pp: g.gmud(h, r, pp)
 
 
 @case("solve_rotations")
