@@ -99,21 +99,6 @@ def _check_inputs(noise_var: float, *lambda1s: float) -> None:
             raise DomainError(f"lambda1 = {lambda1:.6g} is too large: lambda1**2 overflows float64")
 
 
-def _check_reports(lambda1: np.ndarray, v1: np.ndarray) -> None:
-    """Raise for the first bad pair of (P, 2) reports what a loop over the pairs would.
-
-    Per pair: each user's lambda1**2 overflow (:func:`_check_inputs`), then
-    each user's lambda1 and v1 as :func:`steered_beams` checks them.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = np.isinf(lambda1 * lambda1) | ~((0.0 < lambda1) & (lambda1 < np.inf)) | (np.abs(_norm(v1) - 1.0) > 1e-9)
-    if bad.any():
-        j = int(np.argmax(bad.any(axis=1)))
-        _check_inputs(0.0, *lambda1[j].tolist())
-        for lam, v in zip(lambda1[j].tolist(), v1[j]):
-            _check_report(lam, v)
-
-
 def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
     """G of every (R, K, N_T) row stack: the kernel of :func:`reg_inv`."""
     h = np.ascontiguousarray(h, dtype=np.complex128)
@@ -154,10 +139,14 @@ def _abs2(z):
     return z.real**2 + z.imag**2
 
 
-def _capped_ratio(num, den):
+def _ratio(num, den):
     """num/den saturated at SINR_CAP, silently: a quotient that overflows is CAP, and a den that is not
-    positive (0, or NaN) gives CAP for num > 0 and 0 otherwise."""
+    positive (0, or NaN) gives CAP for num > 0 and 0 otherwise.  ``den`` (shaped like the result) is
+    consumed.  Where every den is positive the quotients are taken directly, into ``den``, and capped: the
+    same bytes as the masked rule, which the rest (zero noise) takes."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if den.min(initial=np.inf) > 0.0:  # NaN fails too
+            return np.minimum(np.divide(num, den, out=den), SINR_CAP, out=den)
         return np.minimum(np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0)), SINR_CAP)
 
 
@@ -176,7 +165,7 @@ def _select(h_hat: np.ndarray, noise_var: float):
     noise_term = 0.0 if noise_var == 0.0 else (gamma_bar / (1.0 / noise_var))[..., None]
     powers = _abs2(e)
     # reg_inv inverts 2x2 only, so there are two users: e_01 interferes with 0, e_10 with 1
-    sinrs = _capped_ratio(powers[..., [0, 1], [0, 1]], powers[..., [0, 1], [1, 0]] + noise_term)
+    sinrs = _ratio(powers[..., [0, 1], [0, 1]], powers[..., [0, 1], [1, 0]] + noise_term)
     pick = sinrs.min(axis=-1).argmax(axis=1)
     r = np.arange(len(pick))
     return pick, g[r, pick], sinrs[r, pick], gamma_bar[r, pick]
@@ -218,23 +207,17 @@ def _beam_x(beams_k, beams_l):
 
 
 def _sinr(x, rk2, rl2, a2, b2, noise_var):
-    """SINR_k and SINR_l of broadcastable arrays x, r_k^2, r_l^2, alpha^2 and beta^2, for the caller to cap.
+    """SINR_k and SINR_l of broadcastable arrays x, r_k^2, r_l^2, alpha^2 and beta^2, each through :func:`_ratio`.
 
     SINR_k = alpha^2 r_k^2 / (beta^2 r_k^2 x + sigma^2 gamma_bar) with gamma_bar = alpha^2 + beta^2, SINR_l
-    likewise.  Elementwise, so any layout of the operands gives the same bytes.  Where every den is positive
-    the quotients are taken directly, inf where they overflow, and np.minimum(., SINR_CAP) makes them what
-    :func:`_capped_ratio` gives; one min per den checks it.  For x >= 0 each den is at least
-    sigma^2 gamma_bar, so on the search's splits any noise_var > 0 takes this path.  Otherwise (zero noise)
-    a den may be 0, and :func:`_capped_ratio` rules.
+    likewise.  Elementwise, so any layout of the operands gives the same bytes.  For x >= 0 each den is at
+    least sigma^2 gamma_bar, so on the search's splits any noise_var > 0 takes :func:`_ratio`'s division.
     """
     n = noise_var * (a2 + b2)
-    nums, dens = (a2 * rk2, b2 * rl2), ((b2 * rk2) * x, (a2 * rl2) * x)
+    dens = (b2 * rk2) * x, (a2 * rl2) * x
     for den in dens:
         den += n
-    if not all(den.min(initial=np.inf) > 0.0 for den in dens):  # NaN fails too
-        return tuple(map(_capped_ratio, nums, dens))
-    with np.errstate(over="ignore"):
-        return tuple(np.divide(num, den, out=den) for num, den in zip(nums, dens))
+    return _ratio(a2 * rk2, dens[0]), _ratio(b2 * rl2, dens[1])
 
 
 def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
@@ -246,8 +229,7 @@ def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
     """
     a2, b2 = alpha**2, beta**2
     rk2, rl2 = (rk * rk)[:, None, None, None, None], (rl * rl)[None, :, None, None, None]
-    sk, sl = _sinr(_beam_x(beams_k, beams_l)[..., None], rk2, rl2, a2, b2, noise_var)
-    return np.minimum(sk, SINR_CAP), np.minimum(sl, SINR_CAP), a2 + b2
+    return (*_sinr(_beam_x(beams_k, beams_l)[..., None], rk2, rl2, a2, b2, noise_var), a2 + b2)
 
 
 def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrReport:
@@ -314,7 +296,7 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     reports, user k first.  Returns G (P, 2, 2), the params (P, 6) in
     :class:`GmudBeamParams` order and the reports (P, 4): SINR_k, SINR_l,
     their minimum and gamma_bar.  Each pair gets the bytes a search of it
-    alone gives, and the first bad pair raises what a loop would.
+    alone gives.  Nothing is checked: the callers pass valid reports.
 
     For fixed (i_rk, i_rl, i_alpha) and finite r^2, each SINR is a chain of
     correctly rounded steps monotone in x = |q_k^H q_l|^2 (times a constant
@@ -350,8 +332,6 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     scales with lambda, and c and s enter as computed, cancellation error and
     all (near lambda1 - lambda2 = 1e-12 lambda1).
     """
-    _check_inputs(noise_var)
-    _check_reports(lambda1, v1)
     n_r, n_t, n_p = grid.n_r, grid.n_theta, grid.n_p
     pairs = np.arange(len(lambda1))
     r = _linspace(lambda2, lambda1, n_r)  # (P, 2, n_r)
@@ -367,7 +347,7 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     def min_sinr(x, p, i):  # min-SINR (n_p,) + x.shape of the blocks i = i_rk * n_r + i_rl of pairs p at x
         split = (-1,) + (1,) * x.ndim  # splits lead
         sk, sl = _sinr(x, r2[p, 0, i // n_r], r2[p, 1, i % n_r], a2.reshape(split), b2.reshape(split), noise_var)
-        return np.minimum(np.minimum(sk, sl, out=sk), SINR_CAP, out=sk)  # capped once
+        return np.minimum(sk, sl, out=sk)
 
     def score(p, i):  # beams, x (len(p), n_theta^2) and min-SINR at min x (n_p, len(p)) of the blocks i of pairs p
         i_r = np.stack(np.divmod(i, n_r), axis=1)
@@ -395,9 +375,8 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     splits = np.argsort(~at_peak, axis=1, kind="stable")[:, : at_peak.sum(axis=1).max()]
     i_rk, i_rl = np.divmod(block, n_r)
     r_k, r_l = r[pairs, 0, i_rk], r[pairs, 1, i_rl]
-    sk, sl = (np.minimum(v, SINR_CAP) for v in _sinr(x[..., None], r2[pairs, 0, i_rk, None, None],
-                                                     r2[pairs, 1, i_rl, None, None], a2[splits][:, None],
-                                                     b2[splits][:, None], noise_var))
+    sk, sl = _sinr(x[..., None], r2[pairs, 0, i_rk, None, None], r2[pairs, 1, i_rl, None, None],
+                   a2[splits][:, None], b2[splits][:, None], noise_var)
     sinr = np.minimum(sk, sl)  # (P, n_theta^2, splits)
     i_t, j = np.divmod(sinr.reshape(len(pairs), -1).argmax(axis=1), splits.shape[1])
     i_a = splits[pairs, j]
@@ -422,7 +401,9 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
     Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].
     """
-    _check_inputs(noise_var)  # before the reports are read
+    _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
+    for fb in (fb_k, fb_l):
+        _check_report(fb.lambda1, fb.v1)
     g, params, report = _search(
         np.array([[fb_k.lambda1, fb_l.lambda1]], dtype=np.float64),
         np.array([[fb_k.lambda2, fb_l.lambda2]], dtype=np.float64),

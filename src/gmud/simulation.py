@@ -183,6 +183,14 @@ def _integer(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
+def _finite_real(x) -> bool:
+    """A real, not bool, and finite as a float64."""
+    try:
+        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond float64, such as 10**400
+        return False
+
+
 def _noise_var(snr_db):
     """10**(-snr_db/10), the noise variance at ``snr_db`` dB; ValueError where it overflows (below ~-3082 dB)."""
     with np.errstate(over="raise"):  # a numpy scalar would give inf where a float raises
@@ -211,9 +219,7 @@ class SimConfig:
         if self.modulation not in MODULATIONS:
             raise ValueError(f"modulation must be one of {tuple(MODULATIONS)}")
         snr = self.snr_db
-        if not isinstance(snr, (Sequence, np.ndarray)) or isinstance(snr, str) or not all(
-            isinstance(s, Real) and not isinstance(s, bool) and math.isfinite(s) for s in snr
-        ):
+        if not isinstance(snr, (Sequence, np.ndarray)) or isinstance(snr, str) or not all(map(_finite_real, snr)):
             raise ValueError("snr_db must be a sequence of finite reals")
         if len(snr) == 0:
             raise ValueError("snr_db must be nonempty")
@@ -353,7 +359,10 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
     draws for real and imaginary parts.
     """
     n = None if config.feedback == "perfect" else config.feedback
-    noise_var = _noise_var(config.snr_db[snr_idx])
+    snr_db = config.snr_db[snr_idx]
+    noise_var = _noise_var(snr_db)
+    if config.scheme != "gmud" and math.isinf(2.0 * float(noise_var)):  # _reg_inv's K*noise_var, K = 2 users
+        raise ValueError(f"snr_db {snr_db} is too low for {config.scheme}: its regularizer 2*noise_var overflows")
     bits = 2 * config.symbols * MODULATIONS[config.modulation]
     states = _seed_states(int(config.seed), snr_idx, config.realizations)
     err_counts = np.empty(config.realizations, dtype=np.int64)

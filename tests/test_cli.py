@@ -6,6 +6,7 @@ import pytest
 
 from gmud.cli import CSV_HEADER, main
 from gmud.feedback import SCHEMES
+from gmud.svgplot import line_chart
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -55,6 +56,7 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", "--matrix", "1 2 3", "--r", "1")
         assert code == 2
         assert "8" in err
+        assert run_cli(capsys, "decompose", "--r", "1") == (2, "", "gmud: error: provide --matrix or --file\n")
 
 
 class TestQuantize:
@@ -67,6 +69,10 @@ class TestQuantize:
         assert doc["total_bits"] == 48
         assert len(doc["bits"]) == 48
         assert doc["decoded"]["lambda1"] >= doc["decoded"]["lambda2"]
+        code, out, _ = run_cli(capsys, "quantize", "--matrix", "2 0 0 0 0 0 1 0", "--scheme", "reg-inv")
+        doc = json.loads(out)
+        assert (code, doc["total_bits"], len(doc["bits"])) == (0, 48, 48)
+        assert list(doc["decoded"]) == ["row", "norm"] and doc["decoded"]["norm"] == pytest.approx(2.0, rel=0.1)
 
     def test_selection_alias(self, capsys):
         matrix = ("--matrix", "2 0 0.5 0 0 1 1 0")
@@ -155,6 +161,11 @@ class TestSweep:
         assert code == 2
         assert "snr" in err.lower()
         assert not os.path.exists(str(tmp_path / "x") + ".csv")
+        for snr, message in (("1:2", "bad --snr '1:2'; expected start:step:stop"),
+                             ("1:0:2", "--snr step 0 requires start == stop")):
+            code, out, err = run_cli(capsys, "sweep", "--scheme", "gmud", "--snr", snr, "--out", str(tmp_path / "x"))
+            assert (code, out, err) == (2, "", f"gmud: error: {message}\n")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("snr", ["0:1:inf", "nan:0:nan", "-inf:0:-inf", "inf:0:inf", "0:nan:10"])
     def test_non_finite_snr_flag(self, capsys, tmp_path, snr):
@@ -178,6 +189,15 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == "gmud: error: snr_db -5000.0 is too low: its noise variance 10**(-snr_db/10) overflows\n"
         assert os.listdir(tmp_path) == []
+
+    def test_overflowing_regularizer_flag(self, capsys, tmp_path):
+        # the noise variance is finite at -3082 dB, so gmud runs; the inverse schemes' 2*noise_var is not
+        args = ("--snr=-3082:0:-3082", "--realizations", "2", "--symbols", "2")
+        code, out, err = run_cli(capsys, "sweep", "--scheme", "reg-inv", *args, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "gmud: error: snr_db -3082.0 is too low for reg-inv: its regularizer 2*noise_var overflows\n"
+        assert os.listdir(tmp_path) == []
+        assert run_cli(capsys, "sweep", "--scheme", "gmud", *args, "--out", str(tmp_path / "g"))[0] == 0
 
     def test_all_zero_ber_sweep_is_a_result(self, capsys, tmp_path):
         # every point's BER is 0 here: the chart has axes and a legend but no curve
@@ -204,19 +224,33 @@ class TestSweep:
         )
         assert (code, err) == (2, "gmud: error: nothing to plot\n")
         assert os.listdir(tmp_path) == []
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="nothing to plot"):  # the refusal imitated above
+            line_chart([("empty", [])], "t", "x", "y")
+        # a write that fails removes its temp file: here the CSV's path is a directory
+        os.mkdir(tmp_path / "x.csv")
+        code, _, err = run_cli(
+            capsys, "sweep", "--scheme", "reg-inv", "--snr", "5:0:5", "--realizations", "2", "--symbols", "4",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2 and err.startswith("gmud: error: ")
+        assert os.listdir(tmp_path) == ["x.csv"] and os.listdir(tmp_path / "x.csv") == []
 
     @pytest.mark.parametrize("command", [("sweep", "--scheme", "reg-inv"), ("compare",)])
     def test_bad_grid_writes_nothing(self, capsys, tmp_path, command):
-        # the grid is checked when it is parsed, before any curve is computed,
-        # also for a scheme that never searches it
-        code, out, err = run_cli(
-            capsys, *command, "--snr", "5:0:5", "--realizations", "2", "--symbols", "4",
-            "--grid", "0,4,3", "--out", str(tmp_path / "x"),
-        )
-        assert code == 2
-        assert out == ""
-        assert "grid sizes must be >= 1" in err
-        assert os.listdir(tmp_path) == []
+        # the grid (and the feedback modes) are checked when they are parsed, before any curve is computed,
+        # also for a scheme that never searches the grid
+        for flags, message in ((("--grid", "0,4,3"), "grid sizes must be >= 1"),
+                               (("--grid", "1,2"), "bad --grid '1,2'; expected NR,NTHETA,NP"),
+                               (("--feedback", "0"), "--feedback must be 'perfect' or a positive integer N")):
+            code, out, err = run_cli(
+                capsys, *command, "--snr", "5:0:5", "--realizations", "2", "--symbols", "4",
+                *flags, "--out", str(tmp_path / "x"),
+            )
+            assert code == 2
+            assert out == ""
+            assert message in err
+            assert os.listdir(tmp_path) == []
 
     def test_env_seed_default_and_flag_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("GMUD_SEED", "99")

@@ -7,15 +7,12 @@ from gmud import (
     DomainError,
     PhasePair,
     beam_from_feedback,
+    crandn,
     gmud,
     solve_rotations,
     steered_beams,
     svd2x2,
 )
-
-
-def crand(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
 class TestSolveRotations:
@@ -109,7 +106,7 @@ class TestGmud:
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         for _ in range(500):
-            h = crand(rng, (2, 2))
+            h = crandn(rng, (2, 2))
             svd = svd2x2(h)
             if svd.lambda1 <= 0:
                 continue
@@ -152,9 +149,9 @@ class TestGmud:
         cases = []
         for i in range(500):
             if i % 2:
-                h = crand(rng, (2, 2))
+                h = crandn(rng, (2, 2))
             else:  # the benchmark's factorize inputs, 1 in 4 of them scaled by 2**+-(300..1000)
-                q1, q2 = (np.linalg.qr(crand(rng, (2, 2)))[0] for _ in range(2))
+                q1, q2 = (np.linalg.qr(crandn(rng, (2, 2)))[0] for _ in range(2))
                 s1 = 2.0 ** rng.uniform(-4.0, 4.0)
                 h = (q1 * [s1, s1 * 10.0 ** rng.uniform(-3.0, 0.0)]) @ q2.conj().T
                 if i % 8 == 0:
@@ -181,7 +178,7 @@ class TestGmud:
 
     def test_r_independent_of_phases(self):
         rng = np.random.default_rng(4)
-        h = crand(rng, (2, 2))
+        h = crandn(rng, (2, 2))
         svd = svd2x2(h)
         r = 0.5 * (svd.lambda1 + svd.lambda2)
         f1 = gmud(h, r, PhasePair(0.3, 1.8))
@@ -192,6 +189,8 @@ class TestGmud:
     def test_out_of_range_names_interval(self):
         with pytest.raises(DomainError, match="interval"):
             gmud(np.diag([2.0, 1.0]), 5.0)
+        with pytest.raises(DomainError, match="zero matrix admits no positive r"):
+            gmud(np.zeros((2, 2)), 1.0)
 
     def test_transmitted_beam_and_combiner_are_one_factorization(self):
         # svd2x2 completes v1 as the transmitter does, so at (theta, 0) the beam
@@ -200,8 +199,8 @@ class TestGmud:
         from gmud.simulation import _rotation_projection
 
         rng = np.random.default_rng(9)
-        channels = [crand(rng, (2, 2)) for _ in range(500)]
-        channels += [np.outer(crand(rng, 2), crand(rng, 2).conj()), 0.7 * np.eye(2), np.diag([2.0, 1.0])]
+        channels = [crandn(rng, (2, 2)) for _ in range(500)]
+        channels += [np.outer(crandn(rng, 2), crandn(rng, 2).conj()), 0.7 * np.eye(2), np.diag([2.0, 1.0])]
         for h in channels:
             svd = svd2x2(h)
             r = float(rng.uniform(svd.lambda2, svd.lambda1))
@@ -215,7 +214,7 @@ class TestGmud:
 class TestBeams:
     def test_svd_boundary_is_principal_vector(self):
         rng = np.random.default_rng(6)
-        svd = svd2x2(crand(rng, (2, 2)))
+        svd = svd2x2(crandn(rng, (2, 2)))
         v1 = svd.v[:, 0]
         for theta in (0.0, 1.0, 4.0):
             q1 = beam_from_feedback(svd.lambda1, svd.lambda2, v1, svd.lambda1, theta)
@@ -247,7 +246,7 @@ class TestBeams:
 
     def test_grid_matches_scalar_bit_exactly(self):
         rng = np.random.default_rng(7)
-        v1 = crand(rng, (2,))
+        v1 = crandn(rng, (2,))
         v1 /= np.linalg.norm(v1)
         thetas = np.linspace(0.0, 2 * np.pi, 7, endpoint=False)
         # (1.5, 1.5): equal singular values, where every beam is e^{i theta} v1

@@ -13,6 +13,7 @@ from gmud import (
     GmudFeedback,
     RegInvFixedFeedback,
     RegInvSelectionFeedback,
+    crandn,
     decode,
     encode,
     quantize_scalar,
@@ -22,10 +23,6 @@ from gmud import (
 from gmud.feedback import SCHEMES
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_feedback.json")
-
-
-def crand(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
 class TestQuantizeScalar:
@@ -78,7 +75,7 @@ class TestBudget:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_encoded_lengths(self, n):
         rng = np.random.default_rng(0)
-        h = crand(rng, (2, 2))
+        h = crandn(rng, (2, 2))
         svd = svd2x2(h)
         assert len(encode(h, "reg-inv-sel", n)) == 12 * n
         assert len(encode(h, "reg-inv", n)) == 12 * n
@@ -97,12 +94,14 @@ class TestBudget:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             scheme_layout("bogus", 4)
+        with pytest.raises(ValueError, match="budget parameter N must be >= 1"):
+            scheme_layout("gmud", 0)
 
 
 class TestCodec:
     def test_round_trip_reconstruction_exact(self):
         rng = np.random.default_rng(1)
-        h = crand(rng, (2, 2))
+        h = crandn(rng, (2, 2))
         for scheme, source in (
             ("reg-inv-sel", h),
             ("reg-inv", h),
@@ -131,7 +130,7 @@ class TestCodec:
     def test_decoded_vectors_unit_norm(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            h = crand(rng, (2, 2))
+            h = crandn(rng, (2, 2))
             sel = decode(encode(h, "reg-inv-sel", 2), "reg-inv-sel", 2)
             for row in sel.unit_rows:
                 assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
@@ -163,7 +162,7 @@ class TestCodec:
 
         rng = np.random.default_rng(4)
         for _ in range(20):
-            svd = svd2x2(crand(rng, (2, 2)))
+            svd = svd2x2(crandn(rng, (2, 2)))
             msg = decode(encode(svd, "gmud", 16), "gmud", 16)
             r = 0.5 * (svd.lambda1 + svd.lambda2)
             r_hat = min(max(r, msg.lambda2), msg.lambda1)
@@ -182,12 +181,12 @@ class TestCodec:
 
     def test_gmud_channel_source_is_its_svd(self):
         rng = np.random.default_rng(6)
-        h = crand(rng, (2, 2))
+        h = crandn(rng, (2, 2))
         assert encode(h, "gmud", 4) == encode(svd2x2(h), "gmud", 4)
 
     def test_exact_report_from_svd(self):
         rng = np.random.default_rng(7)
-        svd = svd2x2(crand(rng, (2, 2)))
+        svd = svd2x2(crandn(rng, (2, 2)))
         msg = GmudFeedback.from_svd(svd)
         assert np.array_equal(msg.v1, svd.v[:, 0])
         assert (msg.lambda1, msg.lambda2) == (svd.lambda1, svd.lambda2)
@@ -217,7 +216,7 @@ class TestCodec:
 
     def test_encoding_pure_function(self):
         rng = np.random.default_rng(5)
-        h = crand(rng, (2, 2))
+        h = crandn(rng, (2, 2))
         assert encode(h, "reg-inv-sel", 4) == encode(h.copy(), "reg-inv-sel", 4)
 
 

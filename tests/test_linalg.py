@@ -3,12 +3,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
-from gmud import DomainError, SingularMatrixError, mat_inv, svd2x2
+from gmud import DomainError, SingularMatrixError, crandn, mat_inv, svd2x2
 from gmud.linalg import _RANK_TOL, _svd2x2, orthonormal_complement
-
-
-def crand(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
@@ -44,13 +40,13 @@ class TestMatInv:
     def test_residual_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            a = crand(rng, (2, 2)) + 2 * np.eye(2)
+            a = crandn(rng, (2, 2)) + 2 * np.eye(2)
             assert np.linalg.norm(a @ mat_inv(a) - np.eye(2)) <= 1e-10
 
     def test_double_inverse(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            a = crand(rng, (2, 2)) + 2 * np.eye(2)
+            a = crandn(rng, (2, 2)) + 2 * np.eye(2)
             assert np.linalg.norm(mat_inv(mat_inv(a)) - a) <= 1e-9 * np.linalg.norm(a)
 
     def test_larger_square_rejected(self):
@@ -78,6 +74,8 @@ class TestMatInv:
     def test_not_square(self):
         with pytest.raises(ValueError, match="square"):
             mat_inv(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
+            mat_inv(np.ones(4))
 
 
 class TestOrthonormalComplement:
@@ -88,7 +86,7 @@ class TestOrthonormalComplement:
     def test_random_orthogonality(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
-            v = crand(rng, (2,))
+            v = crandn(rng, (2,))
             v /= np.linalg.norm(v)
             w = orthonormal_complement(v)
             assert abs(np.vdot(v, w)) <= 1e-12
@@ -135,7 +133,7 @@ class TestSvd2x2:
     def test_random_suite(self):
         rng = np.random.default_rng(6)
         for _ in range(2000):
-            h = crand(rng, (2, 2))
+            h = crandn(rng, (2, 2))
             f = svd2x2(h)
             scale = max(1.0, np.linalg.norm(h))
             assert f.lambda1 >= f.lambda2 >= 0.0
@@ -150,7 +148,7 @@ class TestSvd2x2:
         # transmitter's completion of v1, bit for bit; multiples of the identity
         # take the same path with v1 = e1
         rng = np.random.default_rng(7)
-        channels = [crand(rng, (2, 2)) for _ in range(200)]
+        channels = [crandn(rng, (2, 2)) for _ in range(200)]
         channels += [0.7 * np.eye(2), np.ldexp(1.0, -600) * np.eye(2), np.exp(1.1j) * np.eye(2)]
         for h in channels:
             f = svd2x2(h)
@@ -162,7 +160,7 @@ class TestSvd2x2:
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
-        h = crand(rng, (2, 2))
+        h = crandn(rng, (2, 2))
         f1, f2 = svd2x2(h), svd2x2(h)
         assert np.array_equal(f1.u, f2.u)
         assert np.array_equal(f1.v, f2.v)
@@ -228,14 +226,14 @@ class TestStackedSvd:
     def stack(self):
         rng = np.random.default_rng(21)
         q1, q2 = (unitary(*rng.uniform(0.0, 2 * np.pi, 4)) for _ in range(2))
-        mats = [crand(rng, (2, 2)) for _ in range(13)]
+        mats = [crandn(rng, (2, 2)) for _ in range(13)]
         mats += [np.zeros((2, 2)), 0.7 * np.eye(2), np.exp(1.1j) * np.eye(2), np.ldexp(1.0, -600) * np.eye(2)]
-        mats += [np.outer(crand(rng, 2), crand(rng, 2).conj()) for _ in range(3)]
+        mats += [np.outer(crandn(rng, 2), crandn(rng, 2).conj()) for _ in range(3)]
         # lambda2 just below and just above _RANK_TOL * lambda1: u2 completed, then u2 = h v2 / lambda2
         mats += [q1 @ np.diag([1.0, f * _RANK_TOL]) @ q2 for f in (0.99, 1.01)]
         mats += [unitary(9.220892867948306e-139, 2.0, 0.0, 2.0)]  # h^H h within 2**-128 of I
-        mats += [scaled(crand(rng, (2, 2)), k) for k in (1000, -1000, 1000, -1000)]
-        mats += [scaled(np.outer(crand(rng, 2), crand(rng, 2).conj()), k) for k in (1000, -1000)]
+        mats += [scaled(crandn(rng, (2, 2)), k) for k in (1000, -1000, 1000, -1000)]
+        mats += [scaled(np.outer(crandn(rng, 2), crandn(rng, 2).conj()), k) for k in (1000, -1000)]
         mats += [scaled(unitary(*rng.uniform(0.0, 2 * np.pi, 4)), k) for k in (1000, -1000)]
         mats += [5e-324 * np.eye(2), 1e-160 * np.array([[1.0, 2.0], [3.0, 4.0]])]
         assert len(mats) == 33
@@ -255,8 +253,8 @@ class TestStackedSvd:
         # equal singular values make the moduli of v1's entries tie or nearly
         # tie, where only hypot's rounding picks the entry svd2x2 picks
         rng = np.random.default_rng(22)
-        kinds = (lambda: crand(rng, (2, 2)), lambda: rng.uniform(0.1, 3.0) * unitary(*rng.uniform(0.0, 2 * np.pi, 4)),
-                 lambda: np.outer(crand(rng, 2), crand(rng, 2).conj()))
+        kinds = (lambda: crandn(rng, (2, 2)), lambda: rng.uniform(0.1, 3.0) * unitary(*rng.uniform(0.0, 2 * np.pi, 4)),
+                 lambda: np.outer(crandn(rng, 2), crandn(rng, 2).conj()))
         h = np.array([scaled(kinds[i % 3](), int(rng.integers(-60, 60))) for i in range(600)])
         u, lambda1, lambda2, v = _svd2x2(h)
         for i, m in enumerate(h):

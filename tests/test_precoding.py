@@ -15,6 +15,7 @@ from gmud import (
     SinrReport,
     antenna_selection,
     beam_from_feedback,
+    crandn,
     expected_gamma,
     gen_channels,
     gmud_min_sinr,
@@ -23,10 +24,6 @@ from gmud import (
     steered_beams,
     svd2x2,
 )
-
-
-def crand(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
 
 
 def random_reports(rng):
@@ -50,13 +47,13 @@ def hard_pairs(rng, count, n=None):
     pairs = []
     for p in range(count):
         kind = p % 10
-        h_k, h_l = crand(rng, (2, 2, 2))
+        h_k, h_l = crandn(rng, (2, 2, 2))
         if kind in (1, 4, 6):
             h_l = h_k
         elif kind == 2:
             h_l = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * h_k
         elif kind == 3:
-            h_k = rng.uniform(0.1, 3.0) * np.linalg.qr(crand(rng, (2, 2)))[0]
+            h_k = rng.uniform(0.1, 3.0) * np.linalg.qr(crandn(rng, (2, 2)))[0]
         elif kind == 8:
             h_k, h_l = 2.0**300 * h_k, 2.0**-300 * h_l
         fb_k, fb_l = report(h_k), report(h_l)
@@ -84,7 +81,7 @@ class TestRegInv:
     def test_zero_forcing_residual(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            h = crand(rng, (2, 2))
+            h = crandn(rng, (2, 2))
             if abs(np.linalg.det(h)) < 0.1:
                 continue
             assert np.linalg.norm(h @ reg_inv(h, 0.0) - np.eye(2)) <= 1e-9
@@ -121,7 +118,7 @@ class TestAntennaSelection:
 
     def test_single_row_degenerate(self):
         rng = np.random.default_rng(1)
-        channels = [crand(rng, (1, 2)), crand(rng, (1, 2))]
+        channels = [crandn(rng, (1, 2)), crandn(rng, (1, 2))]
         combo, g, report = antenna_selection(channels, 0.01)
         assert combo == (0, 0)
 
@@ -136,7 +133,7 @@ class TestAntennaSelection:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            channels = [crand(rng, (2, 2)), crand(rng, (2, 2))]
+            channels = [crandn(rng, (2, 2)), crandn(rng, (2, 2))]
             noise = float(rng.uniform(1e-4, 0.5))
             combo, g, report = antenna_selection(channels, noise)
             expected_combo, expected_score = self.brute_force(channels, noise)
@@ -145,7 +142,7 @@ class TestAntennaSelection:
 
     def test_candidate_order_invariance(self):
         rng = np.random.default_rng(3)
-        channels = [crand(rng, (2, 2)), crand(rng, (2, 2))]
+        channels = [crandn(rng, (2, 2)), crandn(rng, (2, 2))]
         combo1, _, rep1 = antenna_selection(channels, 0.05)
         combo2, _, rep2 = antenna_selection([c.copy() for c in channels], 0.05)
         assert combo1 == combo2 and rep1.min_sinr == rep2.min_sinr
@@ -238,11 +235,15 @@ class TestGmudMinSinr:
         assert rep.per_user == point.per_user == (SINR_CAP, SINR_CAP)
 
     def test_division_path_equals_masked_rule(self):
-        # where every denominator is positive the kernel divides directly; capped, that is byte for byte the
-        # masked rule of _capped_ratio, at alpha^2 = 0 and beta^2 = 0 (criterion 4's edge splits), x = 0,
-        # r = 0 and overflowing quotients too.  At zero noise, and for splits no search makes (alpha = beta = 0,
-        # a NaN or an overflowing square, as gmud_min_sinr accepts them), the kernel takes the rule itself
-        from gmud.precoding import _capped_ratio, _sinr
+        # where every denominator is positive _ratio divides directly; capped, that is byte for byte the masked
+        # rule written out below, at alpha^2 = 0 and beta^2 = 0 (criterion 4's edge splits), x = 0, r = 0 and
+        # overflowing quotients too.  At zero noise, and for splits no search makes (alpha = beta = 0, a NaN or
+        # an overflowing square, as gmud_min_sinr accepts them), _ratio takes the rule itself
+        from gmud.precoding import _sinr
+
+        def masked(num, den):  # num/den capped; a den that is not positive gives CAP for num > 0, else 0
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return np.minimum(np.where(den > 0.0, num / den, np.where(num > 0.0, np.inf, 0.0)), SINR_CAP)
 
         rng = np.random.default_rng(61)
         x = rng.uniform(0.0, 1.0, (400, 1))
@@ -256,10 +257,10 @@ class TestGmudMinSinr:
             for split_a2, split_b2 in ((a2, b2), (odd, odd[::-1])):
                 with warnings.catch_warnings():  # the odd splits' products may warn (inf * 0), the search's not
                     warnings.simplefilter("error" if split_a2 is a2 else "ignore")
-                    sinrs = [np.minimum(v, SINR_CAP) for v in _sinr(x, rk2, rl2, split_a2, split_b2, noise)]
+                    sinrs = _sinr(x, rk2, rl2, split_a2, split_b2, noise)
                     n = noise * (split_a2 + split_b2)
-                    want = [_capped_ratio(split_a2 * rk2, (split_b2 * rk2) * x + n),
-                            _capped_ratio(split_b2 * rl2, (split_a2 * rl2) * x + n)]
+                    want = [masked(split_a2 * rk2, (split_b2 * rk2) * x + n),
+                            masked(split_b2 * rl2, (split_a2 * rl2) * x + n)]
                 for got, expected in zip(sinrs, want):
                     assert got.tobytes() == expected.tobytes(), noise
                 if split_a2 is a2:  # a silenced user
@@ -415,11 +416,11 @@ class TestOptimizeGmud:
             grid = grids[0] if i % 10 == 0 else grids[1 + i % 4]
             noise = (0.0, 1e-3, 0.05, 1.0)[i % 4]
             n = (None, 1, 2, 4)[(i // 4) % 4]
-            h_k, h_l = crand(rng, (2, 2, 2))
+            h_k, h_l = crandn(rng, (2, 2, 2))
             if i % 20 == 7:
                 h_l = h_k  # collinear users
             if i % 37 == 5:
-                h_k = rng.uniform(0.1, 3.0) * np.linalg.qr(crand(rng, (2, 2)))[0]  # lambda1 = lambda2
+                h_k = rng.uniform(0.1, 3.0) * np.linalg.qr(crandn(rng, (2, 2)))[0]  # lambda1 = lambda2
             svds = (svd2x2(h_k), svd2x2(h_l))
             if n is None:
                 fb_k, fb_l = (GmudFeedback.from_svd(s) for s in svds)
@@ -496,7 +497,7 @@ class TestOptimizeGmud:
         monkeypatch.setattr(precoding, "_x_bound", minima)
         rng = np.random.default_rng(53)
         for noise in (1e-3, 0.05, 1.0):
-            v1_k, v1_l = (v / np.linalg.norm(v) for v in crand(rng, (2, 2)))
+            v1_k, v1_l = (v / np.linalg.norm(v) for v in crandn(rng, (2, 2)))
             fb_k = GmudFeedback(np.zeros(6), v1_k, 0.2, 0.2 * (1.0 - 5e-13))
             fb_l = GmudFeedback(np.zeros(6), v1_l, 1.0, 1.0 - 5e-13)
             g, params, rep = optimize_gmud(fb_k, fb_l, noise)
@@ -540,7 +541,7 @@ class TestOptimizeGmud:
         # lambda1**2 overflows from ~1.34e154 up and the SINRs would come out
         # NaN (inf/inf); a NaN lambda1 gave NaN beams; both now raise
         rng = np.random.default_rng(14)
-        h_k, h_l = crand(rng, (2, 2, 2))
+        h_k, h_l = crandn(rng, (2, 2, 2))
         fb_l = GmudFeedback.from_svd(svd2x2(h_l))
         huge = GmudFeedback.from_svd(svd2x2(1e155 * h_k))
         nan = GmudFeedback(np.zeros(6), np.array([0.6, 0.8j]), np.nan, 0.5)
@@ -551,6 +552,12 @@ class TestOptimizeGmud:
                     optimize_gmud(k, l, 0.1, GridSpec(2, 3, 2))
             with pytest.raises(DomainError, match=message):
                 gmud_min_sinr(params, fb, fb_l, 0.1)
+        # per pair, both users' lambda1**2 checks come before either user's lambda1 and v1 checks
+        skewed = GmudFeedback(np.zeros(6), np.array([1.0, 1.0], dtype=complex), 1.0, 0.5)
+        for k, l, message in ((skewed, huge, r"lambda1\*\*2 overflows"), (huge, skewed, r"lambda1\*\*2 overflows"),
+                              (nan, skewed, "lambda1 must be finite"), (skewed, nan, "v1 must be unit norm")):
+            with pytest.raises(DomainError, match=message):
+                optimize_gmud(k, l, 0.1, GridSpec(2, 3, 2))
         # the last r whose square is finite still gives a finite report
         edge = GmudFeedback.from_svd(svd2x2(1e153 * h_k))
         _, _, rep = optimize_gmud(edge, fb_l, 0.1, GridSpec(2, 3, 2))
@@ -567,9 +574,9 @@ class TestOptimizeGmud:
                 for n in (None, 1, 2, 4):
                     pairs = []
                     for p in range(9):
-                        channels = crand(rng, (2, 2, 2))
+                        channels = crandn(rng, (2, 2, 2))
                         if p % 3 == 1:  # lambda1 = lambda2
-                            channels[p % 2] = rng.uniform(0.1, 3.0) * np.linalg.qr(crand(rng, (2, 2)))[0]
+                            channels[p % 2] = rng.uniform(0.1, 3.0) * np.linalg.qr(crandn(rng, (2, 2)))[0]
                         svds = [svd2x2(h) for h in channels]
                         pairs.append([GmudFeedback.from_svd(s) if n is None else decode(encode(s, "gmud", n), "gmud", n)
                                       for s in svds])
@@ -582,27 +589,6 @@ class TestOptimizeGmud:
                         want = [*want_rep.per_user, want_rep.min_sinr, want_rep.gamma_bar]
                         assert report[j].tobytes() == np.array(want).tobytes()
 
-    def test_chunk_raises_as_the_loop(self):
-        # a bad report in pair j raises what the per-pair loop raises there
-        from gmud.precoding import _search
-
-        rng = np.random.default_rng(42)
-        pairs = [random_reports(rng) for _ in range(6)]
-        huge = GmudFeedback.from_svd(svd2x2(1e155 * crand(rng, (2, 2))))
-        skewed = GmudFeedback(np.zeros(6), np.array([1.0, 1.0], dtype=complex), 1.0, 0.5)
-        # within a pair both lambda1**2 checks come before the v1 checks
-        for j, bad_pair in ((4, (None, huge)), (2, (skewed, None)), (3, (huge, None)), (1, (skewed, huge))):
-            chunk = [list(pair) for pair in pairs]
-            chunk[j] = [fb if bad is None else bad for fb, bad in zip(chunk[j], bad_pair)]
-            chunk[5][0] = skewed  # a later bad pair never speaks first
-            with pytest.raises(DomainError) as want:
-                for fb_k, fb_l in chunk:
-                    optimize_gmud(fb_k, fb_l, 0.1, GridSpec(2, 3, 2))
-            with pytest.raises(DomainError) as got:
-                _search(*(np.array([[getattr(fb, f) for fb in pair] for pair in chunk])
-                          for f in ("lambda1", "lambda2", "v1")), 0.1, GridSpec(2, 3, 2))
-            assert str(got.value) == str(want.value)
-
     @pytest.mark.parametrize("noise", [-1.0, np.nan])
     def test_bad_noise_rejected(self, noise):
         rng = np.random.default_rng(13)
@@ -613,4 +599,4 @@ class TestOptimizeGmud:
         with pytest.raises(ValueError, match="noise_var must be nonnegative"):
             gmud_min_sinr(params, fb_k, fb_l, noise)
         with pytest.raises(ValueError, match="noise_var must be nonnegative"):
-            antenna_selection(list(crand(rng, (2, 2, 2))), noise)
+            antenna_selection(list(crandn(rng, (2, 2, 2))), noise)

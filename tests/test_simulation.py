@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -95,6 +96,8 @@ class TestModulation:
             modulate([0, 1, 0], "16qam")
         with pytest.raises(ValueError):
             modulate([0, 0], "8psk")
+        with pytest.raises(ValueError, match="unknown modulation '8psk'"):
+            demodulate([1.0], "8psk")
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool, np.float64])
     @pytest.mark.parametrize("mod", ["qpsk", "16qam"])
@@ -312,9 +315,11 @@ class TestSimConfig:
         for seed in (0, 2**32, 2**64 + 7, np.int64(5), np.uint64(2**64 - 1)):  # numpy seeds these too
             assert SimConfig(scheme="gmud", seed=seed).seed == seed
 
-    @pytest.mark.parametrize("snr_db", [(-np.inf,), (np.nan,), (np.inf,), (0.0, np.inf), [np.float64(-np.inf)]])
+    @pytest.mark.parametrize("snr_db", [(-np.inf,), (np.nan,), (np.inf,), (0.0, np.inf), [np.float64(-np.inf)],
+                                        (10**400,), (-(10**400),)])
     def test_non_finite_snr_refused(self, snr_db):
-        # -inf gave gmud a BER from NaN decisions, NaN a noise_var error, +inf singular inverses
+        # -inf gave gmud a BER from NaN decisions, NaN a noise_var error, +inf singular inverses, and an int
+        # beyond float64 an OverflowError from math.isfinite
         with pytest.raises(ValueError, match="snr_db must be a sequence of finite reals"):
             SimConfig(scheme="gmud", snr_db=snr_db)
 
@@ -329,6 +334,17 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=r"snr_db -?\d.* overflows"):
             run_ber(SimConfig(scheme="reg-inv", snr_db=snr_db, realizations=1, symbols=1))
         assert SimConfig(scheme="reg-inv", snr_db=(-3082.0,)).snr_db == (-3082.0,)  # 10**308.2 is finite
+
+    def test_overflowing_regularizer_refused_when_the_point_runs(self):
+        # between about -3079.5 and -3082 dB the noise variance is finite but the inverse schemes'
+        # regularizer 2*noise_var is not; it used to end in "matrix entries must be finite" from _mat_inv
+        for scheme in ("reg-inv", "reg-inv-sel"):
+            config = SimConfig(scheme=scheme, snr_db=(0.0, -3082.0), realizations=2, symbols=2)
+            with pytest.raises(ValueError, match=f"^snr_db -3082.0 is too low for {scheme}: its regularizer "
+                                                 r"2\*noise_var overflows$"):
+                run_ber(config)
+            assert run_ber(dataclasses.replace(config, snr_db=(-3079.0,))).points[0].bits == 16
+        assert run_ber(SimConfig(scheme="gmud", snr_db=(-3082.0,), realizations=2, symbols=2)).points[0].bits == 16
 
     def test_snr_sequences_accepted(self):
         for snr_db in ((0.0, 10.0), [5, 7.5], range(0, 30, 10), (np.float32(3.0), np.int64(4)), np.array([1.0, 2.0])):

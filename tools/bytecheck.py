@@ -466,6 +466,12 @@ def _optimize_gmud(g):
         for noise in TINY_NOISES:
             for grid in grids:
                 yield "edge", lambda k=fb_k, l=fb_l, noise=noise, grid=grid: g.optimize_gmud(k, l, noise, grid)
+    # the check order within a pair: both users' lambda1**2 first, then each user's lambda1 and v1 in turn
+    skewed = g.GmudFeedback(np.zeros(6), np.array([1.0, 1.0], dtype=complex), 1.0, 0.5)
+    nan, huge = _bad_reports(g, rng)
+    for pair in ((skewed, huge), (huge, skewed), (nan, skewed), (skewed, nan),
+                 (dataclasses.replace(nan, v1=skewed.v1), fb_l)):
+        yield "error", lambda pair=pair: g.optimize_gmud(*pair, 0.1, grids[3])
 
 
 @case("GridSpec")
