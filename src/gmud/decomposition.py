@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .linalg import SvdFactorization, orthonormal_complement, _pow2_exponents, svd2x2
+from .linalg import SvdFactorization, orthonormal_complement, _norm1, _pow2_exponents, svd2x2
 
 __all__ = [
     "GmudRotation",
@@ -103,7 +103,11 @@ def _check_lambda1(lambda1: float) -> None:
 def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
     """Validate 0 < lambda1 < inf and lambda2 <= r <= lambda1 (1e-9 relative slack); clamp r."""
     _check_lambda1(lambda1)
-    if not np.isfinite(r) or r <= 0.0:
+    try:
+        positive = not isinstance(r, (complex, np.complexfloating)) and math.isfinite(r) and r > 0.0
+    except (TypeError, OverflowError):  # a str or an array, or an int beyond float64
+        positive = False
+    if not positive:
         raise DomainError(f"r must be a positive real, got {r}")
     slack = _R_EDGE_TOL * lambda1
     if r < lambda2 - slack or r > lambda1 + slack:
@@ -119,6 +123,21 @@ def _any(mask) -> bool:
     return mask if isinstance(mask, bool) else mask.any()
 
 
+def _where(mask, x, y):
+    """``np.where(mask, x, y)``; the plain choice for a Python bool mask (from Python floats) between scalars."""
+    if isinstance(mask, bool) and not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return x if mask else y
+    return np.where(mask, x, y)
+
+
+def _root(num, den):
+    """sqrt(max(num, 0) / den): ``math`` on Python floats, numpy on arrays.  Each step is correctly
+    rounded, so the two give the same bytes; numpy-scalar calls would cost ~1 us each."""
+    if isinstance(num, float):
+        return math.sqrt(max(num, 0.0) / den)
+    return np.sqrt(np.maximum(num, 0.0) / den)
+
+
 def _rotation_factors(lambda1, lambda2, r):
     """Elementwise (a, b, c, s) of broadcastable ``lambda1``, ``lambda2`` and ``r``.
 
@@ -129,29 +148,30 @@ def _rotation_factors(lambda1, lambda2, r):
     (0, 1, 1, 0) of r -> 0+, not c = (lambda1/0)*0.  The factors depend on ratios
     only, so a lambda1 outside [2**-128, 2**128) is first scaled by a power of two,
     and where r*r underflows c comes from lambda2/r and a = c*r/lambda1.  Squares
-    are products, so scalars and arrays round alike.
+    are products, so scalars and arrays round alike.  Python floats stay Python
+    floats (``_root`` and ``_where``), with the bytes of one-element arrays.
     """
     degenerate, zero_r = lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1, r == 0.0
     any_degenerate, any_zero_r = _any(degenerate), _any(zero_r)
     if _any((lambda1 < 2.0**-128) | (lambda1 >= 2.0**128)):  # where _pow2_exponents is nonzero
-        scale = np.ldexp(1.0, -_pow2_exponents(lambda1))
+        e = _pow2_exponents(lambda1)
+        scale = math.ldexp(1.0, -e) if isinstance(e, int) else np.ldexp(1.0, -e)
         lambda1, lambda2, r = lambda1 * scale, lambda2 * scale, r * scale
     l1_sq, l2_sq, r_sq = lambda1 * lambda1, lambda2 * lambda2, r * r
-    span = np.where(degenerate, 1.0, l1_sq - l2_sq) if any_degenerate else l1_sq - l2_sq
-    a = np.sqrt(np.maximum(r_sq - l2_sq, 0.0) / span)
-    b = np.sqrt(np.maximum(l1_sq - r_sq, 0.0) / span)
+    span = _where(degenerate, 1.0, l1_sq - l2_sq) if any_degenerate else l1_sq - l2_sq
+    a, b = _root(r_sq - l2_sq, span), _root(l1_sq - r_sq, span)
     if any_zero_r:  # divide by 1 there; the limit below replaces the quotients
-        r = np.where(zero_r, 1.0, r)
+        r = _where(zero_r, 1.0, r)
     if not _any(tiny := r_sq < 2.0**-1022):
         c = (lambda1 / r) * a
     else:  # r*r underflowed there, and lambda1/r may overflow; (lambda2/lambda1)**2 < 2**-766 rounds off
-        c = np.where(tiny, np.sqrt(1.0 - (lambda2 / r) * (lambda2 / r)), (lambda1 / np.where(tiny, 1.0, r)) * a)
-        a = np.where(tiny, c * (r / lambda1), a)
+        c = _where(tiny, _root(1.0 - (lambda2 / r) * (lambda2 / r), 1.0), (lambda1 / _where(tiny, 1.0, r)) * a)
+        a = _where(tiny, c * (r / lambda1), a)
     factors = a, b, c, (lambda2 / r) * b
     limits = (degenerate, any_degenerate, (1.0, 0.0, 1.0, 0.0)), (zero_r, any_zero_r, (0.0, 1.0, 1.0, 0.0))
     for mask, hit, fixed in limits:
         if hit:
-            factors = tuple(np.where(mask, v, f) for v, f in zip(fixed, factors))
+            factors = tuple(_where(mask, v, f) for v, f in zip(fixed, factors))
     return factors
 
 
@@ -223,7 +243,7 @@ def _check_report(lambda1: float, v1) -> np.ndarray:
     """v1 as a complex array, once 0 < lambda1 < inf and ||v1|| = 1 (1e-9 slack) hold."""
     _check_lambda1(lambda1)
     v1 = np.asarray(v1, dtype=np.complex128)
-    nrm = np.linalg.norm(v1)
+    nrm = _norm1(v1.ravel(order="K"))  # the dots np.linalg.norm takes
     if abs(nrm - 1.0) > 1e-9:
         raise DomainError(f"v1 must be unit norm, got ||v1|| = {nrm:.12g}")
     return v1

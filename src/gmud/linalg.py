@@ -30,21 +30,35 @@ _RANK_TOL = 1e-13
 
 def _pow2_exponents(m: np.ndarray, safe: int = 128) -> np.ndarray:
     """e with m * 2**-e in [0.5, 1) for each entry of ``m``, or 0 where m is in
-    [2**-safe, 2**safe), whose squares are safe.
+    [2**-safe, 2**safe), whose squares are safe.  A Python float gives an int.
 
     The bound e >= -1021 keeps 2**-e finite for subnormal m.
     """
+    if isinstance(m, float):
+        e = math.frexp(m)[1]
+        return 0 if -safe < e <= safe else max(e, -1021)
     e = np.frexp(m)[1]
     return np.where((-safe < e) & (e <= safe), 0, np.maximum(e, -1021))
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex128 array (no copy if already one)."""
+def _require_finite(finite: bool) -> None:
+    """The rule for every matrix input: ValueError unless all its entries are ``finite``."""
+    if not finite:
+        raise ValueError("matrix entries must be finite")
+
+
+def _as_2d(a) -> np.ndarray:
+    """Coerce ``a`` to a 2-D complex128 array (no copy if already one)."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.isfinite(m).all():  # complex isfinite: both parts finite
-        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce ``a`` to a finite 2-D complex128 array (no copy if already one)."""
+    m = _as_2d(a)
+    _require_finite(np.isfinite(m).all())  # complex isfinite: both parts finite
     return m
 
 
@@ -63,7 +77,7 @@ def _check_finite(a: np.ndarray, kernel) -> None:
         first = int(np.argmin(finite))
         if first:
             kernel(a[:first])
-        raise ValueError("matrix entries must be finite")
+        _require_finite(False)
 
 
 def _det(parts: np.ndarray):
@@ -173,11 +187,14 @@ def svd2x2(h) -> SvdFactorization:
     by orthogonality) and largest parts at or above 2**1022, where lambda1
     may overflow.
     """
-    h = as_matrix(h)
+    h = _as_2d(h)
     if h.shape != (2, 2):
+        _require_finite(np.isfinite(h).all())  # as_matrix's order: entries, then shape
         raise ValueError(f"svd2x2 requires a 2x2 matrix, got {h.shape}")
     parts = np.ascontiguousarray(h).view(np.float64)
-    e = max(math.frexp(max(map(abs, parts.ravel().tolist())))[1], -1021)
+    flat = parts.ravel().tolist()
+    _require_finite(all(map(math.isfinite, flat)))
+    e = _pow2_exponents(max(map(abs, flat)), safe=0)
     hs = (parts * math.ldexp(1.0, -e)).view(np.complex128)
 
     (w00, w01), (_, w11) = (hs.conj().T @ hs).tolist()
@@ -209,9 +226,10 @@ def svd2x2(h) -> SvdFactorization:
     u1 = u1 / _norm1(u1)
     u2 = (hs @ v[:, 1]) / lambda2
     u2 = u2 - (u1.conj() @ u2) * u1
-    u2 = u2 / _norm1(u2)
+    (u00, u10), (u01, u11) = u1.tolist(), (u2 / _norm1(u2)).tolist()
+    u = np.array([u00, u01, u10, u11]).reshape(2, 2)
     # lambda1 < 2*sqrt(2) after scaling, so with e <= 1022 neither ldexp overflows
-    return SvdFactorization(np.array([u1, u2]).T.copy(), math.ldexp(lambda1, e), math.ldexp(lambda2, e), v)
+    return SvdFactorization(u, math.ldexp(lambda1, e), math.ldexp(lambda2, e), v)
 
 
 def _svd2x2(h: np.ndarray):

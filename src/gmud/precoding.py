@@ -23,6 +23,7 @@ re-enumeration of its grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def _check_inputs(noise_var: float, *lambda1s: float) -> None:
     if not noise_var >= 0.0:
         raise ValueError("noise_var must be nonnegative")
     for lambda1 in lambda1s:
-        if np.isinf(lambda1 * lambda1):
+        if math.isinf(lambda1 * lambda1):
             raise DomainError(f"lambda1 = {lambda1:.6g} is too large: lambda1**2 overflows float64")
 
 

@@ -33,6 +33,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .decomposition import _rotation_factors, _steer
+from .errors import SingularMatrixError
 from .feedback import SCHEMES, _reports
 from .linalg import _svd2x2
 from .precoding import GridSpec, _combos, _reg_inv, _search, _select
@@ -377,7 +378,14 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
             rng.standard_normal(out=noise[i])
         payload = (words.view(np.uint8)[:, :bits] >> 7).reshape(size, 2, -1)
         channels = _complex(channels, np.sqrt(0.5))
-        g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
+        try:
+            g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
+        except SingularMatrixError as exc:  # equal rows, which a regularizer this small cannot separate
+            feedback = "perfect CSI" if n is None else f"N = {n}"
+            raise SingularMatrixError(
+                f"snr_db {snr_db}: two users' reports collide for {config.scheme} with {feedback}, and the "
+                f"regularizer 2*noise_var = {2.0 * noise_var:.3g} is too small to invert their rows"
+            ) from exc
         x, gamma = transmit(g, modulate(payload, config.modulation))
         noise = _complex(noise, np.sqrt(0.5), np.sqrt(noise_var))
         detected = receive_detect(channels, g, combiners, x, gamma, config.modulation, noise)

@@ -191,6 +191,10 @@ class TestGmud:
             gmud(np.diag([2.0, 1.0]), 5.0)
         with pytest.raises(DomainError, match="zero matrix admits no positive r"):
             gmud(np.zeros((2, 2)), 1.0)
+        # not a real r: an int beyond float64, complex numbers and a str get the named error
+        for r in (10**400, 1.5 + 0j, np.complex128(1.5), "1.5"):
+            with pytest.raises(DomainError, match="r must be a positive real"):
+                gmud(np.diag([2.0, 1.0]), r)
 
     def test_transmitted_beam_and_combiner_are_one_factorization(self):
         # svd2x2 completes v1 as the transmitter does, so at (theta, 0) the beam
@@ -209,6 +213,35 @@ class TestGmud:
             beam = beam_from_feedback(svd.lambda1, svd.lambda2, svd.v[:, 0], r, theta)
             assert np.abs(f.q[:, 0] - beam).max() <= 1e-12
             assert np.abs(f.p[:, 0] - _rotation_projection(svd.u, svd.lambda1, svd.lambda2, r, theta)).max() <= 1e-12
+
+
+class TestRotationFactors:
+    @pytest.mark.parametrize(
+        "lambda1, lambda2, r",
+        [
+            (1.0, 1.0 - 0.5e-12, 1.0 - 0.25e-12),  # equal singular values: the identity rotation
+            (1.0, 1.0 - 1.01e-12, 1.0 - 0.5e-12),  # lambda1 - lambda2 just above 1e-12 * lambda1
+            (1.0, 1.0 - 2e-12, 1.0 - 1e-12),
+            (2.0, 0.0, 0.0),  # r = lambda2 = 0: the r -> 0+ limit
+            (2.0, 0.0, 1e-300),  # r*r underflows
+            (2.0, 1e-310, 1e-300),
+            (2.0**-140, 2.0**-142, 3.0 * 2.0**-143),  # lambda1 below 2**-128: scaled
+            (2.0**128, 2.0**126, 3.0 * 2.0**125),  # lambda1 at 2**128: scaled
+            (3.0 * 2.0**600, 2.0**600, 2.0**601),
+            (2.0, 1.0, 2.0),  # r at both endpoints
+            (2.0, 1.0, 1.0),
+            (1.7, 0.3, 0.9),
+        ],
+    )
+    def test_python_floats_match_one_element_arrays(self, lambda1, lambda2, r):
+        # one home for the rotation rules: Python floats take them on plain floats, arrays on numpy
+        # loops, and the two agree byte for byte
+        from gmud.decomposition import _rotation_factors
+
+        plain = _rotation_factors(lambda1, lambda2, r)
+        arrays = _rotation_factors(np.array([lambda1]), np.array([lambda2]), np.array([r]))
+        assert [type(f) for f in plain] == [float] * 4
+        assert [np.float64(f).tobytes() for f in plain] == [a.tobytes() for a in arrays]
 
 
 class TestBeams:

@@ -169,6 +169,14 @@ class TestSvd2x2:
     def test_wrong_shape(self):
         with pytest.raises(ValueError, match="2x2"):
             svd2x2(np.eye(3))
+        # the entries are checked before the 2x2 shape, and the 2-D shape before both
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            svd2x2(np.diag([1.0, np.nan, 1.0]))
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
+            svd2x2(np.array([np.nan, 1.0, 0.0, 1.0]))
+        for bad in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.0], [complex(0.0, np.nan), 1.0]]):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                svd2x2(bad)
 
     @given(st.lists(unit_floats, min_size=8, max_size=8), exponents)
     @example([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-12], 0)  # lambda2 / lambda1 = 1e-12

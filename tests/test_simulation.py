@@ -11,6 +11,7 @@ from gmud import (
     GmudFeedback,
     GridSpec,
     SimConfig,
+    SingularMatrixError,
     crandn,
     demodulate,
     gen_channels,
@@ -345,6 +346,16 @@ class TestSimConfig:
                 run_ber(config)
             assert run_ber(dataclasses.replace(config, snr_db=(-3079.0,))).points[0].bits == 16
         assert run_ber(SimConfig(scheme="gmud", snr_db=(-3082.0,), realizations=2, symbols=2)).points[0].bits == 16
+
+    def test_colliding_reports_name_the_point(self):
+        # at 160 dB two users' N = 1 reports can be equal rows, and 2*noise_var = 2e-16 cannot separate them;
+        # the error names the point instead of only _mat_inv's determinant
+        for scheme in ("reg-inv", "reg-inv-sel"):
+            config = SimConfig(scheme=scheme, snr_db=(160.0,), feedback=1, realizations=32, symbols=4, seed=12345)
+            message = f"^snr_db 160.0: two users' reports collide for {scheme} with N = 1, and the regularizer "
+            with pytest.raises(SingularMatrixError, match=message + r"2\*noise_var = 2e-16 ") as info:
+                run_ber(config)
+            assert str(info.value.__cause__).startswith("2x2 determinant ")
 
     def test_snr_sequences_accepted(self):
         for snr_db in ((0.0, 10.0), [5, 7.5], range(0, 30, 10), (np.float32(3.0), np.int64(4)), np.array([1.0, 2.0])):

@@ -195,6 +195,10 @@ def _svd2x2(g):
         yield "error", lambda h=bad: g.svd2x2(h)
     for group, h in _factorize_shaped(_rng("svd2x2 factorize"), 1000):
         yield group, lambda h=h: g.svd2x2(h)
+    # entries that are not finite in a matrix that is not 2x2: the error order of the checks
+    for bad in (np.diag([1.0, np.nan, 1.0]), np.full((2, 3), np.inf), np.array([np.nan, 1.0, 0.0, 1.0]),
+                np.full((1, 2, 2), np.nan), [[complex(0.0, np.nan)]]):
+        yield "error", lambda h=bad: g.svd2x2(h)
 
 
 @case("SvdFactorization")
@@ -239,6 +243,16 @@ def _gmud(g):
     for group, h in _factorize_shaped(rng, 1000):
         r, pp = _r_inside(rng, h), g.PhasePair(*rng.uniform(0.0, 2.0 * np.pi, 2))
         yield group, lambda h=h, r=r, pp=pp: g.gmud(h, r, pp)
+    # r of other real types, which GmudFactorization.r keeps
+    rng = _rng("gmud r types")
+    for _ in range(100):
+        h = _crandn(rng, (2, 2))
+        yield "typical", lambda h=h, r=np.float64(_r_inside(rng, h)): g.gmud(h, r, g.PhasePair(0.4, 1.1))
+    h = np.diag([3.0, 0.5]).astype(complex)
+    for r in (1, 2, 3, np.int64(1), np.int64(3), np.float64(0.5), np.float64(3.0)):
+        yield "edge", lambda r=r: g.gmud(h, r, g.PhasePair(0.4, 1.1))
+    for r in (10**400, 1.5 + 0j, np.complex128(1.5), "1.5"):  # not a real r
+        yield "error", lambda r=r: g.gmud(h, r)
 
 
 @case("solve_rotations")
@@ -258,6 +272,12 @@ def _solve_rotations(g):
     # r at an endpoint of a scaled interval, where the squares of r and lambda2 must agree
     yield "extreme-scale", lambda: g.solve_rotations(4.964992150187819e38, 2.716388943994476e38, 2.716388943994476e38)
     yield "extreme-scale", lambda: g.solve_rotations(2.0, 0.0, 1e-300)  # r*r underflows
+    rng = _rng("solve_rotations float64")
+    for _ in range(200):
+        l2, l1 = np.sort(rng.uniform(0.0, 4.0, 2))  # numpy scalars throughout
+        yield "typical", lambda l1=l1, l2=l2, r=rng.uniform(l2, l1): g.solve_rotations(l1, l2, np.float64(r))
+    for r in (10**400, 1.5 + 0j, "1.5"):
+        yield "error", lambda r=r: g.solve_rotations(2.0, 1.0, r)
 
 
 @case("steered_beams")
@@ -292,6 +312,12 @@ def _beam_from_feedback(g):
                          (2.0, 1.0, [1.0, 0.0], 3.0), (2.0, 1.0, [1.0, 1.0], 3.0),
                          (np.nan, 0.5, [1.0, 0.0], 1.0), (np.inf, 0.5, [1.0, 0.0], 1.0)):
         yield "error", lambda l1=l1, l2=l2, v=v, r=r: g.beam_from_feedback(l1, l2, v, r, 0.0)
+    rng = _rng("beam_from_feedback float64")
+    for _ in range(200):
+        l2, l1 = np.sort(rng.uniform(0.0, 4.0, 2))  # numpy scalars throughout
+        yield "typical", lambda l1=l1, l2=l2, v=_unit(rng), r=rng.uniform(l2, l1), t=np.float64(_phase(rng)): (
+            g.beam_from_feedback(l1, l2, v, np.float64(r), t)
+        )
 
 
 @case("GmudFactorization")
