@@ -123,17 +123,10 @@ def _any(mask) -> bool:
     return mask if isinstance(mask, bool) else mask.any()
 
 
-def _where(mask, x, y):
-    """``np.where(mask, x, y)``; the plain choice for a Python bool mask (from Python floats) between scalars."""
-    if isinstance(mask, bool) and not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
-        return x if mask else y
-    return np.where(mask, x, y)
-
-
 def _root(num, den):
-    """sqrt(max(num, 0) / den): ``math`` on Python floats, numpy on arrays.  Each step is correctly
-    rounded, so the two give the same bytes; numpy-scalar calls would cost ~1 us each."""
-    if isinstance(num, float):
+    """sqrt(max(num, 0) / den): ``math`` when both are Python floats, numpy otherwise.  Each step is
+    correctly rounded, so the two give the same bytes; numpy-scalar calls would cost ~1 us each."""
+    if isinstance(num, float) and isinstance(den, float):
         return math.sqrt(max(num, 0.0) / den)
     return np.sqrt(np.maximum(num, 0.0) / den)
 
@@ -148,8 +141,9 @@ def _rotation_factors(lambda1, lambda2, r):
     (0, 1, 1, 0) of r -> 0+, not c = (lambda1/0)*0.  The factors depend on ratios
     only, so a lambda1 outside [2**-128, 2**128) is first scaled by a power of two,
     and where r*r underflows c comes from lambda2/r and a = c*r/lambda1.  Squares
-    are products, so scalars and arrays round alike.  Python floats stay Python
-    floats (``_root`` and ``_where``), with the bytes of one-element arrays.
+    are products, so scalars and arrays round alike.  Off the masked branches,
+    Python floats give Python floats (``_root``), with the bytes of one-element
+    arrays.
     """
     degenerate, zero_r = lambda1 - lambda2 <= _DEGENERATE_TOL * lambda1, r == 0.0
     any_degenerate, any_zero_r = _any(degenerate), _any(zero_r)
@@ -158,20 +152,20 @@ def _rotation_factors(lambda1, lambda2, r):
         scale = math.ldexp(1.0, -e) if isinstance(e, int) else np.ldexp(1.0, -e)
         lambda1, lambda2, r = lambda1 * scale, lambda2 * scale, r * scale
     l1_sq, l2_sq, r_sq = lambda1 * lambda1, lambda2 * lambda2, r * r
-    span = _where(degenerate, 1.0, l1_sq - l2_sq) if any_degenerate else l1_sq - l2_sq
+    span = np.where(degenerate, 1.0, l1_sq - l2_sq) if any_degenerate else l1_sq - l2_sq
     a, b = _root(r_sq - l2_sq, span), _root(l1_sq - r_sq, span)
     if any_zero_r:  # divide by 1 there; the limit below replaces the quotients
-        r = _where(zero_r, 1.0, r)
+        r = np.where(zero_r, 1.0, r)
     if not _any(tiny := r_sq < 2.0**-1022):
         c = (lambda1 / r) * a
     else:  # r*r underflowed there, and lambda1/r may overflow; (lambda2/lambda1)**2 < 2**-766 rounds off
-        c = _where(tiny, _root(1.0 - (lambda2 / r) * (lambda2 / r), 1.0), (lambda1 / _where(tiny, 1.0, r)) * a)
-        a = _where(tiny, c * (r / lambda1), a)
+        c = np.where(tiny, np.sqrt(1.0 - (lambda2 / r) * (lambda2 / r)), (lambda1 / np.where(tiny, 1.0, r)) * a)
+        a = np.where(tiny, c * (r / lambda1), a)
     factors = a, b, c, (lambda2 / r) * b
     limits = (degenerate, any_degenerate, (1.0, 0.0, 1.0, 0.0)), (zero_r, any_zero_r, (0.0, 1.0, 1.0, 0.0))
     for mask, hit, fixed in limits:
         if hit:
-            factors = tuple(_where(mask, v, f) for v, f in zip(fixed, factors))
+            factors = tuple(np.where(mask, v, f) for v, f in zip(fixed, factors))
     return factors
 
 

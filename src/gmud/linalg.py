@@ -41,24 +41,13 @@ def _pow2_exponents(m: np.ndarray, safe: int = 128) -> np.ndarray:
     return np.where((-safe < e) & (e <= safe), 0, np.maximum(e, -1021))
 
 
-def _require_finite(finite: bool) -> None:
-    """The rule for every matrix input: ValueError unless all its entries are ``finite``."""
-    if not finite:
-        raise ValueError("matrix entries must be finite")
-
-
-def _as_2d(a) -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex128 array (no copy if already one)."""
+def as_matrix(a) -> np.ndarray:
+    """Coerce ``a`` to a finite 2-D complex128 array (no copy if already one)."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def as_matrix(a) -> np.ndarray:
-    """Coerce ``a`` to a finite 2-D complex128 array (no copy if already one)."""
-    m = _as_2d(a)
-    _require_finite(np.isfinite(m).all())  # complex isfinite: both parts finite
+    if not np.isfinite(m).all():  # complex isfinite: both parts finite
+        raise ValueError("matrix entries must be finite")
     return m
 
 
@@ -77,7 +66,7 @@ def _check_finite(a: np.ndarray, kernel) -> None:
         first = int(np.argmin(finite))
         if first:
             kernel(a[:first])
-        _require_finite(False)
+        raise ValueError("matrix entries must be finite")
 
 
 def _det(parts: np.ndarray):
@@ -187,13 +176,14 @@ def svd2x2(h) -> SvdFactorization:
     by orthogonality) and largest parts at or above 2**1022, where lambda1
     may overflow.
     """
-    h = _as_2d(h)
+    h = np.asarray(h, dtype=np.complex128)
     if h.shape != (2, 2):
-        _require_finite(np.isfinite(h).all())  # as_matrix's order: entries, then shape
+        as_matrix(h)  # its errors come first: not 2-D, then entries not finite
         raise ValueError(f"svd2x2 requires a 2x2 matrix, got {h.shape}")
     parts = np.ascontiguousarray(h).view(np.float64)
     flat = parts.ravel().tolist()
-    _require_finite(all(map(math.isfinite, flat)))
+    if not all(map(math.isfinite, flat)):
+        as_matrix(h)  # raises its "matrix entries must be finite"
     e = _pow2_exponents(max(map(abs, flat)), safe=0)
     hs = (parts * math.ldexp(1.0, -e)).view(np.complex128)
 

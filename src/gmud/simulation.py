@@ -380,11 +380,14 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
         channels = _complex(channels, np.sqrt(0.5))
         try:
             g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
-        except SingularMatrixError as exc:  # equal rows, which a regularizer this small cannot separate
-            feedback = "perfect CSI" if n is None else f"N = {n}"
+        except SingularMatrixError as exc:
+            if n is None:  # exact channels, no reports
+                raise
+            # only _reg_inv inverts, and det(H H^H + eps I) >= det(H H^H) = |h1|^2 |h2|^2 sin^2(angle), so a
+            # determinant below _mat_inv's tolerance means two reported rows that are (nearly) parallel
             raise SingularMatrixError(
-                f"snr_db {snr_db}: two users' reports collide for {config.scheme} with {feedback}, and the "
-                f"regularizer 2*noise_var = {2.0 * noise_var:.3g} is too small to invert their rows"
+                f"snr_db {snr_db}: two users' reports collide for {config.scheme} with N = {n}: their rows are "
+                f"parallel, and the regularizer 2*noise_var = {2.0 * noise_var:.3g} is too small to separate them"
             ) from exc
         x, gamma = transmit(g, modulate(payload, config.modulation))
         noise = _complex(noise, np.sqrt(0.5), np.sqrt(noise_var))

@@ -200,11 +200,11 @@ class TestSweep:
         assert run_cli(capsys, "sweep", "--scheme", "gmud", *args, "--out", str(tmp_path / "g"))[0] == 0
 
     def test_colliding_reports_flag(self, capsys, tmp_path):
-        # at 160 dB two users' N = 1 reports collide and the regularizer is too small to invert their rows
+        # at 160 dB two users' N = 1 reports are parallel rows, which the regularizer is too small to separate
         args = ("--snr", "160:0:160", "--feedback", "1", "--realizations", "400", "--symbols", "4", "--seed", "12345")
         code, out, err = run_cli(capsys, "sweep", "--scheme", "reg-inv", *args, "--out", str(tmp_path / "o"))
         assert (code, out) == (2, "")
-        assert err.startswith("gmud: error: snr_db 160.0: two users' reports collide for reg-inv with N = 1, ")
+        assert err.startswith("gmud: error: snr_db 160.0: two users' reports collide for reg-inv with N = 1: ")
         assert os.listdir(tmp_path) == []
 
     def test_all_zero_ber_sweep_is_a_result(self, capsys, tmp_path):

@@ -217,31 +217,40 @@ class TestGmud:
 
 class TestRotationFactors:
     @pytest.mark.parametrize(
-        "lambda1, lambda2, r",
+        "lambda1, lambda2, r, masked",
         [
-            (1.0, 1.0 - 0.5e-12, 1.0 - 0.25e-12),  # equal singular values: the identity rotation
-            (1.0, 1.0 - 1.01e-12, 1.0 - 0.5e-12),  # lambda1 - lambda2 just above 1e-12 * lambda1
-            (1.0, 1.0 - 2e-12, 1.0 - 1e-12),
-            (2.0, 0.0, 0.0),  # r = lambda2 = 0: the r -> 0+ limit
-            (2.0, 0.0, 1e-300),  # r*r underflows
-            (2.0, 1e-310, 1e-300),
-            (2.0**-140, 2.0**-142, 3.0 * 2.0**-143),  # lambda1 below 2**-128: scaled
-            (2.0**128, 2.0**126, 3.0 * 2.0**125),  # lambda1 at 2**128: scaled
-            (3.0 * 2.0**600, 2.0**600, 2.0**601),
-            (2.0, 1.0, 2.0),  # r at both endpoints
-            (2.0, 1.0, 1.0),
-            (1.7, 0.3, 0.9),
+            (1.0, 1.0 - 0.5e-12, 1.0 - 0.25e-12, True),  # equal singular values: the identity rotation
+            (1.0, 1.0 - 1.01e-12, 1.0 - 0.5e-12, False),  # lambda1 - lambda2 just above 1e-12 * lambda1
+            (1.0, 1.0 - 2e-12, 1.0 - 1e-12, False),
+            (2.0, 0.0, 0.0, True),  # r = lambda2 = 0: the r -> 0+ limit
+            (2.0, 0.0, 1e-300, True),  # r*r underflows
+            (2.0, 1e-310, 1e-300, True),
+            (2.0**-140, 2.0**-142, 3.0 * 2.0**-143, False),  # lambda1 below 2**-128: scaled
+            (2.0**128, 2.0**126, 3.0 * 2.0**125, False),  # lambda1 at 2**128: scaled
+            (3.0 * 2.0**600, 2.0**600, 2.0**601, False),
+            (2.0, 1.0, 2.0, False),  # r at both endpoints
+            (2.0, 1.0, 1.0, False),
+            (1.7, 0.3, 0.9, False),
         ],
     )
-    def test_python_floats_match_one_element_arrays(self, lambda1, lambda2, r):
-        # one home for the rotation rules: Python floats take them on plain floats, arrays on numpy
-        # loops, and the two agree byte for byte
+    def test_python_floats_match_one_element_arrays(self, lambda1, lambda2, r, masked):
+        # one home for the rotation rules: Python floats and arrays take the same steps, byte for byte,
+        # and off the masked branches (np.where) Python floats stay Python floats
         from gmud.decomposition import _rotation_factors
 
         plain = _rotation_factors(lambda1, lambda2, r)
         arrays = _rotation_factors(np.array([lambda1]), np.array([lambda2]), np.array([r]))
-        assert [type(f) for f in plain] == [float] * 4
         assert [np.float64(f).tobytes() for f in plain] == [a.tobytes() for a in arrays]
+        if not masked:
+            assert [type(f) for f in plain] == [float] * 4
+
+    def test_array_lambda1_with_float_lambda2_and_r(self):
+        # broadcastable inputs: only lambda1 is an array, so the quotients under the roots are arrays
+        from gmud.decomposition import _rotation_factors
+
+        mixed = _rotation_factors(np.array([2.0, 3.0]), 1.0, 1.5)
+        arrays = _rotation_factors(np.array([2.0, 3.0]), np.array([1.0, 1.0]), np.array([1.5, 1.5]))
+        assert [f.tobytes() for f in mixed] == [a.tobytes() for a in arrays]
 
 
 class TestBeams:

@@ -348,12 +348,12 @@ class TestSimConfig:
         assert run_ber(SimConfig(scheme="gmud", snr_db=(-3082.0,), realizations=2, symbols=2)).points[0].bits == 16
 
     def test_colliding_reports_name_the_point(self):
-        # at 160 dB two users' N = 1 reports can be equal rows, and 2*noise_var = 2e-16 cannot separate them;
+        # at 160 dB two users' N = 1 reports can be parallel rows, and 2*noise_var = 2e-16 cannot separate them;
         # the error names the point instead of only _mat_inv's determinant
         for scheme in ("reg-inv", "reg-inv-sel"):
             config = SimConfig(scheme=scheme, snr_db=(160.0,), feedback=1, realizations=32, symbols=4, seed=12345)
-            message = f"^snr_db 160.0: two users' reports collide for {scheme} with N = 1, and the regularizer "
-            with pytest.raises(SingularMatrixError, match=message + r"2\*noise_var = 2e-16 ") as info:
+            message = f"^snr_db 160.0: two users' reports collide for {scheme} with N = 1: their rows are parallel, and "
+            with pytest.raises(SingularMatrixError, match=message + r"the regularizer 2\*noise_var = 2e-16 ") as info:
                 run_ber(config)
             assert str(info.value.__cause__).startswith("2x2 determinant ")
 
