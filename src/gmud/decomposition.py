@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite_real, _integer
 from .linalg import SvdFactorization, orthonormal_complement, _norm1, _pow2_exponents, svd2x2
 
 __all__ = [
@@ -69,12 +69,14 @@ class SpecialR:
 
 @dataclass
 class PhasePair:
-    """Phases (theta1, theta2), normalized into [0, 2*pi)."""
+    """Phases (theta1, theta2), finite reals (:class:`DomainError` otherwise), normalized into [0, 2*pi)."""
 
     theta1: float = 0.0
     theta2: float = 0.0
 
     def __post_init__(self):
+        if not (_finite_real(self.theta1) and _finite_real(self.theta2)):
+            raise DomainError("phases theta1 and theta2 must be finite reals")
         self.theta1 = float(self.theta1) % TWO_PI
         self.theta2 = float(self.theta2) % TWO_PI
 
@@ -101,14 +103,12 @@ def _check_lambda1(lambda1: float) -> None:
 
 
 def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
-    """Validate 0 < lambda1 < inf and lambda2 <= r <= lambda1 (1e-9 relative slack); clamp r."""
+    """Validate 0 < lambda1 < inf and lambda2 <= r <= lambda1 (1e-9 relative slack); r clamped, as a float."""
     _check_lambda1(lambda1)
-    try:
-        positive = not isinstance(r, (complex, np.complexfloating)) and math.isfinite(r) and r > 0.0
-    except (TypeError, OverflowError):  # a str or an array, or an int beyond float64
-        positive = False
-    if not positive:
-        raise DomainError(f"r must be a positive real, got {r}")
+    if not _finite_real(r) or r <= 0:  # shown in at most 40 characters, an int beyond float64 by its size
+        shown = f"an int of {r.bit_length()} bits" if _integer(r) and not _finite_real(r) else f"{r!s:.40}"
+        raise DomainError(f"r must be a positive real, got {shown}")
+    r = float(r)
     slack = _R_EDGE_TOL * lambda1
     if r < lambda2 - slack or r > lambda1 + slack:
         raise DomainError(
@@ -265,7 +265,9 @@ def beam_from_feedback(lambda1: float, lambda2: float, v1, r: float, theta: floa
     does, and returns the first column of V @ M(theta, 0) @ V0, i.e.
     c * e^{i*theta} * v1 - s * v2 (unit norm).  The alignment
     |v1^H q1| equals c for every theta.  r is checked as in
-    :func:`solve_rotations`.
+    :func:`solve_rotations`, after theta, which must be a finite real (:class:`DomainError`).
     """
+    if not _finite_real(theta):
+        raise DomainError("theta must be a finite real")
     return steered_beams(lambda1, lambda2, v1, _checked_r(lambda1, lambda2, r), float(theta))
 

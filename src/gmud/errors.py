@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rules that every entry point checks its scalars by."""
+
+import math
+from numbers import Integral, Real
 
 __all__ = ["DomainError", "FormatError", "SingularMatrixError"]
 
@@ -13,3 +16,18 @@ class DomainError(ValueError):
 
 class FormatError(ValueError):
     """Malformed wire data (bad bitstring length or alphabet)."""
+
+
+def _integer(x) -> bool:
+    """Python or numpy integer, not bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _finite_real(x) -> bool:
+    """A real, not bool, and finite as a float64."""
+    if isinstance(x, float):  # float and np.float64, without the slower isinstance against an ABC
+        return math.isfinite(x)
+    try:
+        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond float64, such as 10**400
+        return False

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, _integer
 from .linalg import SvdFactorization, _norm, svd2x2
 
 __all__ = [
@@ -91,6 +91,8 @@ def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, flo
         raise ValueError("bits must be >= 1")
     if not lo < hi:
         raise ValueError("lo must be < hi")
+    if not _integer(bits):
+        raise ValueError("bits must be an integer")
     cell, level = _quantize(np.array([v], dtype=np.float64), lo, hi, bits)
     return _index(cell[0], bits), float(level[0])
 
@@ -268,6 +270,8 @@ def scheme_layout(scheme: str, n: int) -> list[tuple[str, int, float, float]]:
         raise ValueError("budget parameter N must be >= 1")
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if not _integer(n):
+        raise ValueError("budget parameter N must be an integer")
     return [(name, k * n, lo, hi) for name, k, (lo, hi) in _SCHEME_TABLE[scheme].fields]
 
 

@@ -56,19 +56,6 @@ def _norm(z) -> np.ndarray:
     return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
 
 
-def _check_finite(a: np.ndarray, kernel) -> None:
-    """ValueError for the first matrix of stack ``a`` with an entry that is not
-    finite, after ``kernel`` on the matrices before it: their errors come
-    first, as in a loop over the stack.
-    """
-    finite = np.isfinite(a).all(axis=(1, 2))
-    if not finite.all():
-        first = int(np.argmin(finite))
-        if first:
-            kernel(a[:first])
-        raise ValueError("matrix entries must be finite")
-
-
 def _det(parts: np.ndarray):
     """(Re, Im) of the determinants of an (R, 2, 4) float view of 2x2 complex matrices.
 
@@ -82,10 +69,10 @@ def _det(parts: np.ndarray):
 def _mat_inv(a: np.ndarray) -> np.ndarray:
     """Invert every matrix of a complex (R, 2, 2) stack: the kernel of :func:`mat_inv`.
 
-    The determinant comes from :func:`_det`.  The first matrix in stack
-    order that fails a check raises, as a loop over the stack would.
+    The determinant comes from :func:`_det`.
     """
-    _check_finite(a, _mat_inv)
+    if not np.isfinite(a).all():  # _reg_inv's h h^H + K sigma^2 I can overflow for finite h
+        raise ValueError("matrix entries must be finite")
     if a.shape[1:] != (2, 2):
         raise ValueError(f"mat_inv requires a square 2x2 matrix, got {a.shape[1:]}")
     parts = np.ascontiguousarray(a).view(np.float64)
@@ -228,10 +215,8 @@ def _svd2x2(h: np.ndarray):
     :func:`svd2x2`'s common path on arrays, so each matrix gets its bytes:
     the determinant from :func:`_det`, moduli by ``hypot`` as the scalar
     ``abs`` takes them, and stacked matmuls for h^H h and h v.  The rare
-    inputs' rules live only here, as masks.  The first matrix in stack
-    order that fails raises, as a loop would.
+    inputs' rules live only here, as masks.  The callers pass finite entries.
     """
-    _check_finite(h, _svd2x2)
     rows, zero = np.arange(len(h)), ~h.any(axis=(1, 2))
     parts = np.ascontiguousarray(h).view(np.float64)
     e = _pow2_exponents(np.abs(parts).max(axis=(1, 2)), safe=0)  # always scaled

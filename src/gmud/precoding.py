@@ -30,7 +30,7 @@ import numpy as np
 
 from .decomposition import _check_report, _checked_r, _rotation_factors, _steer
 from .decomposition import beam_from_feedback, steered_beams  # noqa: F401  profilers wrap these names
-from .errors import DomainError
+from .errors import DomainError, _finite_real, _integer
 from .linalg import _mat_inv, _norm, as_matrix, orthonormal_complement
 from .linalg import mat_inv  # noqa: F401  _reg_inv calls its kernel; profilers wrap this name
 
@@ -53,7 +53,7 @@ SINR_CAP = 1e12
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search-grid sizes for :func:`optimize_gmud`.
+    """Search-grid sizes for :func:`optimize_gmud`, integers >= 1.
 
     ``n_r`` points per user on [lambda2, lambda1], ``n_theta`` phases on
     [0, 2*pi), ``n_p`` power splits alpha^2 on [0.1, 0.9].  The extremes
@@ -68,6 +68,8 @@ class GridSpec:
     def __post_init__(self):
         if min(self.n_r, self.n_theta, self.n_p) < 1:
             raise ValueError("grid sizes must be >= 1")
+        if not all(map(_integer, (self.n_r, self.n_theta, self.n_p))):
+            raise ValueError("grid sizes must be integers")
 
 
 @dataclass
@@ -241,9 +243,11 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     on a one-point grid, so it equals :func:`optimize_gmud`'s report.
     """
     _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
-    # each user's checks in the order beam_from_feedback makes them, then both beams in one stacked call
+    # per user r, then the report (beam_from_feedback's order), then the phases and powers; both beams in one call
     (r_k, v1_k), (r_l, v1_l) = ((_checked_r(fb.lambda1, fb.lambda2, r), _check_report(fb.lambda1, fb.v1))
                                 for fb, r in ((fb_k, params.r_k), (fb_l, params.r_l)))
+    if not all(map(_finite_real, (params.theta_k, params.theta_l, params.alpha, params.beta))):
+        raise DomainError("theta_k, theta_l, alpha and beta must be finite reals")
     _, _, c, s = _rotation_factors(np.array([fb_k.lambda1, fb_l.lambda1], dtype=np.float64),
                                    np.array([fb_k.lambda2, fb_l.lambda2], dtype=np.float64),
                                    np.array([r_k, r_l], dtype=np.float64))

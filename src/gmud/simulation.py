@@ -28,12 +28,11 @@ import math
 import multiprocessing
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .decomposition import _rotation_factors, _steer
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, _finite_real, _integer
 from .feedback import SCHEMES, _reports
 from .linalg import _svd2x2
 from .precoding import GridSpec, _combos, _reg_inv, _search, _select
@@ -177,19 +176,6 @@ def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise):
     gains = rows @ np.swapaxes(g, -1, -2)[..., None]
     z = np.sqrt(gamma)[..., None, None, :] * (rows @ x[..., None, :, :] + w @ noise) / gains
     return demodulate(z[..., 0, :], modulation)
-
-
-def _integer(x) -> bool:
-    """Python or numpy integer, not bool."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
-def _finite_real(x) -> bool:
-    """A real, not bool, and finite as a float64."""
-    try:
-        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an int beyond float64, such as 10**400
-        return False
 
 
 def _noise_var(snr_db):

@@ -95,6 +95,13 @@ class TestPhasePair:
         assert 0.0 <= pp.theta1 < 2 * np.pi
         assert 0.0 <= pp.theta2 < 2 * np.pi
 
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan, "1.5", 1j, True])
+    def test_non_finite_or_non_real_refused(self, theta):
+        # inf normalized to NaN, and gmud() then returned a NaN factorization without an error
+        for args in ((theta, 0.0), (0.0, theta)):
+            with pytest.raises(DomainError, match="phases theta1 and theta2 must be finite reals"):
+                PhasePair(*args)
+
 
 class TestGmud:
     def test_diagonal_svd_boundary(self):
@@ -191,10 +198,18 @@ class TestGmud:
             gmud(np.diag([2.0, 1.0]), 5.0)
         with pytest.raises(DomainError, match="zero matrix admits no positive r"):
             gmud(np.zeros((2, 2)), 1.0)
-        # not a real r: an int beyond float64, complex numbers and a str get the named error
-        for r in (10**400, 1.5 + 0j, np.complex128(1.5), "1.5"):
+        # not a real r: an int beyond float64, complex numbers, a str and a bool get the named error
+        for r in (10**400, 1.5 + 0j, np.complex128(1.5), "1.5", True):
             with pytest.raises(DomainError, match="r must be a positive real"):
                 gmud(np.diag([2.0, 1.0]), r)
+
+    def test_int64_r_is_squared_as_a_float(self):
+        # r * r used to overflow int64 above ~3.04e9: reconstruct() was off by 6.9e9, with only a RuntimeWarning
+        # (the suite's warning filter fails this test if one is issued)
+        h = np.diag([1e10, 1.0])
+        f = gmud(h, np.int64(5_000_000_000))
+        assert type(f.r) is float
+        assert np.abs(f.reconstruct() - h).max() <= 1e-15 * 1e10
 
     def test_transmitted_beam_and_combiner_are_one_factorization(self):
         # svd2x2 completes v1 as the transmitter does, so at (theta, 0) the beam
@@ -343,6 +358,12 @@ class TestBeams:
     def test_non_unit_v1(self):
         with pytest.raises(DomainError):
             beam_from_feedback(2.0, 1.0, np.array([1.0, 1.0]), 1.5, 0.0)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, "1.5"])
+    def test_non_finite_theta_rejected(self, theta):
+        # NaN gave a NaN beam and inf a RuntimeWarning
+        with pytest.raises(DomainError, match="theta must be a finite real"):
+            beam_from_feedback(2.0, 1.0, np.array([1.0, 0.0]), 1.5, theta)
 
     @pytest.mark.parametrize("lambda1", [np.nan, np.inf])
     def test_non_finite_lambda1_rejected(self, lambda1):

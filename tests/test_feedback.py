@@ -46,6 +46,10 @@ class TestQuantizeScalar:
             quantize_scalar(0.0, -1.0, 1.0, 0)
         with pytest.raises(ValueError):
             quantize_scalar(0.0, 1.0, -1.0, 4)
+        # a float width ended in numpy's "ufunc 'ldexp' not supported", and True was taken as 1
+        for bits in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="bits must be an integer"):
+                quantize_scalar(0.3, -1.0, 1.0, bits)
 
     def test_nan_raises_and_infinities_clamp(self):
         with pytest.raises(DomainError, match="NaN"):
@@ -96,6 +100,12 @@ class TestBudget:
             scheme_layout("bogus", 4)
         with pytest.raises(ValueError, match="budget parameter N must be >= 1"):
             scheme_layout("gmud", 0)
+        # encode ended in numpy's "ufunc 'ldexp' not supported", decode expected "30.0 bits", and True was 1
+        for n in (2.5, 2.0, True):
+            for call in (lambda: scheme_layout("gmud", n), lambda: encode(np.eye(2), "gmud", n),
+                         lambda: decode("0" * 30, "gmud", n)):
+                with pytest.raises(ValueError, match="budget parameter N must be an integer"):
+                    call()
 
 
 class TestCodec:

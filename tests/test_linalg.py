@@ -292,15 +292,3 @@ class TestStackedSvd:
             assert (u[i].tobytes(), v[i].tobytes()) == (f.u.tobytes(), f.v.tobytes()), i
             assert (lambda1[i].tobytes(), lambda2[i].tobytes()) == (np.float64(f.lambda1).tobytes(),
                                                                     np.float64(f.lambda2).tobytes()), i
-
-    def test_first_error_in_stack_order(self):
-        # as a loop over the stack: the first failing matrix names the error
-        h = self.stack()
-        overflow, nonfinite = np.full((2, 2), 1.5e308), np.array([[1.0, np.nan], [0.0, 1.0]])
-        for first, second, error in ((overflow, nonfinite, DomainError), (nonfinite, overflow, ValueError)):
-            bad = h.copy()
-            bad[5], bad[20] = first, second
-            with pytest.raises(error):
-                svd2x2(first)
-            with pytest.raises(error):
-                _svd2x2(bad)

@@ -266,6 +266,15 @@ class TestGmudMinSinr:
                 if split_a2 is a2:  # a silenced user
                     assert (sinrs[0][:, -2] == 0.0).all() and (sinrs[1][:, -1] == 0.0).all()
 
+    @pytest.mark.parametrize("field", ["theta_k", "theta_l", "alpha", "beta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_phase_or_power_rejected(self, field, value):
+        # alpha = NaN gave per-user SINRs (0, SINR_CAP) and a NaN gamma_bar
+        fb_k, fb_l = random_reports(np.random.default_rng(13))
+        params = GmudBeamParams(fb_k.lambda1, 0.0, fb_l.lambda1, 0.0, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
+        with pytest.raises(DomainError, match="theta_k, theta_l, alpha and beta must be finite reals"):
+            gmud_min_sinr(dataclasses.replace(params, **{field: value}), fb_k, fb_l, 0.1)
+
 
 class TestOptimizeGmud:
     def enumerate_grid(self, fb_k, fb_l, noise, grid):
@@ -379,6 +388,12 @@ class TestOptimizeGmud:
         fb_k, fb_l = random_reports(rng)
         with pytest.raises(ValueError):
             optimize_gmud(fb_k, fb_l, 0.01, GridSpec(0, 4, 3))
+        # 2.5 failed mid-run in a TypeError, and True searched a one-point grid
+        for sizes in ((2.5, 4, 3), (4, 4.0, 3), (4, 4, True)):
+            with pytest.raises(ValueError, match="grid sizes must be integers"):
+                GridSpec(*sizes)
+        with pytest.raises(ValueError, match="grid sizes must be >= 1"):
+            GridSpec(0.5, 4, 3)
 
     def full_grid_search(self, fb_k, fb_l, noise, grid):
         """The exhaustive search: every grid point through _pair_grid, first argmax in C order."""

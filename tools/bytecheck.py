@@ -243,7 +243,7 @@ def _gmud(g):
     for group, h in _factorize_shaped(rng, 1000):
         r, pp = _r_inside(rng, h), g.PhasePair(*rng.uniform(0.0, 2.0 * np.pi, 2))
         yield group, lambda h=h, r=r, pp=pp: g.gmud(h, r, pp)
-    # r of other real types, which GmudFactorization.r keeps
+    # r of other real types, which GmudFactorization.r holds as a float
     rng = _rng("gmud r types")
     for _ in range(100):
         h = _crandn(rng, (2, 2))
@@ -252,6 +252,8 @@ def _gmud(g):
     for r in (1, 2, 3, np.int64(1), np.int64(3), np.float64(0.5), np.float64(3.0)):
         yield "edge", lambda r=r: g.gmud(h, r, g.PhasePair(0.4, 1.1))
     for r in (10**400, 1.5 + 0j, np.complex128(1.5), "1.5"):  # not a real r
+        yield "error", lambda r=r: g.gmud(h, r)
+    for r in (True, np.array(1.5)):  # neither is a real r either
         yield "error", lambda r=r: g.gmud(h, r)
 
 
@@ -278,6 +280,7 @@ def _solve_rotations(g):
         yield "typical", lambda l1=l1, l2=l2, r=rng.uniform(l2, l1): g.solve_rotations(l1, l2, np.float64(r))
     for r in (10**400, 1.5 + 0j, "1.5"):
         yield "error", lambda r=r: g.solve_rotations(2.0, 1.0, r)
+    yield "error", lambda: g.solve_rotations(2.0, 1.0, True)
 
 
 @case("steered_beams")
@@ -318,6 +321,8 @@ def _beam_from_feedback(g):
         yield "typical", lambda l1=l1, l2=l2, v=_unit(rng), r=rng.uniform(l2, l1), t=np.float64(_phase(rng)): (
             g.beam_from_feedback(l1, l2, v, np.float64(r), t)
         )
+    for theta in (np.nan, np.inf, "1.5"):
+        yield "error", lambda t=theta: g.beam_from_feedback(2.0, 1.0, np.array([0.6, 0.8j]), 1.5, t)
 
 
 @case("GmudFactorization")
@@ -347,6 +352,8 @@ def _phase_pair(g):
     for a in (0.0, -0.0, 2 * np.pi, -2 * np.pi, 1e300, -1e-300, np.nan, np.inf):
         yield "edge", lambda a=a: g.PhasePair(a, 1.0)
     yield "edge", lambda: g.PhasePair()
+    for a, b in ((1.0, np.inf), (1.0, -np.inf), ("1.5", 1.0), (True, 1.0)):
+        yield "error", lambda a=a, b=b: g.PhasePair(a, b)
 
 
 # precoding
@@ -459,6 +466,12 @@ def _gmud_min_sinr(g):
                 params = g.GmudBeamParams(r_k, theta_k, r_l, theta_l, float(np.sqrt(alpha2)),
                                           float(np.sqrt(1 - alpha2)))
                 yield "edge", lambda p=params, k=fb_k, l=fb_l, noise=noise: g.gmud_min_sinr(p, k, l, noise)
+    fb_k, fb_l = _reports(g, rng, None)
+    params = g.GmudBeamParams(fb_k.lambda1, 0.0, fb_l.lambda1, 0.0, float(np.sqrt(0.5)), float(np.sqrt(0.5)))
+    for field in ("alpha", "beta", "theta_k", "theta_l"):
+        yield "error", lambda p=dataclasses.replace(params, **{field: np.nan}), k=fb_k, l=fb_l: (
+            g.gmud_min_sinr(p, k, l, 0.1)
+        )
 
 
 @case("optimize_gmud")
@@ -505,6 +518,8 @@ def _grid_spec(g):
     yield "typical", lambda: g.GridSpec()
     yield "typical", lambda: g.GridSpec(n_r=3, n_theta=5, n_p=2)
     for sizes in ((0, 4, 3), (4, 0, 3), (4, 4, 0), (-1, 4, 3)):
+        yield "error", lambda sizes=sizes: g.GridSpec(*sizes)
+    for sizes in ((2.5, 4, 3), (4, 4.0, 3), (True, 4, 3)):
         yield "error", lambda sizes=sizes: g.GridSpec(*sizes)
 
 
@@ -567,6 +582,8 @@ def _encode(g):
     yield "error", lambda: g.encode(np.array([[0.5, np.inf], [1.0, 1.0]]), "reg-inv", 4)
     yield "error", lambda: g.encode((np.nan, 0.5, [1.0, 0.0]), "gmud", 4)
     yield "error", lambda: g.encode(np.eye(2), "bogus", 4)
+    for n in (2.5, 2.0, True):
+        yield "error", lambda n=n: g.encode(np.eye(2), "gmud", n)
 
 
 def _message_view(g, msg):
@@ -590,6 +607,8 @@ def _decode(g):
     for bits, scheme, n in (("0" * 47, "gmud", 4), ("2" * 48, "gmud", 4), ("0" * 48, "bogus", 4),
                             ("", "gmud", 0), ("0 1" * 16, "reg-inv", 4)):
         yield "error", lambda b=bits, s=scheme, n=n: g.decode(b, s, n)
+    for bits, n in (("0" * 30, 2.5), ("0" * 24, 2.0), ("0" * 12, True)):
+        yield "error", lambda b=bits, n=n: g.decode(b, "gmud", n)
 
 
 @case("RegInvSelectionFeedback", "RegInvSelectionFeedback", 10)
@@ -622,6 +641,8 @@ def _quantize_scalar(g):
         for lo, hi in RANGES:
             for bits in (1, 8, 16):
                 yield "extreme-scale", lambda v=v, lo=lo, hi=hi, bits=bits: g.quantize_scalar(v, lo, hi, bits)
+    for bits in (2.5, 2.0, True):
+        yield "error", lambda bits=bits: g.quantize_scalar(0.3, -1.0, 1.0, bits)
 
 
 @case("scheme_layout")
@@ -631,6 +652,8 @@ def _scheme_layout(g):
             yield "typical", lambda s=scheme, n=n: g.scheme_layout(s, n)
         yield "error", lambda s=scheme: g.scheme_layout(s, 0)
     yield "error", lambda: g.scheme_layout("reg-inv-selection", 4)
+    for n in (2.5, True):
+        yield "error", lambda n=n: g.scheme_layout("gmud", n)
 
 
 # simulation
