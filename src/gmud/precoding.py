@@ -107,7 +107,8 @@ def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
     h = np.ascontiguousarray(h, dtype=np.complex128)
     k = h.shape[-2]
     hh = np.swapaxes(np.conj(h), -1, -2)
-    a = h @ hh + (k * noise_var) * np.eye(k, dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _mat_inv's finiteness check
+        a = h @ hh + (k * noise_var) * np.eye(k, dtype=np.complex128)
     return hh @ _mat_inv(a.reshape(-1, k, k)).reshape(a.shape)
 
 

@@ -26,8 +26,9 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,6 +221,8 @@ class SimConfig:
             raise ValueError("feedback must be 'perfect' or a positive integer N")
         if not _integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if not isinstance(self.grid, GridSpec):
+            raise ValueError("grid must be a GridSpec")
 
 
 @dataclass(frozen=True)
@@ -279,15 +282,25 @@ def _link_gmud(channels: np.ndarray, noise_var: float, n, grid: GridSpec):
     return g, _rotation_projection(u, lam1, lam2, params[:, [0, 2]], params[:, [1, 3]])
 
 
-# Per-scheme link builders, each a stack of array kernels: (channels (R, users,
-# 2, 2), noise_var, N or None for perfect CSI, grid) -> (G (R, 2, 2), (R, users,
-# 2) unit combiners).  G comes from the reports of feedback._reports, exact or
-# decoded; the combiners are p1 of _rotation_projection for gmud, the unit
-# vector selecting the inverted receive row otherwise.
-_LINKS = {"reg-inv": _link_reg_inv, "reg-inv-sel": _link_selection, "gmud": _link_gmud}
+class _Link(NamedTuple):
+    """A scheme's link builder, a stack of array kernels: (channels (R, users, 2, 2),
+    noise_var, N or None for perfect CSI, grid) -> (G (R, 2, 2), (R, users, 2) unit
+    combiners).  G comes from the reports of feedback._reports, exact or decoded; the
+    combiners are p1 of _rotation_projection for gmud, the unit vector selecting the
+    inverted receive row otherwise.  The engine passes at most ``cap`` realizations a
+    call: per realization gmud's search peaks at ~16 KiB at 10 dB and ~100 KiB at
+    60 dB (more blocks survive its bound), the inverse builders below 2.5 KiB.
+    """
 
-# Realizations per batch, drawn into one set of (R, ...) buffers.  The speed barely
-# changes from 16 to 64; one batch of all would hold every noise and symbol at once.
+    build: Callable
+    cap: int
+
+
+_LINKS = {"reg-inv": _Link(_link_reg_inv, 512), "reg-inv-sel": _Link(_link_selection, 512),
+          "gmud": _Link(_link_gmud, 128)}
+
+# Realizations per symbol chunk: payload, noise, modulate, transmit and detect.  A
+# chunk of 400 is slower than 32: its page faults cost more than the calls it saves.
 _CHUNK = 32
 
 # numpy's SeedSequence algorithm (numpy/random/bit_generator.pyx, pool of 4 words), fixed by NEP 19.
@@ -339,11 +352,14 @@ def _complex(parts: np.ndarray, *scales: float) -> np.ndarray:
 
 
 def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
-    """Bit errors of every realization at one SNR point, in chunks of _CHUNK.
+    """Bit errors of every realization at one SNR point.
 
     The draws are those the module docstring derives, seeded for the whole
-    point in one pass.  Normals [i, 0] and [i, 1] are what :func:`crandn`
-    draws for real and imaginary parts.
+    point in one pass.  Each block of up to the link's cap realizations
+    draws its channels and builds its precoders in one link call; its
+    generators stay live for the payload and noise of its chunks of
+    _CHUNK.  Normals [i, 0] and [i, 1] are what :func:`crandn` draws for
+    real and imaginary parts.
     """
     n = None if config.feedback == "perfect" else config.feedback
     snr_db = config.snr_db[snr_idx]
@@ -353,19 +369,15 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
     bits = 2 * config.symbols * MODULATIONS[config.modulation]
     states = _seed_states(int(config.seed), snr_idx, config.realizations)
     err_counts = np.empty(config.realizations, dtype=np.int64)
-    for start in range(0, config.realizations, _CHUNK):
-        size = min(_CHUNK, config.realizations - start)
-        channels, noise = np.empty((size, 2, 2, 2, 2)), np.empty((size, 2, 2, 2, config.symbols))
-        words = np.empty((size, -(-bits // 8)), "<u8")
-        for i, state in enumerate(states[start : start + size]):
-            rng = np.random.Generator(np.random.PCG64(_SeedState(state)))
-            rng.standard_normal(out=channels[i])
-            words[i] = rng.bit_generator.random_raw(words.shape[1])
-            rng.standard_normal(out=noise[i])
-        payload = (words.view(np.uint8)[:, :bits] >> 7).reshape(size, 2, -1)
+    link = _LINKS[config.scheme]
+    for block in range(0, config.realizations, link.cap):
+        rngs = [np.random.Generator(np.random.PCG64(_SeedState(s))) for s in states[block : block + link.cap]]
+        channels = np.empty((len(rngs), 2, 2, 2, 2))
+        for rng, out in zip(rngs, channels):
+            rng.standard_normal(out=out)
         channels = _complex(channels, np.sqrt(0.5))
         try:
-            g, combiners = _LINKS[config.scheme](channels, noise_var, n, config.grid)
+            g, combiners = link.build(channels, noise_var, n, config.grid)
         except SingularMatrixError as exc:
             if n is None:  # exact channels, no reports
                 raise
@@ -375,10 +387,18 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
                 f"snr_db {snr_db}: two users' reports collide for {config.scheme} with N = {n}: their rows are "
                 f"parallel, and the regularizer 2*noise_var = {2.0 * noise_var:.3g} is too small to separate them"
             ) from exc
-        x, gamma = transmit(g, modulate(payload, config.modulation))
-        noise = _complex(noise, np.sqrt(0.5), np.sqrt(noise_var))
-        detected = receive_detect(channels, g, combiners, x, gamma, config.modulation, noise)
-        err_counts[start : start + size] = np.count_nonzero(detected != payload, axis=(1, 2))
+        for start in range(0, len(rngs), _CHUNK):
+            chunk = slice(start, start + _CHUNK)
+            size = len(rngs[chunk])
+            noise, words = np.empty((size, 2, 2, 2, config.symbols)), np.empty((size, -(-bits // 8)), "<u8")
+            for i, rng in enumerate(rngs[chunk]):
+                words[i] = rng.bit_generator.random_raw(words.shape[1])
+                rng.standard_normal(out=noise[i])
+            payload = (words.view(np.uint8)[:, :bits] >> 7).reshape(size, 2, -1)
+            x, gamma = transmit(g[chunk], modulate(payload, config.modulation))
+            noise = _complex(noise, np.sqrt(0.5), np.sqrt(noise_var))
+            detected = receive_detect(channels[chunk], g[chunk], combiners[chunk], x, gamma, config.modulation, noise)
+            err_counts[block + start : block + start + size] = np.count_nonzero(detected != payload, axis=(1, 2))
     return err_counts
 
 

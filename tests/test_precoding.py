@@ -91,6 +91,15 @@ class TestRegInv:
             with pytest.raises(ValueError, match="noise_var must be nonnegative"):
                 reg_inv(np.eye(2), noise)
 
+    def test_overflowing_gram_names_finiteness(self):
+        # finite rows whose H H^H overflows: the matmul warned (an error under this suite's filter) before
+        # _mat_inv could name the cause
+        huge = np.diag([1e200, 1e200])
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            reg_inv(huge, 0.1)
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            antenna_selection([huge, huge], 0.1)
+
 
 class TestExpectedGamma:
     def test_column_norms(self):

@@ -197,7 +197,7 @@ class TestReceiveDetect:
     def test_zero_noise_orthogonal_beams(self):
         h = np.diag([2.0, 1.0]).astype(complex)
         channels = np.stack((h, np.fliplr(np.diag([1.0, 2.0])).astype(complex)))
-        g, combiners = (a[0] for a in _LINKS["gmud"](channels[None], 0.0, None, GridSpec()))
+        g, combiners = (a[0] for a in _LINKS["gmud"].build(channels[None], 0.0, None, GridSpec()))
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=(2, 20), dtype=np.uint8)
         x, gamma = transmit(g, modulate(bits, "qpsk"))
@@ -230,7 +230,7 @@ class TestReceiveDetect:
         channels = gen_channels(np.random.default_rng(7))
         estimates = [decode(encode(h, "reg-inv-sel", 2), "reg-inv-sel", 2).channel for h in channels]
         for scheme in ("reg-inv", "reg-inv-sel"):
-            combiners = _LINKS[scheme](channels[None], 0.1, 2, GridSpec())[1][0]
+            combiners = _LINKS[scheme].build(channels[None], 0.1, 2, GridSpec())[1][0]
             rows = tuple(int(np.flatnonzero(w)[0]) for w in combiners)
             expected = (0, 0) if scheme == "reg-inv" else antenna_selection(estimates, 0.1)[0]
             assert rows == expected
@@ -315,6 +315,9 @@ class TestSimConfig:
                 SimConfig(scheme="gmud", seed=seed)
         for seed in (0, 2**32, 2**64 + 7, np.int64(5), np.uint64(2**64 - 1)):  # numpy seeds these too
             assert SimConfig(scheme="gmud", seed=seed).seed == seed
+        for grid in ((4, 8, 5), None):  # run_ber failed mid-run with AttributeError
+            with pytest.raises(ValueError, match="grid must be a GridSpec"):
+                SimConfig(scheme="gmud", grid=grid)
 
     @pytest.mark.parametrize("snr_db", [(-np.inf,), (np.nan,), (np.inf,), (0.0, np.inf), [np.float64(-np.inf)],
                                         (10**400,), (-(10**400),)])
@@ -382,7 +385,7 @@ class TestSimConfig:
 
         channels = gen_channels(rng)
         cfg = SimConfig(scheme="gmud", modulation="qpsk", snr_db=(10.0,), feedback=2)
-        g = _LINKS["gmud"](channels[None], 0.1, 2, cfg.grid)[0][0]
+        g = _LINKS["gmud"].build(channels[None], 0.1, 2, cfg.grid)[0][0]
         # the precoder is the search over the decoded reports, nothing else
         msgs = [decode(encode(svd2x2(h), "gmud", 2), "gmud", 2) for h in channels]
         g_decoded, params, _ = optimize_gmud(msgs[0], msgs[1], 0.1, cfg.grid)
@@ -455,11 +458,15 @@ class TestChunkedEngine:
             noise = (2, 2, 2, symbols)
             assert np.array_equal(want.standard_normal(noise), got.standard_normal(noise)), seed_row
 
-    def test_error_counts_equal_per_realization_loop(self):
-        from gmud.simulation import _CHUNK, _error_counts
+    def test_error_counts_equal_per_realization_loop(self, monkeypatch):
+        from gmud import simulation
 
-        sizes = (31, 33, 67)  # across one, two and three chunk boundaries
-        assert _CHUNK == 32
+        # link blocks of 40 and symbol chunks of 16: 31, 33 and 67 realizations end a symbol chunk inside a
+        # block, and 67 also spans two blocks whose second starts mid-chunk
+        for scheme, link in simulation._LINKS.items():
+            monkeypatch.setitem(simulation._LINKS, scheme, link._replace(cap=40))
+        monkeypatch.setattr(simulation, "_CHUNK", 16)
+        sizes = (31, 33, 67)
         configs = [
             SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0, 20.0), feedback=fb,
                       realizations=sizes[i % 3], symbols=20, seed=100 + i, grid=GridSpec(4, 8, 5))
@@ -479,7 +486,43 @@ class TestChunkedEngine:
         ]
         for cfg in configs:
             for snr_idx in range(2):
-                assert np.array_equal(_error_counts(cfg, snr_idx), _loop_error_counts(cfg, snr_idx)), cfg
+                assert np.array_equal(simulation._error_counts(cfg, snr_idx), _loop_error_counts(cfg, snr_idx)), cfg
+
+    @pytest.mark.parametrize("scheme, calls", [("reg-inv", 1), ("reg-inv-sel", 1), ("gmud", 4)])
+    def test_one_link_call_per_block(self, monkeypatch, scheme, calls):
+        # a 400-realization point builds its precoders in ceil(400 / cap) calls: one for the inverse schemes
+        from gmud import simulation
+
+        link = simulation._LINKS[scheme]
+        sizes = []
+
+        def build(channels, *args):
+            sizes.append(len(channels))
+            return link.build(channels, *args)
+
+        monkeypatch.setitem(simulation._LINKS, scheme, link._replace(build=build))
+        config = SimConfig(scheme=scheme, snr_db=(10.0,), feedback=4, realizations=400, symbols=2,
+                           grid=GridSpec(4, 8, 5))
+        simulation._error_counts(config, 0)
+        assert len(sizes) == calls == -(-400 // link.cap) and sum(sizes) == 400
+
+    @pytest.mark.parametrize("scheme, bound_mib", [("reg-inv", 3), ("reg-inv-sel", 3), ("gmud", 16)])
+    def test_point_memory_is_bounded(self, scheme, bound_mib):
+        # a CLI-size point (400 realizations of 125 symbols) holds one link block and one symbol chunk at a
+        # time; gmud's search holds more surviving blocks at high SNR (~14 MiB at 60 dB, ~3 MiB at 10 dB)
+        import tracemalloc
+
+        from gmud.simulation import _error_counts
+
+        config = SimConfig(scheme=scheme, modulation="16qam", snr_db=(10.0, 60.0), feedback=4, realizations=400)
+        for snr_idx in range(2):
+            tracemalloc.start()
+            try:
+                _error_counts(config, snr_idx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, (snr_idx, peak / 2**20)
 
     def test_gmud_link_equals_single_realizations(self):
         # the stacked gmud builder on 33 realizations gives each one the bytes of
@@ -491,9 +534,9 @@ class TestChunkedEngine:
         channels[7, 1] = 0.7 * np.eye(2)  # lambda1 = lambda2
         grid = GridSpec(4, 8, 5)
         for n in (None, 1, 4):
-            g, combiners = _LINKS["gmud"](channels, 0.05, n, grid)
+            g, combiners = _LINKS["gmud"].build(channels, 0.05, n, grid)
             for j, pair in enumerate(channels):
-                g_j, combiners_j = _LINKS["gmud"](pair[None], 0.05, n, grid)
+                g_j, combiners_j = _LINKS["gmud"].build(pair[None], 0.05, n, grid)
                 assert g[j].tobytes() == g_j[0].tobytes() and combiners[j].tobytes() == combiners_j[0].tobytes(), (n, j)
                 svds = [svd2x2(h) for h in pair]
                 reports = [GmudFeedback.from_svd(s) if n is None else decode(encode(s, "gmud", n), "gmud", n)

@@ -781,6 +781,7 @@ def _link(g, config, channels, noise):
     """The scheme's link builder on a stack: G (R, 2, 2) and the combiners (R, 2, 2)."""
     n = None if config.feedback == "perfect" else config.feedback
     build = g.simulation._LINKS[config.scheme]
+    build = getattr(build, "build", build)  # trees from before the per-scheme caps hold the builders bare
     if _stacked(g):
         m, combiners = build(channels, noise, n, config.grid)
         return m, np.asarray(combiners)
