@@ -93,13 +93,14 @@ class SinrReport:
     gamma_bar: float
 
 
-def _check_inputs(noise_var: float, *lambda1s: float) -> None:
-    """0 <= noise_var (NaN fails too), and a finite lambda1**2 per report for the SINR kernel."""
+def _check_inputs(noise_var: float, *lambda1s: float) -> float:
+    """0 <= noise_var (NaN fails too), and a finite lambda1**2 per report for the SINR kernel; float(noise_var)."""
     if not noise_var >= 0.0:
         raise ValueError("noise_var must be nonnegative")
     for lambda1 in lambda1s:
         if math.isinf(lambda1 * lambda1):
             raise DomainError(f"lambda1 = {lambda1:.6g} is too large: lambda1**2 overflows float64")
+    return float(noise_var)
 
 
 def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
@@ -120,7 +121,7 @@ def reg_inv(h_tilde, noise_var: float) -> np.ndarray:
     K*sigma^2 trades residual inter-user interference for a smaller
     transmit normalization.
     """
-    _check_inputs(noise_var)
+    noise_var = _check_inputs(noise_var)
     return _reg_inv(as_matrix(h_tilde)[None], noise_var)[0]
 
 
@@ -195,7 +196,7 @@ def antenna_selection(channels, noise_var: float):
 
     Returns ``(selection, G, SinrReport)``.
     """
-    _check_inputs(noise_var)
+    noise_var = _check_inputs(noise_var)
     mats = [as_matrix(h) for h in channels]
     combos = _combos([h.shape[0] for h in mats])
     h_hat = np.stack([np.stack([mats[k][row] for k, row in enumerate(combo)]) for combo in combos])
@@ -243,7 +244,7 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     ``lambda2`` and principal vector ``v1``.  This is the search's kernel
     on a one-point grid, so it equals :func:`optimize_gmud`'s report.
     """
-    _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
+    noise_var = _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
     # per user r, then the report (beam_from_feedback's order), then the phases and powers; both beams in one call
     (r_k, v1_k), (r_l, v1_l) = ((_checked_r(fb.lambda1, fb.lambda2, r), _check_report(fb.lambda1, fb.v1))
                                 for fb, r in ((fb_k, params.r_k), (fb_l, params.r_l)))
@@ -254,10 +255,9 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
                                    np.array([r_k, r_l], dtype=np.float64))
     v1 = np.array([v1_k, v1_l])
     q = _steer(c, s, np.array([params.theta_k, params.theta_l], dtype=np.float64), v1, orthonormal_complement(v1))
-    sk, sl, gamma_bar = _pair_grid(
-        q[0, None, None], q[1, None, None], np.array([params.r_k]), np.array([params.r_l]),
-        np.array([params.alpha]), np.array([params.beta]), noise_var,
-    )
+    # the beams' checked r's, and the powers as float64 whatever real type they come in
+    rk, rl, alpha, beta = np.array([[r_k], [r_l], [params.alpha], [params.beta]], dtype=np.float64)
+    sk, sl, gamma_bar = _pair_grid(q[0, None, None], q[1, None, None], rk, rl, alpha, beta, noise_var)
     sk, sl = sk.item(), sl.item()
     return SinrReport((sk, sl), min(sk, sl), float(gamma_bar.item()))
 
@@ -407,7 +407,7 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
     Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].
     """
-    _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
+    noise_var = _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
     for fb in (fb_k, fb_l):
         _check_report(fb.lambda1, fb.v1)
     g, params, report = _search(

@@ -179,13 +179,13 @@ def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise):
     return demodulate(z[..., 0, :], modulation)
 
 
-def _noise_var(snr_db):
-    """10**(-snr_db/10), the noise variance at ``snr_db`` dB; ValueError where it overflows (below ~-3082 dB)."""
-    with np.errstate(over="raise"):  # a numpy scalar would give inf where a float raises
-        try:
-            return 10.0 ** (-snr_db / 10.0)
-        except (OverflowError, FloatingPointError):
-            raise ValueError(f"snr_db {snr_db} is too low: its noise variance 10**(-snr_db/10) overflows") from None
+def _noise_var(snr_db) -> float:
+    """10**(-snr_db/10) on float(snr_db), the noise variance at ``snr_db`` dB; ValueError where it overflows
+    (below ~-3082 dB).  In the SNR's own numpy type, an unsigned negation would wrap and a narrow float round."""
+    try:
+        return 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"snr_db {snr_db} is too low: its noise variance 10**(-snr_db/10) overflows") from None
 
 
 @dataclass(frozen=True)
@@ -364,7 +364,7 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
     n = None if config.feedback == "perfect" else config.feedback
     snr_db = config.snr_db[snr_idx]
     noise_var = _noise_var(snr_db)
-    if config.scheme != "gmud" and math.isinf(2.0 * float(noise_var)):  # _reg_inv's K*noise_var, K = 2 users
+    if config.scheme != "gmud" and math.isinf(2.0 * noise_var):  # _reg_inv's K*noise_var, K = 2 users
         raise ValueError(f"snr_db {snr_db} is too low for {config.scheme}: its regularizer 2*noise_var overflows")
     bits = 2 * config.symbols * MODULATIONS[config.modulation]
     states = _seed_states(int(config.seed), snr_idx, config.realizations)
@@ -420,6 +420,8 @@ def run_ber(config: SimConfig, jobs: int = 1) -> BerCurve:
     are identical to the serial run because every realization derives
     its own generator.
     """
+    if not _integer(jobs) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     tasks = [(config, i) for i in range(len(config.snr_db))]
     if jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(min(jobs, len(tasks))) as pool:

@@ -190,6 +190,15 @@ class TestSweep:
         assert err == "gmud: error: snr_db -5000.0 is too low: its noise variance 10**(-snr_db/10) overflows\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_must_be_positive(self, capsys, tmp_path, jobs):
+        # --jobs -2 ran serially, exited 0 and wrote "jobs": -2 into the manifest
+        code, out, err = run_cli(capsys, "sweep", "--scheme", "reg-inv", "--snr", "0:10:10", "--realizations", "1",
+                                 "--symbols", "1", "--jobs", jobs, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"gmud: error: jobs must be a positive integer, got {jobs}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_overflowing_regularizer_flag(self, capsys, tmp_path):
         # the noise variance is finite at -3082 dB, so gmud runs; the inverse schemes' 2*noise_var is not
         args = ("--snr=-3082:0:-3082", "--realizations", "2", "--symbols", "2")

@@ -156,6 +156,16 @@ class TestAntennaSelection:
         combo2, _, rep2 = antenna_selection([c.copy() for c in channels], 0.05)
         assert combo1 == combo2 and rep1.min_sinr == rep2.min_sinr
 
+    def test_float32_noise_gives_the_bytes_of_its_float64_value(self):
+        # 1.0 / noise_var rounded to float32: SINRs 20.26867335729164 and 17.8399939021403 here, against
+        # 20.268673056857626 and 17.83999363770558 for the same value as a float
+        channels = list(crandn(np.random.default_rng(3), (2, 2, 2)))
+        noise = np.float32(0.1)
+        combo, g, report = antenna_selection(channels, noise)
+        want_combo, want_g, want = antenna_selection(channels, float(noise))
+        assert (combo, report) == (want_combo, want) and g.tobytes() == want_g.tobytes()
+        assert reg_inv(channels[0], noise).tobytes() == reg_inv(channels[0], float(noise)).tobytes()
+
 
 class TestGmudMinSinr:
     def test_orthogonal_beams(self):
@@ -283,6 +293,23 @@ class TestGmudMinSinr:
         params = GmudBeamParams(fb_k.lambda1, 0.0, fb_l.lambda1, 0.0, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
         with pytest.raises(DomainError, match="theta_k, theta_l, alpha and beta must be finite reals"):
             gmud_min_sinr(dataclasses.replace(params, **{field: value}), fb_k, fb_l, 0.1)
+
+    def test_slack_r_scored_as_its_beam(self):
+        # an r inside the 1e-9 slack builds the beam of its clamped value, but the SINRs scored the raw r:
+        # SINR_k read 1.3560053626863848 at r_k = lambda1 (1 + 5e-10), against 1.35600536263364 at lambda1
+        fb_k, fb_l = random_reports(np.random.default_rng(13))
+        params = GmudBeamParams(fb_k.lambda1, 0.3, fb_l.lambda2, 1.1, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
+        want = gmud_min_sinr(params, fb_k, fb_l, 0.1)
+        for slack in ({"r_k": fb_k.lambda1 * (1 + 5e-10)}, {"r_l": fb_l.lambda2 * (1 - 5e-10)}):
+            assert gmud_min_sinr(dataclasses.replace(params, **slack), fb_k, fb_l, 0.1) == want
+
+    def test_float32_powers_and_noise_read_as_float64(self):
+        # float32 alpha and beta made the powers float32: gamma_bar read 1.0 against 1.0000000476837165
+        fb_k, fb_l = random_reports(np.random.default_rng(13))
+        params = GmudBeamParams(fb_k.lambda1, 0.3, fb_l.lambda1, 1.1, alpha=np.float32(0.6), beta=np.float32(0.8))
+        as_floats = dataclasses.replace(params, alpha=float(params.alpha), beta=float(params.beta))
+        noise = np.float32(0.1)
+        assert gmud_min_sinr(params, fb_k, fb_l, noise) == gmud_min_sinr(as_floats, fb_k, fb_l, float(noise))
 
 
 class TestOptimizeGmud:

@@ -267,6 +267,13 @@ class TestRunBer:
         )
         assert run_ber(cfg, jobs=1).points == run_ber(cfg, jobs=2).points
 
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.5, "2", None])
+    def test_bad_jobs_refused(self, jobs):
+        # 0, -3 and True ran serially, and 2.5 ended in TypeError from the process pool once there were 3 points
+        cfg = SimConfig(scheme="reg-inv", snr_db=(0.0, 10.0, 20.0), realizations=1, symbols=1)
+        with pytest.raises(ValueError, match="^jobs must be a positive integer, got "):
+            run_ber(cfg, jobs=jobs)
+
     @pytest.mark.slow
     def test_gmud_high_snr_interference_free(self):
         cfg = SimConfig(
@@ -332,12 +339,26 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="snr_db must be a sequence of finite reals"):
             SimConfig(scheme="gmud", snr_db=snr_db)
 
-    @pytest.mark.parametrize("snr_db", [(-5000.0,), (0.0, -3083.0), np.array([-5000.0]), (np.float32(-400.0),)])
+    @pytest.mark.parametrize("snr_db", [(-5000.0,), (0.0, -3083.0), np.array([-5000.0])])
     def test_overflowing_noise_variance_refused(self, snr_db):
         # 10**(-snr_db/10) overflows: a float raised OverflowError in run_ber, a numpy scalar gave inf noise
         with pytest.raises(ValueError, match=r"snr_db -?\d.* overflows"):
             run_ber(SimConfig(scheme="reg-inv", snr_db=snr_db, realizations=1, symbols=1))
         assert SimConfig(scheme="reg-inv", snr_db=(-3082.0,)).snr_db == (-3082.0,)  # 10**308.2 is finite
+
+    @pytest.mark.parametrize("snr_db", [np.float32(-400.0), np.float16(-400.0), np.uint16(30), np.uint8(200)])
+    def test_snr_of_any_real_type_read_as_float64(self, snr_db):
+        # the noise variance was computed in the SNR's own type: unsigned negation wrapped around and float16 and
+        # float32 overflowed at 10**40, so all four were refused as "too low"
+        config = SimConfig(scheme="reg-inv", snr_db=(snr_db,), realizations=2, symbols=2)
+        assert run_ber(config).points == run_ber(dataclasses.replace(config, snr_db=(float(snr_db),))).points
+
+    def test_float32_snr_gives_the_errors_of_its_float64_value(self):
+        # a float32 SNR gave a float32 noise variance: 8,690 errors here against 8,666 for the same value as a float
+        config = SimConfig(scheme="gmud", modulation="16qam", snr_db=(np.float32(7.3),), realizations=64, seed=5)
+        point = run_ber(config).points[0]
+        assert point == run_ber(dataclasses.replace(config, snr_db=(float(np.float32(7.3)),))).points[0]
+        assert point.errors == 8666
 
     def test_overflowing_regularizer_refused_when_the_point_runs(self):
         # between about -3079.5 and -3082 dB the noise variance is finite but the inverse schemes'

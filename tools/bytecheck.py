@@ -433,6 +433,10 @@ def _antenna_selection(g):
     yield "extreme-scale", lambda: g.antenna_selection([h, h], 0.0)  # every combination singular
     for scale in SCALES:
         yield "extreme-scale", lambda c=scale * _crandn(rng, (2, 2, 2)): g.antenna_selection(list(c), 0.0)
+    # a noise_var of a narrower real type, read as its float64 value
+    for noise in (np.float32(1e-3), np.float32(0.1), np.float16(0.05)):
+        for _ in range(20):
+            yield "typical", lambda c=_crandn(rng, (2, 2, 2)), noise=noise: g.antenna_selection(list(c), noise)
 
 
 @case("gmud_min_sinr")
@@ -472,6 +476,17 @@ def _gmud_min_sinr(g):
         yield "error", lambda p=dataclasses.replace(params, **{field: np.nan}), k=fb_k, l=fb_l: (
             g.gmud_min_sinr(p, k, l, 0.1)
         )
+    # r's inside the 1e-9 slack, scored at the clamped r their beams are built for, and float32 powers
+    for _ in range(20):
+        fb_k, fb_l = _reports(g, rng, None)
+        for r_k, r_l in ((fb_k.lambda1 * (1 + 5e-10), fb_l.lambda1), (fb_k.lambda2, fb_l.lambda2 * (1 - 5e-10))):
+            p = g.GmudBeamParams(r_k, _phase(rng), r_l, _phase(rng), float(np.sqrt(0.5)), float(np.sqrt(0.5)))
+            yield "edge", lambda p=p, k=fb_k, l=fb_l: g.gmud_min_sinr(p, k, l, 0.05)
+        alpha2 = rng.uniform(0.1, 0.9)
+        p = g.GmudBeamParams(rng.uniform(fb_k.lambda2, fb_k.lambda1), _phase(rng),
+                             rng.uniform(fb_l.lambda2, fb_l.lambda1), _phase(rng),
+                             np.float32(np.sqrt(alpha2)), np.float32(np.sqrt(1 - alpha2)))
+        yield "typical", lambda p=p, k=fb_k, l=fb_l: g.gmud_min_sinr(p, k, l, 0.05)
 
 
 @case("optimize_gmud")
@@ -713,17 +728,6 @@ def _config(g, scheme, mod, feedback, **kw):
                        realizations=6, symbols=10, seed=7, grid=g.GridSpec(4, 8, 5), **kw)
 
 
-def _stacked(g) -> bool:
-    """Whether the tree's link builders and receivers take realization stacks.
-
-    Trees from before the chunked engine (no ``simulation._CHUNK``) build
-    one realization per link-builder call and draw the receiver noise
-    inside ``receive_detect``; the battery calls them that way, so the
-    records of trees on either side of that change compare item by item.
-    """
-    return hasattr(g.simulation, "_CHUNK")
-
-
 def _links(g):
     """(config, channels, noise_var) inputs of the link builders; channels are (R, 2, 2, 2) stacks."""
     rng = _rng("links")
@@ -780,13 +784,8 @@ def _links(g):
 def _link(g, config, channels, noise):
     """The scheme's link builder on a stack: G (R, 2, 2) and the combiners (R, 2, 2)."""
     n = None if config.feedback == "perfect" else config.feedback
-    build = g.simulation._LINKS[config.scheme]
-    build = getattr(build, "build", build)  # trees from before the per-scheme caps hold the builders bare
-    if _stacked(g):
-        m, combiners = build(channels, noise, n, config.grid)
-        return m, np.asarray(combiners)
-    links = [build(h, noise, n, config.grid) for h in channels]
-    return np.stack([m for m, _ in links]), np.stack([np.asarray(c) for _, c in links])
+    m, combiners = g.simulation._LINKS[config.scheme].build(channels, noise, n, config.grid)
+    return m, np.asarray(combiners)
 
 
 @case("receive_detect")
@@ -800,8 +799,6 @@ def _receive_detect(g):
             m, combiners = (a[0] for a in _link(g, config, channels, noise))
             u = np.stack([g.modulate(rng.integers(0, 2, 40), config.modulation) for _ in range(2)])
             x, gamma = g.transmit(m, u)
-            if not _stacked(g):
-                return g.receive_detect(channels[0], m, combiners, x, gamma, config.modulation, noise, rng)
             n = g.crandn(rng, (2, 2, x.shape[-1])) * np.sqrt(noise)
             return g.receive_detect(channels[0], m, combiners, x, gamma, config.modulation, n)
 
@@ -814,24 +811,14 @@ def _links_case(g):
         yield group, lambda c=config, h=channels, noise=noise: _link(g, c, h, noise)
 
 
-def _projection(g, svd, r, theta):
-    """The gmud receiver combiner of one SVD.
-
-    Trees from before the stacked gmud builder (no ``simulation._svd2x2``)
-    take the SVD object, later ones its arrays, so both record the same items.
-    """
-    if hasattr(g.simulation, "_svd2x2"):
-        return g.simulation._rotation_projection(svd.u, svd.lambda1, svd.lambda2, r, theta)
-    return g.simulation._rotation_projection(svd, r, theta)
-
-
 @case("simulation._rotation_projection")
 def _rotation_projection(g):
     rng = _rng("rotation_projection")
     for group, h in _matrices(rng, 2000):
         if group != "extreme-scale":
             yield group, lambda h=h, u=rng.uniform(), t=_phase(rng): (
-                lambda s: _projection(g, s, s.lambda2 + u * (s.lambda1 - s.lambda2), t)
+                lambda s: g.simulation._rotation_projection(s.u, s.lambda1, s.lambda2,
+                                                            s.lambda2 + u * (s.lambda1 - s.lambda2), t)
             )(g.svd2x2(h))
 
 
@@ -879,6 +866,11 @@ def _run_ber(g):
         yield "edge", lambda c=g.SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0, 10.0), feedback=4,
                                            realizations=40, symbols=symbols, seed=seed,
                                            grid=g.GridSpec(4, 8, 5)): g.run_ber(c)
+    # SNRs of other real types, read as their float64 values
+    for snr in (np.uint16(30), np.uint8(200), np.float16(-400.0), np.float32(-400.0), np.float32(7.3)):
+        yield "edge", lambda s=snr: g.run_ber(dataclasses.replace(_config(g, "gmud", "16qam", 4), snr_db=(s,)))
+    for jobs in (0, -3, True, 2.5, "2"):
+        yield "error", lambda j=jobs: g.run_ber(_config(g, "reg-inv", "qpsk", "perfect"), jobs=j)
 
 
 # command line
