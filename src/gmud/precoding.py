@@ -23,6 +23,7 @@ re-enumeration of its grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,13 +95,21 @@ class SinrReport:
 
 
 def _check_inputs(noise_var: float, *lambda1s: float) -> float:
-    """0 <= noise_var (NaN fails too), and a finite lambda1**2 per report for the SINR kernel; float(noise_var)."""
-    if not noise_var >= 0.0:
+    """float(noise_var) for a real scalar that float64 holds with 0 <= noise_var (NaN fails too), and a finite
+    lambda1**2 per report for the SINR kernel."""
+    try:
+        if isinstance(noise_var, np.complexfloating):  # numpy orders complex numbers; float() drops the imaginary part
+            raise TypeError
+        value = float(noise_var) if noise_var >= 0.0 else math.nan
+    except (TypeError, ValueError, ArithmeticError):  # complex, str, None, an array, an int beyond float64
+        kind = type(noise_var).__name__
+        raise ValueError(f"noise_var must be a real scalar that float64 holds, got {kind}") from None
+    if math.isnan(value):
         raise ValueError("noise_var must be nonnegative")
     for lambda1 in lambda1s:
         if math.isinf(lambda1 * lambda1):
             raise DomainError(f"lambda1 = {lambda1:.6g} is too large: lambda1**2 overflows float64")
-    return float(noise_var)
+    return value
 
 
 def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
@@ -279,20 +288,52 @@ def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     return y * delta + start[..., None]
 
 
-_X_SLACK = 2.0**-46  # 128 units in the last place at 1; derived in _search
+@functools.lru_cache(maxsize=8)
+def _grid_tables(grid: GridSpec):
+    """:func:`_search`'s constants: theta, its phasors w, (cos, sin) rows of theta_k's phases in [0, pi/4]
+    (all if 8 does not divide n_theta), alpha, beta, a2, b2, (a2, b2) below and above each split (0 past the
+    ends) and min(a2 + b2)."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, grid.n_theta, endpoint=False)
+    w = np.exp(1j * thetas)
+    fold = w[: grid.n_theta // 8 + 1] if grid.n_theta % 8 == 0 else w
+    alpha2 = np.linspace(0.1, 0.9, grid.n_p)
+    alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
+    a2, b2 = alpha**2, beta**2
+    ends = np.array([np.r_[0.0, a2], np.r_[1.0, b2], np.r_[a2, 1.0], np.r_[b2, 0.0]])
+    tables = thetas, w, np.stack([fold.real, fold.imag]), alpha, beta, a2, b2, ends
+    for table in tables:
+        table.setflags(write=False)  # every search of this grid shares them
+    return (*tables, (a2 + b2).min())
 
 
-def _x_bound(c, s, v1, v2, thetas):
+def _x_bound(c, s, v1, v2, w, fold):
     """Lower bounds (P, n_r, n_r) on each block's smallest x from the beams' ``c``, ``s`` (P, 2, n_r), ``v1``,
-    ``v2`` (P, 2, 2) and the phases ``thetas`` (n_theta,), with no beam grid (:func:`_search`)."""
+    ``v2`` (P, 2, 2), the phasors ``w`` (n_theta,) and the ``fold`` rows of :func:`_grid_tables` (:func:`_search`)."""
     vk, vl = np.conj(np.stack([v1[:, 0], v2[:, 0]], axis=1)), np.stack([v1[:, 1], v2[:, 1]], axis=1)
     g = vk[:, :, None, 0] * vl[:, None, :, 0] + vk[:, :, None, 1] * vl[:, None, :, 1]  # g[p, i, j] = v_ik^H v_jl
-    cw = np.exp(1j * thetas)[:, None, None] * c[:, 1]  # (n_theta, P, n_r); theta leads, as min over it is cheap
-    z = np.abs(cw[:, :, None] * g[:, :, 0, None] - s[:, 1, None] * g[:, :, 1, None])  # |v1_k^H q_l|, |v2_k^H q_l|
-    t = np.stack([c[:, 0], -s[:, 0]], axis=-1) @ z  # c_k z_1 - s_k z_2, (n_theta, P, n_rk, n_rl)
-    t *= t
+    ab = (w[:, None, None] * c[:, 1])[:, :, None] * g[:, :, 0, None]
+    ab -= s[:, 1, None] * g[:, :, 1, None]  # alpha = v1_k^H q_l and beta = v2_k^H q_l, (n_theta_l, P, 2, n_rl)
+    terms = np.empty(ab.shape[:2] + (3,) + ab.shape[3:])  # |alpha|^2, |beta|^2 and M
+    terms[:, :, :2] = _abs2(ab)
+    prod = ab[:, :, 0] * np.conj(ab[:, :, 1])  # alpha conj(beta)
+    del ab  # here and below: the matmul's (n_theta_l, P, n_rk, n_rl) product is the largest array
+    re, im = np.abs(prod.real), np.abs(prod.imag)  # folded: the larger |part|, then the smaller; else the parts
+    re, im = (np.maximum(re, im), np.minimum(re, im)) if len(fold[0]) < len(w) else (prod.real, prod.imag)
+    terms[:, :, 2] = functools.reduce(np.maximum, (re * cos + im * sin for cos, sin in fold.T))
+    del prod, re, im
+    x = (np.stack([c[:, 0] * c[:, 0], s[:, 0] * s[:, 0], -2.0 * (c[:, 0] * s[:, 0])], axis=-1) @ terms).min(axis=0)
     n = (c + s)[:, 0, :, None] * (c + s)[:, 1, None, :]
-    return t.min(axis=0) - _X_SLACK * (n * n)
+    return x - 2.0**-45 * (n * n)  # 256 units in the last place at 1: the slack derived in _search
+
+
+def _peak_bound(x, rk2, rl2, noise_var: float, grid: GridSpec):
+    """Upper bounds on max over the splits of min(SINR_k, SINR_l) at x, r_k^2, r_l^2 (:func:`_search`)."""
+    a2, _, ends, gamma_min = _grid_tables(grid)[5:]
+    with np.errstate(all="ignore"):  # a* may overflow or be NaN; any lo still bounds
+        kl = rk2 * rl2 * x
+        lo = np.searchsorted(a2, (kl + noise_var * rl2) / (2.0 * kl + noise_var * (rk2 + rl2)))
+    return np.maximum(_ratio(ends[0, lo] * rk2, ends[1, lo] * rk2 * x + noise_var * gamma_min),
+                      _ratio(ends[3, lo] * rl2, ends[2, lo] * rl2 * x + noise_var * gamma_min))
 
 
 def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var: float, grid: GridSpec):
@@ -309,75 +350,72 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     >= 0, plus noise >= 0, num/den, cap), so min-SINR is non-increasing in x
     and each (i_rk, i_rl) block peaks at its smallest x.
 
-    Stage 1 is a branch and bound over the (i_rk, i_rl) blocks.  As
-    q_k = c e^{i theta_k} v1 - s v2, q_k^H q_l = e^{-i theta_k} A - B with
-    A = c v1^H q_l and B = s v2^H q_l, so x >= t^2, t = |A| - |B|, at every
-    theta_k.  With g = v^H [v1_l, v2_l] for v in {v1_k, v2_k}, four numbers
-    per pair, v^H q_l = c_l e^{i theta_l} g_1 - s_l g_2, so no beam is built
-    for the bound.  Less a slack, the minimum of t^2 over theta_l bounds the
-    block's x.  The bound's x is clamped at 0 (NaN too) before it is scored:
-    every computed x is >= 0, so max(bound, 0) still bounds it, and the
-    min-SINR there bounds the block's peak, x = 0 giving the largest.  The
-    best-bound block is searched first; its peak L prunes every block bounded
-    below L, and the rest are searched in one gather (``>=`` keeps ties with
-    L that may come first in C order).  Beams are built for those blocks
-    only, and the chosen block keeps its beams, x and score per power split.
-    Stage 2 scores it at the splits whose stage-1 score is its peak only: no
-    other split reaches it.
+    Stage 1 is a branch and bound over the (i_rk, i_rl) blocks.  With w the
+    phasor of theta_k, q_k = c w v1 - s v2, alpha = v1_k^H q_l and
+    beta = v2_k^H q_l, x = c^2|alpha|^2 + s^2|beta|^2 - 2cs Re(conj(w) alpha
+    conj(beta)) >= c^2|alpha|^2 + s^2|beta|^2 - 2cs M, M the largest real part
+    on theta_k's grid.  If 8 divides n_theta, the grid is closed under
+    conjugation, quarter turns and swapped axes: M is the largest
+    a cos(theta) + b sin(theta), theta in [0, pi/4], a >= b the moduli of the
+    parts of alpha conj(beta).  alpha and beta are c_l w_l g_1 - s_l g_2 with
+    g = v^H [v1_l, v2_l], v in {v1_k, v2_k}: no beam is built.  Less a slack,
+    the minimum over theta_l bounds the block's x, clamped at 0 (NaN too).
+    Its min-SINR is scored where SINR_k, rising in the split, meets SINR_l,
+    a* = (r_k^2 r_l^2 x + sigma^2 r_l^2) / (2 r_k^2 r_l^2 x + sigma^2 (r_k^2 +
+    r_l^2)): whatever lo is, a split's min-SINR is at most SINR_k at lo if it
+    is lo or below, and SINR_l at lo + 1 if above (0 past an end); lo is the
+    last split below a*.  Numerators and x terms are monotone in the split,
+    and sigma^2 gamma_bar, which wobbles by an ulp, is taken at its smallest:
+    that margin makes every step monotone, overflow, cap and NaN a* included.
+    The best-bound block is searched first; its peak L prunes every block
+    bounded below L, and the rest, if any, are searched in one gather (``>=``
+    keeps ties with L that may come first in C order).  Stage 2 scores the
+    chosen block at the splits whose stage-1 score is its peak only.
 
-    The slack is _X_SLACK N^2, N = (c_k + s_k)(c_l + s_l) >= ||q_k|| ||q_l||.
-    With u = 2**-53, a computed beam is c w v1 - s v2 + e, w = fl(e^{i theta})
-    (the bound uses the same w), ||e|| <= 5u (c + s) and ||w| - 1| <= 2u, so
-    |q_k^H q_l| >= |t| - 7uN, t taken on the computed q_l.  The computed g
-    are off by 4u each, and c_l w g_1 - s_l g_2 and its modulus by another
-    6u (c_l + s_l); with v^H e_l, the computed |A| and |B| are off by
-    15u (c_l + s_l), and t, a two-term product rounded in any order, by 18uN.
-    x is off by 3.3uN before squaring and 2u relative after, so
-    x >= t^2 - 2 (7 + 18 + 3.3) uN^2 - 2uN^2 >= t^2 - 59uN^2, plus 2uN^2 for
-    rounding t^2 and the subtraction: 128u covers it twice over.  No term
-    scales with lambda, and c and s enter as computed, cancellation error and
-    all (near lambda1 - lambda2 = 1e-12 lambda1).
+    The slack is 256u N^2, u = 2**-53, N = (c_k + s_k)(c_l + s_l).  A computed
+    beam is c w v1 - s v2 + e, ||e|| <= 5u (c + s), w = fl(e^{i theta}) 2u from
+    unit modulus and 21u from the exact grid phase, as is the fold's row.  So
+    x on the computed q_l is at least the exact bound - 10uN^2 (e_k) - 4uN^2
+    (|w_k|) - 21uN^2 (42u on M, 2cs <= N^2/2).  The computed alpha and beta are
+    15u (c_l + s_l) off, so |alpha|^2, |beta|^2 and M are 32u, 32u and 36u
+    (c_l + s_l)^2 off: 50uN^2, 4uN^2 more with the weights and the matmul.  x
+    from the beams is 9uN^2 off and the subtraction 2uN^2: 100uN^2 in all,
+    covered twice over, with c and s as computed (lambda1 - lambda2 = 1e-12
+    lambda1 included).
     """
-    n_r, n_t, n_p = grid.n_r, grid.n_theta, grid.n_p
+    n_r, n_t = grid.n_r, grid.n_theta
+    thetas, w, fold, alpha, beta, a2, b2 = _grid_tables(grid)[:7]
     pairs = np.arange(len(lambda1))
     r = _linspace(lambda2, lambda1, n_r)  # (P, 2, n_r)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_t, endpoint=False)
-    alpha2 = np.linspace(0.1, 0.9, n_p)
-    alpha, beta = np.sqrt(alpha2), np.sqrt(1.0 - alpha2)
-    a2, b2 = alpha**2, beta**2
     _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], r)
     v2 = orthonormal_complement(v1)
     r2 = r * r
     users = np.arange(2)
-
-    def min_sinr(x, p, i):  # min-SINR (n_p,) + x.shape of the blocks i = i_rk * n_r + i_rl of pairs p at x
-        split = (-1,) + (1,) * x.ndim  # splits lead
-        sk, sl = _sinr(x, r2[p, 0, i // n_r], r2[p, 1, i % n_r], a2.reshape(split), b2.reshape(split), noise_var)
-        return np.minimum(sk, sl, out=sk)
 
     def score(p, i):  # beams, x (len(p), n_theta^2) and min-SINR at min x (n_p, len(p)) of the blocks i of pairs p
         i_r = np.stack(np.divmod(i, n_r), axis=1)
         q = _steer(c[p[:, None], users, i_r][..., None], s[p[:, None], users, i_r][..., None], thetas,
                    v1[p][:, :, None], v2[p][:, :, None])
         x = _beam_x(q[:, 0, None], q[:, 1, None]).reshape(len(p), n_t * n_t)
-        return q, x, min_sinr(x.min(axis=1), p, i)
+        sk, sl = _sinr(x.min(axis=1), r2[p, 0, i // n_r], r2[p, 1, i % n_r], a2[:, None], b2[:, None], noise_var)
+        return q, x, np.minimum(sk, sl, out=sk)
 
-    # stage 1: each block's peak, its min-SINR at its smallest x, (P, n_r^2); pruned blocks score -inf
-    blocks = np.arange(n_r * n_r)[None]
-    x_bound = np.fmax(_x_bound(c, s, v1, v2, thetas).reshape(-1, n_r * n_r), 0.0)
-    bound = min_sinr(x_bound, pairs[:, None], blocks).max(axis=0)
+    # stage 1: each block's bound on its peak at the crossing, (P, n_r^2); the seed is the best bound
+    blocks = np.arange(n_r * n_r)
+    x_bound = np.fmax(_x_bound(c, s, v1, v2, w, fold).reshape(-1, n_r * n_r), 0.0)
+    bound = _peak_bound(x_bound, r2[:, 0, blocks // n_r], r2[:, 1, blocks % n_r], noise_var, grid)
     seed = bound.argmax(axis=1)
     q, x, at = score(pairs, seed)
     p_s, i_s = np.nonzero(~(bound < at.max(axis=0)[:, None]) & (blocks != seed[:, None]))
-    q_s, x_s, at_s = score(p_s, i_s)
-    peak = np.full(bound.shape, -np.inf)
-    peak[pairs, seed], peak[p_s, i_s] = at.max(axis=0), at_s.max(axis=0)
-    block = peak.argmax(axis=1)  # the first best in C order
-    moved = np.nonzero(block != seed)[0]  # pairs whose best block is a survivor, found in C order
-    j = np.searchsorted(p_s * n_r * n_r + i_s, moved * n_r * n_r + block[moved])
-    q[moved], x[moved], at[:, moved] = q_s[j], x_s[j], at_s[:, j]
+    block = seed
+    if len(p_s):  # survivors
+        peak = np.full(bound.shape, -np.inf)
+        peak[pairs, seed], peak[p_s, i_s] = at.max(axis=0), score(p_s, i_s)[2].max(axis=0)
+        block = peak.argmax(axis=1)  # the first best in C order
+        moved = np.nonzero(block != seed)[0]  # pairs whose best block is a survivor: scored again
+        q[moved], x[moved], at[:, moved] = score(moved, block[moved])
     # stage 2: the chosen block at its peak's power splits, padded per pair with splits that cannot win
-    at_peak = (at == peak[pairs, block]).T
+    at_peak = (at == at.max(axis=0)).T
     splits = np.argsort(~at_peak, axis=1, kind="stable")[:, : at_peak.sum(axis=1).max()]
     i_rk, i_rl = np.divmod(block, n_r)
     r_k, r_l = r[pairs, 0, i_rk], r[pairs, 1, i_rl]

@@ -288,8 +288,8 @@ class _Link(NamedTuple):
     combiners).  G comes from the reports of feedback._reports, exact or decoded; the
     combiners are p1 of _rotation_projection for gmud, the unit vector selecting the
     inverted receive row otherwise.  The engine passes at most ``cap`` realizations a
-    call: per realization gmud's search peaks at ~16 KiB at 10 dB and ~100 KiB at
-    60 dB (more blocks survive its bound), the inverse builders below 2.5 KiB.
+    call: per realization gmud's search peaks at ~14 KiB at any SNR (next to no
+    block survives its bound), the inverse builders below 2.5 KiB.
     """
 
     build: Callable

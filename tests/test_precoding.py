@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ def hard_pairs(rng, count, n=None):
             fb_l = dataclasses.replace(fb_l, lambda2=0.0)
         pairs.append((fb_k, fb_l))
     return pairs
+
+
+# noise_vars at which the search's SINRs overflow or its denominators vanish: zero (the SINR_CAP plateau),
+# the smallest subnormal and 1e-300
+TINY_NOISES = (0.0, 5e-324, 1e-300)
 
 
 def stacked(pairs):
@@ -488,28 +494,55 @@ class TestOptimizeGmud:
                     assert np.array(a).tobytes() == np.array(b).tobytes(), (i, field.name)
 
     def test_x_bound_below_block_minima(self):
-        # the bound on each block's smallest x holds against x as computed,
-        # on the cases where it is tight and only the slack covers rounding
+        # the bound on each block's smallest x holds against x as computed, on the
+        # cases where it is tight and only the slack covers rounding: the octant
+        # fold when 8 divides n_theta, every phase otherwise
         from gmud.decomposition import _rotation_factors, _steer
         from gmud.linalg import orthonormal_complement
-        from gmud.precoding import _beam_x, _linspace, _x_bound
+        from gmud.precoding import _beam_x, _grid_tables, _linspace, _x_bound
 
         rng = np.random.default_rng(51)
-        grid, checked = GridSpec(), 0
-        thetas = np.linspace(0.0, 2.0 * np.pi, grid.n_theta, endpoint=False)
-        for chunk in range(64):
-            lambda1, lambda2, v1 = stacked(hard_pairs(rng, 33, (None, 1, 2, 4)[chunk % 4]))
-            _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], _linspace(lambda2, lambda1, grid.n_r))
-            v2 = orthonormal_complement(v1)
-            beams = _steer(c[..., None], s[..., None], thetas, v1[:, :, None, None], v2[:, :, None, None])
-            bound = _x_bound(c, s, v1, v2, thetas)
-            x_min = _beam_x(beams[:, 0], beams[:, 1]).min(axis=(-2, -1))
-            assert not np.isnan(x_min).any() and not np.isnan(bound).any()
-            assert (bound <= x_min).all(), chunk
-            checked += len(v1)
-        assert checked >= 2000
+        for n_theta in (1, 3, 5, 8, 12, 16, 24):
+            grid, checked = GridSpec(8, n_theta, 9), 0
+            thetas, w, fold = _grid_tables(grid)[:3]
+            assert fold.shape == (2, n_theta // 8 + 1 if n_theta % 8 == 0 else n_theta)
+            for chunk in range(12):
+                lambda1, lambda2, v1 = stacked(hard_pairs(rng, 33, (None, 1, 2, 4)[chunk % 4]))
+                r = _linspace(lambda2, lambda1, grid.n_r)
+                _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], r)
+                v2 = orthonormal_complement(v1)
+                beams = _steer(c[..., None], s[..., None], thetas, v1[:, :, None, None], v2[:, :, None, None])
+                bound = _x_bound(c, s, v1, v2, w, fold)
+                x_min = _beam_x(beams[:, 0], beams[:, 1]).min(axis=(-2, -1))
+                assert not np.isnan(x_min).any() and not np.isnan(bound).any()
+                assert (bound <= x_min).all(), (n_theta, chunk)
+                # near-exact: off the block minimum by no more than the slack's scale
+                assert (x_min - bound <= 1e-12 * (1.0 + x_min)).all(), (n_theta, chunk)
+                checked += len(v1)
+            assert checked == 396
 
-    @pytest.mark.parametrize("noise", [0.0, 1e-3, 0.05, 1.0])
+    @pytest.mark.parametrize("noise", (*TINY_NOISES, 1e-3, 0.05, 1.0, 1e300, np.inf))
+    def test_crossing_bound_covers_every_split(self, noise):
+        # the bound from the two splits around the SINR crossing is at least the
+        # min-SINR of every split, at any x >= 0, r and noise, n_p = 1 included
+        from gmud.precoding import _grid_tables, _peak_bound, _sinr
+
+        rng = np.random.default_rng(55)
+        r2 = np.concatenate([[0.0, 5e-324, 1e-300, 1e300], rng.uniform(0.0, 4.0, 20) ** 2])
+        x = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12], rng.uniform(0.0, 4.0, 20) ** 2])
+        rk2, rl2, x = (a.ravel() for a in np.meshgrid(r2, r2[::-1], x))
+        moderate = (np.minimum(rk2, rl2) > 1e-6) & (np.maximum(rk2, rl2) < 1e6)
+        for n_p in (1, 2, 3, 9, 17):
+            grid = GridSpec(2, 8, n_p)
+            a2, b2 = _grid_tables(grid)[5:7]
+            sk, sl = _sinr(x, rk2, rl2, a2[:, None], b2[:, None], noise)
+            exact = np.minimum(sk, sl).max(axis=0)
+            bound = _peak_bound(x, rk2, rl2, noise, grid)
+            assert (bound >= exact).all(), (n_p, noise)
+            if n_p > 1 and 0.0 < noise < np.inf:  # the grid's own maximum, but for the noise term's ulp
+                assert (bound[moderate] <= exact[moderate] * (1.0 + 1e-15)).all(), (n_p, noise)
+
+    @pytest.mark.parametrize("noise", [*TINY_NOISES, 1e-3, 0.05, 1.0])
     def test_pruned_search_equals_full_grid(self, noise):
         # a chunk of the bound's hard cases gives each pair the exhaustive
         # grid's first argmax, byte for byte: pruning drops no block that
@@ -517,7 +550,7 @@ class TestOptimizeGmud:
         from gmud.precoding import _search
 
         rng = np.random.default_rng(52)
-        for grid in (GridSpec(), GridSpec(4, 8, 5)):
+        for grid in (GridSpec(), GridSpec(4, 8, 5), GridSpec(3, 12, 2)):
             for n in (None, 4):
                 pairs = hard_pairs(rng, 33, n)
                 g, params, report = _search(*stacked(pairs), noise, grid)
@@ -538,7 +571,8 @@ class TestOptimizeGmud:
         from gmud import precoding
         from gmud.decomposition import _steer
 
-        def minima(c, s, v1, v2, thetas):
+        def minima(c, s, v1, v2, w, fold):
+            thetas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
             beams_k, beams_l = (_steer(c[:, u, :, None], s[:, u, :, None], thetas, v1[:, u, None, None],
                                        v2[:, u, None, None]) for u in (0, 1))
             bound = precoding._beam_x(beams_k, beams_l).min(axis=(-2, -1))
@@ -564,7 +598,8 @@ class TestOptimizeGmud:
         from gmud import precoding
         from gmud.decomposition import _steer
 
-        def minima(c, s, v1, v2, thetas):
+        def minima(c, s, v1, v2, w, fold):
+            thetas = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
             beams_k, beams_l = (_steer(c[:, u, :, None], s[:, u, :, None], thetas, v1[:, u, None, None],
                                        v2[:, u, None, None]) for u in (0, 1))
             bound = precoding._beam_x(beams_k, beams_l).min(axis=(-2, -1))
@@ -587,6 +622,28 @@ class TestOptimizeGmud:
             assert (steered[0] == 1.0).all()  # the seed's beams have c = 1 for both users
             want_g, want_params, want_rep = self.full_grid_search(fb_k, fb_l, noise, GridSpec())
             assert g.tobytes() == want_g.tobytes() and params == want_params and rep == want_rep
+
+    def test_bound_leaves_few_survivors_at_high_snr(self, monkeypatch):
+        # the grid-exact x bound, scored at the SINR crossing, leaves next to no block
+        # beside the seed to search at 30 dB (a continuous-theta_k bound leaves ~4.5 per pair)
+        from gmud import decode, encode, precoding
+        from gmud.decomposition import _steer
+
+        steered = []
+
+        def spy(w1, *args):
+            steered.append(len(w1))
+            return _steer(w1, *args)
+
+        monkeypatch.setattr(precoding, "_steer", spy)
+        rng = np.random.default_rng(56)
+        for n in (None, 4):
+            pairs = [[GmudFeedback.from_svd(s) if n is None else decode(encode(s, "gmud", n), "gmud", n)
+                      for s in map(svd2x2, gen_channels(rng))] for _ in range(200)]
+            steered.clear()
+            precoding._search(*stacked(pairs), 1e-3, GridSpec())
+            assert steered[0] == len(pairs)  # the seeds
+            assert sum(steered[1:]) <= 0.1 * len(pairs), (n, steered)
 
     def test_bad_reports_rejected(self):
         # lambda1**2 overflows from ~1.34e154 up and the SINRs would come out
@@ -639,6 +696,41 @@ class TestOptimizeGmud:
                         assert params[j].tobytes() == np.array(dataclasses.astuple(want_params)).tobytes()
                         want = [*want_rep.per_user, want_rep.min_sinr, want_rep.gamma_bar]
                         assert report[j].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("noise", [10**400, 1j, np.complex128(0.1), np.array([0.1, 0.2]), "0.1", None, b"1",
+                                       Decimal("NaN")])
+    def test_non_real_noise_named(self, noise):
+        # a noise_var that is not a real scalar float64 holds ended in a bare OverflowError, TypeError,
+        # decimal.InvalidOperation or numpy's ambiguous-truth ValueError, and a numpy complex was read as its
+        # real part with a ComplexWarning
+        rng = np.random.default_rng(13)
+        fb_k, fb_l = random_reports(rng)
+        params = GmudBeamParams(fb_k.lambda1, 0.0, fb_l.lambda1, 0.0, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
+        calls = (lambda: optimize_gmud(fb_k, fb_l, noise, GridSpec(1, 1, 1)),
+                 lambda: gmud_min_sinr(params, fb_k, fb_l, noise),
+                 lambda: antenna_selection(list(crandn(rng, (2, 2, 2))), noise),
+                 lambda: reg_inv(np.eye(2), noise))
+        for call in calls:
+            with pytest.raises(ValueError, match="noise_var must be a real scalar that float64 holds, got"):
+                call()
+
+    def test_real_noise_of_any_type_keeps_its_bytes(self):
+        # every noise_var accepted before is read as its float64 value, as before
+        from fractions import Fraction
+
+        rng = np.random.default_rng(16)
+        fb_k, fb_l = random_reports(rng)
+        h = crandn(rng, (2, 2))
+        grid = GridSpec(4, 8, 5)
+        accepted = ((1, 1.0), (True, 1.0), (np.True_, 1.0), (np.int64(2), 2.0), (np.float32(0.5), 0.5),
+                    (np.longdouble(0.1), 0.1), (np.array(0.05), 0.05), (Fraction(1, 20), 0.05), (Decimal("0.05"), 0.05))
+        for noise, value in accepted:
+            assert reg_inv(h, noise).tobytes() == reg_inv(h, value).tobytes(), noise
+            got, want = optimize_gmud(fb_k, fb_l, noise, grid), optimize_gmud(fb_k, fb_l, value, grid)
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:], noise
+        # an int below -float64's range is negative, as before, not out of range
+        with pytest.raises(ValueError, match="noise_var must be nonnegative"):
+            reg_inv(h, -10**400)
 
     @pytest.mark.parametrize("noise", [-1.0, np.nan])
     def test_bad_noise_rejected(self, noise):

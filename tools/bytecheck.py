@@ -407,6 +407,9 @@ def _reg_inv(g):
         yield "extreme-scale", lambda h=scale * np.eye(2): g.reg_inv(h, 0.0)
         yield "extreme-scale", lambda h=scale * _rank_one(rng): g.reg_inv(h, 0.0)
         yield "extreme-scale", lambda h=scale * _crandn(rng, (2, 2)): g.reg_inv(h, 0.05)
+    # noise_vars that are not a real scalar that float64 holds
+    for noise in (10**400, 1j, np.complex128(0.1), np.array([0.1, 0.2]), "0.1", None):
+        yield "error", lambda noise=noise: g.reg_inv(np.eye(2), noise)
 
 
 @case("expected_gamma")
@@ -723,9 +726,9 @@ def _transmit(g):
     yield "error", lambda: g.transmit(np.zeros((2, 2)), np.ones((2, 3)))
 
 
-def _config(g, scheme, mod, feedback, **kw):
+def _config(g, scheme, mod, feedback, grid=(4, 8, 5)):
     return g.SimConfig(scheme=scheme, modulation=mod, snr_db=(0.0, 10.0, 20.0), feedback=feedback,
-                       realizations=6, symbols=10, seed=7, grid=g.GridSpec(4, 8, 5), **kw)
+                       realizations=6, symbols=10, seed=7, grid=g.GridSpec(*grid))
 
 
 def _links(g):
@@ -779,6 +782,13 @@ def _links(g):
     for scheme in ("reg-inv", "reg-inv-sel"):
         for feedback in (1, 2, 4):
             yield "edge", _config(g, scheme, "16qam", feedback), channels, 0.05
+    # the gmud search's pruning at high SNR, where its bound moves the most: the
+    # default grid (8 divides n_theta, the octant fold) and one that takes every phase
+    rng = _rng("links high snr batch")
+    for grid in ((8, 16, 9), (8, 12, 9)):
+        for noise in (1e-3, 1e-6):
+            for feedback in ("perfect", 4):
+                yield "typical", _config(g, "gmud", "16qam", feedback, grid), _crandn(rng, (33, 2, 2, 2)), noise
 
 
 def _link(g, config, channels, noise):
