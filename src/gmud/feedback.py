@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, FormatError, _integer
+from .errors import DomainError, FormatError, _finite_real, _integer
 from .linalg import SvdFactorization, _norm, svd2x2
 
 __all__ = [
@@ -51,29 +51,54 @@ __all__ = [
 
 VECTOR_RANGE = (-1.0, 1.0)
 MAGNITUDE_RANGE = (0.0, 4.0)
+_MAX_WIDTH = 1023  # the widest field whose 2**bits levels float64 holds
 
 
-def _quantize(v, lo, hi, bits):
-    """Cells and reconstruction levels of the uniform midrise quantizer, elementwise.
+def _cells(v, lo, hi, bits):
+    """The cells of the uniform midrise quantizer, elementwise, as integer-valued floats.
 
     The kernel of :func:`quantize_scalar`, :func:`encode` and the
-    realization-batched reports.  Cells are integer-valued floats;
-    above 53 bits the top cell ``2**bits - 1`` rounds up to ``2**bits``
-    as a float, as it does in the level formula.
+    realization-batched reports, with :func:`_reconstruct`.  Above 53 bits
+    the top cell ``2**bits - 1`` rounds up to ``2**bits`` as a float, as it
+    does in the level formula.
     """
     levels = np.ldexp(1.0, bits)
-    step = (hi - lo) / levels
     # clamping first cannot overflow and moves no in-range index: (hi - lo) / step == levels
-    cells = np.minimum(np.floor((np.clip(v, lo, hi) - lo) / step), levels - 1.0)
-    return cells, _reconstruct(cells, lo, hi, bits)
+    return np.minimum(np.floor((np.clip(v, lo, hi) - lo) / ((hi - lo) / levels)), levels - 1.0)
 
 
 def _reconstruct(cells, lo, hi, bits):
-    return lo + (cells + 0.5) * ((hi - lo) / np.ldexp(1.0, bits))
+    """The levels lo + (cells + 0.5) * step, each one that rounds out of its cell moved back in.
+
+    From 2**52 cells up, cells + 0.5 can round onto the next cell's edge, and
+    lo + ... can round across an edge when the step nears an ulp.  Such a
+    level moves to the nearest float on its side that :func:`_cells` maps
+    back, found by bisecting the floats between it and the range's end; a
+    cell that holds no float keeps its level.
+    """
+    level = lo + (cells + 0.5) * ((hi - lo) / np.ldexp(1.0, bits))
+    off = _cells(level, lo, hi, bits) - cells
+    if not off.any():
+        return level
+    # floats a < b, as ordered ints, around where the cells pass the level's cell (from above) or reach it (below)
+    above = off > 0.0
+    a, b = (_flip(np.where(above, *ends).view(np.int64)) for ends in ((lo, level), (level, hi)))
+    while (a + 1 < b).any():
+        mid = (a >> 1) + (b >> 1) + (a & b & 1)  # (a + b) // 2, which may overflow
+        at = _cells(_flip(mid).view(np.float64), lo, hi, bits)
+        hit = np.where(above, at > cells, at >= cells)
+        a, b = np.where(hit, a, mid), np.where(hit, mid, b)
+    moved = _flip(np.where(above, a, b)).view(np.float64)
+    return np.where(_cells(moved, lo, hi, bits) == cells, moved, level)
+
+
+def _flip(i: np.ndarray) -> np.ndarray:
+    """float64 bits (as int64) to ints in the floats' order, and back: -0.0 comes just before 0.0."""
+    return i ^ ((i >> 63) & np.int64(2**63 - 1))
 
 
 def _index(cell: float, bits: int) -> int:
-    """The exact cell index of a :func:`_quantize` cell, at any width."""
+    """The exact cell index of a :func:`_cells` cell, at any width."""
     return min(int(cell), (1 << bits) - 1)
 
 
@@ -82,19 +107,26 @@ def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, flo
 
     Out-of-range inputs (+-inf too) clamp to the edge cells; NaN raises
     :class:`DomainError`.  Returns the cell index and the reconstruction
-    level lo + (index + 0.5) * step; in-range values err by at most half
-    a step, and reconstruction levels map back to their own index.
+    level lo + (index + 0.5) * step, or the nearest float in the cell where
+    that rounds out of it; in-range values err by at most half a step (one
+    step where a level was moved), and a reconstruction level maps back to
+    its own index.  ``bits`` is an integer from 1 to 1023 and
+    lo < hi finite reals whose step (hi - lo) / 2**bits is a positive finite
+    float64 (``ValueError`` and :class:`DomainError` otherwise).
     """
     if math.isnan(v):
         raise DomainError("cannot quantize NaN")
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    if not (_integer(bits) and 1 <= bits <= _MAX_WIDTH):
+        raise ValueError(f"bits must be an integer from 1 to {_MAX_WIDTH}")
+    if not (_finite_real(lo) and _finite_real(hi)):
+        raise DomainError("lo and hi must be finite reals")
     if not lo < hi:
         raise ValueError("lo must be < hi")
-    if not _integer(bits):
-        raise ValueError("bits must be an integer")
-    cell, level = _quantize(np.array([v], dtype=np.float64), lo, hi, bits)
-    return _index(cell[0], bits), float(level[0])
+    lo, hi = float(lo), float(hi)
+    if not 0.0 < (step := math.ldexp(hi - lo, -bits)) < math.inf:
+        raise DomainError(f"the step (hi - lo) / 2**bits = {step:g} is not a positive finite float64")
+    cell = _cells(np.array([v], dtype=np.float64), lo, hi, bits)
+    return _index(cell[0], bits), float(_reconstruct(cell, lo, hi, bits)[0])
 
 
 def _pairs(z) -> list:
@@ -211,12 +243,13 @@ def _row_scalars(rows) -> np.ndarray:
 
 
 def _spectral_scalars(source) -> np.ndarray:
-    """The gmud wire scalars (..., 6) of a channel, an SVD or (lambda1, lambda2, v1), which may be stacked."""
-    if isinstance(source, np.ndarray):
-        source = svd2x2(source)
-    if isinstance(source, SvdFactorization):
-        source = (source.lambda1, source.lambda2, source.v[:, 0])
-    lam1, lam2, v1 = source
+    """The gmud wire scalars (..., 6) of (lambda1, lambda2, v1) as a tuple or list, which may be stacked, of
+    an SVD, or of a 2x2 channel as any other array-like."""
+    if isinstance(source, (tuple, list)) and len(source) == 3:
+        lam1, lam2, v1 = source
+    else:
+        svd = source if isinstance(source, SvdFactorization) else svd2x2(source)
+        lam1, lam2, v1 = svd.lambda1, svd.lambda2, svd.v[:, 0]
     v1 = np.ascontiguousarray(v1, dtype=np.complex128).view(np.float64)
     return np.concatenate([v1, np.stack([lam1, lam2], axis=-1).astype(np.float64)], axis=-1)
 
@@ -265,14 +298,21 @@ SCHEMES = tuple(_SCHEME_TABLE)
 
 
 def scheme_layout(scheme: str, n: int) -> list[tuple[str, int, float, float]]:
-    """Ordered (name, bits, lo, hi) wire fields for a scheme at budget N."""
-    if n < 1:
-        raise ValueError("budget parameter N must be >= 1")
+    """Ordered (name, bits, lo, hi) wire fields for a scheme at budget N.
+
+    N is an integer >= 1 that makes no field wider than 1023 bits, the
+    widest whose 2**bits levels float64 holds: N <= 255 for ``reg-inv``
+    (a 4N-bit norm), N <= 511 for the others (``ValueError`` otherwise).
+    """
+    if not (_integer(n) and n >= 1):
+        raise ValueError("budget parameter N must be an integer >= 1")
     if scheme not in _SCHEME_TABLE:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if not _integer(n):
-        raise ValueError("budget parameter N must be an integer")
-    return [(name, k * n, lo, hi) for name, k, (lo, hi) in _SCHEME_TABLE[scheme].fields]
+    fields = _SCHEME_TABLE[scheme].fields
+    if (widest := max(k for _, k, _ in fields)) * n > _MAX_WIDTH:
+        raise ValueError(f"budget parameter N must be <= {_MAX_WIDTH // widest} for {scheme}: "
+                         f"its {widest}N-bit field may be at most {_MAX_WIDTH} bits wide")
+    return [(name, k * n, lo, hi) for name, k, (lo, hi) in fields]
 
 
 def _fields(scheme: str, n: int):
@@ -292,9 +332,9 @@ def _finite(scalars: np.ndarray, names) -> np.ndarray:
 def encode(source, scheme: str, n: int) -> str:
     """Encode channel/decomposition data (or a decoded message) to 12*N bits.
 
-    ``source`` is a 2x2 channel matrix for every scheme (``reg-inv``
-    reports its first row, ``gmud`` its :func:`svd2x2` factors), a
-    ``(lambda1, lambda2, v1)`` triple or :class:`SvdFactorization` for
+    ``source`` is a 2x2 channel matrix, any array-like, for every scheme
+    (``reg-inv`` reports its first row, ``gmud`` its :func:`svd2x2` factors), a
+    ``(lambda1, lambda2, v1)`` tuple or list or :class:`SvdFactorization` for
     ``gmud``, or a previously decoded message of the matching type, whose
     stored reconstruction levels re-encode to identical bits.  Raises
     :class:`DomainError` naming the first wire field that is not finite,
@@ -305,7 +345,7 @@ def encode(source, scheme: str, n: int) -> str:
     scalars = np.asarray(source.raw if isinstance(source, spec.message) else spec.scalars(source), dtype=np.float64)
     if len(scalars) != len(names):
         raise ValueError(f"{scheme} source gives {len(scalars)} wire fields, expected {len(names)}")
-    cells, _ = _quantize(_finite(scalars, names), lo, hi, bits)
+    cells = _cells(_finite(scalars, names), lo, hi, bits)
     return "".join(format(_index(c, w), f"0{w}b") for c, w in zip(cells.tolist(), bits.tolist()))
 
 
@@ -314,9 +354,12 @@ def decode(bits: str, scheme: str, n: int):
 
     Scalars become their midrise reconstruction levels; unit vectors are
     renormalized and singular values sorted descending.  Raises
-    :class:`FormatError` on wrong length or alphabet.
+    :class:`FormatError` on a ``bits`` that is not a str, or of the wrong
+    length or alphabet.
     """
     _, widths, lo, hi = _fields(scheme, n)
+    if not isinstance(bits, str):
+        raise FormatError(f"bitstring must be a str, got {type(bits).__name__}")
     if len(bits) != 12 * n:
         raise FormatError(f"expected {12 * n} bits, got {len(bits)}")
     if set(bits) - {"0", "1"}:
@@ -338,4 +381,5 @@ def _reports(source, scheme: str, n: int | None):
     if n is None:
         return spec.exact(source)
     names, bits, lo, hi = _fields(scheme, n)
-    return spec.report(spec.message._decode(_quantize(_finite(spec.scalars(source), names), lo, hi, bits)[1]))
+    cells = _cells(_finite(spec.scalars(source), names), lo, hi, bits)
+    return spec.report(spec.message._decode(_reconstruct(cells, lo, hi, bits)))

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _check_report, _checked_r, _rotation_factors, _steer
-from .decomposition import beam_from_feedback, steered_beams  # noqa: F401  profilers wrap these names
+from .decomposition import _check_report, _checked_r, _rotation_factors, _steer, steered_beams
+from .decomposition import beam_from_feedback  # noqa: F401  profilers wrap this name
 from .errors import DomainError, _finite_real, _integer
 from .linalg import _mat_inv, _norm, as_matrix, orthonormal_complement
 from .linalg import mat_inv  # noqa: F401  _reg_inv calls its kernel; profilers wrap this name
@@ -67,10 +67,8 @@ class GridSpec:
     n_p: int = 9
 
     def __post_init__(self):
-        if min(self.n_r, self.n_theta, self.n_p) < 1:
-            raise ValueError("grid sizes must be >= 1")
-        if not all(map(_integer, (self.n_r, self.n_theta, self.n_p))):
-            raise ValueError("grid sizes must be integers")
+        if not all(_integer(n) and n >= 1 for n in (self.n_r, self.n_theta, self.n_p)):
+            raise ValueError("grid sizes must be integers >= 1")
 
 
 @dataclass
@@ -113,12 +111,15 @@ def _check_inputs(noise_var: float, *lambda1s: float) -> float:
 
 
 def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
-    """G of every (R, K, N_T) row stack: the kernel of :func:`reg_inv`."""
+    """G of every (R, K, N_T) row stack: the kernel of :func:`reg_inv`; :class:`DomainError` where K*noise_var
+    overflows."""
     h = np.ascontiguousarray(h, dtype=np.complex128)
     k = h.shape[-2]
+    if math.isinf(reg := k * noise_var):
+        raise DomainError(f"the regularizer {k}*noise_var overflows float64 at noise_var = {noise_var:.6g}")
     hh = np.swapaxes(np.conj(h), -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _mat_inv's finiteness check
-        a = h @ hh + (k * noise_var) * np.eye(k, dtype=np.complex128)
+        a = h @ hh + reg * np.eye(k, dtype=np.complex128)
     return hh @ _mat_inv(a.reshape(-1, k, k)).reshape(a.shape)
 
 
@@ -249,24 +250,21 @@ def _pair_grid(beams_k, beams_l, rk, rl, alpha, beta, noise_var):
 def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrReport:
     """Evaluate the max-min cost at one steering/loading point.
 
-    ``fb_k`` and ``fb_l`` carry each user's reported ``lambda1``,
-    ``lambda2`` and principal vector ``v1``.  This is the search's kernel
-    on a one-point grid, so it equals :func:`optimize_gmud`'s report.
+    ``fb_k`` and ``fb_l`` carry each user's reported ``lambda1``, ``lambda2`` and principal vector
+    ``v1``.  This is the search's kernel on a one-point grid, each beam a batch of one through
+    :func:`steered_beams`, so it equals :func:`optimize_gmud`'s report.
     """
     noise_var = _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
-    # per user r, then the report (beam_from_feedback's order), then the phases and powers; both beams in one call
+    # per user r, then the report (beam_from_feedback's order), then the phases and powers, all read as float64
     (r_k, v1_k), (r_l, v1_l) = ((_checked_r(fb.lambda1, fb.lambda2, r), _check_report(fb.lambda1, fb.v1))
                                 for fb, r in ((fb_k, params.r_k), (fb_l, params.r_l)))
     if not all(map(_finite_real, (params.theta_k, params.theta_l, params.alpha, params.beta))):
         raise DomainError("theta_k, theta_l, alpha and beta must be finite reals")
-    _, _, c, s = _rotation_factors(np.array([fb_k.lambda1, fb_l.lambda1], dtype=np.float64),
-                                   np.array([fb_k.lambda2, fb_l.lambda2], dtype=np.float64),
-                                   np.array([r_k, r_l], dtype=np.float64))
-    v1 = np.array([v1_k, v1_l])
-    q = _steer(c, s, np.array([params.theta_k, params.theta_l], dtype=np.float64), v1, orthonormal_complement(v1))
-    # the beams' checked r's, and the powers as float64 whatever real type they come in
-    rk, rl, alpha, beta = np.array([[r_k], [r_l], [params.alpha], [params.beta]], dtype=np.float64)
-    sk, sl, gamma_bar = _pair_grid(q[0, None, None], q[1, None, None], rk, rl, alpha, beta, noise_var)
+    rk, rl, tk, tl, alpha, beta = np.array([[r_k], [r_l], [params.theta_k], [params.theta_l], [params.alpha],
+                                            [params.beta]], dtype=np.float64)
+    qk, ql = (steered_beams(float(fb.lambda1), float(fb.lambda2), v1, r, t)[None]
+              for fb, v1, r, t in ((fb_k, v1_k, rk, tk), (fb_l, v1_l, rl, tl)))
+    sk, sl, gamma_bar = _pair_grid(qk, ql, rk, rl, alpha, beta, noise_var)
     sk, sl = sk.item(), sl.item()
     return SinrReport((sk, sl), min(sk, sl), float(gamma_bar.item()))
 

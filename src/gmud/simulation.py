@@ -34,7 +34,7 @@ import numpy as np
 
 from .decomposition import _rotation_factors, _steer
 from .errors import SingularMatrixError, _finite_real, _integer
-from .feedback import SCHEMES, _reports
+from .feedback import SCHEMES, _reports, scheme_layout
 from .linalg import _svd2x2
 from .precoding import GridSpec, _combos, _reg_inv, _search, _select
 
@@ -213,12 +213,12 @@ class SimConfig:
             raise ValueError("snr_db must be nonempty")
         for s in snr:
             _noise_var(s)
-        if not (_integer(self.realizations) and _integer(self.symbols)):
-            raise ValueError("realizations and symbols must be integers")
-        if self.realizations < 1 or self.symbols < 1:
-            raise ValueError("realizations and symbols must be >= 1")
-        if self.feedback != "perfect" and (not _integer(self.feedback) or self.feedback < 1):
-            raise ValueError("feedback must be 'perfect' or a positive integer N")
+        if not all(_integer(n) and n >= 1 for n in (self.realizations, self.symbols)):
+            raise ValueError("realizations and symbols must be integers >= 1")
+        if self.feedback != "perfect":
+            if not (_integer(self.feedback) and self.feedback >= 1):
+                raise ValueError("feedback must be 'perfect' or a positive integer N")
+            scheme_layout(self.scheme, self.feedback)  # and small enough that every field's levels fit a float64
         if not _integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         if not isinstance(self.grid, GridSpec):

@@ -257,7 +257,7 @@ class TestSweep:
     def test_bad_grid_writes_nothing(self, capsys, tmp_path, command):
         # the grid (and the feedback modes) are checked when they are parsed, before any curve is computed,
         # also for a scheme that never searches the grid
-        for flags, message in ((("--grid", "0,4,3"), "grid sizes must be >= 1"),
+        for flags, message in ((("--grid", "0,4,3"), "grid sizes must be integers >= 1"),
                                (("--grid", "1,2"), "bad --grid '1,2'; expected NR,NTHETA,NP"),
                                (("--feedback", "0"), "--feedback must be 'perfect' or a positive integer N")):
             code, out, err = run_cli(

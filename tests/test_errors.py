@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gmud import DomainError, gmud
+from gmud import DomainError, GridSpec, SimConfig, decode, encode, gmud, quantize_scalar, scheme_layout
 from gmud.errors import _finite_real, _integer
 
 # (value, an integer, a finite real), each named by its kind
@@ -44,3 +44,22 @@ def test_int_past_the_str_digit_limit_is_named():
     # str() of an int past Python's digit limit raises ValueError; the message names its size instead
     with pytest.raises(DomainError, match="r must be a positive real, got an int of 16610 bits"):
         gmud(np.diag([4.0, 1.0]), 10**5000)
+
+
+# each count is checked in one step, its type before any comparison: these ended in "'<' not supported"
+COUNT_SITES = {
+    "GridSpec": (lambda n: GridSpec(n_r=n), "grid sizes must be integers >= 1"),
+    "scheme_layout": (lambda n: scheme_layout("gmud", n), "budget parameter N must be an integer >= 1"),
+    "encode": (lambda n: encode(np.eye(2), "gmud", n), "budget parameter N must be an integer >= 1"),
+    "decode": (lambda n: decode("0" * 48, "gmud", n), "budget parameter N must be an integer >= 1"),
+    "quantize_scalar": (lambda n: quantize_scalar(0.3, -1.0, 1.0, n), "bits must be an integer from 1 to 1023"),
+    "SimConfig": (lambda n: SimConfig(scheme="gmud", realizations=n), "realizations and symbols must be integers >= 1"),
+}
+
+
+@pytest.mark.parametrize("size", ["4", None, 4 + 0j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_count_of_another_type_is_named(site, size):
+    call, message = COUNT_SITES[site]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(size)

@@ -48,7 +48,7 @@ class TestQuantizeScalar:
             quantize_scalar(0.0, 1.0, -1.0, 4)
         # a float width ended in numpy's "ufunc 'ldexp' not supported", and True was taken as 1
         for bits in (2.5, 2.0, True):
-            with pytest.raises(ValueError, match="bits must be an integer"):
+            with pytest.raises(ValueError, match="bits must be an integer from 1 to 1023"):
                 quantize_scalar(0.3, -1.0, 1.0, bits)
 
     def test_nan_raises_and_infinities_clamp(self):
@@ -56,6 +56,47 @@ class TestQuantizeScalar:
             quantize_scalar(float("nan"), 0.0, 4.0, 8)
         assert quantize_scalar(np.inf, 0.0, 4.0, 8)[0] == 255
         assert quantize_scalar(-np.inf, 0.0, 4.0, 8)[0] == 0
+
+    def test_range_must_be_finite(self):
+        # an infinite range returned the level inf, and a str lo ended in a TypeError
+        for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), ("a", 1.0), (0.0, None), (0.0, 10**400)):
+            with pytest.raises(DomainError, match="^lo and hi must be finite reals$"):
+                quantize_scalar(0.3, lo, hi, 3)
+        # a span that overflows, and steps that underflow to 0
+        for lo, hi, bits in ((-1e308, 1e308, 3), (0.0, 5e-324, 1), (0.0, 1e-300, 1023)):
+            with pytest.raises(DomainError, match=r"^the step \(hi - lo\) / 2\*\*bits = (inf|0) is not a positive"):
+                quantize_scalar(0.3, lo, hi, bits)
+
+    def test_widths_past_float64_are_refused(self):
+        # 2**1024 levels overflow float64: this raised OverflowError
+        with pytest.raises(ValueError, match="^bits must be an integer from 1 to 1023$"):
+            quantize_scalar(0.3, -1.0, 1.0, 1024)
+        idx, level = quantize_scalar(0.3, -1.0, 1.0, 1023)
+        assert quantize_scalar(level, -1.0, 1.0, 1023) == (idx, level)
+
+    def test_levels_map_back_past_2_to_52_cells(self):
+        # cells + 0.5 rounded an odd cell's level onto the next cell's edge: 2**52 + 1 came back as 2**52 + 2
+        idx, level = quantize_scalar(2.5e-16, -1.0, 1.0, 53)
+        assert idx == 2**52 + 1 and quantize_scalar(level, -1.0, 1.0, 53) == (idx, level)
+        assert 2.0**-52 <= level < 2.0**-51  # inside the cell, whose formula level 2**-51 is its upper edge
+        # an even cell's level already maps back and keeps its bytes
+        idx, level = quantize_scalar(5e-16, -1.0, 1.0, 53)
+        assert idx % 2 == 0 and level == -1.0 + (idx + 0.5) * 2.0**-52
+        rng = np.random.default_rng(8)
+        for v in rng.uniform(-1.0, 1.0, 500):  # about a quarter of these failed
+            idx, level = quantize_scalar(v, -1.0, 1.0, 53)
+            assert quantize_scalar(level, -1.0, 1.0, 53) == (idx, level) and abs(v - level) <= 2.0**-52
+
+    @pytest.mark.parametrize("bits", [50, 51, 52])
+    def test_levels_map_back_on_any_range(self, bits):
+        # lo + (cell + 0.5) * step rounded across a cell edge where the step nears lo's ulp: 1 to 3 of these failed
+        rng = np.random.default_rng(bits)
+        for _ in range(300):  # ranges 1% to 100% as wide as their distance from 0
+            center = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+            lo, hi = center + np.array([-0.5, 0.5]) * abs(center) * 10.0 ** rng.uniform(-2.0, 0.0)
+            v = rng.uniform(lo, hi)
+            idx, level = quantize_scalar(v, lo, hi, bits)
+            assert quantize_scalar(level, lo, hi, bits) == (idx, level)
 
     @given(
         st.floats(-1.0, 1.0, allow_nan=False),
@@ -95,16 +136,27 @@ class TestBudget:
         layout = scheme_layout("reg-inv-sel", 2)
         assert [bits for _, bits, _, _ in layout] == [2] * 8 + [4, 4]
 
+    @pytest.mark.parametrize("scheme, limit", [("reg-inv", 255), ("reg-inv-sel", 511), ("gmud", 511)])
+    def test_widest_field_fits_float64(self, scheme, limit):
+        # past the limit encode and decode raised OverflowError, and run_ber decoded NaN levels
+        assert max(bits for _, bits, _, _ in scheme_layout(scheme, limit)) <= 1023
+        for call in (lambda: scheme_layout(scheme, limit + 1), lambda: encode(np.eye(2), scheme, limit + 1),
+                     lambda: decode("1" * 12 * (limit + 1), scheme, limit + 1)):
+            with pytest.raises(ValueError, match=f"^budget parameter N must be <= {limit} for {scheme}: "):
+                call()
+        bits = encode(crandn(np.random.default_rng(limit), (2, 2)), scheme, limit)
+        assert encode(decode(bits, scheme, limit), scheme, limit) == bits
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             scheme_layout("bogus", 4)
-        with pytest.raises(ValueError, match="budget parameter N must be >= 1"):
+        with pytest.raises(ValueError, match="budget parameter N must be an integer >= 1"):
             scheme_layout("gmud", 0)
         # encode ended in numpy's "ufunc 'ldexp' not supported", decode expected "30.0 bits", and True was 1
         for n in (2.5, 2.0, True):
             for call in (lambda: scheme_layout("gmud", n), lambda: encode(np.eye(2), "gmud", n),
                          lambda: decode("0" * 30, "gmud", n)):
-                with pytest.raises(ValueError, match="budget parameter N must be an integer"):
+                with pytest.raises(ValueError, match="budget parameter N must be an integer >= 1"):
                     call()
 
 
@@ -120,6 +172,18 @@ class TestCodec:
             bits = encode(source, scheme, 4)
             msg = decode(bits, scheme, 4)
             assert encode(msg, scheme, 4) == bits
+
+    @pytest.mark.parametrize("scheme, n, field, cell", [("gmud", 27, "v1_im1", 7307383006929629),
+                                                        ("reg-inv", 14, "norm", 2**52 + 1)])
+    def test_wide_field_round_trip(self, scheme, n, field, cell):
+        # an odd cell from 2**52 up re-encoded as the next one (gmud: ...630)
+        layout = scheme_layout(scheme, n)
+        bits = "".join(format(cell if name == field else 0, f"0{w}b") for name, w, _, _ in layout)
+        assert encode(decode(bits, scheme, n), scheme, n) == bits
+        rng = np.random.default_rng(n)
+        for _ in range(50):  # about half of these changed
+            bits = encode(crandn(rng, (2, 2)), scheme, 27)
+            assert encode(decode(bits, scheme, 27), scheme, 27) == bits
 
     def test_decode_encode_decode_idempotent(self):
         rng = np.random.default_rng(2)
@@ -223,6 +287,18 @@ class TestCodec:
     def test_source_must_fill_the_fields(self, scheme, source):
         with pytest.raises(ValueError, match="wire fields"):
             encode(source, scheme, 4)
+
+    def test_nested_list_channel(self):
+        # gmud read a 2x2 list as a (lambda1, lambda2, v1) triple: "not enough values to unpack"
+        h = [[1, 0], [0, 1j]]
+        for scheme in SCHEMES:
+            assert encode(h, scheme, 4) == encode(np.array(h), scheme, 4)
+        assert encode([2.0, 1.0, [0.6, 0.8j]], "gmud", 4) == encode((2.0, 1.0, np.array([0.6, 0.8j])), "gmud", 4)
+
+    def test_bitstring_must_be_a_str(self):
+        for bits in (123, None, ["0"] * 48):  # each raised TypeError
+            with pytest.raises(FormatError, match=f"^bitstring must be a str, got {type(bits).__name__}$"):
+                decode(bits, "gmud", 4)
 
     def test_encoding_pure_function(self):
         rng = np.random.default_rng(5)

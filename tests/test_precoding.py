@@ -107,6 +107,14 @@ class TestRegInv:
             antenna_selection([huge, huge], 0.1)
 
 
+    def test_overflowing_regularizer_is_named(self):
+        # these ended in _mat_inv's "matrix entries must be finite", which names neither noise_var nor K*noise_var
+        for call in (lambda: reg_inv(np.eye(2), np.inf), lambda: reg_inv(np.eye(2), 1e308),
+                     lambda: antenna_selection([np.eye(2), np.eye(2)], np.inf)):
+            with pytest.raises(DomainError, match=r"^the regularizer 2\*noise_var overflows float64 at noise_var = "):
+                call()
+
+
 class TestExpectedGamma:
     def test_column_norms(self):
         g = np.array([[1.0, 0.0], [1.0, 2.0]])
@@ -432,9 +440,9 @@ class TestOptimizeGmud:
             optimize_gmud(fb_k, fb_l, 0.01, GridSpec(0, 4, 3))
         # 2.5 failed mid-run in a TypeError, and True searched a one-point grid
         for sizes in ((2.5, 4, 3), (4, 4.0, 3), (4, 4, True)):
-            with pytest.raises(ValueError, match="grid sizes must be integers"):
+            with pytest.raises(ValueError, match="grid sizes must be integers >= 1"):
                 GridSpec(*sizes)
-        with pytest.raises(ValueError, match="grid sizes must be >= 1"):
+        with pytest.raises(ValueError, match="grid sizes must be integers >= 1"):
             GridSpec(0.5, 4, 3)
 
     def full_grid_search(self, fb_k, fb_l, noise, grid):

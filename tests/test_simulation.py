@@ -326,6 +326,14 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="grid must be a GridSpec"):
                 SimConfig(scheme="gmud", grid=grid)
 
+    @pytest.mark.parametrize("scheme, limit", [("reg-inv", 255), ("reg-inv-sel", 511), ("gmud", 511)])
+    def test_feedback_fields_fit_float64(self, scheme, limit):
+        # gmud at N = 512 decoded NaN levels and reg-inv at N = 300 ended in "matrix entries must be finite"
+        with pytest.raises(ValueError, match=f"^budget parameter N must be <= {limit} for {scheme}: "):
+            SimConfig(scheme=scheme, feedback=limit + 1)
+        config = SimConfig(scheme=scheme, snr_db=(10.0,), feedback=limit, realizations=3, symbols=4)
+        assert run_ber(config).points[0].bits == 3 * 2 * 4 * 2
+
     @pytest.mark.parametrize("snr_db", [(-np.inf,), (np.nan,), (np.inf,), (0.0, np.inf), [np.float64(-np.inf)],
                                         (10**400,), (-(10**400),)])
     def test_non_finite_snr_refused(self, snr_db):
@@ -388,7 +396,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("field", ["realizations", "symbols"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0), "4"])
     def test_counts_must_be_integers(self, field, value):
-        with pytest.raises(ValueError, match="realizations and symbols must be integers"):
+        with pytest.raises(ValueError, match="realizations and symbols must be integers >= 1"):
             SimConfig(scheme="gmud", **{field: value})
 
     def test_feedback_integers(self):

@@ -56,6 +56,10 @@ import numpy as np
 GROUPS = ("typical", "edge", "error", "extreme-scale")
 SCALES = tuple(np.ldexp(1.0, k) for k in (-1000, -600, -300, -100, 100, 300, 600, 1000)) + (1e-15, 1e154)
 RANGES = ((-1.0, 1.0), (0.0, 4.0))
+# counts that are not integers, which ended in a comparison's TypeError
+BAD_SIZES = ("8", None, 4 + 0j)
+# the largest N whose widest field holds at most 1023 bits
+N_LIMITS = {"reg-inv": 255, "reg-inv-sel": 511, "gmud": 511}
 # exact multiples of the identity: h^H h = mu I, the branch of svd2x2 that takes v1 = e1
 IDENTITIES = (0.7 * np.eye(2), np.ldexp(1.0, -600) * np.eye(2), np.exp(1.1j) * np.eye(2))
 
@@ -410,6 +414,9 @@ def _reg_inv(g):
     # noise_vars that are not a real scalar that float64 holds
     for noise in (10**400, 1j, np.complex128(0.1), np.array([0.1, 0.2]), "0.1", None):
         yield "error", lambda noise=noise: g.reg_inv(np.eye(2), noise)
+    # noise_vars whose regularizer K*noise_var overflows
+    for noise in (np.inf, 1e308):
+        yield "error", lambda noise=noise: g.reg_inv(np.eye(2), noise)
 
 
 @case("expected_gamma")
@@ -440,6 +447,7 @@ def _antenna_selection(g):
     for noise in (np.float32(1e-3), np.float32(0.1), np.float16(0.05)):
         for _ in range(20):
             yield "typical", lambda c=_crandn(rng, (2, 2, 2)), noise=noise: g.antenna_selection(list(c), noise)
+    yield "error", lambda: g.antenna_selection([np.eye(2), np.eye(2)], np.inf)
 
 
 @case("gmud_min_sinr")
@@ -539,6 +547,8 @@ def _grid_spec(g):
         yield "error", lambda sizes=sizes: g.GridSpec(*sizes)
     for sizes in ((2.5, 4, 3), (4, 4.0, 3), (True, 4, 3)):
         yield "error", lambda sizes=sizes: g.GridSpec(*sizes)
+    for size in BAD_SIZES:
+        yield "error", lambda size=size: g.GridSpec(n_r=size)
 
 
 @case("GmudBeamParams")
@@ -602,6 +612,11 @@ def _encode(g):
     yield "error", lambda: g.encode(np.eye(2), "bogus", 4)
     for n in (2.5, 2.0, True):
         yield "error", lambda n=n: g.encode(np.eye(2), "gmud", n)
+    for n in BAD_SIZES:
+        yield "error", lambda n=n: g.encode(np.eye(2), "gmud", n)
+    for scheme, limit in N_LIMITS.items():
+        yield "error", lambda s=scheme, n=limit + 1: g.encode(np.eye(2), s, n)
+    yield "error", lambda: g.encode([[1.0, 0.0, 0.0], [0.0, 1j, 0.0]], "gmud", 4)  # a nested-list channel, not 2x2
 
 
 def _message_view(g, msg):
@@ -627,6 +642,12 @@ def _decode(g):
         yield "error", lambda b=bits, s=scheme, n=n: g.decode(b, s, n)
     for bits, n in (("0" * 30, 2.5), ("0" * 24, 2.0), ("0" * 12, True)):
         yield "error", lambda b=bits, n=n: g.decode(b, "gmud", n)
+    for n in BAD_SIZES:
+        yield "error", lambda n=n: g.decode("0" * 48, "gmud", n)
+    for scheme, limit in N_LIMITS.items():
+        yield "error", lambda s=scheme, n=limit + 1: g.decode("1" * 12 * n, s, n)
+    for bits in (123, None, ["0"] * 48):
+        yield "error", lambda b=bits: g.decode(b, "gmud", 4)
 
 
 @case("RegInvSelectionFeedback", "RegInvSelectionFeedback", 10)
@@ -661,6 +682,15 @@ def _quantize_scalar(g):
                 yield "extreme-scale", lambda v=v, lo=lo, hi=hi, bits=bits: g.quantize_scalar(v, lo, hi, bits)
     for bits in (2.5, 2.0, True):
         yield "error", lambda bits=bits: g.quantize_scalar(0.3, -1.0, 1.0, bits)
+    # odd and even cells past 2**52 (2**52 + 1 and + 2): cell + 0.5 rounded the odd one's level onto its edge
+    for v in (2.5e-16, 5e-16):
+        yield "edge", lambda v=v: g.quantize_scalar(v, -1.0, 1.0, 53)
+    for bits in BAD_SIZES + (1024, 2000):
+        yield "error", lambda bits=bits: g.quantize_scalar(0.3, -1.0, 1.0, bits)
+    # ranges that are not finite reals, a span that overflows and a step that underflows to 0
+    for lo, hi, bits in ((0.0, np.inf, 3), (-np.inf, 0.0, 3), (np.nan, 1.0, 3), ("a", 1.0, 3), (0.0, None, 3),
+                         (-1e308, 1e308, 3), (0.0, 5e-324, 1), (0.0, 1e-300, 1023)):
+        yield "error", lambda lo=lo, hi=hi, bits=bits: g.quantize_scalar(0.3, lo, hi, bits)
 
 
 @case("scheme_layout")
@@ -670,8 +700,10 @@ def _scheme_layout(g):
             yield "typical", lambda s=scheme, n=n: g.scheme_layout(s, n)
         yield "error", lambda s=scheme: g.scheme_layout(s, 0)
     yield "error", lambda: g.scheme_layout("reg-inv-selection", 4)
-    for n in (2.5, True):
+    for n in (2.5, True) + BAD_SIZES:
         yield "error", lambda n=n: g.scheme_layout("gmud", n)
+    for scheme, limit in N_LIMITS.items():
+        yield "error", lambda s=scheme, n=limit + 1: g.scheme_layout(s, n)
 
 
 # simulation
@@ -843,6 +875,11 @@ def _sim_config(g):
                {"scheme": "gmud", "realizations": 2.5}, {"scheme": "gmud", "symbols": 2.5},
                {"scheme": "gmud", "feedback": True}):
         yield "error", lambda kw=kw: g.SimConfig(**kw)
+    for size in BAD_SIZES:
+        for field in ("realizations", "symbols"):
+            yield "error", lambda kw={field: size}: g.SimConfig(scheme="gmud", **kw)
+    for scheme, limit in N_LIMITS.items():
+        yield "error", lambda s=scheme, n=limit + 1: g.SimConfig(scheme=s, feedback=n)
 
 
 @case("BerPoint")
