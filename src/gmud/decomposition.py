@@ -96,15 +96,18 @@ class GmudFactorization:
         return self.p @ self.rmat.as_matrix() @ self.q.conj().T
 
 
-def _check_lambda1(lambda1: float) -> None:
-    """A report's lambda1 must lie in (0, inf): NaN and inf would give NaN beams."""
-    if not 0.0 < lambda1 < math.inf:
-        raise DomainError("lambda1 must be positive" if lambda1 <= 0.0 else "lambda1 must be finite")
+def _check_lambdas(lambda1: float, lambda2: float) -> None:
+    """A report's singular values must satisfy 0 <= lambda2 <= lambda1 < inf and 0 < lambda1: NaN or inf
+    would give NaN beams, and a lambda2 outside [0, lambda1] an r outside the report's interval."""
+    if not 0.0 <= lambda2 <= lambda1 < math.inf or lambda1 == 0.0:
+        if not 0.0 < lambda1 < math.inf:
+            raise DomainError("lambda1 must be positive" if lambda1 <= 0.0 else "lambda1 must be finite")
+        raise DomainError(f"lambda2 must be a finite real in [0, lambda1], got {lambda2!s:.40}")
 
 
 def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
-    """Validate 0 < lambda1 < inf and lambda2 <= r <= lambda1 (1e-9 relative slack); r clamped, as a float."""
-    _check_lambda1(lambda1)
+    """Check the report's singular values and lambda2 <= r <= lambda1 (1e-9 relative slack); r clamped, as a float."""
+    _check_lambdas(lambda1, lambda2)
     if not _finite_real(r) or r <= 0:  # shown in at most 40 characters, an int beyond float64 by its size
         shown = f"an int of {r.bit_length()} bits" if _integer(r) and not _finite_real(r) else f"{r!s:.40}"
         raise DomainError(f"r must be a positive real, got {shown}")
@@ -233,9 +236,9 @@ def _steer(w1, w2, theta, x1, x2) -> np.ndarray:
     return weight[..., None] * x1 - w2[..., None] * x2
 
 
-def _check_report(lambda1: float, v1) -> np.ndarray:
-    """v1 as a complex array, once 0 < lambda1 < inf and ||v1|| = 1 (1e-9 slack) hold."""
-    _check_lambda1(lambda1)
+def _check_report(lambda1: float, lambda2: float, v1) -> np.ndarray:
+    """v1 as a complex array, once the singular values pass :func:`_check_lambdas` and ||v1|| = 1 (1e-9 slack)."""
+    _check_lambdas(lambda1, lambda2)
     v1 = np.asarray(v1, dtype=np.complex128)
     nrm = _norm1(v1.ravel(order="K"))  # the dots np.linalg.norm takes
     if abs(nrm - 1.0) > 1e-9:
@@ -247,13 +250,13 @@ def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:
     """Beam q1 = c * e^{i*theta} * v1 - s * v2 for broadcastable r, theta.
 
     ``r`` and ``theta`` may be scalars or arrays; the result has shape
-    broadcast(r, theta) + (2,).  The report must have 0 < lambda1 < inf
-    and a unit-norm ``v1`` (:class:`DomainError` otherwise); r is not
-    checked: callers keep it in [lambda2, lambda1].  Scalar and grid
-    evaluations share the same elementwise operations, so a grid entry is
-    bit-identical to the corresponding scalar call.
+    broadcast(r, theta) + (2,).  The report must have 0 <= lambda2 <=
+    lambda1 < inf, 0 < lambda1 and a unit-norm ``v1`` (:class:`DomainError`
+    otherwise); r is not checked: callers keep it in [lambda2, lambda1].
+    Scalar and grid evaluations share the same elementwise operations, so
+    a grid entry is bit-identical to the corresponding scalar call.
     """
-    v1 = _check_report(lambda1, v1)
+    v1 = _check_report(lambda1, lambda2, v1)
     _, _, c, s = _rotation_factors(lambda1, lambda2, np.asarray(r, dtype=np.float64))
     return _steer(c, s, theta, v1, orthonormal_complement(v1))
 

@@ -23,11 +23,16 @@ def _integer(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
 
 
+def _float(x) -> float | None:
+    """A real, not bool, that float64 holds (inf and NaN too), as a float; None for anything else."""
+    if isinstance(x, float):  # float and np.float64, without the slower isinstance against an ABC
+        return x
+    try:
+        return float(x) if isinstance(x, Real) and not isinstance(x, bool) else None
+    except OverflowError:  # an int beyond float64, such as 10**400
+        return None
+
+
 def _finite_real(x) -> bool:
     """A real, not bool, and finite as a float64."""
-    if isinstance(x, float):  # float and np.float64, without the slower isinstance against an ABC
-        return math.isfinite(x)
-    try:
-        return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # an int beyond float64, such as 10**400
-        return False
+    return math.isfinite(x) if isinstance(x, float) else (x := _float(x)) is not None and math.isfinite(x)

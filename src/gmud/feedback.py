@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, FormatError, _finite_real, _integer
+from .errors import DomainError, FormatError, _finite_real, _float, _integer
 from .linalg import SvdFactorization, _norm, svd2x2
 
 __all__ = [
@@ -51,16 +51,14 @@ __all__ = [
 
 VECTOR_RANGE = (-1.0, 1.0)
 MAGNITUDE_RANGE = (0.0, 4.0)
-_MAX_WIDTH = 1023  # the widest field whose 2**bits levels float64 holds
+_MAX_WIDTH = 50  # the widest field whose levels lo + (cell + 0.5) * step stay exact on both wire ranges
 
 
 def _cells(v, lo, hi, bits):
     """The cells of the uniform midrise quantizer, elementwise, as integer-valued floats.
 
     The kernel of :func:`quantize_scalar`, :func:`encode` and the
-    realization-batched reports, with :func:`_reconstruct`.  Above 53 bits
-    the top cell ``2**bits - 1`` rounds up to ``2**bits`` as a float, as it
-    does in the level formula.
+    realization-batched reports, with :func:`_reconstruct`.
     """
     levels = np.ldexp(1.0, bits)
     # clamping first cannot overflow and moves no in-range index: (hi - lo) / step == levels
@@ -68,52 +66,24 @@ def _cells(v, lo, hi, bits):
 
 
 def _reconstruct(cells, lo, hi, bits):
-    """The levels lo + (cells + 0.5) * step, each one that rounds out of its cell moved back in.
-
-    From 2**52 cells up, cells + 0.5 can round onto the next cell's edge, and
-    lo + ... can round across an edge when the step nears an ulp.  Such a
-    level moves to the nearest float on its side that :func:`_cells` maps
-    back, found by bisecting the floats between it and the range's end; a
-    cell that holds no float keeps its level.
-    """
-    level = lo + (cells + 0.5) * ((hi - lo) / np.ldexp(1.0, bits))
-    off = _cells(level, lo, hi, bits) - cells
-    if not off.any():
-        return level
-    # floats a < b, as ordered ints, around where the cells pass the level's cell (from above) or reach it (below)
-    above = off > 0.0
-    a, b = (_flip(np.where(above, *ends).view(np.int64)) for ends in ((lo, level), (level, hi)))
-    while (a + 1 < b).any():
-        mid = (a >> 1) + (b >> 1) + (a & b & 1)  # (a + b) // 2, which may overflow
-        at = _cells(_flip(mid).view(np.float64), lo, hi, bits)
-        hit = np.where(above, at > cells, at >= cells)
-        a, b = np.where(hit, a, mid), np.where(hit, mid, b)
-    moved = _flip(np.where(above, a, b)).view(np.float64)
-    return np.where(_cells(moved, lo, hi, bits) == cells, moved, level)
-
-
-def _flip(i: np.ndarray) -> np.ndarray:
-    """float64 bits (as int64) to ints in the floats' order, and back: -0.0 comes just before 0.0."""
-    return i ^ ((i >> 63) & np.int64(2**63 - 1))
-
-
-def _index(cell: float, bits: int) -> int:
-    """The exact cell index of a :func:`_cells` cell, at any width."""
-    return min(int(cell), (1 << bits) - 1)
+    return lo + (cells + 0.5) * ((hi - lo) / np.ldexp(1.0, bits))
 
 
 def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, float]:
     """Uniform midrise quantizer on [lo, hi) with 2**bits levels.
 
-    Out-of-range inputs (+-inf too) clamp to the edge cells; NaN raises
-    :class:`DomainError`.  Returns the cell index and the reconstruction
-    level lo + (index + 0.5) * step, or the nearest float in the cell where
-    that rounds out of it; in-range values err by at most half a step (one
-    step where a level was moved), and a reconstruction level maps back to
-    its own index.  ``bits`` is an integer from 1 to 1023 and
-    lo < hi finite reals whose step (hi - lo) / 2**bits is a positive finite
-    float64 (``ValueError`` and :class:`DomainError` otherwise).
+    ``v`` is a real that float64 holds; out-of-range inputs (+-inf too)
+    clamp to the edge cells, and NaN raises :class:`DomainError`.  Returns
+    the cell index and the reconstruction level lo + (index + 0.5) * step;
+    in-range values err by at most half a step (and 4 ulps of rounding),
+    and reconstruction levels map back to their own index.  ``bits`` is an
+    integer from 1 to 50 and lo < hi finite reals whose step
+    (hi - lo) / 2**bits is a normal float64 of at least 4 ulps of
+    max(|lo|, |hi|), which keeps every level inside its own cell
+    (``ValueError`` and :class:`DomainError` otherwise).
     """
+    if (v := _float(v)) is None:
+        raise DomainError("v must be a real that float64 holds")
     if math.isnan(v):
         raise DomainError("cannot quantize NaN")
     if not (_integer(bits) and 1 <= bits <= _MAX_WIDTH):
@@ -123,10 +93,11 @@ def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, flo
     if not lo < hi:
         raise ValueError("lo must be < hi")
     lo, hi = float(lo), float(hi)
-    if not 0.0 < (step := math.ldexp(hi - lo, -bits)) < math.inf:
-        raise DomainError(f"the step (hi - lo) / 2**bits = {step:g} is not a positive finite float64")
-    cell = _cells(np.array([v], dtype=np.float64), lo, hi, bits)
-    return _index(cell[0], bits), float(_reconstruct(cell, lo, hi, bits)[0])
+    if not max(4.0 * math.ulp(max(-lo, hi)), 2.0**-1022) <= (step := math.ldexp(hi - lo, -bits)) < math.inf:
+        raise DomainError(f"the step (hi - lo) / 2**bits = {step:g} must be a normal float64 "
+                          "of at least 4 ulps of max(|lo|, |hi|)")
+    cell = _cells(np.array([v]), lo, hi, bits)
+    return int(cell[0]), float(_reconstruct(cell, lo, hi, bits)[0])
 
 
 def _pairs(z) -> list:
@@ -300,9 +271,9 @@ SCHEMES = tuple(_SCHEME_TABLE)
 def scheme_layout(scheme: str, n: int) -> list[tuple[str, int, float, float]]:
     """Ordered (name, bits, lo, hi) wire fields for a scheme at budget N.
 
-    N is an integer >= 1 that makes no field wider than 1023 bits, the
-    widest whose 2**bits levels float64 holds: N <= 255 for ``reg-inv``
-    (a 4N-bit norm), N <= 511 for the others (``ValueError`` otherwise).
+    N is an integer >= 1 that makes no field wider than 50 bits, where
+    every level is exact: N <= 12 for ``reg-inv`` (a 4N-bit norm), N <= 25
+    for the others (``ValueError`` otherwise).
     """
     if not (_integer(n) and n >= 1):
         raise ValueError("budget parameter N must be an integer >= 1")
@@ -346,7 +317,7 @@ def encode(source, scheme: str, n: int) -> str:
     if len(scalars) != len(names):
         raise ValueError(f"{scheme} source gives {len(scalars)} wire fields, expected {len(names)}")
     cells = _cells(_finite(scalars, names), lo, hi, bits)
-    return "".join(format(_index(c, w), f"0{w}b") for c, w in zip(cells.tolist(), bits.tolist()))
+    return "".join(format(int(c), f"0{w}b") for c, w in zip(cells.tolist(), bits.tolist()))
 
 
 def decode(bits: str, scheme: str, n: int):

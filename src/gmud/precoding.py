@@ -256,7 +256,7 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
     """
     noise_var = _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
     # per user r, then the report (beam_from_feedback's order), then the phases and powers, all read as float64
-    (r_k, v1_k), (r_l, v1_l) = ((_checked_r(fb.lambda1, fb.lambda2, r), _check_report(fb.lambda1, fb.v1))
+    (r_k, v1_k), (r_l, v1_l) = ((_checked_r(fb.lambda1, fb.lambda2, r), _check_report(fb.lambda1, fb.lambda2, fb.v1))
                                 for fb, r in ((fb_k, params.r_k), (fb_l, params.r_l)))
     if not all(map(_finite_real, (params.theta_k, params.theta_l, params.alpha, params.beta))):
         raise DomainError("theta_k, theta_l, alpha and beta must be finite reals")
@@ -445,7 +445,7 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
     """
     noise_var = _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
     for fb in (fb_k, fb_l):
-        _check_report(fb.lambda1, fb.v1)
+        _check_report(fb.lambda1, fb.lambda2, fb.v1)
     g, params, report = _search(
         np.array([[fb_k.lambda1, fb_l.lambda1]], dtype=np.float64),
         np.array([[fb_k.lambda2, fb_l.lambda2]], dtype=np.float64),

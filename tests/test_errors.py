@@ -5,7 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from gmud import DomainError, GridSpec, SimConfig, decode, encode, gmud, quantize_scalar, scheme_layout
+from gmud import (
+    DomainError,
+    GmudBeamParams,
+    GmudFeedback,
+    GridSpec,
+    SimConfig,
+    beam_from_feedback,
+    decode,
+    encode,
+    gmud,
+    gmud_min_sinr,
+    optimize_gmud,
+    quantize_scalar,
+    scheme_layout,
+    solve_rotations,
+    steered_beams,
+)
 from gmud.errors import _finite_real, _integer
 
 # (value, an integer, a finite real), each named by its kind
@@ -52,7 +68,7 @@ COUNT_SITES = {
     "scheme_layout": (lambda n: scheme_layout("gmud", n), "budget parameter N must be an integer >= 1"),
     "encode": (lambda n: encode(np.eye(2), "gmud", n), "budget parameter N must be an integer >= 1"),
     "decode": (lambda n: decode("0" * 48, "gmud", n), "budget parameter N must be an integer >= 1"),
-    "quantize_scalar": (lambda n: quantize_scalar(0.3, -1.0, 1.0, n), "bits must be an integer from 1 to 1023"),
+    "quantize_scalar": (lambda n: quantize_scalar(0.3, -1.0, 1.0, n), "bits must be an integer from 1 to 50"),
     "SimConfig": (lambda n: SimConfig(scheme="gmud", realizations=n), "realizations and symbols must be integers >= 1"),
 }
 
@@ -63,3 +79,31 @@ def test_count_of_another_type_is_named(site, size):
     call, message = COUNT_SITES[site]
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(size)
+
+
+E1, E2 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+
+
+def _report(lambda1, lambda2, v1=E1):
+    return GmudFeedback(np.zeros(6), v1, lambda1, lambda2)
+
+
+# a report's lambda2 was never checked; each comment says what the call gave before
+LAMBDA2_PROBES = {
+    "optimize_gmud-nan": lambda: optimize_gmud(_report(2.0, math.nan), _report(2.0, 1.0, E2), 0.1),  # min-SINR 1e12
+    "optimize_gmud-above": lambda: optimize_gmud(_report(2.0, 3.0), _report(2.0, 1.0, E2), 0.1),  # r_k = 3.0
+    "optimize_gmud-negative": lambda: optimize_gmud(_report(2.0, -1.0), _report(1.0, 0.5), 0.01),  # r_k = -1.0
+    "optimize_gmud-inf": lambda: optimize_gmud(_report(2.0, math.inf), _report(2.0, 1.0, E2), 0.1),  # RuntimeWarning
+    "gmud_min_sinr-nan": lambda: gmud_min_sinr(GmudBeamParams(1.5, 0.0, 1.5, 0.0, 0.8, 0.6), _report(2.0, math.nan),
+                                               _report(2.0, 1.0, E2), 0.1),
+    "solve_rotations-nan": lambda: solve_rotations(2.0, math.nan, 1.5),  # a NaN rotation
+    "solve_rotations-negative": lambda: solve_rotations(2.0, -1.0, 1.5),  # s = -0.509
+    "beam_from_feedback-nan": lambda: beam_from_feedback(2.0, math.nan, E1, 1.5, 0.3),  # a NaN beam
+    "steered_beams-above": lambda: steered_beams(2.0, 3.0, E1, 2.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("probe", list(LAMBDA2_PROBES))
+def test_report_lambda2_outside_0_lambda1_is_named(probe):
+    with pytest.raises(DomainError, match=r"^lambda2 must be a finite real in \[0, lambda1\], got "):
+        LAMBDA2_PROBES[probe]()

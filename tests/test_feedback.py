@@ -1,10 +1,11 @@
 import json
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
 from gmud import (
@@ -20,9 +21,21 @@ from gmud import (
     scheme_layout,
     svd2x2,
 )
-from gmud.feedback import SCHEMES
+from gmud.feedback import MAGNITUDE_RANGE, SCHEMES, _MAX_WIDTH
+
+# the largest N whose widest field holds at most 50 bits: 4N for reg-inv's norm, 2N for the others
+N_LIMITS = {"reg-inv": 12, "reg-inv-sel": 25, "gmud": 25}
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_feedback.json")
+
+
+@st.composite
+def _ranges(draw):
+    """(lo, hi), lo < hi, of any finite magnitude from subnormal to 1e307: two ends, one of them 0, or -hi and hi."""
+    a = draw(st.floats(-1e307, 1e307))
+    b = draw(st.one_of(st.floats(-1e307, 1e307), st.just(0.0), st.just(-a)))
+    assume(a != b)
+    return min(a, b), max(a, b)
 
 
 class TestQuantizeScalar:
@@ -48,7 +61,7 @@ class TestQuantizeScalar:
             quantize_scalar(0.0, 1.0, -1.0, 4)
         # a float width ended in numpy's "ufunc 'ldexp' not supported", and True was taken as 1
         for bits in (2.5, 2.0, True):
-            with pytest.raises(ValueError, match="bits must be an integer from 1 to 1023"):
+            with pytest.raises(ValueError, match="bits must be an integer from 1 to 50"):
                 quantize_scalar(0.3, -1.0, 1.0, bits)
 
     def test_nan_raises_and_infinities_clamp(self):
@@ -56,47 +69,67 @@ class TestQuantizeScalar:
             quantize_scalar(float("nan"), 0.0, 4.0, 8)
         assert quantize_scalar(np.inf, 0.0, 4.0, 8)[0] == 255
         assert quantize_scalar(-np.inf, 0.0, 4.0, 8)[0] == 0
+        assert quantize_scalar(np.float32(-np.inf), 0.0, 4.0, 8)[0] == 0
+        assert quantize_scalar(2**1000, 0.0, 4.0, 8)[0] == 255  # an int that float64 holds
+
+    @pytest.mark.parametrize("v", ["a", None, 1j, np.complex128(1j), 10**400, True],
+                             ids=["str", "None", "complex", "complex128", "int beyond float64", "bool"])
+    def test_v_must_be_a_real_that_float64_holds(self, v):
+        # str, None and complex ended in TypeError, a numpy complex in a ComplexWarning, 10**400 in OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^v must be a real that float64 holds$"):
+                quantize_scalar(v, -1.0, 1.0, 4)
 
     def test_range_must_be_finite(self):
         # an infinite range returned the level inf, and a str lo ended in a TypeError
         for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), ("a", 1.0), (0.0, None), (0.0, 10**400)):
             with pytest.raises(DomainError, match="^lo and hi must be finite reals$"):
                 quantize_scalar(0.3, lo, hi, 3)
-        # a span that overflows, and steps that underflow to 0
-        for lo, hi, bits in ((-1e308, 1e308, 3), (0.0, 5e-324, 1), (0.0, 1e-300, 1023)):
-            with pytest.raises(DomainError, match=r"^the step \(hi - lo\) / 2\*\*bits = (inf|0) is not a positive"):
+        # a span that overflows, steps that underflow to 0 or to a subnormal, and steps under 4 ulps of the ends
+        for lo, hi, bits in ((-1e308, 1e308, 3), (0.0, 5e-324, 1), (0.0, 1e-300, 50), (1.0, 1.0 + 6 * 2.0**-52, 1)):
+            with pytest.raises(DomainError, match=r"^the step \(hi - lo\) / 2\*\*bits = \S+ must be a normal float64 "
+                                                  r"of at least 4 ulps of max\(\|lo\|, \|hi\|\)$"):
                 quantize_scalar(0.3, lo, hi, bits)
+        assert quantize_scalar(1.0, 1.0, 1.0 + 8 * 2.0**-52, 1) == (0, 1.0 + 2 * 2.0**-52)  # a step of 4 ulps
 
     def test_widths_past_float64_are_refused(self):
-        # 2**1024 levels overflow float64: this raised OverflowError
-        with pytest.raises(ValueError, match="^bits must be an integer from 1 to 1023$"):
-            quantize_scalar(0.3, -1.0, 1.0, 1024)
-        idx, level = quantize_scalar(0.3, -1.0, 1.0, 1023)
-        assert quantize_scalar(level, -1.0, 1.0, 1023) == (idx, level)
+        # past 50 bits lo + (cell + 0.5) * step is not exact on the wire ranges: 53 bits took a level rescue
+        for bits in (51, 53, 1023, 1024):  # 1024 raised OverflowError
+            with pytest.raises(ValueError, match="^bits must be an integer from 1 to 50$"):
+                quantize_scalar(0.3, -1.0, 1.0, bits)
+        for lo, hi in ((-1.0, 1.0), (0.0, 4.0)):  # the widest field's odd top cell and even cell 2**49
+            for v in (hi, lo + (hi - lo) / 2):
+                idx, level = quantize_scalar(v, lo, hi, 50)
+                assert level == lo + (idx + 0.5) * (hi - lo) / 2**50
+                assert quantize_scalar(level, lo, hi, 50) == (idx, level)
 
-    def test_levels_map_back_past_2_to_52_cells(self):
-        # cells + 0.5 rounded an odd cell's level onto the next cell's edge: 2**52 + 1 came back as 2**52 + 2
-        idx, level = quantize_scalar(2.5e-16, -1.0, 1.0, 53)
-        assert idx == 2**52 + 1 and quantize_scalar(level, -1.0, 1.0, 53) == (idx, level)
-        assert 2.0**-52 <= level < 2.0**-51  # inside the cell, whose formula level 2**-51 is its upper edge
-        # an even cell's level already maps back and keeps its bytes
-        idx, level = quantize_scalar(5e-16, -1.0, 1.0, 53)
-        assert idx % 2 == 0 and level == -1.0 + (idx + 0.5) * 2.0**-52
-        rng = np.random.default_rng(8)
-        for v in rng.uniform(-1.0, 1.0, 500):  # about a quarter of these failed
-            idx, level = quantize_scalar(v, -1.0, 1.0, 53)
-            assert quantize_scalar(level, -1.0, 1.0, 53) == (idx, level) and abs(v - level) <= 2.0**-52
+    def test_end_cells_of_a_far_range_stay_inside_it(self):
+        # hi far below the step: at 53 bits the top cell's level came back as 0.0, above hi
+        lo, hi = -6.946576564250563e189, -1.516894669567117e170
+        with pytest.raises(ValueError, match="^bits must be an integer from 1 to 50$"):
+            quantize_scalar(hi, lo, hi, 53)
+        for bits in range(40, 51):
+            step = math.ldexp(hi - lo, -bits)
+            for v in (lo, np.nextafter(lo, hi), lo + step / 2, hi - step / 2, np.nextafter(hi, lo), hi):
+                idx, level = quantize_scalar(v, lo, hi, bits)
+                assert idx in (0, 2**bits - 1)
+                # the bounds themselves: a map-back check alone passes a level past hi, which _cells clamps
+                assert lo <= level <= hi and quantize_scalar(level, lo, hi, bits) == (idx, level)
 
-    @pytest.mark.parametrize("bits", [50, 51, 52])
-    def test_levels_map_back_on_any_range(self, bits):
-        # lo + (cell + 0.5) * step rounded across a cell edge where the step nears lo's ulp: 1 to 3 of these failed
-        rng = np.random.default_rng(bits)
-        for _ in range(300):  # ranges 1% to 100% as wide as their distance from 0
-            center = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
-            lo, hi = center + np.array([-0.5, 0.5]) * abs(center) * 10.0 ** rng.uniform(-2.0, 0.0)
-            v = rng.uniform(lo, hi)
+    @given(_ranges(), st.integers(1, 50), st.data())
+    def test_levels_map_back_on_any_range(self, ends, bits, data):
+        # a step within a few ulps of the ends rounded levels across cell edges; the step rule refuses it
+        lo, hi = ends
+        v = data.draw(st.floats(lo, hi))
+        try:
             idx, level = quantize_scalar(v, lo, hi, bits)
-            assert quantize_scalar(level, lo, hi, bits) == (idx, level)
+        except DomainError as err:
+            assert str(err).startswith("the step (hi - lo) / 2**bits")
+            return
+        assert lo <= level <= hi and quantize_scalar(level, lo, hi, bits) == (idx, level)
+        # half a step, up to the rounding of v - lo and of the level: under 3 ulps of the ends where measured
+        assert abs(v - level) <= math.ldexp(hi - lo, -bits - 1) + 4 * math.ulp(max(-lo, hi))
 
     @given(
         st.floats(-1.0, 1.0, allow_nan=False),
@@ -111,9 +144,9 @@ class TestQuantizeScalar:
 
 
 class TestBudget:
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
-    def test_layout_totals_12n(self, scheme, n):
+    @pytest.mark.parametrize("n, scheme", [(n, s) for n in (1, 2, 3, 4, 8, 12, 16, 25) for s in SCHEMES
+                                           if n <= N_LIMITS[s]])
+    def test_layout_totals_12n(self, n, scheme):
         layout = scheme_layout(scheme, n)
         assert sum(bits for _, bits, _, _ in layout) == 12 * n
 
@@ -136,16 +169,29 @@ class TestBudget:
         layout = scheme_layout("reg-inv-sel", 2)
         assert [bits for _, bits, _, _ in layout] == [2] * 8 + [4, 4]
 
-    @pytest.mark.parametrize("scheme, limit", [("reg-inv", 255), ("reg-inv-sel", 511), ("gmud", 511)])
-    def test_widest_field_fits_float64(self, scheme, limit):
-        # past the limit encode and decode raised OverflowError, and run_ber decoded NaN levels
-        assert max(bits for _, bits, _, _ in scheme_layout(scheme, limit)) <= 1023
-        for call in (lambda: scheme_layout(scheme, limit + 1), lambda: encode(np.eye(2), scheme, limit + 1),
-                     lambda: decode("1" * 12 * (limit + 1), scheme, limit + 1)):
-            with pytest.raises(ValueError, match=f"^budget parameter N must be <= {limit} for {scheme}: "):
-                call()
+    @pytest.mark.parametrize("scheme, wide_n", [("reg-inv", 255), ("reg-inv-sel", 511), ("gmud", 511)])
+    def test_widest_field_fits_float64(self, scheme, wide_n):
+        # N = wide_n gave fields of 1020 and 1022 bits, which took a level rescue; it is refused like N = limit + 1
+        limit = N_LIMITS[scheme]
+        assert max(bits for _, bits, _, _ in scheme_layout(scheme, limit)) <= 50
+        for n in (limit + 1, wide_n):
+            for call in (lambda: scheme_layout(scheme, n), lambda: encode(np.eye(2), scheme, n),
+                         lambda: decode("1" * 12 * n, scheme, n)):
+                with pytest.raises(ValueError, match=f"^budget parameter N must be <= {limit} for {scheme}: "
+                                                     r"its \dN-bit field may be at most 50 bits wide$"):
+                    call()
         bits = encode(crandn(np.random.default_rng(limit), (2, 2)), scheme, limit)
         assert encode(decode(bits, scheme, limit), scheme, limit) == bits
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_widest_field_at_the_limit_passes_the_step_rule(self, scheme):
+        # the codec's fields meet quantize_scalar's rule up to _MAX_WIDTH, so both paths need only that rule
+        for _, bits, lo, hi in scheme_layout(scheme, N_LIMITS[scheme]):
+            idx, level = quantize_scalar(hi, lo, hi, bits)
+            assert idx == 2**bits - 1 and level == hi - (hi - lo) / 2 ** (bits + 1)
+        # the widest [0, 4) field has a step of exactly 4 ulps of 4: one bit more would fall below the rule
+        lo, hi = MAGNITUDE_RANGE
+        assert (hi - lo) / 2**_MAX_WIDTH == 4 * math.ulp(hi)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -176,14 +222,20 @@ class TestCodec:
     @pytest.mark.parametrize("scheme, n, field, cell", [("gmud", 27, "v1_im1", 7307383006929629),
                                                         ("reg-inv", 14, "norm", 2**52 + 1)])
     def test_wide_field_round_trip(self, scheme, n, field, cell):
-        # an odd cell from 2**52 up re-encoded as the next one (gmud: ...630)
-        layout = scheme_layout(scheme, n)
-        bits = "".join(format(cell if name == field else 0, f"0{w}b") for name, w, _, _ in layout)
-        assert encode(decode(bits, scheme, n), scheme, n) == bits
+        # at N = n this message re-encoded its odd cell as the next one (gmud: ...630); that N is refused now
+        bits = "".join(format(cell if name == field else 0, f"0{k * n}b") for name, k, _, _ in scheme_layout(scheme, 1))
+        with pytest.raises(ValueError, match=f"^budget parameter N must be <= {N_LIMITS[scheme]} for {scheme}: "):
+            decode(bits, scheme, n)
+        # at the limit the field's odd cells round-trip, its top cell among them, and so do random channels
+        limit = N_LIMITS[scheme]
+        layout = scheme_layout(scheme, limit)
+        for odd in ((lambda w: 2**w - 1), (lambda w: 2 ** (w - 1) + 1)):
+            bits = "".join(format(odd(w) if name == field else 1, f"0{w}b") for name, w, _, _ in layout)
+            assert encode(decode(bits, scheme, limit), scheme, limit) == bits
         rng = np.random.default_rng(n)
-        for _ in range(50):  # about half of these changed
-            bits = encode(crandn(rng, (2, 2)), scheme, 27)
-            assert encode(decode(bits, scheme, 27), scheme, 27) == bits
+        for _ in range(50):
+            bits = encode(crandn(rng, (2, 2)), scheme, limit)
+            assert encode(decode(bits, scheme, limit), scheme, limit) == bits
 
     def test_decode_encode_decode_idempotent(self):
         rng = np.random.default_rng(2)

@@ -326,11 +326,13 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="grid must be a GridSpec"):
                 SimConfig(scheme="gmud", grid=grid)
 
-    @pytest.mark.parametrize("scheme, limit", [("reg-inv", 255), ("reg-inv-sel", 511), ("gmud", 511)])
-    def test_feedback_fields_fit_float64(self, scheme, limit):
-        # gmud at N = 512 decoded NaN levels and reg-inv at N = 300 ended in "matrix entries must be finite"
-        with pytest.raises(ValueError, match=f"^budget parameter N must be <= {limit} for {scheme}: "):
-            SimConfig(scheme=scheme, feedback=limit + 1)
+    @pytest.mark.parametrize("scheme, wide_n", [("reg-inv", 255), ("reg-inv-sel", 511), ("gmud", 511)])
+    def test_feedback_fields_fit_float64(self, scheme, wide_n):
+        # gmud at N = 512 decoded NaN levels; wide_n, the limit of fields up to 1023 bits, is refused now too
+        limit = {"reg-inv": 12, "reg-inv-sel": 25, "gmud": 25}[scheme]  # fields up to 50 bits
+        for n in (limit + 1, wide_n):
+            with pytest.raises(ValueError, match=f"^budget parameter N must be <= {limit} for {scheme}: "):
+                SimConfig(scheme=scheme, feedback=n)
         config = SimConfig(scheme=scheme, snr_db=(10.0,), feedback=limit, realizations=3, symbols=4)
         assert run_ber(config).points[0].bits == 3 * 2 * 4 * 2
 

@@ -58,8 +58,10 @@ SCALES = tuple(np.ldexp(1.0, k) for k in (-1000, -600, -300, -100, 100, 300, 600
 RANGES = ((-1.0, 1.0), (0.0, 4.0))
 # counts that are not integers, which ended in a comparison's TypeError
 BAD_SIZES = ("8", None, 4 + 0j)
-# the largest N whose widest field holds at most 1023 bits
-N_LIMITS = {"reg-inv": 255, "reg-inv-sel": 511, "gmud": 511}
+# the largest N whose widest field holds at most 50 bits: 4N for reg-inv's norm, 2N for the others
+N_LIMITS = {"reg-inv": 12, "reg-inv-sel": 25, "gmud": 25}
+# a report's lambda2 outside [0, lambda1] for lambda1 = 2, which no check refused: NaN beams, or r outside it
+LAMBDA2_BAD = (np.nan, np.inf, -np.inf, -1.0, 3.0)
 # exact multiples of the identity: h^H h = mu I, the branch of svd2x2 that takes v1 = e1
 IDENTITIES = (0.7 * np.eye(2), np.ldexp(1.0, -600) * np.eye(2), np.exp(1.1j) * np.eye(2))
 
@@ -285,6 +287,8 @@ def _solve_rotations(g):
     for r in (10**400, 1.5 + 0j, "1.5"):
         yield "error", lambda r=r: g.solve_rotations(2.0, 1.0, r)
     yield "error", lambda: g.solve_rotations(2.0, 1.0, True)
+    for l2 in LAMBDA2_BAD:
+        yield "error", lambda l2=l2: g.solve_rotations(2.0, l2, 1.5)
 
 
 @case("steered_beams")
@@ -301,6 +305,8 @@ def _steered_beams(g):
     yield "edge", lambda: g.steered_beams(1.5, 1.5, np.array([0.6, 0.8j]), np.full((3, 1), 1.5), np.arange(4.0))
     for l1, v in ((0.0, [1.0, 0.0]), (2.0, [1.0, 1.0]), (-1.0, [1.0, 0.0]), (np.nan, [1.0, 0.0]), (np.inf, [1.0, 0.0])):
         yield "error", lambda l1=l1, v=v: g.steered_beams(l1, 0.5, v, 1.0, 0.0)
+    for l2 in LAMBDA2_BAD:
+        yield "error", lambda l2=l2: g.steered_beams(2.0, l2, [1.0, 0.0], 1.5, 0.0)
     for l2 in (0.0, 1e-310):  # r*r underflows: the beam used to be zero or of norm l2/r
         yield "extreme-scale", lambda l2=l2: g.steered_beams(2.0, l2, [1, 0], 1e-300, 0.3)
 
@@ -327,6 +333,8 @@ def _beam_from_feedback(g):
         )
     for theta in (np.nan, np.inf, "1.5"):
         yield "error", lambda t=theta: g.beam_from_feedback(2.0, 1.0, np.array([0.6, 0.8j]), 1.5, t)
+    for l2 in LAMBDA2_BAD:
+        yield "error", lambda l2=l2: g.beam_from_feedback(2.0, l2, np.array([0.6, 0.8j]), 1.5, 0.3)
 
 
 @case("GmudFactorization")
@@ -470,6 +478,10 @@ def _gmud_min_sinr(g):
     for bad in _bad_reports(g, rng):
         p = g.GmudBeamParams(bad.lambda1, 0.0, fb_l.lambda1, 0.0, float(np.sqrt(0.5)), float(np.sqrt(0.5)))
         yield "error", lambda p=p, k=bad, l=fb_l: g.gmud_min_sinr(p, k, l, 0.1)
+    for l2 in LAMBDA2_BAD:
+        p = g.GmudBeamParams(1.5, 0.0, fb_l.lambda1, 0.0, float(np.sqrt(0.5)), float(np.sqrt(0.5)))
+        bad = g.GmudFeedback(np.zeros(6), np.array([1.0, 0.0], dtype=complex), 2.0, l2)
+        yield "error", lambda p=p, k=bad, l=fb_l: g.gmud_min_sinr(p, k, l, 0.1)
     # where the SINR kernel's division path meets its zero-denominator masks
     for fb_k, fb_l in _meeting_reports(g, rng):
         for noise in TINY_NOISES:
@@ -523,7 +535,7 @@ def _optimize_gmud(g):
     for args in ((bad, fb_l, 0.1, grids[3]), (zero, fb_l, 0.1, grids[3]),
                  (fb_k, fb_l, -1.0, grids[3]), (fb_k, fb_l, np.nan, grids[3])):
         yield "error", lambda args=args: g.optimize_gmud(*args)
-    for bad in _bad_reports(g, rng):
+    for bad in (*_bad_reports(g, rng), *(g.GmudFeedback(np.zeros(6), fb_k.v1, 2.0, l2) for l2 in LAMBDA2_BAD)):
         for args in ((bad, fb_l, 0.1, grids[1]), (fb_l, bad, 0.1, grids[1])):
             yield "error", lambda args=args: g.optimize_gmud(*args)
     # where the SINR kernel's division path meets its zero-denominator masks
@@ -682,15 +694,24 @@ def _quantize_scalar(g):
                 yield "extreme-scale", lambda v=v, lo=lo, hi=hi, bits=bits: g.quantize_scalar(v, lo, hi, bits)
     for bits in (2.5, 2.0, True):
         yield "error", lambda bits=bits: g.quantize_scalar(0.3, -1.0, 1.0, bits)
-    # odd and even cells past 2**52 (2**52 + 1 and + 2): cell + 0.5 rounded the odd one's level onto its edge
-    for v in (2.5e-16, 5e-16):
-        yield "edge", lambda v=v: g.quantize_scalar(v, -1.0, 1.0, 53)
-    for bits in BAD_SIZES + (1024, 2000):
+    # odd and even cells of the widest field, 50 bits (2**49 + 1 and + 2); 51 bits is the first refused width
+    for v in (2.5e-15, 5e-15):
+        yield "edge", lambda v=v: g.quantize_scalar(v, -1.0, 1.0, 50)
+    for bits in BAD_SIZES + (51, 2000):
         yield "error", lambda bits=bits: g.quantize_scalar(0.3, -1.0, 1.0, bits)
-    # ranges that are not finite reals, a span that overflows and a step that underflows to 0
+    # ranges that are not finite reals, a span that overflows, a step that underflows to 0 or to a subnormal
     for lo, hi, bits in ((0.0, np.inf, 3), (-np.inf, 0.0, 3), (np.nan, 1.0, 3), ("a", 1.0, 3), (0.0, None, 3),
-                         (-1e308, 1e308, 3), (0.0, 5e-324, 1), (0.0, 1e-300, 1023)):
+                         (-1e308, 1e308, 3), (0.0, 5e-324, 1), (0.0, 1e-300, 50)):
         yield "error", lambda lo=lo, hi=hi, bits=bits: g.quantize_scalar(0.3, lo, hi, bits)
+    # values that are not reals float64 holds: each ended in TypeError, ComplexWarning or OverflowError
+    for v in ("a", None, 1j, np.complex128(1j), 10**400, True):
+        yield "error", lambda v=v: g.quantize_scalar(v, -1.0, 1.0, 4)
+    # hi far below the step: the 53-bit top level came back as 0.0, above hi
+    lo, hi = -6.946576564250563e189, -1.516894669567117e170
+    for bits in range(40, 51):
+        for v in (lo, hi):
+            yield "extreme-scale", lambda v=v, bits=bits: g.quantize_scalar(v, lo, hi, bits)
+    yield "error", lambda: g.quantize_scalar(hi, lo, hi, 53)
 
 
 @case("scheme_layout")
