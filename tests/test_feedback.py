@@ -117,8 +117,31 @@ class TestQuantizeScalar:
                 # the bounds themselves: a map-back check alone passes a level past hi, which _cells clamps
                 assert lo <= level <= hi and quantize_scalar(level, lo, hi, bits) == (idx, level)
 
+    @pytest.mark.parametrize("bits", [50, 51, 52])
+    def test_levels_map_back_on_any_range(self, bits):
+        # lo + (cell + 0.5) * step rounded across a cell edge where the step nears lo's ulp: 1 to 3 of these failed.
+        # Such steps are now refused by the step rule, and widths past 50 bits by the width limit.
+        rng = np.random.default_rng(bits)
+        mapped = 0
+        for _ in range(300):  # ranges 1% to 100% as wide as their distance from 0
+            center = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+            lo, hi = center + np.array([-0.5, 0.5]) * abs(center) * 10.0 ** rng.uniform(-2.0, 0.0)
+            v = rng.uniform(lo, hi)
+            if bits > 50:
+                with pytest.raises(ValueError, match="^bits must be an integer from 1 to 50$"):
+                    quantize_scalar(v, lo, hi, bits)
+                continue
+            if math.ldexp(hi - lo, -bits) < 4 * math.ulp(max(-lo, hi)):
+                with pytest.raises(DomainError, match=r"^the step \(hi - lo\) / 2\*\*bits"):
+                    quantize_scalar(v, lo, hi, bits)
+                continue
+            idx, level = quantize_scalar(v, lo, hi, bits)
+            assert lo <= level <= hi and quantize_scalar(level, lo, hi, bits) == (idx, level)
+            mapped += 1
+        assert bits > 50 or mapped > 0
+
     @given(_ranges(), st.integers(1, 50), st.data())
-    def test_levels_map_back_on_any_range(self, ends, bits, data):
+    def test_levels_map_back_on_drawn_ranges(self, ends, bits, data):
         # a step within a few ulps of the ends rounded levels across cell edges; the step rule refuses it
         lo, hi = ends
         v = data.draw(st.floats(lo, hi))
