@@ -102,15 +102,6 @@ def _parse_grid(spec: str) -> GridSpec:
     return GridSpec(n_r=n_r, n_theta=n_theta, n_p=n_p)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GMUD_SEED")
-    if env is not None:
-        return int(env)
-    return 12345
-
-
 def cmd_decompose(args) -> int:
     h = _parse_matrix(args)
     pp = PhasePair(args.theta1, args.theta2)
@@ -145,14 +136,9 @@ def cmd_quantize(args) -> int:
 
 
 def _csv_rows(curves) -> str:
-    lines = [CSV_HEADER]
-    for curve in curves:
-        for p in curve.points:
-            lines.append(
-                f"{curve.scheme},{curve.modulation},{curve.feedback_bits},"
-                f"{float(p.snr_db)!r},{float(p.ber)!r},{p.bits},{p.errors}"
-            )
-    return "\n".join(lines) + "\n"
+    lines = [f"{c.scheme},{c.modulation},{c.feedback_bits},{float(p.snr_db)!r},{float(p.ber)!r},{p.bits},{p.errors}"
+             for c in curves for p in c.points]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def _dat_rows(curves) -> str:
@@ -209,7 +195,7 @@ def _emit(curves, args, seed, grid, started) -> None:
 def cmd_simulate(args) -> int:
     """``sweep`` (one scheme) and ``compare`` (every scheme), one curve per feedback mode."""
     started = time.monotonic()
-    seed = _resolve_seed(args)
+    seed = int(os.environ.get("GMUD_SEED", 12345)) if args.seed is None else args.seed
     grid = _parse_grid(args.grid)
     modes = _parse_feedback(args.feedback or ["perfect"])
     schemes = [_SCHEME_ALIASES[args.scheme]] if args.command == "sweep" else SCHEMES

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _finite_real, _integer
+from .errors import DomainError, _finite_real, _float, _integer
 from .linalg import SvdFactorization, orthonormal_complement, _norm1, _pow2_exponents, svd2x2
 
 __all__ = [
@@ -97,11 +97,15 @@ class GmudFactorization:
 
 
 def _check_lambdas(lambda1: float, lambda2: float) -> None:
-    """A report's singular values must satisfy 0 <= lambda2 <= lambda1 < inf and 0 < lambda1: NaN or inf
-    would give NaN beams, and a lambda2 outside [0, lambda1] an r outside the report's interval."""
-    if not 0.0 <= lambda2 <= lambda1 < math.inf or lambda1 == 0.0:
-        if not 0.0 < lambda1 < math.inf:
-            raise DomainError("lambda1 must be positive" if lambda1 <= 0.0 else "lambda1 must be finite")
+    """A report's singular values must be reals that float64 holds, 0 <= lambda2 <= lambda1 < inf and 0 < lambda1:
+    NaN or inf would give NaN beams, and a lambda2 outside [0, lambda1] an r outside the report's interval."""
+    if isinstance(lambda1, float) and isinstance(lambda2, float) and 0 < lambda1 < math.inf and 0 <= lambda2 <= lambda1:
+        return  # two floats in order, the common case; the rest are read by _float and named
+    if (l1 := _float(lambda1)) is None:
+        raise DomainError(f"lambda1 must be a real that float64 holds, got {type(lambda1).__name__}")
+    if not 0.0 < l1 < math.inf:
+        raise DomainError("lambda1 must be positive" if l1 <= 0.0 else "lambda1 must be finite")
+    if (l2 := _float(lambda2)) is None or not 0.0 <= l2 <= l1:
         raise DomainError(f"lambda2 must be a finite real in [0, lambda1], got {lambda2!s:.40}")
 
 

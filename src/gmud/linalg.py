@@ -66,11 +66,9 @@ def _det(parts: np.ndarray):
     return (ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)
 
 
-def _mat_inv(a: np.ndarray) -> np.ndarray:
-    """Invert every matrix of a complex (R, 2, 2) stack: the kernel of :func:`mat_inv`.
-
-    The determinant comes from :func:`_det`.
-    """
+def _mat_inv(a: np.ndarray):
+    """(inverses, singular) of a complex (R, 2, 2) stack, the kernel of :func:`mat_inv`: ``singular`` flags the
+    matrices it refuses, whose ``inverses`` rows hold no inverse.  The determinant comes from :func:`_det`."""
     if not np.isfinite(a).all():  # _reg_inv's h h^H + K sigma^2 I can overflow for finite h
         raise ValueError("matrix entries must be finite")
     if a.shape[1:] != (2, 2):
@@ -81,17 +79,12 @@ def _mat_inv(a: np.ndarray) -> np.ndarray:
     b = parts * scale
     tol = _SINGULAR_TOL * np.vecdot(b.reshape(-1, 8), b.reshape(-1, 8))
     det = np.stack(_det(b), axis=-1)
-    abs_det = np.hypot(det[:, 0], det[:, 1])
-    singular = abs_det <= tol
-    if singular.any():
-        i = int(np.argmax(singular))
-        raise SingularMatrixError(
-            f"2x2 determinant {abs_det[i]:.3e} below tolerance {tol[i]:.3e} (matrix scaled by 2**{-int(e[i])})"
-        )
+    singular = np.hypot(det[:, 0], det[:, 1]) <= tol
+    det[singular] = 1.0  # there, no division by 0 and no warning
     b = b.view(np.complex128)
     adj = np.stack([b[:, 1, 1], -b[:, 0, 1], -b[:, 1, 0], b[:, 0, 0]], axis=-1).reshape(-1, 2, 2)
     inv = adj / det.view(np.complex128)[:, :, None]
-    return (inv.view(np.float64) * scale).view(np.complex128)
+    return (inv.view(np.float64) * scale).view(np.complex128), singular
 
 
 def mat_inv(a) -> np.ndarray:
@@ -104,7 +97,10 @@ def mat_inv(a) -> np.ndarray:
     ``1e-14 * ||b||_F**2`` (condition numbers above about 1e14) and
     ``ValueError`` for any other shape.
     """
-    return _mat_inv(as_matrix(a)[None])[0]
+    inv, singular = _mat_inv(as_matrix(a)[None])
+    if singular[0]:
+        raise SingularMatrixError("2x2 determinant at or below 1e-14 * ||a||_F**2: a is singular to working precision")
+    return inv[0]
 
 
 def orthonormal_complement(v: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ import numpy as np
 
 from .decomposition import _check_report, _checked_r, _rotation_factors, _steer, steered_beams
 from .decomposition import beam_from_feedback  # noqa: F401  profilers wrap this name
-from .errors import DomainError, _finite_real, _integer
-from .linalg import _mat_inv, _norm, as_matrix, orthonormal_complement
+from .errors import DomainError, SingularMatrixError, _finite_real, _integer
+from .linalg import _mat_inv, _norm, _svd2x2, as_matrix, orthonormal_complement
 from .linalg import mat_inv  # noqa: F401  _reg_inv calls its kernel; profilers wrap this name
 
 __all__ = [
@@ -112,7 +112,9 @@ def _check_inputs(noise_var: float, *lambda1s: float) -> float:
 
 def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
     """G of every (R, K, N_T) row stack: the kernel of :func:`reg_inv`; :class:`DomainError` where K*noise_var
-    overflows."""
+    overflows.  Where :func:`_mat_inv` refuses H H^H + eps I, eps = K*noise_var, G is V diag(s / (s^2 + eps)) U^H
+    from :func:`_svd2x2`'s H = U diag(s) V^H, with s / (s^2 + eps) = (s / t) / t, t = hypot(s, sqrt(eps)): finite
+    and free of overflow for every eps > 0.  There eps = 0 or N_T != 2 raises :class:`SingularMatrixError`."""
     h = np.ascontiguousarray(h, dtype=np.complex128)
     k = h.shape[-2]
     if math.isinf(reg := k * noise_var):
@@ -120,16 +122,29 @@ def _reg_inv(h: np.ndarray, noise_var: float) -> np.ndarray:
     hh = np.swapaxes(np.conj(h), -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to _mat_inv's finiteness check
         a = h @ hh + reg * np.eye(k, dtype=np.complex128)
-    return hh @ _mat_inv(a.reshape(-1, k, k)).reshape(a.shape)
+    inv, singular = _mat_inv(a.reshape(-1, k, k))
+    g = hh @ inv.reshape(a.shape)
+    if singular.any():
+        if reg == 0.0 or h.shape[-1] != 2:
+            why = f"the regularizer {k}*noise_var is 0" if reg == 0.0 else f"the rows have {h.shape[-1]} entries, not 2"
+            raise SingularMatrixError(f"H H^H + {k}*noise_var I is singular to working precision, and {why}")
+        u, lambda1, lambda2, v = _svd2x2(h.reshape(-1, k, 2)[singular])
+        s = np.stack([lambda1, lambda2], axis=-1)
+        t = np.hypot(s, math.sqrt(reg))
+        g.reshape(-1, 2, k)[singular] = (v * (s / t / t)[:, None, :]) @ np.swapaxes(np.conj(u), 1, 2)
+    return g
 
 
 def reg_inv(h_tilde, noise_var: float) -> np.ndarray:
     """Regularized channel inverse G = H^H (H H^H + K*sigma^2 I)^{-1}.
 
-    ``h_tilde`` stacks one row per user (K x N_T).  At zero noise this
-    is plain channel inversion (H_tilde @ G = I); the regularizer
+    ``h_tilde`` stacks one row per user (K x N_T), K = 2.  At zero noise
+    this is plain channel inversion (H_tilde @ G = I); the regularizer
     K*sigma^2 trades residual inter-user interference for a smaller
-    transmit normalization.
+    transmit normalization.  Rows parallel to working precision (where
+    :func:`mat_inv` refuses H H^H + K*sigma^2 I) take the SVD form of G,
+    defined for every noise_var > 0; at zero noise, or N_T != 2, they
+    raise :class:`SingularMatrixError`.
     """
     noise_var = _check_inputs(noise_var)
     return _reg_inv(as_matrix(h_tilde)[None], noise_var)[0]
@@ -145,9 +160,13 @@ def expected_gamma(g: np.ndarray) -> float:
     """Expected transmit normalization ||G u||^2 under unit-energy symbols.
 
     Cross terms vanish for independent zero-mean symbols, leaving the
-    squared Frobenius norm (sum of column norms squared).
+    squared Frobenius norm (sum of column norms squared); inf raises :class:`DomainError`.
     """
-    return float(_expected_gammas(np.asarray(g)[None])[0])
+    with np.errstate(over="ignore"):
+        gamma = float(_expected_gammas(np.asarray(g)[None])[0])
+    if math.isinf(gamma):
+        raise DomainError("expected_gamma overflows float64: ||G||_F**2 is inf")
+    return gamma
 
 
 def _abs2(z):
@@ -202,7 +221,7 @@ def antenna_selection(channels, noise_var: float):
 
     with e = H_hat @ G, gamma_bar the expected normalization and
     snr = 1/noise_var (the noise term is 0 at zero noise).  Ties keep the
-    earliest combination.
+    earliest combination.  Each G is :func:`reg_inv`'s, parallel rows too.
 
     Returns ``(selection, G, SinrReport)``.
     """

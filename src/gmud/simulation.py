@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .decomposition import _rotation_factors, _steer
-from .errors import SingularMatrixError, _finite_real, _integer
+from .errors import _finite_real, _integer
 from .feedback import SCHEMES, _reports, scheme_layout
 from .linalg import _svd2x2
 from .precoding import GridSpec, _combos, _reg_inv, _search, _select
@@ -168,15 +168,17 @@ def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise):
     z = sqrt(gamma) * ((w_k^H H_k) x + w_k^H n_k) / (w_k^H H_k g_k).
     Interference is never cancelled.  Realizations may stack on leading
     axes.  Returns the hard bit decisions as a (..., users, bits) uint8
-    array, one row per user.
+    array, one row per user; a user whose gain is 0 gets NaN's (all 0).
     """
     x = np.asarray(x, dtype=np.complex128)
     # users on the (users, 1, .) matmul axis, each product the per-user vector product
     w = np.conj(combiners)[..., None, :]
     rows = w @ channels
     gains = rows @ np.swapaxes(g, -1, -2)[..., None]
-    z = np.sqrt(gamma)[..., None, None, :] * (rows @ x[..., None, :, :] + w @ noise) / gains
-    return demodulate(z[..., 0, :], modulation)
+    dead = gains == 0.0  # a zero genie gain: that user's z is NaN + NaN j, as 0/0 gives, without the warning
+    z = np.sqrt(gamma)[..., None, None, :] * (rows @ x[..., None, :, :] + w @ noise) / np.where(dead, 1.0, gains)
+    return demodulate(np.where(dead, complex(math.nan, math.nan), z)[..., 0, :] if dead.any() else z[..., 0, :],
+                      modulation)
 
 
 def _noise_var(snr_db) -> float:
@@ -376,17 +378,7 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
         for rng, out in zip(rngs, channels):
             rng.standard_normal(out=out)
         channels = _complex(channels, np.sqrt(0.5))
-        try:
-            g, combiners = link.build(channels, noise_var, n, config.grid)
-        except SingularMatrixError as exc:
-            if n is None:  # exact channels, no reports
-                raise
-            # only _reg_inv inverts, and det(H H^H + eps I) >= det(H H^H) = |h1|^2 |h2|^2 sin^2(angle), so a
-            # determinant below _mat_inv's tolerance means two reported rows that are (nearly) parallel
-            raise SingularMatrixError(
-                f"snr_db {snr_db}: two users' reports collide for {config.scheme} with N = {n}: their rows are "
-                f"parallel, and the regularizer 2*noise_var = {2.0 * noise_var:.3g} is too small to separate them"
-            ) from exc
+        g, combiners = link.build(channels, noise_var, n, config.grid)
         for start in range(0, len(rngs), _CHUNK):
             chunk = slice(start, start + _CHUNK)
             size = len(rngs[chunk])

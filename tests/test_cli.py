@@ -209,12 +209,20 @@ class TestSweep:
         assert run_cli(capsys, "sweep", "--scheme", "gmud", *args, "--out", str(tmp_path / "g"))[0] == 0
 
     def test_colliding_reports_flag(self, capsys, tmp_path):
-        # at 160 dB two users' N = 1 reports are parallel rows, which the regularizer is too small to separate
-        args = ("--snr", "160:0:160", "--feedback", "1", "--realizations", "400", "--symbols", "4", "--seed", "12345")
-        code, out, err = run_cli(capsys, "sweep", "--scheme", "reg-inv", *args, "--out", str(tmp_path / "o"))
-        assert (code, out) == (2, "")
-        assert err.startswith("gmud: error: snr_db 160.0: two users' reports collide for reg-inv with N = 1: ")
-        assert os.listdir(tmp_path) == []
+        # at 160 dB two users' N = 1 reports can be parallel rows, which 2*noise_var = 2e-16 cannot separate in
+        # H H^H + eps I; G comes from the SVD there, where the sweep exited 2 naming the collision
+        args = ("--feedback", "1", "--realizations", "400", "--symbols", "4", "--seed", "12345")
+        for scheme in ("reg-inv", "reg-inv-sel"):
+            out = str(tmp_path / scheme)
+            assert run_cli(capsys, "sweep", "--scheme", scheme, "--snr", "160:0:160", *args, "--out", out) == (0, "", "")
+            assert read_csv(out + ".csv").split("\n")[1].startswith(f"{scheme},qpsk,12,160.0,")
+            csv = []
+            for jobs in ("1", "2"):
+                out = str(tmp_path / f"{scheme}-{jobs}")
+                assert run_cli(capsys, "sweep", "--scheme", scheme, "--snr", "140:10:200", *args, "--jobs", jobs,
+                               "--out", out)[0] == 0
+                csv.append(read_csv(out + ".csv"))
+            assert csv[0] == csv[1] and len(csv[0].splitlines()) == 8
 
     def test_all_zero_ber_sweep_is_a_result(self, capsys, tmp_path):
         # every point's BER is 0 here: the chart has axes and a legend but no curve

@@ -1,6 +1,7 @@
 """The integer and finite-real rules every entry point checks its scalars by, and r, which passes the latter."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,3 +108,23 @@ LAMBDA2_PROBES = {
 def test_report_lambda2_outside_0_lambda1_is_named(probe):
     with pytest.raises(DomainError, match=r"^lambda2 must be a finite real in \[0, lambda1\], got "):
         LAMBDA2_PROBES[probe]()
+
+
+# a lambda that is not a real ended in a bare TypeError from the chained comparison (numpy orders complex numbers,
+# so np.complex128 passed it); each names its lambda
+L1, L2 = "lambda1 must be a real that float64 holds, got ", "lambda2 must be a finite real in [0, lambda1], got "
+NOT_REAL_PROBES = {
+    "lambda2-str": (lambda: solve_rotations(2.0, "a", 1.5), L2 + "a"),
+    "lambda1-none": (lambda: solve_rotations(None, 1.0, 1.5), L1 + "NoneType"),
+    "lambda2-complex": (lambda: solve_rotations(2.0, 1j, 1.5), L2 + "1j"),
+    "lambda2-np-complex": (lambda: solve_rotations(2.0, np.complex128(0.5), 1.5), L2 + "(0.5+0j)"),
+    "lambda1-str": (lambda: steered_beams("2", 1.0, [1, 0], 1.5, 0.0), L1 + "str"),
+    "lambda1-bool": (lambda: solve_rotations(True, 0.5, 0.7), L1 + "bool"),
+}
+
+
+@pytest.mark.parametrize("probe", list(NOT_REAL_PROBES))
+def test_report_lambda_not_a_real_is_named(probe):
+    call, message = NOT_REAL_PROBES[probe]
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

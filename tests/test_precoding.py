@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gmud import (
     GmudBeamParams,
     GmudFeedback,
     GridSpec,
+    SingularMatrixError,
     SinrReport,
     antenna_selection,
     beam_from_feedback,
@@ -20,6 +22,7 @@ from gmud import (
     expected_gamma,
     gen_channels,
     gmud_min_sinr,
+    mat_inv,
     optimize_gmud,
     reg_inv,
     steered_beams,
@@ -76,7 +79,74 @@ def stacked(pairs):
     return tuple(np.array([[getattr(fb, f) for fb in pair] for pair in pairs]) for f in ("lambda1", "lambda2", "v1"))
 
 
+def exact_reg_inv(h, eps):
+    """H^H (H H^H + eps I)^{-1} of a 2x2 complex matrix in exact rational arithmetic, as (re, im) Fractions."""
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def add(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    c = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in h.tolist()]
+    hh = [[(c[j][i][0], -c[j][i][1]) for j in range(2)] for i in range(2)]
+    a = [[add(add(mul(c[i][0], hh[0][j]), mul(c[i][1], hh[1][j])), (eps if i == j else 0, 0)) for j in range(2)]
+         for i in range(2)]
+    det = add(mul(a[0][0], a[1][1]), mul(a[0][1], (-a[1][0][0], -a[1][0][1])))
+    over = (det[0] / (det[0] ** 2 + det[1] ** 2), -det[1] / (det[0] ** 2 + det[1] ** 2))  # 1 / det
+    inv = [[mul(a[1][1], over), mul((-a[0][1][0], -a[0][1][1]), over)],
+           [mul((-a[1][0][0], -a[1][0][1]), over), mul(a[0][0], over)]]
+    return [[add(mul(hh[i][0], inv[0][j]), mul(hh[i][1], inv[1][j])) for j in range(2)] for i in range(2)]
+
+
 class TestRegInv:
+    # the formula's normwise relative error on exactly parallel rows: 5.8e-16 (5.2 units of 2**-53) measured
+    # over these inputs; 8 units bound the SVD's few roundings in s, u1 and v1 and the product d1 v1 u1^H
+    PARALLEL_BOUND = 8 * 2.0**-53
+
+    def test_parallel_rows_match_exact_formula(self):
+        # rows h and t h, t exact (a power of two times 1 or 1j, or 3 on integer rows): H H^H + eps I is singular
+        # to working precision, and G comes from the SVD; it used to raise SingularMatrixError
+        rng = np.random.default_rng(27)
+        rows = [(np.array([1 + 2j, 3 - 1j]), 3), (np.array([-2j, 5.0]), 3)]
+        rows += [(h, 1) for h in crandn(rng, (8, 2))]
+        for h1, extra in rows:
+            for t in (1, -1, 2, 0.5, 1j, -2j, 0.25j, extra):
+                for scale in (1.0, 2.0**500):
+                    h = scale * np.stack([h1, t * h1])
+                    for noise in (1e-16, 1e-100, 1e-300, 1e-310, 5e-324):  # eps = 2e-16 down to subnormal
+                        eps = 2.0 * noise
+                        with pytest.raises(SingularMatrixError):
+                            mat_inv(h @ h.conj().T + eps * np.eye(2))
+                        g, want = reg_inv(h, noise), exact_reg_inv(h, Fraction(eps))
+                        got = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in g.tolist()]
+                        err = sum((x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2
+                                  for rx, ry in zip(got, want) for x, y in zip(rx, ry))
+                        norm = sum(y[0] ** 2 + y[1] ** 2 for ry in want for y in ry)
+                        assert err <= Fraction(self.PARALLEL_BOUND) ** 2 * norm, (h1, t, scale, noise)
+
+    def test_parallel_rows_at_zero_noise_raise(self):
+        # at eps = 0 the inverse does not exist: the error says so
+        message = r"^H H\^H \+ 2\*noise_var I is singular to working precision, and the regularizer 2\*noise_var is 0$"
+        h = np.array([[1 + 2j, 3 - 1j], [2 + 4j, 6 - 2j]])
+        for call in (lambda: reg_inv(h, 0.0), lambda: antenna_selection([h, h], 0.0)):
+            with pytest.raises(SingularMatrixError, match=message):
+                call()
+
+    def test_parallel_rows_of_other_width_raise(self):
+        # the SVD form is the 2x2 one: K x N_T rows with N_T != 2 keep the error
+        h = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+        with pytest.raises(SingularMatrixError, match=r"the rows have 3 entries, not 2$"):
+            reg_inv(h, 1e-16)
+        assert reg_inv(h, 0.1).shape == (3, 2)
+
+    def test_parallel_rows_in_antenna_selection(self):
+        # every combination of two equal channels is a pair of parallel rows
+        h = crandn(np.random.default_rng(28), (2, 2))
+        for noise in (1e-16, 5e-324):
+            combo, g, report = antenna_selection([h, h], noise)
+            assert np.isfinite(g).all() and np.isfinite(report.gamma_bar)
+            assert np.array_equal(g, reg_inv(np.stack([h[combo[0]], h[combo[1]]]), noise))
+
     def test_zero_noise_identity(self):
         assert_allclose(reg_inv(np.eye(2), 0.0), np.eye(2))
 
@@ -119,6 +189,11 @@ class TestExpectedGamma:
     def test_column_norms(self):
         g = np.array([[1.0, 0.0], [1.0, 2.0]])
         assert expected_gamma(g) == pytest.approx(6.0, rel=1e-12)
+
+    def test_overflow_is_named(self):
+        # it returned inf with a RuntimeWarning (overflow in vecdot)
+        with pytest.raises(DomainError, match=r"^expected_gamma overflows float64: \|\|G\|\|_F\*\*2 is inf$"):
+            expected_gamma(np.full((2, 2), 1e200))
 
 
 class TestAntennaSelection:

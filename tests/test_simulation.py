@@ -236,6 +236,23 @@ class TestReceiveDetect:
             assert rows == expected
             assert np.array_equal(combiners, np.eye(2)[list(rows)])
 
+    @pytest.mark.parametrize("mod", ["qpsk", "16qam"])
+    def test_zero_gain_gives_nan_decisions(self, mod):
+        # a zero column of G gave that user's statistic 0/0 or x/0 with a RuntimeWarning; it is NaN + NaN j, whose
+        # decisions are all 0, and the other user, who divides by its own gain only, is untouched
+        rng = np.random.default_rng(8)
+        channels, g = gen_channels(rng), crandn(rng, (2, 2))
+        dead = g.copy()
+        dead[:, 1] = 0.0
+        x, gamma = transmit(dead, modulate(rng.integers(0, 2, size=(2, 40), dtype=np.uint8), mod))
+        w, noise = np.eye(2, dtype=complex), 0.1 * crandn(rng, (2, 2, x.shape[-1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            detected = receive_detect(channels, dead, w, x, gamma, mod, noise)
+        assert np.array_equal(detected[1], demodulate(np.full(x.shape[-1], complex(np.nan, np.nan)), mod))
+        assert not detected[1].any()
+        assert np.array_equal(detected[0], receive_detect(channels, g, w, x, gamma, mod, noise)[0])
+
     def test_awgn_qpsk_matches_q_function(self):
         # unit scalar channel: BER = Q(sqrt(2 Eb/N0)) with Eb/N0 = 1/(2 sigma^2)
         rng = np.random.default_rng(5)
@@ -381,15 +398,20 @@ class TestSimConfig:
             assert run_ber(dataclasses.replace(config, snr_db=(-3079.0,))).points[0].bits == 16
         assert run_ber(SimConfig(scheme="gmud", snr_db=(-3082.0,), realizations=2, symbols=2)).points[0].bits == 16
 
-    def test_colliding_reports_name_the_point(self):
-        # at 160 dB two users' N = 1 reports can be parallel rows, and 2*noise_var = 2e-16 cannot separate them;
-        # the error names the point instead of only _mat_inv's determinant
+    def test_colliding_reports_same_across_jobs(self):
+        # at 160 dB two users' N = 1 reports can be parallel rows, which 2*noise_var = 2e-16 cannot separate in
+        # H H^H + eps I; G comes from the SVD there (it raised SingularMatrixError), in any worker
         for scheme in ("reg-inv", "reg-inv-sel"):
-            config = SimConfig(scheme=scheme, snr_db=(160.0,), feedback=1, realizations=32, symbols=4, seed=12345)
-            message = f"^snr_db 160.0: two users' reports collide for {scheme} with N = 1: their rows are parallel, and "
-            with pytest.raises(SingularMatrixError, match=message + r"the regularizer 2\*noise_var = 2e-16 ") as info:
+            config = SimConfig(scheme=scheme, snr_db=(150.0, 160.0), feedback=1, realizations=64, symbols=4, seed=12345)
+            curve = run_ber(config)
+            assert run_ber(config, jobs=2).points == curve.points and [p.bits for p in curve.points] == [1024] * 2
+
+    def test_colliding_reports_at_zero_noise_raise(self):
+        # from about 3240 dB the noise variance is 0, and parallel reports have no regularized inverse
+        for scheme in ("reg-inv", "reg-inv-sel"):
+            config = SimConfig(scheme=scheme, snr_db=(3300.0,), feedback=1, realizations=32, symbols=4, seed=12345)
+            with pytest.raises(SingularMatrixError, match=r"and the regularizer 2\*noise_var is 0$"):
                 run_ber(config)
-            assert str(info.value.__cause__).startswith("2x2 determinant ")
 
     def test_snr_sequences_accepted(self):
         for snr_db in ((0.0, 10.0), [5, 7.5], range(0, 30, 10), (np.float32(3.0), np.int64(4)), np.array([1.0, 2.0])):
@@ -588,7 +610,8 @@ class TestChunkedEngine:
         draws = 3000
         channels = crandn(rng, (draws, 2, 2, 2))
         a = channels[:, 0] @ np.conj(np.swapaxes(channels[:, 0], 1, 2)) + 0.1 * np.eye(2)
-        assert np.array_equal(_mat_inv(a), np.stack([mat_inv(m) for m in a]))
+        inv, singular = _mat_inv(a)
+        assert not singular.any() and np.array_equal(inv, np.stack([mat_inv(m) for m in a]))
         rows = channels[:, :, 0]
         for noise in (0.0, 0.05):
             assert np.array_equal(_reg_inv(rows, noise), np.stack([reg_inv(h, noise) for h in rows]))

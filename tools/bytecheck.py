@@ -62,6 +62,12 @@ BAD_SIZES = ("8", None, 4 + 0j)
 N_LIMITS = {"reg-inv": 12, "reg-inv-sel": 25, "gmud": 25}
 # a report's lambda2 outside [0, lambda1] for lambda1 = 2, which no check refused: NaN beams, or r outside it
 LAMBDA2_BAD = (np.nan, np.inf, -np.inf, -1.0, 3.0)
+# singular values that are not reals (or are bools), which ended in a comparison's TypeError
+LAMBDA_NOT_REAL = ("a", None, 1j, np.complex128(0.5), True)
+# exactly parallel rows h and t h (t exact), and noise_vars whose regularizer 2*noise_var runs from 2e-16 to subnormal
+PARALLEL = tuple(np.stack([r, t * r]) for r, t in ((np.array([1 + 2j, 3 - 1j]), 3), (np.array([0.3 - 1.1j, 2.5j]), 1),
+                                                     (np.array([1.5, -0.5j]), -2j)))
+PARALLEL_NOISES = (1e-16, 1e-100, 1e-310, 5e-324)
 # exact multiples of the identity: h^H h = mu I, the branch of svd2x2 that takes v1 = e1
 IDENTITIES = (0.7 * np.eye(2), np.ldexp(1.0, -600) * np.eye(2), np.exp(1.1j) * np.eye(2))
 
@@ -289,6 +295,9 @@ def _solve_rotations(g):
     yield "error", lambda: g.solve_rotations(2.0, 1.0, True)
     for l2 in LAMBDA2_BAD:
         yield "error", lambda l2=l2: g.solve_rotations(2.0, l2, 1.5)
+    for bad in LAMBDA_NOT_REAL:
+        yield "error", lambda bad=bad: g.solve_rotations(2.0, bad, 1.5)
+        yield "error", lambda bad=bad: g.solve_rotations(bad, 1.0, 1.5)
 
 
 @case("steered_beams")
@@ -309,6 +318,8 @@ def _steered_beams(g):
         yield "error", lambda l2=l2: g.steered_beams(2.0, l2, [1.0, 0.0], 1.5, 0.0)
     for l2 in (0.0, 1e-310):  # r*r underflows: the beam used to be zero or of norm l2/r
         yield "extreme-scale", lambda l2=l2: g.steered_beams(2.0, l2, [1, 0], 1e-300, 0.3)
+    for bad in LAMBDA_NOT_REAL:
+        yield "error", lambda bad=bad: g.steered_beams(bad, 1.0, [1, 0], 1.5, 0.0)
 
 
 @case("beam_from_feedback")
@@ -425,6 +436,12 @@ def _reg_inv(g):
     # noise_vars whose regularizer K*noise_var overflows
     for noise in (np.inf, 1e308):
         yield "error", lambda noise=noise: g.reg_inv(np.eye(2), noise)
+    # parallel rows: G from the SVD at any 2*noise_var > 0, an error at 0 or with 3 entries a row
+    for h in PARALLEL:
+        for noise in PARALLEL_NOISES:
+            yield "edge", lambda h=h, noise=noise: g.reg_inv(h, noise)
+        yield "error", lambda h=h: g.reg_inv(h, 0.0)
+    yield "error", lambda: g.reg_inv([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]], 1e-16)
 
 
 @case("expected_gamma")
@@ -433,6 +450,7 @@ def _expected_gamma(g):
     for _ in range(500):
         yield "typical", lambda m=_crandn(rng, (2, 2)): g.expected_gamma(m)
     yield "edge", lambda: g.expected_gamma(np.zeros((2, 2)))
+    yield "error", lambda: g.expected_gamma(np.full((2, 2), 1e200))  # ||G||_F**2 overflows
 
 
 @case("antenna_selection")
@@ -456,6 +474,10 @@ def _antenna_selection(g):
         for _ in range(20):
             yield "typical", lambda c=_crandn(rng, (2, 2, 2)), noise=noise: g.antenna_selection(list(c), noise)
     yield "error", lambda: g.antenna_selection([np.eye(2), np.eye(2)], np.inf)
+    # equal channels (two combinations of parallel rows), and channels whose rows all share one direction
+    for c in ([_crandn(rng, (2, 2))] * 2, [PARALLEL[0], 2 * PARALLEL[0]]):
+        for noise in PARALLEL_NOISES:
+            yield "edge", lambda c=c, noise=noise: g.antenna_selection(c, noise)
 
 
 @case("gmud_min_sinr")
@@ -842,6 +864,13 @@ def _links(g):
         for noise in (1e-3, 1e-6):
             for feedback in ("perfect", 4):
                 yield "typical", _config(g, "gmud", "16qam", feedback, grid), _crandn(rng, (33, 2, 2, 2)), noise
+    # the inverse schemes at 160 dB with N = 1, where two users' reports collide into parallel rows (equal
+    # channels in every third realization)
+    rng = _rng("links collision batch")
+    channels = _crandn(rng, (33, 2, 2, 2))
+    channels[::3, 1] = channels[::3, 0]
+    for scheme in ("reg-inv", "reg-inv-sel"):
+        yield "edge", _config(g, scheme, "16qam", 1), channels, 1e-16
 
 
 def _link(g, config, channels, noise):
@@ -866,6 +895,15 @@ def _receive_detect(g):
             return g.receive_detect(channels[0], m, combiners, x, gamma, config.modulation, n)
 
         yield group, call
+    # a zero genie gain: the second column of G is 0
+    for mod in ("qpsk", "16qam"):
+        def dead(mod=mod):
+            rng = np.random.default_rng(12)
+            channels, m = _crandn(rng, (2, 2, 2)), _crandn(rng, (2, 2)) * [1.0, 0.0]
+            x, gamma = g.transmit(m, np.stack([g.modulate(rng.integers(0, 2, 40), mod) for _ in range(2)]))
+            return g.receive_detect(channels, m, np.eye(2), x, gamma, mod, g.crandn(rng, (2, 2, x.shape[-1])) * 0.1)
+
+        yield "edge", dead
 
 
 @case("simulation._LINKS")
