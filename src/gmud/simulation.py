@@ -177,8 +177,9 @@ def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise):
     gains = rows @ np.swapaxes(g, -1, -2)[..., None]
     dead = gains == 0.0  # a zero genie gain: that user's z is NaN + NaN j, as 0/0 gives, without the warning
     z = np.sqrt(gamma)[..., None, None, :] * (rows @ x[..., None, :, :] + w @ noise) / np.where(dead, 1.0, gains)
-    return demodulate(np.where(dead, complex(math.nan, math.nan), z)[..., 0, :] if dead.any() else z[..., 0, :],
-                      modulation)
+    if dead.any():
+        z = np.where(dead, complex(math.nan, math.nan), z)
+    return demodulate(z[..., 0, :], modulation)
 
 
 def _noise_var(snr_db) -> float:
