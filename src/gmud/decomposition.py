@@ -96,25 +96,32 @@ class GmudFactorization:
         return self.p @ self.rmat.as_matrix() @ self.q.conj().T
 
 
-def _check_lambdas(lambda1: float, lambda2: float) -> None:
-    """A report's singular values must be reals that float64 holds, 0 <= lambda2 <= lambda1 < inf and 0 < lambda1:
-    NaN or inf would give NaN beams, and a lambda2 outside [0, lambda1] an r outside the report's interval."""
+def _shown(x) -> str:
+    """x in at most 40 characters, an int beyond float64 by its size: str() past Python's digit limit raises."""
+    return f"an int of {x.bit_length()} bits" if _integer(x) and not _finite_real(x) else f"{x!s:.40}"
+
+
+def _check_lambdas(lambda1: float, lambda2: float) -> tuple[float, float]:
+    """A report's singular values as float64 (float and np.float64 as given; int, np.float32 and the like as floats),
+    reals with 0 <= lambda2 <= lambda1 < inf and 0 < lambda1: NaN or inf would give NaN beams, and a lambda2 outside
+    [0, lambda1] an r outside the report's interval.  The one place a report's lambdas are read."""
     if isinstance(lambda1, float) and isinstance(lambda2, float) and 0 < lambda1 < math.inf and 0 <= lambda2 <= lambda1:
-        return  # two floats in order, the common case; the rest are read by _float and named
+        return lambda1, lambda2  # two floats in order, the common case; the rest are read by _float and named
     if (l1 := _float(lambda1)) is None:
         raise DomainError(f"lambda1 must be a real that float64 holds, got {type(lambda1).__name__}")
     if not 0.0 < l1 < math.inf:
         raise DomainError("lambda1 must be positive" if l1 <= 0.0 else "lambda1 must be finite")
     if (l2 := _float(lambda2)) is None or not 0.0 <= l2 <= l1:
-        raise DomainError(f"lambda2 must be a finite real in [0, lambda1], got {lambda2!s:.40}")
+        raise DomainError(f"lambda2 must be a finite real in [0, lambda1], got {_shown(lambda2)}")
+    return l1, l2
 
 
-def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
-    """Check the report's singular values and lambda2 <= r <= lambda1 (1e-9 relative slack); r clamped, as a float."""
-    _check_lambdas(lambda1, lambda2)
-    if not _finite_real(r) or r <= 0:  # shown in at most 40 characters, an int beyond float64 by its size
-        shown = f"an int of {r.bit_length()} bits" if _integer(r) and not _finite_real(r) else f"{r!s:.40}"
-        raise DomainError(f"r must be a positive real, got {shown}")
+def _checked_r(lambda1: float, lambda2: float, r: float) -> tuple[float, float, float]:
+    """(lambda1, lambda2, r) as read: the lambdas by :func:`_check_lambdas`, then lambda2 <= r <= lambda1 (1e-9
+    relative slack), r clamped, as a float."""
+    lambda1, lambda2 = _check_lambdas(lambda1, lambda2)
+    if not _finite_real(r) or r <= 0:
+        raise DomainError(f"r must be a positive real, got {_shown(r)}")
     r = float(r)
     slack = _R_EDGE_TOL * lambda1
     if r < lambda2 - slack or r > lambda1 + slack:
@@ -122,7 +129,7 @@ def _checked_r(lambda1: float, lambda2: float, r: float) -> float:
             f"r={r:.12g} outside singular-value interval "
             f"[{lambda2:.12g}, {lambda1:.12g}]"
         )
-    return min(max(r, lambda2), lambda1)
+    return lambda1, lambda2, min(max(r, lambda2), lambda1)
 
 
 def _any(mask) -> bool:
@@ -189,7 +196,7 @@ def solve_rotations(lambda1: float, lambda2: float, r: float) -> GmudRotation:
     Raises :class:`DomainError` when r falls outside [lambda2, lambda1]
     (with 1e-9 relative slack at the endpoints).
     """
-    a, b, c, s = _rotation_factors(lambda1, lambda2, _checked_r(lambda1, lambda2, r))
+    a, b, c, s = _rotation_factors(*_checked_r(lambda1, lambda2, r))
     return GmudRotation(float(a), float(b), float(c), float(s))
 
 
@@ -218,10 +225,9 @@ def gmud(h, r: float, pp: PhasePair | None = None) -> GmudFactorization:
     """
     pp = PhasePair() if pp is None else pp
     svd = svd2x2(h)
-    l1, l2 = svd.lambda1, svd.lambda2
-    if l1 <= 0.0:
+    if svd.lambda1 <= 0.0:
         raise DomainError("zero matrix admits no positive r")
-    r = _checked_r(l1, l2, r)
+    l1, l2, r = _checked_r(svd.lambda1, svd.lambda2, r)
     a, b, c, s = map(float, _rotation_factors(l1, l2, r))
     rmat = SpecialR(r, b * c * l1 - a * s * l2, b * s * l1 + a * c * l2)
     t1, t2 = pp.theta1, pp.theta2
@@ -240,14 +246,14 @@ def _steer(w1, w2, theta, x1, x2) -> np.ndarray:
     return weight[..., None] * x1 - w2[..., None] * x2
 
 
-def _check_report(lambda1: float, lambda2: float, v1) -> np.ndarray:
-    """v1 as a complex array, once the singular values pass :func:`_check_lambdas` and ||v1|| = 1 (1e-9 slack)."""
-    _check_lambdas(lambda1, lambda2)
+def _check_report(lambda1: float, lambda2: float, v1) -> tuple[float, float, np.ndarray]:
+    """(lambda1, lambda2, v1) as read: the lambdas by :func:`_check_lambdas`, then v1, a unit complex array (1e-9)."""
+    lambda1, lambda2 = _check_lambdas(lambda1, lambda2)
     v1 = np.asarray(v1, dtype=np.complex128)
     nrm = _norm1(v1.ravel(order="K"))  # the dots np.linalg.norm takes
     if abs(nrm - 1.0) > 1e-9:
         raise DomainError(f"v1 must be unit norm, got ||v1|| = {nrm:.12g}")
-    return v1
+    return lambda1, lambda2, v1
 
 
 def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:
@@ -260,7 +266,7 @@ def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:
     Scalar and grid evaluations share the same elementwise operations, so
     a grid entry is bit-identical to the corresponding scalar call.
     """
-    v1 = _check_report(lambda1, lambda2, v1)
+    lambda1, lambda2, v1 = _check_report(lambda1, lambda2, v1)
     _, _, c, s = _rotation_factors(lambda1, lambda2, np.asarray(r, dtype=np.float64))
     return _steer(c, s, theta, v1, orthonormal_complement(v1))
 
@@ -276,5 +282,6 @@ def beam_from_feedback(lambda1: float, lambda2: float, v1, r: float, theta: floa
     """
     if not _finite_real(theta):
         raise DomainError("theta must be a finite real")
-    return steered_beams(lambda1, lambda2, v1, _checked_r(lambda1, lambda2, r), float(theta))
+    lambda1, lambda2, r = _checked_r(lambda1, lambda2, r)
+    return steered_beams(lambda1, lambda2, v1, r, float(theta))
 

@@ -94,7 +94,7 @@ class SinrReport:
 
 def _check_inputs(noise_var: float, *lambda1s: float) -> float:
     """float(noise_var) for a real scalar that float64 holds with 0 <= noise_var (NaN fails too), and a finite
-    lambda1**2 per report for the SINR kernel."""
+    lambda1**2 for the SINR kernel per lambda1 that :func:`_check_lambdas` returned (squared as a Python float)."""
     try:
         if isinstance(noise_var, np.complexfloating):  # numpy orders complex numbers; float() drops the imaginary part
             raise TypeError
@@ -104,7 +104,7 @@ def _check_inputs(noise_var: float, *lambda1s: float) -> float:
         raise ValueError(f"noise_var must be a real scalar that float64 holds, got {kind}") from None
     if math.isnan(value):
         raise ValueError("noise_var must be nonnegative")
-    for lambda1 in lambda1s:
+    for lambda1 in map(float, lambda1s):  # an np.float64 square would warn on overflow
         if math.isinf(lambda1 * lambda1):
             raise DomainError(f"lambda1 = {lambda1:.6g} is too large: lambda1**2 overflows float64")
     return value
@@ -271,18 +271,18 @@ def gmud_min_sinr(params: GmudBeamParams, fb_k, fb_l, noise_var: float) -> SinrR
 
     ``fb_k`` and ``fb_l`` carry each user's reported ``lambda1``, ``lambda2`` and principal vector
     ``v1``.  This is the search's kernel on a one-point grid, each beam a batch of one through
-    :func:`steered_beams`, so it equals :func:`optimize_gmud`'s report.
+    :func:`steered_beams`, so it equals :func:`optimize_gmud`'s report.  Checked in this order, each
+    value read once as float64: user k's lambdas and r, then user l's, noise_var and each lambda1**2,
+    the phases and powers, then each v1 (in :func:`steered_beams`).
     """
-    noise_var = _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
-    # per user r, then the report (beam_from_feedback's order), then the phases and powers, all read as float64
-    (r_k, v1_k), (r_l, v1_l) = ((_checked_r(fb.lambda1, fb.lambda2, r), _check_report(fb.lambda1, fb.lambda2, fb.v1))
-                                for fb, r in ((fb_k, params.r_k), (fb_l, params.r_l)))
+    (l1_k, l2_k, r_k), (l1_l, l2_l, r_l) = (_checked_r(fb.lambda1, fb.lambda2, r)
+                                            for fb, r in ((fb_k, params.r_k), (fb_l, params.r_l)))
+    noise_var = _check_inputs(noise_var, l1_k, l1_l)
     if not all(map(_finite_real, (params.theta_k, params.theta_l, params.alpha, params.beta))):
         raise DomainError("theta_k, theta_l, alpha and beta must be finite reals")
     rk, rl, tk, tl, alpha, beta = np.array([[r_k], [r_l], [params.theta_k], [params.theta_l], [params.alpha],
                                             [params.beta]], dtype=np.float64)
-    qk, ql = (steered_beams(float(fb.lambda1), float(fb.lambda2), v1, r, t)[None]
-              for fb, v1, r, t in ((fb_k, v1_k, rk, tk), (fb_l, v1_l, rl, tl)))
+    qk, ql = steered_beams(l1_k, l2_k, fb_k.v1, rk, tk)[None], steered_beams(l1_l, l2_l, fb_l.v1, rl, tl)[None]
     sk, sl, gamma_bar = _pair_grid(qk, ql, rk, rl, alpha, beta, noise_var)
     sk, sl = sk.item(), sl.item()
     return SinrReport((sk, sl), min(sk, sl), float(gamma_bar.item()))
@@ -455,20 +455,17 @@ def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):
     beta = sqrt(1 - alpha^2).  The result is the exhaustive grid's first
     argmax in C order over (i_rk, i_rl, i_theta_k, i_theta_l, i_alpha),
     so it is bit-reproducible and equals the maximum of
-    :func:`gmud_min_sinr` over the same grid exactly.  A lambda1**2
-    overflow raises DomainError.  This is a batch of one through
-    :func:`_search`, whose docstring derives its branch and bound.
+    :func:`gmud_min_sinr` over the same grid exactly.  Each report is
+    read once, lambdas as float64 then v1, user k first; then noise_var
+    and each lambda1**2 (DomainError on overflow).  A batch of one
+    through :func:`_search`, whose docstring derives its branch and bound.
 
     Returns ``(G, GmudBeamParams, SinrReport)`` with
     G = [alpha * q1_k, beta * q1_l].
     """
-    noise_var = _check_inputs(noise_var, fb_k.lambda1, fb_l.lambda1)
-    for fb in (fb_k, fb_l):
-        _check_report(fb.lambda1, fb.lambda2, fb.v1)
-    g, params, report = _search(
-        np.array([[fb_k.lambda1, fb_l.lambda1]], dtype=np.float64),
-        np.array([[fb_k.lambda2, fb_l.lambda2]], dtype=np.float64),
-        np.array([[fb_k.v1, fb_l.v1]], dtype=np.complex128), noise_var, grid,
-    )
+    (l1_k, l2_k, v1_k), (l1_l, l2_l, v1_l) = (_check_report(fb.lambda1, fb.lambda2, fb.v1) for fb in (fb_k, fb_l))
+    noise_var = _check_inputs(noise_var, l1_k, l1_l)
+    g, params, report = _search(np.array([[l1_k, l1_l]]), np.array([[l2_k, l2_l]]), np.array([[v1_k, v1_l]]),
+                                noise_var, grid)
     sk, sl, min_sinr, gamma_bar = report[0].tolist()
     return g[0], GmudBeamParams(*params[0].tolist()), SinrReport((sk, sl), min_sinr, gamma_bar)

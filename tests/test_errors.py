@@ -1,5 +1,6 @@
 """The integer and finite-real rules every entry point checks its scalars by, and r, which passes the latter."""
 
+import dataclasses
 import math
 import re
 
@@ -113,6 +114,13 @@ def test_report_lambda2_outside_0_lambda1_is_named(probe):
 # a lambda that is not a real ended in a bare TypeError from the chained comparison (numpy orders complex numbers,
 # so np.complex128 passed it); each names its lambda
 L1, L2 = "lambda1 must be a real that float64 holds, got ", "lambda2 must be a finite real in [0, lambda1], got "
+# the report entry points squared a report's raw lambda1 before any check: a bare TypeError, OverflowError (10**400)
+# or ComplexWarning (np.complex128), whichever user sent it
+GOOD, PARAMS = _report(2.0, 1.0, E2), GmudBeamParams(1.5, 0.0, 1.5, 0.0, 0.8, 0.6)
+REPORT_SITES = {"optimize_gmud": lambda k, l: optimize_gmud(k, l, 0.1, GridSpec(2, 3, 2)),
+                "gmud_min_sinr": lambda k, l: gmud_min_sinr(PARAMS, k, l, 0.1)}
+NOT_REAL_LAMBDA1 = {"str": "a", "none": None, "complex": 1j, "np-complex": np.complex128(2),
+                    "int-beyond-float64": 10**400}
 NOT_REAL_PROBES = {
     "lambda2-str": (lambda: solve_rotations(2.0, "a", 1.5), L2 + "a"),
     "lambda1-none": (lambda: solve_rotations(None, 1.0, 1.5), L1 + "NoneType"),
@@ -120,6 +128,14 @@ NOT_REAL_PROBES = {
     "lambda2-np-complex": (lambda: solve_rotations(2.0, np.complex128(0.5), 1.5), L2 + "(0.5+0j)"),
     "lambda1-str": (lambda: steered_beams("2", 1.0, [1, 0], 1.5, 0.0), L1 + "str"),
     "lambda1-bool": (lambda: solve_rotations(True, 0.5, 0.7), L1 + "bool"),
+    # str() of an int past Python's digit limit raised a bare ValueError inside the message
+    "lambda2-past-digit-limit": (lambda: solve_rotations(2.0, 10**5000, 1.5), L2 + "an int of 16610 bits"),
+    "optimize_gmud-lambda2-past-digit-limit": (lambda: optimize_gmud(_report(2.0, 10**5000), GOOD, 0.1),
+                                               L2 + "an int of 16610 bits"),
+    **{f"{site}-user-{user}-lambda1-{kind}": (
+        lambda call=call, bad=_report(value, 0.5), user=user: call(*((bad, GOOD) if user == "k" else (GOOD, bad))),
+        L1 + type(value).__name__)
+       for site, call in REPORT_SITES.items() for user in "kl" for kind, value in NOT_REAL_LAMBDA1.items()},
 }
 
 
@@ -128,3 +144,22 @@ def test_report_lambda_not_a_real_is_named(probe):
     call, message = NOT_REAL_PROBES[probe]
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# an np.float32 lambda1 overflowed a cast against 2**128, and an np.float16 lambda2 ran the rotation in half precision;
+# a narrow float gives the bytes of its float64 value
+NARROW_SITES = {
+    "solve_rotations": lambda l1, l2: np.array(dataclasses.astuple(solve_rotations(l1, l2, 2.0))),
+    "steered_beams": lambda l1, l2: steered_beams(l1, l2, E1, np.array([1.2, 2.0, 3.0]), 0.3),
+    "beam_from_feedback": lambda l1, l2: beam_from_feedback(l1, l2, np.array([0.6, 0.8j]), 2.0, 0.3),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+@pytest.mark.parametrize("narrow", [0, 1], ids=["lambda1", "lambda2"])
+@pytest.mark.parametrize("site", list(NARROW_SITES))
+def test_narrow_float_lambda_gives_float64_bytes(site, narrow, dtype):
+    lambdas = [3.3, 1.1]
+    lambdas[narrow] = dtype(lambdas[narrow])
+    call = NARROW_SITES[site]
+    assert call(*lambdas).tobytes() == call(*map(float, lambdas)).tobytes()

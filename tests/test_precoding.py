@@ -736,19 +736,24 @@ class TestOptimizeGmud:
         fb_l = GmudFeedback.from_svd(svd2x2(h_l))
         huge = GmudFeedback.from_svd(svd2x2(1e155 * h_k))
         nan = GmudFeedback(np.zeros(6), np.array([0.6, 0.8j]), np.nan, 0.5)
-        for fb, message in ((huge, r"lambda1\*\*2 overflows"), (nan, "lambda1 must be finite")):
+        # an np.float64 lambda1 was squared as a numpy scalar, whose overflow warned
+        huge64 = dataclasses.replace(huge, lambda1=np.float64(huge.lambda1))
+        for fb, message in ((huge, r"lambda1\*\*2 overflows"), (huge64, r"lambda1\*\*2 overflows"),
+                            (nan, "lambda1 must be finite")):
             params = GmudBeamParams(fb.lambda1, 0.0, fb_l.lambda1, 0.0, alpha=np.sqrt(0.5), beta=np.sqrt(0.5))
             for k, l in ((fb, fb_l), (fb_l, fb)):
                 with pytest.raises(DomainError, match=message):
                     optimize_gmud(k, l, 0.1, GridSpec(2, 3, 2))
             with pytest.raises(DomainError, match=message):
                 gmud_min_sinr(params, fb, fb_l, 0.1)
-        # per pair, both users' lambda1**2 checks come before either user's lambda1 and v1 checks
+        # per pair, each user's report (lambdas, then v1) is read, user k first, before either lambda1**2 check
         skewed = GmudFeedback(np.zeros(6), np.array([1.0, 1.0], dtype=complex), 1.0, 0.5)
-        for k, l, message in ((skewed, huge, r"lambda1\*\*2 overflows"), (huge, skewed, r"lambda1\*\*2 overflows"),
-                              (nan, skewed, "lambda1 must be finite"), (skewed, nan, "v1 must be unit norm")):
-            with pytest.raises(DomainError, match=message):
+        not_unit = "v1 must be unit norm, got ||v1|| = 1.41421356237"
+        for k, l, message in ((skewed, huge, not_unit), (huge, skewed, not_unit),
+                              (nan, skewed, "lambda1 must be finite"), (skewed, nan, not_unit)):
+            with pytest.raises(DomainError) as info:
                 optimize_gmud(k, l, 0.1, GridSpec(2, 3, 2))
+            assert str(info.value) == message
         # the last r whose square is finite still gives a finite report
         edge = GmudFeedback.from_svd(svd2x2(1e153 * h_k))
         _, _, rep = optimize_gmud(edge, fb_l, 0.1, GridSpec(2, 3, 2))

@@ -64,6 +64,12 @@ N_LIMITS = {"reg-inv": 12, "reg-inv-sel": 25, "gmud": 25}
 LAMBDA2_BAD = (np.nan, np.inf, -np.inf, -1.0, 3.0)
 # singular values that are not reals (or are bools), which ended in a comparison's TypeError
 LAMBDA_NOT_REAL = ("a", None, 1j, np.complex128(0.5), True)
+# a report's lambda1 that the precoders squared before any check (a bare TypeError, OverflowError or warning),
+# and a lambda2 whose str() passes Python's digit limit
+LAMBDA1_UNREAD = (*LAMBDA_NOT_REAL, 10**400, np.float64(1e155))
+LAMBDA2_HUGE_INT = 10**5000
+# narrow floats, which ran the rotation in their own precision (np.float16) or overflowed a cast (np.float32)
+NARROW = (np.float32, np.float16)
 # exactly parallel rows h and t h (t exact), and noise_vars whose regularizer 2*noise_var runs from 2e-16 to subnormal
 PARALLEL = tuple(np.stack([r, t * r]) for r, t in ((np.array([1 + 2j, 3 - 1j]), 3), (np.array([0.3 - 1.1j, 2.5j]), 1),
                                                      (np.array([1.5, -0.5j]), -2j)))
@@ -298,6 +304,12 @@ def _solve_rotations(g):
     for bad in LAMBDA_NOT_REAL:
         yield "error", lambda bad=bad: g.solve_rotations(2.0, bad, 1.5)
         yield "error", lambda bad=bad: g.solve_rotations(bad, 1.0, 1.5)
+    yield "error", lambda: g.solve_rotations(2.0, LAMBDA2_HUGE_INT, 1.5)
+    for f in NARROW:
+        for l1, l2, r in ((3.3, 1.1, 2.0), (1.5, 1.5, 1.5), (2.0, 0.0, 1e-3)):
+            yield "edge", lambda f=f, l1=l1, l2=l2, r=r: g.solve_rotations(f(l1), l2, r)
+            yield "edge", lambda f=f, l1=l1, l2=l2, r=r: g.solve_rotations(l1, f(l2), r)
+    yield "extreme-scale", lambda: g.solve_rotations(np.float32(3.0e38), np.float32(1.0e38), 2.0e38)
 
 
 @case("steered_beams")
@@ -320,6 +332,10 @@ def _steered_beams(g):
         yield "extreme-scale", lambda l2=l2: g.steered_beams(2.0, l2, [1, 0], 1e-300, 0.3)
     for bad in LAMBDA_NOT_REAL:
         yield "error", lambda bad=bad: g.steered_beams(bad, 1.0, [1, 0], 1.5, 0.0)
+    rs, thetas = np.linspace(1.1, 3.3, 8)[:, None], np.linspace(0.0, 2 * np.pi, 16, endpoint=False)[None, :]
+    for f in NARROW:
+        yield "edge", lambda f=f: g.steered_beams(f(3.3), 1.1, np.array([0.6, 0.8j]), rs, thetas)
+        yield "edge", lambda f=f: g.steered_beams(3.3, f(1.1), np.array([0.6, 0.8j]), rs, thetas)
 
 
 @case("beam_from_feedback")
@@ -346,6 +362,11 @@ def _beam_from_feedback(g):
         yield "error", lambda t=theta: g.beam_from_feedback(2.0, 1.0, np.array([0.6, 0.8j]), 1.5, t)
     for l2 in LAMBDA2_BAD:
         yield "error", lambda l2=l2: g.beam_from_feedback(2.0, l2, np.array([0.6, 0.8j]), 1.5, 0.3)
+    for f in NARROW:
+        for l1, l2, r in ((3.3, 1.1, 2.0), (1.5, 1.5, 1.5)):
+            yield "edge", lambda f=f, l1=l1, l2=l2, r=r: g.beam_from_feedback(f(l1), l2, [0.6, 0.8j], r, 0.3)
+            yield "edge", lambda f=f, l1=l1, l2=l2, r=r: g.beam_from_feedback(l1, f(l2), [0.6, 0.8j], r, 0.3)
+    yield "error", lambda: g.beam_from_feedback(2.0, LAMBDA2_HUGE_INT, np.array([0.6, 0.8j]), 1.5, 0.3)
 
 
 @case("GmudFactorization")
@@ -395,6 +416,16 @@ def _bad_reports(g, rng):
     """Reports whose lambda1 is NaN or whose lambda1**2 overflows."""
     yield g.GmudFeedback(np.zeros(6), _unit(rng), np.nan, 0.5)
     yield g.GmudFeedback.from_svd(g.svd2x2(1e155 * _crandn(rng, (2, 2))))
+
+
+def _unread_reports(g):
+    """Reports whose lambda1 is in LAMBDA1_UNREAD or whose lambda2 is LAMBDA2_HUGE_INT, each beside a good one."""
+    e1, e2 = np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+    good = g.GmudFeedback(np.zeros(6), e2, 2.0, 1.0)
+    for bad in (*(g.GmudFeedback(np.zeros(6), e1, l1, 0.5) for l1 in LAMBDA1_UNREAD),
+                g.GmudFeedback(np.zeros(6), e1, 2.0, LAMBDA2_HUGE_INT)):
+        yield bad, good
+        yield good, bad
 
 
 # noise_vars at which the search's SINRs overflow or its denominators vanish: zero (the SINR_CAP plateau),
@@ -532,6 +563,9 @@ def _gmud_min_sinr(g):
                              rng.uniform(fb_l.lambda2, fb_l.lambda1), _phase(rng),
                              np.float32(np.sqrt(alpha2)), np.float32(np.sqrt(1 - alpha2)))
         yield "typical", lambda p=p, k=fb_k, l=fb_l: g.gmud_min_sinr(p, k, l, 0.05)
+    p = g.GmudBeamParams(1.5, 0.0, 1.5, 0.0, float(np.sqrt(0.5)), float(np.sqrt(0.5)))
+    for fb_k, fb_l in _unread_reports(g):
+        yield "error", lambda p=p, k=fb_k, l=fb_l: g.gmud_min_sinr(p, k, l, 0.1)
 
 
 @case("optimize_gmud")
@@ -565,11 +599,13 @@ def _optimize_gmud(g):
         for noise in TINY_NOISES:
             for grid in grids:
                 yield "edge", lambda k=fb_k, l=fb_l, noise=noise, grid=grid: g.optimize_gmud(k, l, noise, grid)
-    # the check order within a pair: both users' lambda1**2 first, then each user's lambda1 and v1 in turn
+    # the check order within a pair: each user's report (lambdas, then v1) in turn, then both users' lambda1**2
     skewed = g.GmudFeedback(np.zeros(6), np.array([1.0, 1.0], dtype=complex), 1.0, 0.5)
     nan, huge = _bad_reports(g, rng)
     for pair in ((skewed, huge), (huge, skewed), (nan, skewed), (skewed, nan),
                  (dataclasses.replace(nan, v1=skewed.v1), fb_l)):
+        yield "error", lambda pair=pair: g.optimize_gmud(*pair, 0.1, grids[3])
+    for pair in _unread_reports(g):
         yield "error", lambda pair=pair: g.optimize_gmud(*pair, 0.1, grids[3])
 
 
