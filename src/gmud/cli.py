@@ -86,9 +86,12 @@ def _parse_snr(spec: str) -> tuple[float, ...]:
 def _parse_feedback(values) -> list:
     modes = []
     for v in values:
-        mode = "perfect" if v == "perfect" else int(v)
+        try:
+            mode = "perfect" if v == "perfect" else int(v)
+        except ValueError:
+            mode = 0
         if mode != "perfect" and mode < 1:
-            raise FormatError("--feedback must be 'perfect' or a positive integer N")
+            raise FormatError(f"--feedback must be 'perfect' or a positive integer N, got {v!r}")
         if mode not in modes:
             modes.append(mode)
     return modes
@@ -195,7 +198,10 @@ def _emit(curves, args, seed, grid, started) -> None:
 def cmd_simulate(args) -> int:
     """``sweep`` (one scheme) and ``compare`` (every scheme), one curve per feedback mode."""
     started = time.monotonic()
-    seed = int(os.environ.get("GMUD_SEED", 12345)) if args.seed is None else args.seed
+    try:
+        seed = int(os.environ.get("GMUD_SEED", 12345)) if args.seed is None else args.seed
+    except ValueError:
+        raise FormatError(f"GMUD_SEED must be an integer, got {os.environ['GMUD_SEED']!r}") from None
     grid = _parse_grid(args.grid)
     modes = _parse_feedback(args.feedback or ["perfect"])
     schemes = [_SCHEME_ALIASES[args.scheme]] if args.command == "sweep" else SCHEMES

@@ -247,9 +247,11 @@ def _steer(w1, w2, theta, x1, x2) -> np.ndarray:
 
 
 def _check_report(lambda1: float, lambda2: float, v1) -> tuple[float, float, np.ndarray]:
-    """(lambda1, lambda2, v1) as read: the lambdas by :func:`_check_lambdas`, then v1, a unit complex array (1e-9)."""
+    """(lambda1, lambda2, v1) as read: the lambdas by :func:`_check_lambdas`, then v1, a complex array of shape (2,)
+    and unit norm (1e-9)."""
     lambda1, lambda2 = _check_lambdas(lambda1, lambda2)
-    v1 = np.asarray(v1, dtype=np.complex128)
+    if (v1 := np.asarray(v1, dtype=np.complex128)).shape != (2,):
+        raise DomainError(f"v1 must have shape (2,), got shape {v1.shape}")
     nrm = _norm1(v1.ravel(order="K"))  # the dots np.linalg.norm takes
     if abs(nrm - 1.0) > 1e-9:
         raise DomainError(f"v1 must be unit norm, got ||v1|| = {nrm:.12g}")
@@ -261,10 +263,11 @@ def steered_beams(lambda1: float, lambda2: float, v1, r, theta) -> np.ndarray:
 
     ``r`` and ``theta`` may be scalars or arrays; the result has shape
     broadcast(r, theta) + (2,).  The report must have 0 <= lambda2 <=
-    lambda1 < inf, 0 < lambda1 and a unit-norm ``v1`` (:class:`DomainError`
-    otherwise); r is not checked: callers keep it in [lambda2, lambda1].
-    Scalar and grid evaluations share the same elementwise operations, so
-    a grid entry is bit-identical to the corresponding scalar call.
+    lambda1 < inf, 0 < lambda1 and a unit-norm ``v1`` of shape (2,)
+    (:class:`DomainError` otherwise); r is not checked: callers keep it in
+    [lambda2, lambda1].  Scalar and grid evaluations share the same
+    elementwise operations, so a grid entry is bit-identical to the
+    corresponding scalar call.
     """
     lambda1, lambda2, v1 = _check_report(lambda1, lambda2, v1)
     _, _, c, s = _rotation_factors(lambda1, lambda2, np.asarray(r, dtype=np.float64))

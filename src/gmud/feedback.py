@@ -26,14 +26,13 @@ a decoded message reproduces its bits exactly.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, FormatError, _finite_real, _float, _integer
+from .errors import DomainError, FormatError, _integer
 from .linalg import SvdFactorization, _norm, svd2x2
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "RegInvSelectionFeedback",
     "RegInvFixedFeedback",
     "GmudFeedback",
-    "quantize_scalar",
     "scheme_layout",
     "encode",
     "decode",
@@ -57,8 +55,8 @@ _MAX_WIDTH = 50  # the widest field whose levels lo + (cell + 0.5) * step stay e
 def _cells(v, lo, hi, bits):
     """The cells of the uniform midrise quantizer, elementwise, as integer-valued floats.
 
-    The kernel of :func:`quantize_scalar`, :func:`encode` and the
-    realization-batched reports, with :func:`_reconstruct`.
+    The kernel of :func:`encode` and the realization-batched reports, with
+    :func:`_reconstruct`.
     """
     levels = np.ldexp(1.0, bits)
     # clamping first cannot overflow and moves no in-range index: (hi - lo) / step == levels
@@ -67,37 +65,6 @@ def _cells(v, lo, hi, bits):
 
 def _reconstruct(cells, lo, hi, bits):
     return lo + (cells + 0.5) * ((hi - lo) / np.ldexp(1.0, bits))
-
-
-def quantize_scalar(v: float, lo: float, hi: float, bits: int) -> tuple[int, float]:
-    """Uniform midrise quantizer on [lo, hi) with 2**bits levels.
-
-    ``v`` is a real that float64 holds; out-of-range inputs (+-inf too)
-    clamp to the edge cells, and NaN raises :class:`DomainError`.  Returns
-    the cell index and the reconstruction level lo + (index + 0.5) * step;
-    in-range values err by at most half a step (and 4 ulps of rounding),
-    and reconstruction levels map back to their own index.  ``bits`` is an
-    integer from 1 to 50 and lo < hi finite reals whose step
-    (hi - lo) / 2**bits is a normal float64 of at least 4 ulps of
-    max(|lo|, |hi|), which keeps every level inside its own cell
-    (``ValueError`` and :class:`DomainError` otherwise).
-    """
-    if (v := _float(v)) is None:
-        raise DomainError("v must be a real that float64 holds")
-    if math.isnan(v):
-        raise DomainError("cannot quantize NaN")
-    if not (_integer(bits) and 1 <= bits <= _MAX_WIDTH):
-        raise ValueError(f"bits must be an integer from 1 to {_MAX_WIDTH}")
-    if not (_finite_real(lo) and _finite_real(hi)):
-        raise DomainError("lo and hi must be finite reals")
-    if not lo < hi:
-        raise ValueError("lo must be < hi")
-    lo, hi = float(lo), float(hi)
-    if not max(4.0 * math.ulp(max(-lo, hi)), 2.0**-1022) <= (step := math.ldexp(hi - lo, -bits)) < math.inf:
-        raise DomainError(f"the step (hi - lo) / 2**bits = {step:g} must be a normal float64 "
-                          "of at least 4 ulps of max(|lo|, |hi|)")
-    cell = _cells(np.array([v]), lo, hi, bits)
-    return int(cell[0]), float(_reconstruct(cell, lo, hi, bits)[0])
 
 
 def _pairs(z) -> list:

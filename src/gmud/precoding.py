@@ -160,10 +160,11 @@ def expected_gamma(g: np.ndarray) -> float:
     """Expected transmit normalization ||G u||^2 under unit-energy symbols.
 
     Cross terms vanish for independent zero-mean symbols, leaving the
-    squared Frobenius norm (sum of column norms squared); inf raises :class:`DomainError`.
+    squared Frobenius norm (sum of column norms squared).  ``g`` is read by :func:`as_matrix`, and an inf
+    result raises :class:`DomainError`.
     """
     with np.errstate(over="ignore"):
-        gamma = float(_expected_gammas(np.asarray(g)[None])[0])
+        gamma = float(_expected_gammas(as_matrix(g)[None])[0])
     if math.isinf(gamma):
         raise DomainError("expected_gamma overflows float64: ||G||_F**2 is inf")
     return gamma

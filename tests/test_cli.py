@@ -265,9 +265,13 @@ class TestSweep:
     def test_bad_grid_writes_nothing(self, capsys, tmp_path, command):
         # the grid (and the feedback modes) are checked when they are parsed, before any curve is computed,
         # also for a scheme that never searches the grid
+        bad_feedback = "--feedback must be 'perfect' or a positive integer N, got "
         for flags, message in ((("--grid", "0,4,3"), "grid sizes must be integers >= 1"),
                                (("--grid", "1,2"), "bad --grid '1,2'; expected NR,NTHETA,NP"),
-                               (("--feedback", "0"), "--feedback must be 'perfect' or a positive integer N")):
+                               (("--feedback", "0"), bad_feedback + "'0'"),
+                               # int() named neither the flag nor the value: "invalid literal for int() with base 10"
+                               (("--feedback", "abc"), bad_feedback + "'abc'"),
+                               (("--feedback", "1.5"), bad_feedback + "'1.5'")):
             code, out, err = run_cli(
                 capsys, *command, "--snr", "5:0:5", "--realizations", "2", "--symbols", "4",
                 *flags, "--out", str(tmp_path / "x"),
@@ -291,6 +295,12 @@ class TestSweep:
             "--realizations", "2", "--symbols", "4", "--seed", "123", "--out", out2,
         )
         assert json.loads(read_csv(out2 + ".manifest.json"))["seed"] == 123
+        # int() ended this in "invalid literal for int() with base 10: 'abc'", which did not name the variable
+        monkeypatch.setenv("GMUD_SEED", "abc")
+        code, _, err = run_cli(capsys, "sweep", "--scheme", "reg-inv", "--snr", "5:0:5", "--realizations", "2",
+                               "--symbols", "4", "--out", str(tmp_path / "bad"))
+        assert (code, err) == (2, "gmud: error: GMUD_SEED must be an integer, got 'abc'\n")
+        assert not any(name.startswith("bad") for name in os.listdir(tmp_path))
 
 
 class TestCompare:

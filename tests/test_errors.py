@@ -19,7 +19,6 @@ from gmud import (
     gmud,
     gmud_min_sinr,
     optimize_gmud,
-    quantize_scalar,
     scheme_layout,
     solve_rotations,
     steered_beams,
@@ -70,7 +69,6 @@ COUNT_SITES = {
     "scheme_layout": (lambda n: scheme_layout("gmud", n), "budget parameter N must be an integer >= 1"),
     "encode": (lambda n: encode(np.eye(2), "gmud", n), "budget parameter N must be an integer >= 1"),
     "decode": (lambda n: decode("0" * 48, "gmud", n), "budget parameter N must be an integer >= 1"),
-    "quantize_scalar": (lambda n: quantize_scalar(0.3, -1.0, 1.0, n), "bits must be an integer from 1 to 50"),
     "SimConfig": (lambda n: SimConfig(scheme="gmud", realizations=n), "realizations and symbols must be integers >= 1"),
 }
 
@@ -163,3 +161,21 @@ def test_narrow_float_lambda_gives_float64_bytes(site, narrow, dtype):
     lambdas[narrow] = dtype(lambdas[narrow])
     call = NARROW_SITES[site]
     assert call(*lambdas).tobytes() == call(*map(float, lambdas)).tobytes()
+
+
+# v1 was checked for its norm only: a 3-entry v1 gave a 3-entry beam, and [1.0] or a column a bare IndexError or
+# numpy's inhomogeneous-shape ValueError
+V1_SITES = {
+    "steered_beams": lambda v1: steered_beams(2.0, 1.0, v1, 1.5, 0.0),
+    "beam_from_feedback": lambda v1: beam_from_feedback(2.0, 1.0, v1, 1.5, 0.0),
+    "gmud_min_sinr": lambda v1: gmud_min_sinr(PARAMS, GOOD, _report(2.0, 1.0, v1), 0.1),
+    "optimize_gmud": lambda v1: optimize_gmud(_report(2.0, 1.0, v1), GOOD, 0.1, GridSpec(2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("v1, shape", [([1.0, 0.0, 0.0], "(3,)"), ([1.0], "(1,)"), ([[1.0], [0.0]], "(2, 1)")],
+                         ids=["3-entries", "1-entry", "column"])
+@pytest.mark.parametrize("site", list(V1_SITES))
+def test_v1_of_another_shape_is_named(site, v1, shape):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'v1 must have shape (2,), got shape {shape}')}$"):
+        V1_SITES[site](v1)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from gmud import (
@@ -17,11 +17,10 @@ from gmud import (
     crandn,
     decode,
     encode,
-    quantize_scalar,
     scheme_layout,
     svd2x2,
 )
-from gmud.feedback import MAGNITUDE_RANGE, SCHEMES, _MAX_WIDTH
+from gmud.feedback import MAGNITUDE_RANGE, SCHEMES, VECTOR_RANGE, _MAX_WIDTH, _cells, _reconstruct
 
 # the largest N whose widest field holds at most 50 bits: 4N for reg-inv's norm, 2N for the others
 N_LIMITS = {"reg-inv": 12, "reg-inv-sel": 25, "gmud": 25}
@@ -29,141 +28,55 @@ N_LIMITS = {"reg-inv": 12, "reg-inv-sel": 25, "gmud": 25}
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_feedback.json")
 
 
-@st.composite
-def _ranges(draw):
-    """(lo, hi), lo < hi, of any finite magnitude from subnormal to 1e307: two ends, one of them 0, or -hi and hi."""
-    a = draw(st.floats(-1e307, 1e307))
-    b = draw(st.one_of(st.floats(-1e307, 1e307), st.just(0.0), st.just(-a)))
-    assume(a != b)
-    return min(a, b), max(a, b)
+def _quantize(v, lo, hi, bits):
+    """(cell, level) of one value through the codec's quantizer, as a one-element array."""
+    cell = _cells(np.array([v], dtype=np.float64), lo, hi, bits)
+    return int(cell[0]), float(_reconstruct(cell, lo, hi, bits)[0])
 
 
 class TestQuantizeScalar:
+    """The wire's uniform midrise quantizer, _cells and _reconstruct, on VECTOR_RANGE and MAGNITUDE_RANGE."""
+
     def test_midrange(self):
-        assert quantize_scalar(0.0, -1.0, 1.0, 4) == (8, 0.0625)
+        # v1 = e1 leaves 0 in three components: cell 8 of 16 at N = 2, whose level is 0.0625
+        bits = encode((2.0, 1.0, [1, 0]), "gmud", 2)
+        assert bits == "1111" + "1000" * 4 + "0100"
+        assert decode(bits, "gmud", 2).raw.tolist() == [0.9375, 0.0625, 0.0625, 0.0625, 2.125, 1.125]
+        assert _quantize(0.0, -1.0, 1.0, 4) == (8, 0.0625)
 
     def test_lower_clamp(self):
-        assert quantize_scalar(-1.0, -1.0, 1.0, 4) == (0, -0.9375)
-        assert quantize_scalar(-5.0, -1.0, 1.0, 4) == (0, -0.9375)
+        assert encode((2.0, 1.0, [-1, 0]), "gmud", 2)[:4] == "0000"
+        assert _quantize(-1.0, -1.0, 1.0, 4) == (0, -0.9375)
+        assert _quantize(-5.0, -1.0, 1.0, 4) == (0, -0.9375)
 
     def test_upper_clamp(self):
-        idx, recon = quantize_scalar(5.0, 0.0, 4.0, 8)
-        assert idx == 255
-        assert recon == pytest.approx(3.9921875, rel=1e-15)
-        # clamped before the division, which would overflow at this size
-        assert quantize_scalar(1e305, 0.0, 4.0, 16)[0] == 65535
-        assert encode((1e307, 0.5, [1, 0]), "gmud", 4)[32:40] == "11111111"
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            quantize_scalar(0.0, -1.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            quantize_scalar(0.0, 1.0, -1.0, 4)
-        # a float width ended in numpy's "ufunc 'ldexp' not supported", and True was taken as 1
-        for bits in (2.5, 2.0, True):
-            with pytest.raises(ValueError, match="bits must be an integer from 1 to 50"):
-                quantize_scalar(0.3, -1.0, 1.0, bits)
-
-    def test_nan_raises_and_infinities_clamp(self):
-        with pytest.raises(DomainError, match="NaN"):
-            quantize_scalar(float("nan"), 0.0, 4.0, 8)
-        assert quantize_scalar(np.inf, 0.0, 4.0, 8)[0] == 255
-        assert quantize_scalar(-np.inf, 0.0, 4.0, 8)[0] == 0
-        assert quantize_scalar(np.float32(-np.inf), 0.0, 4.0, 8)[0] == 0
-        assert quantize_scalar(2**1000, 0.0, 4.0, 8)[0] == 255  # an int that float64 holds
-
-    @pytest.mark.parametrize("v", ["a", None, 1j, np.complex128(1j), 10**400, True],
-                             ids=["str", "None", "complex", "complex128", "int beyond float64", "bool"])
-    def test_v_must_be_a_real_that_float64_holds(self, v):
-        # str, None and complex ended in TypeError, a numpy complex in a ComplexWarning, 10**400 in OverflowError
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="^v must be a real that float64 holds$"):
-                quantize_scalar(v, -1.0, 1.0, 4)
-
-    def test_range_must_be_finite(self):
-        # an infinite range returned the level inf, and a str lo ended in a TypeError
-        for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), ("a", 1.0), (0.0, None), (0.0, 10**400)):
-            with pytest.raises(DomainError, match="^lo and hi must be finite reals$"):
-                quantize_scalar(0.3, lo, hi, 3)
-        # a span that overflows, steps that underflow to 0 or to a subnormal, and steps under 4 ulps of the ends
-        for lo, hi, bits in ((-1e308, 1e308, 3), (0.0, 5e-324, 1), (0.0, 1e-300, 50), (1.0, 1.0 + 6 * 2.0**-52, 1)):
-            with pytest.raises(DomainError, match=r"^the step \(hi - lo\) / 2\*\*bits = \S+ must be a normal float64 "
-                                                  r"of at least 4 ulps of max\(\|lo\|, \|hi\|\)$"):
-                quantize_scalar(0.3, lo, hi, bits)
-        assert quantize_scalar(1.0, 1.0, 1.0 + 8 * 2.0**-52, 1) == (0, 1.0 + 2 * 2.0**-52)  # a step of 4 ulps
+        # a norm or lambda above 4 takes the top cell, clamped before the division, which would overflow from 1e305
+        for big in (5.0, 1e305, 1.7e308):
+            bits = encode((big, 0.5, [1, 0]), "gmud", 4)
+            assert bits[32:40] == "11111111" and decode(bits, "gmud", 4).lambda1 == 3.9921875
+            assert encode((big, 0.5, [1, 0]), "gmud", 8)[64:80] == "1" * 16
+        assert encode(np.diag([5.0, 1.0]), "reg-inv", 4)[32:] == "1" * 16
+        assert _quantize(5.0, 0.0, 4.0, 8) == (255, 3.9921875)
 
     def test_widths_past_float64_are_refused(self):
         # past 50 bits lo + (cell + 0.5) * step is not exact on the wire ranges: 53 bits took a level rescue
-        for bits in (51, 53, 1023, 1024):  # 1024 raised OverflowError
-            with pytest.raises(ValueError, match="^bits must be an integer from 1 to 50$"):
-                quantize_scalar(0.3, -1.0, 1.0, bits)
-        for lo, hi in ((-1.0, 1.0), (0.0, 4.0)):  # the widest field's odd top cell and even cell 2**49
-            for v in (hi, lo + (hi - lo) / 2):
-                idx, level = quantize_scalar(v, lo, hi, 50)
-                assert level == lo + (idx + 0.5) * (hi - lo) / 2**50
-                assert quantize_scalar(level, lo, hi, 50) == (idx, level)
+        with pytest.raises(ValueError, match="^budget parameter N must be <= 25 for gmud: its 2N-bit field may be at "
+                                             "most 50 bits wide$"):
+            scheme_layout("gmud", 26)
+        for lo, hi in (VECTOR_RANGE, MAGNITUDE_RANGE):  # the widest field's odd top cell and even cell 2**49
+            for v, cell in ((hi, 2**50 - 1), (lo + (hi - lo) / 2, 2**49)):
+                level = lo + (cell + 0.5) * (hi - lo) / 2**50
+                assert _quantize(v, lo, hi, 50) == (cell, level) and _quantize(level, lo, hi, 50) == (cell, level)
 
-    def test_end_cells_of_a_far_range_stay_inside_it(self):
-        # hi far below the step: at 53 bits the top cell's level came back as 0.0, above hi
-        lo, hi = -6.946576564250563e189, -1.516894669567117e170
-        with pytest.raises(ValueError, match="^bits must be an integer from 1 to 50$"):
-            quantize_scalar(hi, lo, hi, 53)
-        for bits in range(40, 51):
-            step = math.ldexp(hi - lo, -bits)
-            for v in (lo, np.nextafter(lo, hi), lo + step / 2, hi - step / 2, np.nextafter(hi, lo), hi):
-                idx, level = quantize_scalar(v, lo, hi, bits)
-                assert idx in (0, 2**bits - 1)
-                # the bounds themselves: a map-back check alone passes a level past hi, which _cells clamps
-                assert lo <= level <= hi and quantize_scalar(level, lo, hi, bits) == (idx, level)
-
-    @pytest.mark.parametrize("bits", [50, 51, 52])
-    def test_levels_map_back_on_any_range(self, bits):
-        # lo + (cell + 0.5) * step rounded across a cell edge where the step nears lo's ulp: 1 to 3 of these failed.
-        # Such steps are now refused by the step rule, and widths past 50 bits by the width limit.
-        rng = np.random.default_rng(bits)
-        mapped = 0
-        for _ in range(300):  # ranges 1% to 100% as wide as their distance from 0
-            center = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
-            lo, hi = center + np.array([-0.5, 0.5]) * abs(center) * 10.0 ** rng.uniform(-2.0, 0.0)
-            v = rng.uniform(lo, hi)
-            if bits > 50:
-                with pytest.raises(ValueError, match="^bits must be an integer from 1 to 50$"):
-                    quantize_scalar(v, lo, hi, bits)
-                continue
-            if math.ldexp(hi - lo, -bits) < 4 * math.ulp(max(-lo, hi)):
-                with pytest.raises(DomainError, match=r"^the step \(hi - lo\) / 2\*\*bits"):
-                    quantize_scalar(v, lo, hi, bits)
-                continue
-            idx, level = quantize_scalar(v, lo, hi, bits)
-            assert lo <= level <= hi and quantize_scalar(level, lo, hi, bits) == (idx, level)
-            mapped += 1
-        assert bits > 50 or mapped > 0
-
-    @given(_ranges(), st.integers(1, 50), st.data())
-    def test_levels_map_back_on_drawn_ranges(self, ends, bits, data):
-        # a step within a few ulps of the ends rounded levels across cell edges; the step rule refuses it
+    @given(st.sampled_from([VECTOR_RANGE, MAGNITUDE_RANGE]), st.integers(1, _MAX_WIDTH), st.data())
+    def test_error_bound_and_idempotence(self, ends, bits, data):
         lo, hi = ends
-        v = data.draw(st.floats(lo, hi))
-        try:
-            idx, level = quantize_scalar(v, lo, hi, bits)
-        except DomainError as err:
-            assert str(err).startswith("the step (hi - lo) / 2**bits")
-            return
-        assert lo <= level <= hi and quantize_scalar(level, lo, hi, bits) == (idx, level)
-        # half a step, up to the rounding of v - lo and of the level: under 3 ulps of the ends where measured
+        v = data.draw(st.one_of(st.floats(lo, hi), st.sampled_from(ends)))
+        cell, level = _quantize(v, lo, hi, bits)
+        assert 0 <= cell < 2**bits and lo <= level <= hi
+        assert _quantize(level, lo, hi, bits) == (cell, level)
+        # half a step, up to the rounding of v - lo and of the level
         assert abs(v - level) <= math.ldexp(hi - lo, -bits - 1) + 4 * math.ulp(max(-lo, hi))
-
-    @given(
-        st.floats(-1.0, 1.0, allow_nan=False),
-        st.integers(1, 16),
-    )
-    def test_error_bound_and_idempotence(self, v, bits):
-        idx, recon = quantize_scalar(v, -1.0, 1.0, bits)
-        step = 2.0 / (1 << bits)
-        assert 0 <= idx < (1 << bits)
-        assert abs(v - recon) <= step / 2 + 1e-15
-        assert quantize_scalar(recon, -1.0, 1.0, bits) == (idx, recon)
 
 
 class TestBudget:
@@ -208,11 +121,10 @@ class TestBudget:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_widest_field_at_the_limit_passes_the_step_rule(self, scheme):
-        # the codec's fields meet quantize_scalar's rule up to _MAX_WIDTH, so both paths need only that rule
+        # _MAX_WIDTH keeps every wire step at least 4 ulps of max(|lo|, |hi|), so every level stays in its own cell
         for _, bits, lo, hi in scheme_layout(scheme, N_LIMITS[scheme]):
-            idx, level = quantize_scalar(hi, lo, hi, bits)
-            assert idx == 2**bits - 1 and level == hi - (hi - lo) / 2 ** (bits + 1)
-        # the widest [0, 4) field has a step of exactly 4 ulps of 4: one bit more would fall below the rule
+            assert (hi - lo) / 2**bits >= 4 * math.ulp(max(-lo, hi))
+        # the widest [0, 4) field has a step of exactly 4 ulps of 4: one bit more would fall below the margin
         lo, hi = MAGNITUDE_RANGE
         assert (hi - lo) / 2**_MAX_WIDTH == 4 * math.ulp(hi)
 
@@ -291,11 +203,7 @@ class TestCodec:
 
     def test_singular_values_sorted_after_decode(self):
         # wire order lambda1 then lambda2; encode a swapped pair by hand
-        layout = scheme_layout("gmud", 2)
-        bits = ""
-        for value, (_, width, lo, hi) in zip([0.5, 0.5, 0.1, 0.1, 0.5, 3.5], layout):
-            idx, _ = quantize_scalar(value, lo, hi, width)
-            bits += format(idx, f"0{width}b")
+        bits = encode((0.5, 3.5, [0.5 + 0.5j, 0.1 + 0.1j]), "gmud", 2)
         msg = decode(bits, "gmud", 2)
         assert msg.lambda1 > msg.lambda2
 

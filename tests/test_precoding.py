@@ -195,6 +195,14 @@ class TestExpectedGamma:
         with pytest.raises(DomainError, match=r"^expected_gamma overflows float64: \|\|G\|\|_F\*\*2 is inf$"):
             expected_gamma(np.full((2, 2), 1e200))
 
+    def test_g_is_read_as_a_finite_matrix(self):
+        # a 1-D or 0-D G ended in a bare IndexError, a (2, 2, 2) stack in a bare TypeError, and NaN entries gave NaN
+        not_2d = "expected a 2-D matrix, got ndim="
+        for g, message in ((np.ones(2), not_2d + "1"), (1.0, not_2d + "0"), (np.ones((2, 2, 2)), not_2d + "3"),
+                           (np.array([[1.0, np.nan], [0.0, 1.0]]), "matrix entries must be finite")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                expected_gamma(g)
+
 
 class TestAntennaSelection:
     def brute_force(self, channels, noise_var):

@@ -55,7 +55,6 @@ import numpy as np
 
 GROUPS = ("typical", "edge", "error", "extreme-scale")
 SCALES = tuple(np.ldexp(1.0, k) for k in (-1000, -600, -300, -100, 100, 300, 600, 1000)) + (1e-15, 1e154)
-RANGES = ((-1.0, 1.0), (0.0, 4.0))
 # counts that are not integers, which ended in a comparison's TypeError
 BAD_SIZES = ("8", None, 4 + 0j)
 # the largest N whose widest field holds at most 50 bits: 4N for reg-inv's norm, 2N for the others
@@ -68,6 +67,8 @@ LAMBDA_NOT_REAL = ("a", None, 1j, np.complex128(0.5), True)
 # and a lambda2 whose str() passes Python's digit limit
 LAMBDA1_UNREAD = (*LAMBDA_NOT_REAL, 10**400, np.float64(1e155))
 LAMBDA2_HUGE_INT = 10**5000
+# a v1 that is not of shape (2,), which passed the norm check: a 3-entry beam, a bare IndexError or numpy's ValueError
+V1_BAD_SHAPES = ([1.0, 0.0, 0.0], [1.0], [[1.0], [0.0]])
 # narrow floats, which ran the rotation in their own precision (np.float16) or overflowed a cast (np.float32)
 NARROW = (np.float32, np.float16)
 # exactly parallel rows h and t h (t exact), and noise_vars whose regularizer 2*noise_var runs from 2e-16 to subnormal
@@ -336,6 +337,8 @@ def _steered_beams(g):
     for f in NARROW:
         yield "edge", lambda f=f: g.steered_beams(f(3.3), 1.1, np.array([0.6, 0.8j]), rs, thetas)
         yield "edge", lambda f=f: g.steered_beams(3.3, f(1.1), np.array([0.6, 0.8j]), rs, thetas)
+    for v1 in V1_BAD_SHAPES:
+        yield "error", lambda v1=v1: g.steered_beams(2.0, 1.0, v1, 1.5, 0.0)
 
 
 @case("beam_from_feedback")
@@ -367,6 +370,8 @@ def _beam_from_feedback(g):
             yield "edge", lambda f=f, l1=l1, l2=l2, r=r: g.beam_from_feedback(f(l1), l2, [0.6, 0.8j], r, 0.3)
             yield "edge", lambda f=f, l1=l1, l2=l2, r=r: g.beam_from_feedback(l1, f(l2), [0.6, 0.8j], r, 0.3)
     yield "error", lambda: g.beam_from_feedback(2.0, LAMBDA2_HUGE_INT, np.array([0.6, 0.8j]), 1.5, 0.3)
+    for v1 in V1_BAD_SHAPES:
+        yield "error", lambda v1=v1: g.beam_from_feedback(2.0, 1.0, v1, 1.5, 0.0)
 
 
 @case("GmudFactorization")
@@ -482,6 +487,9 @@ def _expected_gamma(g):
         yield "typical", lambda m=_crandn(rng, (2, 2)): g.expected_gamma(m)
     yield "edge", lambda: g.expected_gamma(np.zeros((2, 2)))
     yield "error", lambda: g.expected_gamma(np.full((2, 2), 1e200))  # ||G||_F**2 overflows
+    # a G that is not a finite matrix: a bare IndexError, a bare TypeError, or NaN
+    for bad in (np.ones(2), 1.0, np.ones((2, 2, 2)), np.array([[1.0, np.nan], [0.0, 1.0]])):
+        yield "error", lambda bad=bad: g.expected_gamma(bad)
 
 
 @case("antenna_selection")
@@ -566,6 +574,11 @@ def _gmud_min_sinr(g):
     p = g.GmudBeamParams(1.5, 0.0, 1.5, 0.0, float(np.sqrt(0.5)), float(np.sqrt(0.5)))
     for fb_k, fb_l in _unread_reports(g):
         yield "error", lambda p=p, k=fb_k, l=fb_l: g.gmud_min_sinr(p, k, l, 0.1)
+    good = g.GmudFeedback(np.zeros(6), np.array([0.0, 1.0], dtype=complex), 2.0, 1.0)
+    for v1 in V1_BAD_SHAPES:
+        bad = g.GmudFeedback(np.zeros(6), v1, 2.0, 1.0)
+        for k, l in ((bad, good), (good, bad)):
+            yield "error", lambda p=p, k=k, l=l: g.gmud_min_sinr(p, k, l, 0.1)
 
 
 @case("optimize_gmud")
@@ -607,6 +620,11 @@ def _optimize_gmud(g):
         yield "error", lambda pair=pair: g.optimize_gmud(*pair, 0.1, grids[3])
     for pair in _unread_reports(g):
         yield "error", lambda pair=pair: g.optimize_gmud(*pair, 0.1, grids[3])
+    good = g.GmudFeedback(np.zeros(6), np.array([0.0, 1.0], dtype=complex), 2.0, 1.0)
+    for v1 in V1_BAD_SHAPES:
+        bad = g.GmudFeedback(np.zeros(6), v1, 2.0, 1.0)
+        for pair in ((bad, good), (good, bad)):
+            yield "error", lambda pair=pair: g.optimize_gmud(*pair, 0.1, grids[3])
 
 
 @case("GridSpec")
@@ -687,6 +705,16 @@ def _encode(g):
     for scheme, limit in N_LIMITS.items():
         yield "error", lambda s=scheme, n=limit + 1: g.encode(np.eye(2), s, n)
     yield "error", lambda: g.encode([[1.0, 0.0, 0.0], [0.0, 1j, 0.0]], "gmud", 4)  # a nested-list channel, not 2x2
+    # the odd and even cells 2**49 + 1 and + 2 of the 50-bit fields at N = 25, and their levels
+    step = 2.0**-49  # on [-1, 1); twice that on [0, 4)
+    for source in ((2.0 + 5 * step, 2.0 + 3 * step, [1.25 * step + 2.5j * step, 1.0]),
+                   (2.0 + 3 * step, 2.0 + 5 * step, [2.5 * step + 1.25j * step, 1.0j])):
+        yield "edge", lambda s=source: g.encode(s, "gmud", 25)
+        yield "edge", lambda s=source: _message_view(g, g.decode(g.encode(s, "gmud", 25), "gmud", 25))
+    # magnitudes far past either range, clamped before the division
+    for v in (1e300, 1e305, 1e308):
+        for n in (1, 4, 8):
+            yield "extreme-scale", lambda v=v, n=n: g.encode((v, 0.5, [v, -1j * v]), "gmud", n)
 
 
 def _message_view(g, msg):
@@ -732,44 +760,6 @@ def _message(g, name, size):
     if name == "GmudFeedback":
         for _ in range(200):
             yield "typical", lambda h=_crandn(rng, (2, 2)): _message_view(g, cls.from_svd(g.svd2x2(h)))
-
-
-@case("quantize_scalar")
-def _quantize_scalar(g):
-    rng = _rng("quantize_scalar")
-    for lo, hi in RANGES:
-        for bits in range(1, 17):
-            for v in rng.uniform(lo - 0.5, hi + 1.5, 600):
-                yield "typical", lambda v=v, lo=lo, hi=hi, bits=bits: g.quantize_scalar(v, lo, hi, bits)
-            step = (hi - lo) / (1 << bits)
-            for v in (lo, hi, lo + step, hi - step, lo + 0.5 * step, np.nextafter(hi, lo), -0.0, 0.0):
-                yield "edge", lambda v=v, lo=lo, hi=hi, bits=bits: g.quantize_scalar(v, lo, hi, bits)
-    for v, lo, hi, bits in ((0.0, -1.0, 1.0, 0), (0.0, 1.0, -1.0, 4), (0.0, 1.0, 1.0, 4), (np.nan, 0.0, 4.0, 8)):
-        yield "error", lambda v=v, lo=lo, hi=hi, bits=bits: g.quantize_scalar(v, lo, hi, bits)
-    for v in (1e305, -1e305, 1e300, np.inf, -np.inf, 1e308):
-        for lo, hi in RANGES:
-            for bits in (1, 8, 16):
-                yield "extreme-scale", lambda v=v, lo=lo, hi=hi, bits=bits: g.quantize_scalar(v, lo, hi, bits)
-    for bits in (2.5, 2.0, True):
-        yield "error", lambda bits=bits: g.quantize_scalar(0.3, -1.0, 1.0, bits)
-    # odd and even cells of the widest field, 50 bits (2**49 + 1 and + 2); 51 bits is the first refused width
-    for v in (2.5e-15, 5e-15):
-        yield "edge", lambda v=v: g.quantize_scalar(v, -1.0, 1.0, 50)
-    for bits in BAD_SIZES + (51, 2000):
-        yield "error", lambda bits=bits: g.quantize_scalar(0.3, -1.0, 1.0, bits)
-    # ranges that are not finite reals, a span that overflows, a step that underflows to 0 or to a subnormal
-    for lo, hi, bits in ((0.0, np.inf, 3), (-np.inf, 0.0, 3), (np.nan, 1.0, 3), ("a", 1.0, 3), (0.0, None, 3),
-                         (-1e308, 1e308, 3), (0.0, 5e-324, 1), (0.0, 1e-300, 50)):
-        yield "error", lambda lo=lo, hi=hi, bits=bits: g.quantize_scalar(0.3, lo, hi, bits)
-    # values that are not reals float64 holds: each ended in TypeError, ComplexWarning or OverflowError
-    for v in ("a", None, 1j, np.complex128(1j), 10**400, True):
-        yield "error", lambda v=v: g.quantize_scalar(v, -1.0, 1.0, 4)
-    # hi far below the step: the 53-bit top level came back as 0.0, above hi
-    lo, hi = -6.946576564250563e189, -1.516894669567117e170
-    for bits in range(40, 51):
-        for v in (lo, hi):
-            yield "extreme-scale", lambda v=v, bits=bits: g.quantize_scalar(v, lo, hi, bits)
-    yield "error", lambda: g.quantize_scalar(hi, lo, hi, 53)
 
 
 @case("scheme_layout")
