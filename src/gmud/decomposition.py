@@ -242,8 +242,7 @@ def _steer(w1, w2, theta, x1, x2) -> np.ndarray:
     and the receiver combiner on (u1, u2) with (a, b).
     """
     weight = w1 * np.exp(1j * np.asarray(theta, dtype=np.float64))
-    weight, w2 = np.broadcast_arrays(weight, w2)
-    return weight[..., None] * x1 - w2[..., None] * x2
+    return weight[..., None] * x1 - np.asarray(w2)[..., None] * x2
 
 
 def _check_report(lambda1: float, lambda2: float, v1) -> tuple[float, float, np.ndarray]:

@@ -37,8 +37,8 @@ def _pow2_exponents(m: np.ndarray, safe: int = 128) -> np.ndarray:
     if isinstance(m, float):
         e = math.frexp(m)[1]
         return 0 if -safe < e <= safe else max(e, -1021)
-    e = np.frexp(m)[1]
-    return np.where((-safe < e) & (e <= safe), 0, np.maximum(e, -1021))
+    e = np.maximum(np.frexp(m)[1], -1021)
+    return e if safe == 0 else np.where((-safe < e) & (e <= safe), 0, e)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -62,7 +62,7 @@ def _det(parts: np.ndarray):
     Real products, so each rounds as numpy-scalar complex arithmetic does
     (the array complex product fuses multiply-adds).
     """
-    (ar, ai, br, bi), (cr, ci, dr, di) = np.moveaxis(parts, (1, 2), (0, 1))
+    (ar, ai, br, bi), (cr, ci, dr, di) = parts.transpose(1, 2, 0)
     return (ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)
 
 
@@ -216,9 +216,9 @@ def _svd2x2(h: np.ndarray):
     rows, zero = np.arange(len(h)), ~h.any(axis=(1, 2))
     parts = np.ascontiguousarray(h).view(np.float64)
     e = _pow2_exponents(np.abs(parts).max(axis=(1, 2)), safe=0)  # always scaled
-    # the zero matrix is computed as I, and its results replaced at the end
-    eye = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
-    parts = np.where(zero[:, None, None], eye, parts * np.ldexp(1.0, -e)[:, None, None])
+    parts = parts * np.ldexp(1.0, -e)[:, None, None]
+    if zero.any():  # the zero matrix is computed as I, and its results replaced at the end
+        parts[zero] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
     h = parts.view(np.complex128)
     w = np.swapaxes(h.conj(), 1, 2) @ h
     w00, w11, w01 = w[:, 0, 0].real, w[:, 1, 1].real, w[:, 0, 1]
@@ -230,7 +230,8 @@ def _svd2x2(h: np.ndarray):
 
     # the two eigenvector candidates for mu1 (R, 2, 2).  Where w is within 2**-128 of mu I the squares
     # in their norms fall toward subnormals and v1 would miss unit norm, so they are scaled exactly
-    cand = np.stack([np.stack([w01, mu1 - w00], axis=-1), np.stack([mu1 - w11, np.conj(w01)], axis=-1)], axis=1)
+    cand = np.empty_like(h)
+    cand[:, 0, 0], cand[:, 0, 1], cand[:, 1, 0], cand[:, 1, 1] = w01, mu1 - w00, mu1 - w11, np.conj(w01)
     n = _norm(cand)
     small = n.max(axis=1) < 2.0**-128
     if small.any():
@@ -238,13 +239,15 @@ def _svd2x2(h: np.ndarray):
         cand = cand * np.ldexp(1.0, -ce)[:, None, None]
         n = _norm(cand)
     pick = (n[:, 0] < n[:, 1]).astype(np.intp)
-    identity = n[rows, pick] == 0.0  # w is a multiple of I: v1 = e1
-    v1 = np.where(identity[:, None], [1.0, 0.0], cand[rows, pick] / np.where(identity, 1.0, n[rows, pick])[:, None])
+    v1 = cand[rows, pick] / np.where(identity := n[rows, pick] == 0.0, 1.0, n[rows, pick])[:, None]
+    if identity.any():  # w is a multiple of I: v1 = e1
+        v1[identity] = [1.0, 0.0]
     mod = np.hypot(v1.real, v1.imag)
     i = (mod[:, 0] < mod[:, 1]).astype(np.intp)  # the phase convention: v1[i] real >= 0
     v1 = v1 * (np.conj(v1[rows, i]) / mod[rows, i])[:, None]
     v1[rows, i] = v1[rows, i].real
-    v = np.stack([v1, orthonormal_complement(v1)], axis=-1)
+    v, u = np.empty_like(cand), np.empty_like(cand)
+    v[..., 0], v[..., 1] = v1, orthonormal_complement(v1)
 
     lambda1, lambda2 = np.sqrt(mu1), np.sqrt(mu2)
     u1 = (h @ v[:, :, :1])[..., 0] / lambda1[:, None]
@@ -253,11 +256,14 @@ def _svd2x2(h: np.ndarray):
         u2 = (h @ v[:, :, 1:])[..., 0] / lambda2[:, None]
         u2 = u2 - (u1.conj()[:, None] @ u2[..., None])[..., 0] * u1
         u2 = u2 / _norm(u2)[:, None]
-    u = np.stack([u1, np.where((lambda2 <= _RANK_TOL * lambda1)[:, None], orthonormal_complement(u1), u2)], axis=-1)
+    u[..., 0], u[..., 1] = u1, u2
+    if (deficient := lambda2 <= _RANK_TOL * lambda1).any():
+        u[deficient, :, 1] = orthonormal_complement(u1[deficient])
     with np.errstate(over="ignore"):
         lambda1, lambda2 = np.ldexp(lambda1, e), np.ldexp(lambda2, e)
     if np.isinf(lambda1).any():
         raise DomainError("largest singular value overflows float64")
-    u[zero] = v[zero] = np.eye(2)
-    lambda1[zero] = lambda2[zero] = 0.0
+    if zero.any():
+        u[zero] = v[zero] = np.eye(2)
+        lambda1[zero] = lambda2[zero] = 0.0
     return u, lambda1, lambda2, v

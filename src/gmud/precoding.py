@@ -300,7 +300,7 @@ def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     y = np.arange(num, dtype=np.float64)
     if num > 1:
         step = delta / (num - 1)
-        y = np.where(step == 0.0, (y / (num - 1)) * delta, y * step) + start[..., None]
+        y = (y * step if step.all() else np.where(step == 0.0, (y / (num - 1)) * delta, y * step)) + start[..., None]
         y[..., -1] = stop
         return y
     return y * delta + start[..., None]
@@ -327,7 +327,8 @@ def _grid_tables(grid: GridSpec):
 def _x_bound(c, s, v1, v2, w, fold):
     """Lower bounds (P, n_r, n_r) on each block's smallest x from the beams' ``c``, ``s`` (P, 2, n_r), ``v1``,
     ``v2`` (P, 2, 2), the phasors ``w`` (n_theta,) and the ``fold`` rows of :func:`_grid_tables` (:func:`_search`)."""
-    vk, vl = np.conj(np.stack([v1[:, 0], v2[:, 0]], axis=1)), np.stack([v1[:, 1], v2[:, 1]], axis=1)
+    vk, vl = np.empty_like(v1), np.empty_like(v1)  # [v1, v2] of user k, conjugated, and of user l
+    vk[:, 0], vk[:, 1], vl[:, 0], vl[:, 1] = np.conj(v1[:, 0]), np.conj(v2[:, 0]), v1[:, 1], v2[:, 1]
     g = vk[:, :, None, 0] * vl[:, None, :, 0] + vk[:, :, None, 1] * vl[:, None, :, 1]  # g[p, i, j] = v_ik^H v_jl
     ab = (w[:, None, None] * c[:, 1])[:, :, None] * g[:, :, 0, None]
     ab -= s[:, 1, None] * g[:, :, 1, None]  # alpha = v1_k^H q_l and beta = v2_k^H q_l, (n_theta_l, P, 2, n_rl)
@@ -345,7 +346,7 @@ def _x_bound(c, s, v1, v2, w, fold):
 
 
 def _peak_bound(x, rk2, rl2, noise_var: float, grid: GridSpec):
-    """Upper bounds on max over the splits of min(SINR_k, SINR_l) at x, r_k^2, r_l^2 (:func:`_search`)."""
+    """Upper bounds on max over the splits of min(SINR_k, SINR_l) at broadcastable x, r_k^2, r_l^2 (:func:`_search`)."""
     a2, _, ends, gamma_min = _grid_tables(grid)[5:]
     with np.errstate(all="ignore"):  # a* may overflow or be NaN; any lo still bounds
         kl = rk2 * rl2 * x
@@ -408,23 +409,22 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
     _, _, c, s = _rotation_factors(lambda1[..., None], lambda2[..., None], r)
     v2 = orthonormal_complement(v1)
     r2 = r * r
-    users = np.arange(2)
 
     def score(p, i):  # beams, x (len(p), n_theta^2) and min-SINR at min x (n_p, len(p)) of the blocks i of pairs p
-        i_r = np.stack(np.divmod(i, n_r), axis=1)
-        q = _steer(c[p[:, None], users, i_r][..., None], s[p[:, None], users, i_r][..., None], thetas,
+        i_r = i[:, None] // (n_r, 1) % n_r  # (i_rk, i_rl) of each block
+        q = _steer(c[p[:, None], (0, 1), i_r][..., None], s[p[:, None], (0, 1), i_r][..., None], thetas,
                    v1[p][:, :, None], v2[p][:, :, None])
         x = _beam_x(q[:, 0, None], q[:, 1, None]).reshape(len(p), n_t * n_t)
         sk, sl = _sinr(x.min(axis=1), r2[p, 0, i // n_r], r2[p, 1, i % n_r], a2[:, None], b2[:, None], noise_var)
         return q, x, np.minimum(sk, sl, out=sk)
 
     # stage 1: each block's bound on its peak at the crossing, (P, n_r^2); the seed is the best bound
-    blocks = np.arange(n_r * n_r)
-    x_bound = np.fmax(_x_bound(c, s, v1, v2, w, fold).reshape(-1, n_r * n_r), 0.0)
-    bound = _peak_bound(x_bound, r2[:, 0, blocks // n_r], r2[:, 1, blocks % n_r], noise_var, grid)
+    x_bound = np.fmax(_x_bound(c, s, v1, v2, w, fold), 0.0)
+    bound = _peak_bound(x_bound, r2[:, 0, :, None], r2[:, 1, None, :], noise_var, grid).reshape(len(pairs), -1)
     seed = bound.argmax(axis=1)
     q, x, at = score(pairs, seed)
-    p_s, i_s = np.nonzero(~(bound < at.max(axis=0)[:, None]) & (blocks != seed[:, None]))
+    bound[pairs, seed] = -np.inf  # scored: the other blocks survive unless bounded below its peak
+    p_s, i_s = np.nonzero(~(bound < at.max(axis=0)[:, None]))
     block = seed
     if len(p_s):  # survivors
         peak = np.full(bound.shape, -np.inf)
@@ -434,18 +434,20 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
         q[moved], x[moved], at[:, moved] = score(moved, block[moved])
     # stage 2: the chosen block at its peak's power splits, padded per pair with splits that cannot win
     at_peak = (at == at.max(axis=0)).T
-    splits = np.argsort(~at_peak, axis=1, kind="stable")[:, : at_peak.sum(axis=1).max()]
+    width = at_peak.sum(axis=1).max()  # 1, one peak split per pair, is the common case
+    splits = at_peak.argmax(axis=1)[:, None] if width == 1 else np.argsort(~at_peak, axis=1, kind="stable")[:, :width]
     i_rk, i_rl = np.divmod(block, n_r)
-    r_k, r_l = r[pairs, 0, i_rk], r[pairs, 1, i_rl]
     sk, sl = _sinr(x[..., None], r2[pairs, 0, i_rk, None, None], r2[pairs, 1, i_rl, None, None],
                    a2[splits][:, None], b2[splits][:, None], noise_var)
     sinr = np.minimum(sk, sl)  # (P, n_theta^2, splits)
     i_t, j = np.divmod(sinr.reshape(len(pairs), -1).argmax(axis=1), splits.shape[1])
     i_a = splits[pairs, j]
     i_tk, i_tl = np.divmod(i_t, n_t)
-    report = np.stack([sk[pairs, i_t, j], sl[pairs, i_t, j], sinr[pairs, i_t, j], (a2 + b2)[i_a]], axis=1)
-    g = np.stack([alpha[i_a][:, None] * q[pairs, 0, i_tk], beta[i_a][:, None] * q[pairs, 1, i_tl]], axis=-1)
-    return g, np.stack([r_k, thetas[i_tk], r_l, thetas[i_tl], alpha[i_a], beta[i_a]], axis=-1), report
+    g, params, report = np.empty((len(pairs), 2, 2), complex), np.empty((len(pairs), 6)), np.empty((len(pairs), 4))
+    g[..., 0], g[..., 1] = alpha[i_a][:, None] * q[pairs, 0, i_tk], beta[i_a][:, None] * q[pairs, 1, i_tl]
+    params.T[:] = r[pairs, 0, i_rk], thetas[i_tk], r[pairs, 1, i_rl], thetas[i_tl], alpha[i_a], beta[i_a]
+    report.T[:] = sk[pairs, i_t, j], sl[pairs, i_t, j], sinr[pairs, i_t, j], (a2 + b2)[i_a]
+    return g, params, report
 
 
 def optimize_gmud(fb_k, fb_l, noise_var: float, grid: GridSpec = GridSpec()):

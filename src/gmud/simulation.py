@@ -83,6 +83,15 @@ def _symbol_table(bps: int) -> np.ndarray:
 _SYMBOLS = {mod: _symbol_table(bps) for mod, bps in MODULATIONS.items()}
 
 
+def _symbols(bits: np.ndarray, modulation: str) -> np.ndarray:
+    """:func:`modulate` of C-contiguous 0/1 ``bits`` (bool or uint8) whose last axis has a multiple of bps entries."""
+    bps = MODULATIONS[modulation]
+    # A symbol's bps bytes read as one little-endian word: multiplying by sum(2**(9*k)) adds bit i of the
+    # symbol at weight 2**(bps-1-i) into the top byte, and no lower byte's sum reaches 256 to carry into it.
+    index = bits.view(f"<u{bps}") * sum(2 ** (9 * k) for k in range(bps)) >> 8 * (bps - 1)
+    return np.take(_SYMBOLS[modulation], index)
+
+
 def modulate(bits, modulation: str) -> np.ndarray:
     """Gray-mapped symbols with unit average energy, along the last axis.
 
@@ -102,10 +111,7 @@ def modulate(bits, modulation: str) -> np.ndarray:
     flags = bits.astype(bool, order="C")
     if np.any(flags != bits):
         raise ValueError("bits must be 0 or 1")
-    # A symbol's bps bytes read as one little-endian word: multiplying by sum(2**(9*k)) adds bit i of the
-    # symbol at weight 2**(bps-1-i) into the top byte, and no lower byte's sum reaches 256 to carry into it.
-    index = flags.view(f"<u{bps}") * sum(2 ** (9 * k) for k in range(bps)) >> 8 * (bps - 1)
-    return np.take(_SYMBOLS[modulation], index)
+    return _symbols(flags, modulation)
 
 
 def _gray_axis_bits(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,11 +157,13 @@ def transmit(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[:, 0], gamma[0]
     s = g @ u
     gamma = (s.real**2 + s.imag**2).sum(axis=-2)
+    if gamma.all():
+        return s * (1.0 / np.sqrt(gamma))[..., None, :], gamma
     vanished = gamma == 0.0
     if np.any(vanished & ~np.any(g, axis=(-2, -1))[..., None]):
         raise ValueError("zero transmit vector: G @ u vanished")
     x = s * (1.0 / np.sqrt(np.where(vanished, 1.0, gamma)))[..., None, :]
-    return (np.where(vanished[..., None, :], 0.0, x) if vanished.any() else x), gamma
+    return np.where(vanished[..., None, :], 0.0, x), gamma
 
 
 def receive_detect(channels, g, combiners, x, gamma, modulation: str, noise):
@@ -388,7 +396,7 @@ def _error_counts(config: SimConfig, snr_idx: int) -> np.ndarray:
                 words[i] = rng.bit_generator.random_raw(words.shape[1])
                 rng.standard_normal(out=noise[i])
             payload = (words.view(np.uint8)[:, :bits] >> 7).reshape(size, 2, -1)
-            x, gamma = transmit(g[chunk], modulate(payload, config.modulation))
+            x, gamma = transmit(g[chunk], _symbols(payload, config.modulation))
             noise = _complex(noise, np.sqrt(0.5), np.sqrt(noise_var))
             detected = receive_detect(channels[chunk], g[chunk], combiners[chunk], x, gamma, config.modulation, noise)
             err_counts[block + start : block + start + size] = np.count_nonzero(detected != payload, axis=(1, 2))
