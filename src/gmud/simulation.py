@@ -33,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .decomposition import _rotation_factors, _steer
-from .errors import _finite_real, _integer
+from .errors import DomainError, _finite_real, _integer
 from .feedback import SCHEMES, _reports, scheme_layout
-from .linalg import _svd2x2
+from .linalg import _pow2_exponents, _svd2x2
 from .precoding import GridSpec, _combos, _reg_inv, _search, _select
 
 # The scalar entry points of the stages the engine batches.  It calls their
@@ -146,23 +146,38 @@ def transmit(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and u (..., 2, T) may carry realizations on leading axes.  Returns
     (x, gamma) with gamma = ||G u||^2 columnwise and x = G u times the
     real 1/sqrt(gamma) (numpy divides a complex value by a real one through
-    that reciprocal), so ||x|| = 1.  Where
-    G u vanishes for a nonzero G (coarse feedback can give both users
-    the same row, and G rank one), x is 0 and gamma is 0: the receivers
-    then see only noise times zero.  A zero G raises ``ValueError``.
+    that reciprocal), so ||x|| = 1.  A column whose gamma falls outside
+    [2**-960, 2**960] is normalized on G u scaled by an exact power of two,
+    so ||x|| = 1 at any scale; its gamma is rounded once, to a subnormal or
+    0 below the normal range, and above it raises :class:`DomainError`.
+    Where G u vanishes for a nonzero G (coarse feedback can give both users
+    the same row, and G rank one), x is 0 and gamma is 0: the receivers then
+    see only noise times zero.  A zero G, or entries that are not finite,
+    raise ``ValueError``.
     """
     g, u = np.asarray(g), np.asarray(u)
     if u.ndim == 1:
         x, gamma = transmit(g, u[:, None])
         return x[:, 0], gamma[0]
-    s = g @ u
-    gamma = (s.real**2 + s.imag**2).sum(axis=-2)
-    if gamma.all():
-        return s * (1.0 / np.sqrt(gamma))[..., None, :], gamma
-    vanished = gamma == 0.0
-    if np.any(vanished & ~np.any(g, axis=(-2, -1))[..., None]):
-        raise ValueError("zero transmit vector: G @ u vanished")
-    x = s * (1.0 / np.sqrt(np.where(vanished, 1.0, gamma)))[..., None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # off the unit scale: decided below
+        s = g @ u
+        gamma = (s.real**2 + s.imag**2).sum(axis=-2)
+        if 2.0**-960 <= gamma.min(initial=1.0) and gamma.max(initial=1.0) <= 2.0**960:  # NaN fails too
+            return s * (1.0 / np.sqrt(gamma))[..., None, :], gamma
+        if not (np.isfinite(g).all() and np.isfinite(u).all()):
+            raise ValueError("transmit: G and u entries must be finite")
+        vanished = ~s.any(axis=-2)
+        if np.any(vanished & ~np.any(g, axis=(-2, -1))[..., None]):
+            raise ValueError("zero transmit vector: G @ u vanished")
+        # the other columns off [2**-960, 2**960]: s scaled by 2**-e, its largest part in [0.5, 1)
+        far = ~(vanished | ((2.0**-960 <= gamma) & (gamma <= 2.0**960)))
+        e = np.where(far, _pow2_exponents(np.fmax(np.abs(s.real), np.abs(s.imag)).max(axis=-2), safe=0), 0)
+        s = np.where(far[..., None, :], s * np.ldexp(1.0, -e)[..., None, :], s)
+        unit = (s.real**2 + s.imag**2).sum(axis=-2)
+        gamma = np.ldexp(unit, 2 * e)
+    if not np.isfinite(gamma).all():  # the entries are finite: G u or its norm overflowed
+        raise DomainError("transmit: ||G u||**2 overflows float64")
+    x = s * (1.0 / np.sqrt(np.where(vanished, 1.0, unit)))[..., None, :]
     return np.where(vanished[..., None, :], 0.0, x), gamma
 
 

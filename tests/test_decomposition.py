@@ -317,6 +317,31 @@ class TestBeams:
                     if l1 == l2:
                         assert np.array_equal(beam, np.exp(1j * t) * v1)
 
+    @pytest.mark.parametrize("r, theta", [(np.array([[1.0], [1.4], [2.0]]), np.linspace(0.0, 6.0, 4)),
+                                          (1.5, np.linspace(0.0, 6.0, 5)), (np.linspace(1.0, 2.0, 5), 0.7)])
+    def test_broadcast_matches_scalar_calls(self, r, theta):
+        # r and theta broadcast in the beam kernel's products, with no materialized copies
+        v1 = np.array([0.6, 0.8j])
+        beams = steered_beams(2.0, 1.0, v1, r, theta)
+        shape = np.broadcast_shapes(np.shape(r), np.shape(theta))
+        assert beams.shape == shape + (2,)
+        rs, thetas = np.broadcast_arrays(r, theta)
+        for i in np.ndindex(shape):
+            assert beams[i].tobytes() == steered_beams(2.0, 1.0, v1, float(rs[i]), float(thetas[i])).tobytes(), i
+
+    def test_combiners_of_a_stack_match_scalar_calls(self):
+        from gmud.linalg import _svd2x2
+        from gmud.simulation import _rotation_projection
+
+        rng = np.random.default_rng(8)
+        u, lambda1, lambda2, _ = (a.reshape((5, 2) + a.shape[1:]) for a in _svd2x2(crandn(rng, (10, 2, 2))))
+        r, theta = lambda2 + rng.uniform(size=(5, 2)) * (lambda1 - lambda2), rng.uniform(0.0, 2 * np.pi, (5, 2))
+        p = _rotation_projection(u, lambda1, lambda2, r, theta)
+        assert p.shape == (5, 2, 2)
+        for i in np.ndindex(5, 2):
+            want = _rotation_projection(u[i], float(lambda1[i]), float(lambda2[i]), float(r[i]), float(theta[i]))
+            assert want.shape == (2,) and p[i].tobytes() == want.tobytes(), i
+
     def test_rank_one_report_at_zero_r(self):
         # r = lambda2 = 0 takes the r -> 0+ limit (a, b, c, s) = (0, 1, 1, 0),
         # so the beam is e^{i theta} v1, with no 0/0 and no warning

@@ -257,6 +257,38 @@ class TestStackedSvd:
             assert lambda1[i].tobytes() == np.float64(f.lambda1).tobytes(), i
             assert lambda2[i].tobytes() == np.float64(f.lambda2).tobytes(), i
 
+    # each rare kind _svd2x2 fixes up behind a guard, built from a generator
+    RARE = {
+        "zero": lambda rng: np.zeros((2, 2)),
+        "multiple of I": lambda rng: np.exp(1.1j) * 0.7 * np.eye(2),
+        "rank one": lambda rng: np.outer(crandn(rng, 2), crandn(rng, 2).conj()),
+        "lambda2 just below _RANK_TOL * lambda1": lambda rng: (unitary(*rng.uniform(0.0, 2 * np.pi, 4))
+                                                             @ np.diag([1.0, 0.99 * _RANK_TOL])
+                                                             @ unitary(*rng.uniform(0.0, 2 * np.pi, 4))),
+        "h^H h within 2**-128 of I": lambda rng: unitary(9.220892867948306e-139, 2.0, 0.0, 2.0),
+        "scale 2**1000": lambda rng: scaled(crandn(rng, (2, 2)), 1000),
+        "scale 2**-1000": lambda rng: scaled(crandn(rng, (2, 2)), -1000),
+    }
+
+    @pytest.mark.parametrize("kind", [None, *RARE])
+    def test_one_rare_row_among_gaussians(self, kind):
+        # the stack above holds every rare kind at once, so a fix-up guarded by the wrong mask would still run
+        # there; here each kind is the only hit of its guard (None: no rare row at all).  svd2x2 sends a rare
+        # matrix through _svd2x2 as a batch of one, so each result is also checked as a factorization
+        rng = np.random.default_rng(24)
+        h = crandn(rng, (32, 2, 2))
+        if kind is not None:
+            h[int(rng.integers(32))] = self.RARE[kind](rng)
+        u, lambda1, lambda2, v = _svd2x2(h)
+        for i, m in enumerate(h):
+            f = svd2x2(m)
+            check_factorization(f, m)
+            if 0.0 < f.lambda1 and f.lambda2 <= _RANK_TOL * f.lambda1:  # u2 completed by orthogonality
+                assert f.u[:, 1].tobytes() == orthonormal_complement(f.u[:, 0]).tobytes(), (kind, i)
+            assert (u[i].tobytes(), v[i].tobytes()) == (f.u.tobytes(), f.v.tobytes()), (kind, i)
+            assert (lambda1[i].tobytes(), lambda2[i].tobytes()) == (np.float64(f.lambda1).tobytes(),
+                                                                    np.float64(f.lambda2).tobytes()), (kind, i)
+
     def test_random_stack_equals_per_matrix(self):
         # equal singular values make the moduli of v1's entries tie or nearly
         # tie, where only hypot's rounding picks the entry svd2x2 picks

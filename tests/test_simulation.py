@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from gmud import (
     BerCurve,
+    DomainError,
     GmudFeedback,
     GridSpec,
     SimConfig,
@@ -178,6 +179,38 @@ class TestTransmit:
         s = g @ u
         x, gamma = transmit(g, u)
         assert x.tobytes() == (s / np.sqrt(gamma)[..., None, :]).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_off_the_unit_scale(self):
+        # outside [2**-960, 2**960] gamma is taken on G u scaled by a power of two: the bytes of the unit scale,
+        # with gamma scaled back; 1e-200 gave x = 0 and gamma = 0, 1e200 x = 0, gamma = inf and a warning
+        rng = np.random.default_rng(4)
+        g, u = crandn(rng, (3, 2, 2)), crandn(rng, (3, 2, 5))
+        x1, gamma1 = transmit(g, u)
+        for k in (-495, -485, 485, 495):
+            x, gamma = transmit(np.ldexp(1.0, k) * g, u)
+            assert x.tobytes() == x1.tobytes() and gamma.tobytes() == np.ldexp(gamma1, 2 * k).tobytes(), k
+        for scale in (1e-200, 2.0**-600):  # ||G u||**2 rounds to 0 here, but G u does not vanish
+            x, gamma = transmit(scale * np.eye(2), np.ones((2, 3)))
+            assert x.tobytes() == transmit(np.eye(2), np.ones((2, 3)))[0].tobytes() and not gamma.any()
+        for scale in (1e200, 2.0**600):
+            with pytest.raises(DomainError, match=r"^transmit: \|\|G u\|\|\*\*2 overflows float64$"):
+                transmit(scale * np.eye(2), np.ones((2, 3)))
+
+    def test_vanished_column_beside_a_tiny_one(self):
+        g = np.outer([0.6, 0.8j], [1.0, 1.0])
+        x, gamma = transmit(g, np.array([[1.0, 2.0**-500], [-1.0, 2.0**-500]]))
+        assert gamma[0] == 0.0 and not np.any(x[:, 0])
+        assert gamma[1] == 2.0**-998 and np.array_equal(x[:, 1], [0.6, 0.8j])
+
+    @pytest.mark.parametrize("where", ["g", "u"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_non_finite_entries_rejected(self, where, bad):
+        # NaN gave NaN silently, inf NaN with two warnings
+        g, u = np.eye(2, dtype=complex), np.ones((2, 3), dtype=complex)
+        (g if where == "g" else u)[0, 0] = bad
+        with pytest.raises(ValueError, match="^transmit: G and u entries must be finite$"):
+            transmit(g, u)
 
 
 class TestReceiveDetect:

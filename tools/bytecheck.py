@@ -825,6 +825,15 @@ def _transmit(g):
     rank_one = np.outer(_crandn(rng, 2), [1.0, 1.0])
     yield "edge", lambda: g.transmit(rank_one, np.array([[1.0, 1.0], [-1.0, 1j]]))
     yield "error", lambda: g.transmit(np.zeros((2, 2)), np.ones((2, 3)))
+    # off the unit scale: ||G u||**2 outside [2**-960, 2**960], then entries that are not finite
+    for scale in (np.ldexp(1.0, -600), np.ldexp(1.0, 600), 1e-200, 1e200):
+        yield "extreme-scale", lambda m=scale * _crandn(rng, (2, 2)), u=_crandn(rng, (2, 20)): g.transmit(m, u)
+    yield "extreme-scale", lambda: g.transmit(rank_one, np.array([[1.0, 2.0**-500], [-1.0, 2.0**-500 * 1j]]))
+    for bad in (np.nan, np.inf):
+        for where in ("g", "u"):
+            m, u = _crandn(rng, (2, 2)), _crandn(rng, (2, 20))
+            (m if where == "g" else u)[1, 0] = bad
+            yield "error", lambda m=m, u=u: g.transmit(m, u)
 
 
 def _config(g, scheme, mod, feedback, grid=(4, 8, 5)):
