@@ -172,7 +172,7 @@ def transmit(g: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the other columns off [2**-960, 2**960]: s scaled by 2**-e, its largest part in [0.5, 1)
         far = ~(vanished | ((2.0**-960 <= gamma) & (gamma <= 2.0**960)))
         e = np.where(far, _pow2_exponents(np.fmax(np.abs(s.real), np.abs(s.imag)).max(axis=-2), safe=0), 0)
-        s = np.where(far[..., None, :], s * np.ldexp(1.0, -e)[..., None, :], s)
+        s = s * np.ldexp(1.0, -e)[..., None, :]  # times 1.0 where e = 0
         unit = (s.real**2 + s.imag**2).sum(axis=-2)
         gamma = np.ldexp(unit, 2 * e)
     if not np.isfinite(gamma).all():  # the entries are finite: G u or its norm overflowed
