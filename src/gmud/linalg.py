@@ -37,8 +37,8 @@ def _pow2_exponents(m: np.ndarray, safe: int = 128) -> np.ndarray:
     if isinstance(m, float):
         e = math.frexp(m)[1]
         return 0 if -safe < e <= safe else max(e, -1021)
-    e = np.maximum(np.frexp(m)[1], -1021)
-    return e if safe == 0 else np.where((-safe < e) & (e <= safe), 0, e)
+    e = np.frexp(m)[1]
+    return np.where((-safe < e) & (e <= safe), 0, np.maximum(e, -1021))
 
 
 def as_matrix(a) -> np.ndarray:
@@ -217,8 +217,7 @@ def _svd2x2(h: np.ndarray):
     parts = np.ascontiguousarray(h).view(np.float64)
     e = _pow2_exponents(np.abs(parts).max(axis=(1, 2)), safe=0)  # always scaled
     parts = parts * np.ldexp(1.0, -e)[:, None, None]
-    if zero.any():  # the zero matrix is computed as I, and its results replaced at the end
-        parts[zero] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]
+    parts[zero] = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]  # computed as I, its results replaced at the end
     h = parts.view(np.complex128)
     w = np.swapaxes(h.conj(), 1, 2) @ h
     w00, w11, w01 = w[:, 0, 0].real, w[:, 1, 1].real, w[:, 0, 1]
@@ -240,8 +239,7 @@ def _svd2x2(h: np.ndarray):
         n = _norm(cand)
     pick = (n[:, 0] < n[:, 1]).astype(np.intp)
     v1 = cand[rows, pick] / np.where(identity := n[rows, pick] == 0.0, 1.0, n[rows, pick])[:, None]
-    if identity.any():  # w is a multiple of I: v1 = e1
-        v1[identity] = [1.0, 0.0]
+    v1[identity] = [1.0, 0.0]  # w is a multiple of I: v1 = e1
     mod = np.hypot(v1.real, v1.imag)
     i = (mod[:, 0] < mod[:, 1]).astype(np.intp)  # the phase convention: v1[i] real >= 0
     v1 = v1 * (np.conj(v1[rows, i]) / mod[rows, i])[:, None]
@@ -257,13 +255,12 @@ def _svd2x2(h: np.ndarray):
         u2 = u2 - (u1.conj()[:, None] @ u2[..., None])[..., 0] * u1
         u2 = u2 / _norm(u2)[:, None]
     u[..., 0], u[..., 1] = u1, u2
-    if (deficient := lambda2 <= _RANK_TOL * lambda1).any():
-        u[deficient, :, 1] = orthonormal_complement(u1[deficient])
+    deficient = lambda2 <= _RANK_TOL * lambda1
+    u[deficient, :, 1] = orthonormal_complement(u1[deficient])
     with np.errstate(over="ignore"):
         lambda1, lambda2 = np.ldexp(lambda1, e), np.ldexp(lambda2, e)
     if np.isinf(lambda1).any():
         raise DomainError("largest singular value overflows float64")
-    if zero.any():
-        u[zero] = v[zero] = np.eye(2)
-        lambda1[zero] = lambda2[zero] = 0.0
+    u[zero] = v[zero] = np.eye(2)
+    lambda1[zero] = lambda2[zero] = 0.0
     return u, lambda1, lambda2, v

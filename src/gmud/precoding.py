@@ -300,7 +300,7 @@ def _linspace(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
     y = np.arange(num, dtype=np.float64)
     if num > 1:
         step = delta / (num - 1)
-        y = (y * step if step.all() else np.where(step == 0.0, (y / (num - 1)) * delta, y * step)) + start[..., None]
+        y = np.where(step == 0.0, (y / (num - 1)) * delta, y * step) + start[..., None]
         y[..., -1] = stop
         return y
     return y * delta + start[..., None]
@@ -434,8 +434,7 @@ def _search(lambda1: np.ndarray, lambda2: np.ndarray, v1: np.ndarray, noise_var:
         q[moved], x[moved], at[:, moved] = score(moved, block[moved])
     # stage 2: the chosen block at its peak's power splits, padded per pair with splits that cannot win
     at_peak = (at == at.max(axis=0)).T
-    width = at_peak.sum(axis=1).max()  # 1, one peak split per pair, is the common case
-    splits = at_peak.argmax(axis=1)[:, None] if width == 1 else np.argsort(~at_peak, axis=1, kind="stable")[:, :width]
+    splits = np.argsort(~at_peak, axis=1, kind="stable")[:, : at_peak.sum(axis=1).max()]
     i_rk, i_rl = np.divmod(block, n_r)
     sk, sl = _sinr(x[..., None], r2[pairs, 0, i_rk, None, None], r2[pairs, 1, i_rl, None, None],
                    a2[splits][:, None], b2[splits][:, None], noise_var)

@@ -257,7 +257,7 @@ class TestStackedSvd:
             assert lambda1[i].tobytes() == np.float64(f.lambda1).tobytes(), i
             assert lambda2[i].tobytes() == np.float64(f.lambda2).tobytes(), i
 
-    # each rare kind _svd2x2 fixes up behind a guard, built from a generator
+    # each rare kind _svd2x2 fixes up through a mask, built from a generator
     RARE = {
         "zero": lambda rng: np.zeros((2, 2)),
         "multiple of I": lambda rng: np.exp(1.1j) * 0.7 * np.eye(2),
@@ -272,8 +272,8 @@ class TestStackedSvd:
 
     @pytest.mark.parametrize("kind", [None, *RARE])
     def test_one_rare_row_among_gaussians(self, kind):
-        # the stack above holds every rare kind at once, so a fix-up guarded by the wrong mask would still run
-        # there; here each kind is the only hit of its guard (None: no rare row at all).  svd2x2 sends a rare
+        # the stack above holds every rare kind at once, so a fix-up keyed to the wrong mask would still run
+        # there; here each kind is the only hit of its mask (None: no rare row at all).  svd2x2 sends a rare
         # matrix through _svd2x2 as a batch of one, so each result is also checked as a factorization
         rng = np.random.default_rng(24)
         h = crandn(rng, (32, 2, 2))
